@@ -10,7 +10,7 @@
      fig8   partition size threshold sweep, TPC-H (Figure 8)
      fig9   partitioning coverage sweep (Figure 9)
      radius radius-limited partitioning repairs TPC-H Q2 (Section 5.2.1)
-     ablation partitioner / fan-out / cuts / presolve design choices
+     ablation partitioner / fan-out / cuts design choices
      scan   row path vs vectorized columnar scans
      robust deadline propagation overshoot
      store  binary segments, partition catalog, incremental maintenance
@@ -519,19 +519,7 @@ let ablation ~scale () =
       let stats = Ilp.Branch_bound.stats_of r in
       Format.printf "  cut_rounds = %d: %7.3fs, %6d nodes@." rounds t
         stats.Ilp.Branch_bound.nodes)
-    [ 0; 4 ];
-  Format.printf "@.-- presolve on the workload ILP (base predicates baked) --@.";
-  let r, t = time (fun () -> Lp.Presolve.run problem) in
-  (match r with
-  | Lp.Presolve.Reduced red ->
-    Format.printf
-      "  %d vars / %d rows -> %d vars / %d rows in %.3fs@."
-      (Lp.Problem.nvars problem) (Lp.Problem.nrows problem)
-      (Lp.Problem.nvars red.Lp.Presolve.problem)
-      (Lp.Problem.nrows red.Lp.Presolve.problem)
-      t
-  | Lp.Presolve.Proven_infeasible msg ->
-    Format.printf "  presolve proved infeasibility: %s@." msg)
+    [ 0; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Columnar scan layer microbenchmarks                                *)
@@ -1856,7 +1844,34 @@ let micro () =
             Format.printf "  %-32s %12.1f ns/run@." name est
           | _ -> Format.printf "  %-32s (no estimate)@." name)
         results)
-    tests
+    tests;
+  (* The per-node cost of a node-limited Direct search, the quantity
+     the repo benchmark reports as ilp.us_per_node: Galaxy Q7 over
+     2,000 rows (seed 1, as in the paper suite), best of 3 runs. *)
+  let g = Datagen.Galaxy.generate ~seed:1 2000 in
+  let def = List.nth (Datagen.Workload.galaxy_queries g) 6 in
+  let qrel = Datagen.Workload.query_relation ~dataset:`Galaxy g def in
+  let spec = Datagen.Workload.compile qrel def in
+  let candidates = Paql.Translate.base_candidates spec qrel in
+  let problem = Paql.Translate.to_problem spec qrel ~candidates in
+  let limits =
+    { Ilp.Branch_bound.default_limits with max_nodes = 1000; max_seconds = 3600. }
+  in
+  let stats = ref None in
+  let t =
+    best_of 3 (fun () ->
+        stats :=
+          Some (Ilp.Branch_bound.stats_of (Ilp.Branch_bound.solve ~limits problem)))
+  in
+  match !stats with
+  | Some st ->
+    let nodes = st.Ilp.Branch_bound.nodes in
+    Format.printf "  %-32s %12.1f us/node (%d nodes, %d pivots, %d columns)@."
+      "Direct B&B galaxy 2k Q7 1k nodes"
+      (t *. 1e6 /. float_of_int (max 1 nodes))
+      nodes st.Ilp.Branch_bound.simplex_iterations
+      (Lp.Problem.nvars problem)
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Solver: warm-started dual simplex vs cold primal                   *)

@@ -225,6 +225,10 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
       overrides;
     r
   in
+  (* Every LP of the search shares the (cut) problem's rows and
+     objective and differs only in bounds: one simplex workspace, built
+     on the first LP solve and re-solved in place at every node. *)
+  let workspace = ref None in
   let solve_lp ?basis overrides =
     let iter_budget = limits.max_simplex_iters - !lp_iters in
     if iter_budget <= 0 then begin
@@ -233,14 +237,17 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
     end
     else
       with_overrides overrides (fun () ->
-          let vars =
-            Array.mapi
-              (fun j v -> { v with Problem.lo = cur_lo.(j); hi = cur_hi.(j) })
-              p.Problem.vars
+          let ws =
+            match !workspace with
+            | Some ws -> ws
+            | None ->
+              let ws = Simplex.Workspace.create p in
+              workspace := Some ws;
+              ws
           in
-          let sub = { p with Problem.vars } in
-          let max_iters = min (Simplex.default_max_iters sub) iter_budget in
-          Simplex.resolve ?basis ~max_iters ~deadline ~iterations:lp_iters sub)
+          let max_iters = min (Simplex.default_max_iters p) iter_budget in
+          Simplex.Workspace.resolve ?basis ~max_iters ~deadline
+            ~iterations:lp_iters ~lo:cur_lo ~hi:cur_hi ws)
   in
   let incumbent = ref None in
   let incumbent_internal () =

@@ -71,9 +71,11 @@ type branching = Most_fractional | Pseudo_cost
     [warm_start] seeds the root LP with a previously saved basis (see
     {!Lp.Simplex.resolve}); it is ignored when [cut_rounds > 0], since
     cut rows change the basis dimension. Child nodes always warm-start
-    from their parent's optimal basis internally. [basis_out], when
-    given, receives the root relaxation's optimal basis — the handle a
-    caller caches to warm-start the next search over the same columns. *)
+    from their parent's optimal basis internally, and every LP of one
+    search re-solves a single {!Lp.Simplex.Workspace} in place.
+    [basis_out], when given, receives the root relaxation's optimal
+    basis — the handle a caller caches to warm-start the next search
+    over the same columns. *)
 val solve :
   ?limits:limits -> ?int_tol:float -> ?cut_rounds:int ->
   ?branching:branching -> ?rel_gap:float -> ?diving:bool ->

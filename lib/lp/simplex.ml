@@ -15,8 +15,6 @@ module Basis = struct
     rows : int array; (* length bm: column occupying each basis row *)
   }
 
-  let dims b = (b.bn, b.bm)
-
   (* Fault-injection helper: name the same column on every basis row,
      which makes the basis matrix singular and forces the warm path
      through its rejection branch. *)
@@ -258,18 +256,29 @@ let with_pool ncols f =
         (fun () -> f (Some p))
   end
 
+
 (* ------------------------------------------------------------------ *)
 
 (* Mutable solver state over the augmented column set:
-   [0, n)          structural variables
-   [n, n + m)      slacks (column -e_i, bounds = row range)
-   [n + m, ncols)  phase-1 artificials (column +/- e_i, bounds [0, 0+]) *)
+   [0, n)           structural variables
+   [n, n + m)       slacks (column -e_i, bounds = row range)
+   [n + m, n + 2m)  phase-1 artificials (column +/- e_i, bounds [0, 0+])
+   Columns are stored compressed: column j's entries sit at positions
+   [cstart.(j), cstart.(j + 1)) of [crow] / [cval], in row order. Only
+   [lo] / [hi] of the structurals depend on the bounds being solved
+   under, so one state serves every re-solve of the same rows and
+   objective (see [Workspace]). *)
 type state = {
+  prob : Problem.t; (* rows and objective; its variable bounds are unused *)
+  n : int;
   m : int;
-  ncols : int;
-  cols : (int * float) array array;
+  mutable ncols : int; (* active columns: n + m warm, n + m + nart cold *)
+  cstart : int array;
+  crow : int array;
+  cval : float array;
   lo : float array;
   hi : float array;
+  obj : float array; (* structural costs, internal (minimize) sense *)
   cost : float array; (* phase-dependent *)
   status : vstat array;
   xval : float array;
@@ -277,7 +286,7 @@ type state = {
   binv : float array array;
   y : float array; (* scratch: duals *)
   w : float array; (* scratch: B^-1 A_q *)
-  tol : float;
+  mutable tol : float;
 }
 
 exception Singular_basis
@@ -289,7 +298,10 @@ let refactorize st =
   let m = st.m in
   let b = Array.make_matrix m m 0. in
   for i = 0 to m - 1 do
-    Array.iter (fun (r, a) -> b.(r).(i) <- a) st.cols.(st.basis.(i))
+    let j = st.basis.(i) in
+    for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+      b.(st.crow.(k)).(i) <- st.cval.(k)
+    done
   done;
   (* initialize binv to identity *)
   for i = 0 to m - 1 do
@@ -340,7 +352,10 @@ let recompute_basics st =
     | Nonbasic _ ->
       let v = st.xval.(j) in
       if v <> 0. then
-        Array.iter (fun (r, a) -> rhs.(r) <- rhs.(r) -. (a *. v)) st.cols.(j)
+        for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+          let r = st.crow.(k) in
+          rhs.(r) <- rhs.(r) -. (st.cval.(k) *. v)
+        done
   done;
   for i = 0 to m - 1 do
     let acc = ref 0. in
@@ -363,8 +378,17 @@ let compute_duals st =
 
 let reduced_cost st j =
   let acc = ref st.cost.(j) in
-  Array.iter (fun (r, a) -> acc := !acc -. (st.y.(r) *. a)) st.cols.(j);
+  for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+    acc := !acc -. (st.y.(st.crow.(k)) *. st.cval.(k))
+  done;
   !acc
+
+(* The nonbasic statuses as shared constants, so the per-node paths
+   re-seat columns without allocating. *)
+let nonbasic = function
+  | At_lower -> Nonbasic At_lower
+  | At_upper -> Nonbasic At_upper
+  | Free_zero -> Nonbasic Free_zero
 
 (* Dantzig pricing over one chunk of columns. Selection is the maximum
    under the total order (|d| desc, column asc), so the global winner
@@ -460,12 +484,12 @@ let ftran st q =
   for i = 0 to m - 1 do
     st.w.(i) <- 0.
   done;
-  Array.iter
-    (fun (r, a) ->
-      for i = 0 to m - 1 do
-        st.w.(i) <- st.w.(i) +. (st.binv.(i).(r) *. a)
-      done)
-    st.cols.(q)
+  for k = st.cstart.(q) to st.cstart.(q + 1) - 1 do
+    let r = st.crow.(k) and a = st.cval.(k) in
+    for i = 0 to m - 1 do
+      st.w.(i) <- st.w.(i) +. (st.binv.(i).(r) *. a)
+    done
+  done
 
 type step =
   | Bound_flip of float
@@ -600,7 +624,7 @@ let iterate ?pool st ~max_iters ?deadline iters_ref =
           let leaver = st.basis.(r) in
           apply_step st q dir t;
           st.status.(q) <- Basic;
-          st.status.(leaver) <- Nonbasic leave_to;
+          st.status.(leaver) <- nonbasic leave_to;
           st.xval.(leaver) <-
             (match leave_to with
             | At_lower -> st.lo.(leaver)
@@ -643,9 +667,9 @@ let dual_range st rho ~upward ~jlo ~jhi =
     | Nonbasic kind ->
       if st.hi.(j) -. st.lo.(j) > st.tol then begin
         let alpha = ref 0. in
-        Array.iter
-          (fun (r, a) -> alpha := !alpha +. (rho.(r) *. a))
-          st.cols.(j);
+        for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+          alpha := !alpha +. (rho.(st.crow.(k)) *. st.cval.(k))
+        done;
         let alpha = !alpha in
         (* entering j by [dir] changes the leaving basic by
            [-dir * alpha]; keep only moves pushing it toward the
@@ -783,7 +807,7 @@ let dual_iterate ?pool st ~max_iters ?deadline iters_ref =
           apply_step st q dir t;
           st.status.(q) <- Basic;
           let leave_to = if !upward then At_lower else At_upper in
-          st.status.(leaver) <- Nonbasic leave_to;
+          st.status.(leaver) <- nonbasic leave_to;
           st.xval.(leaver) <-
             (if !upward then st.lo.(leaver) else st.hi.(leaver));
           update_basis st !r q;
@@ -808,49 +832,94 @@ let current_cost st =
 let default_max_iters (p : Problem.t) =
   20_000 + (4 * (Problem.nvars p + Problem.nrows p))
 
-(* Shared column construction: structural columns [0, n) and slack
-   columns [n, n + m), into arrays sized for the cold path's
-   artificials ([n + m, n + 2m)). *)
-let structural_arrays (p : Problem.t) =
+(* The one state builder: validate [p], transpose its rows into
+   compressed structural columns (entries of a column in row order,
+   zeros dropped), append the slack columns and reserve one entry for
+   each artificial. Bounds start out as [p]'s own. *)
+let build ~who (p : Problem.t) =
+  (match Problem.validate p with
+  | Ok () -> ()
+  | Error msg -> invalid_arg (who ^ ": " ^ msg));
   let n = Problem.nvars p and m = Problem.nrows p in
   let maxcols = n + m + m in
-  let cols = Array.make maxcols [||] in
-  let lo = Array.make maxcols 0. and hi = Array.make maxcols 0. in
-  let cost = Array.make maxcols 0. in
-  let sense_sign =
-    match p.Problem.sense with Problem.Minimize -> 1. | Problem.Maximize -> -1.
-  in
-  (* transpose rows into structural columns *)
-  let per_col : (int * float) list array = Array.make n [] in
+  (* entry counts per column, then exclusive prefix sums *)
+  let cstart = Array.make (maxcols + 1) 0 in
+  Array.iter
+    (fun (r : Problem.row) ->
+      List.iter
+        (fun (j, a) -> if a <> 0. then cstart.(j) <- cstart.(j) + 1)
+        r.Problem.coeffs)
+    p.Problem.rows;
+  for j = n to maxcols - 1 do
+    cstart.(j) <- 1
+  done;
+  let nnz = ref 0 in
+  for j = 0 to maxcols do
+    let c = cstart.(j) in
+    cstart.(j) <- !nnz;
+    nnz := !nnz + c
+  done;
+  let crow = Array.make !nnz 0 and cval = Array.make !nnz 0. in
+  let fill = Array.sub cstart 0 n in
   Array.iteri
     (fun i (r : Problem.row) ->
       List.iter
-        (fun (j, a) -> if a <> 0. then per_col.(j) <- (i, a) :: per_col.(j))
+        (fun (j, a) ->
+          if a <> 0. then begin
+            let k = fill.(j) in
+            crow.(k) <- i;
+            cval.(k) <- a;
+            fill.(j) <- k + 1
+          end)
         r.Problem.coeffs)
     p.Problem.rows;
-  for j = 0 to n - 1 do
-    let v = p.Problem.vars.(j) in
-    cols.(j) <- Array.of_list (List.rev per_col.(j));
-    lo.(j) <- v.Problem.lo;
-    hi.(j) <- v.Problem.hi;
-    cost.(j) <- sense_sign *. v.Problem.obj
-  done;
-  (* slacks *)
-  for i = 0 to m - 1 do
-    let r = p.Problem.rows.(i) in
-    let j = n + i in
-    cols.(j) <- [| (i, -1.) |];
-    lo.(j) <- r.Problem.rlo;
-    hi.(j) <- r.Problem.rhi;
-    cost.(j) <- 0.
-  done;
-  (n, m, cols, lo, hi, cost)
+  let lo = Array.make maxcols 0. and hi = Array.make maxcols 0. in
+  Array.iteri
+    (fun j (v : Problem.var) ->
+      lo.(j) <- v.Problem.lo;
+      hi.(j) <- v.Problem.hi)
+    p.Problem.vars;
+  Array.iteri
+    (fun i (r : Problem.row) ->
+      let k = cstart.(n + i) in
+      crow.(k) <- i;
+      cval.(k) <- -1.;
+      lo.(n + i) <- r.Problem.rlo;
+      hi.(n + i) <- r.Problem.rhi)
+    p.Problem.rows;
+  let sense_sign =
+    match p.Problem.sense with Problem.Minimize -> 1. | Problem.Maximize -> -1.
+  in
+  let mm = max m 1 in
+  {
+    prob = p;
+    n;
+    m;
+    ncols = n + m;
+    cstart;
+    crow;
+    cval;
+    lo;
+    hi;
+    obj =
+      Array.map
+        (fun (v : Problem.var) -> sense_sign *. v.Problem.obj)
+        p.Problem.vars;
+    cost = Array.make maxcols 0.;
+    status = Array.make maxcols (Nonbasic At_lower);
+    xval = Array.make maxcols 0.;
+    basis = Array.make mm 0;
+    binv = Array.make_matrix mm mm 0.;
+    y = Array.make mm 0.;
+    w = Array.make mm 0.;
+    tol = 1e-7;
+  }
 
 (* Export the final basis for reuse by a later [resolve]. Declined when
    an artificial column is still basic (degenerate phase-1 leftovers):
    such a basis has no meaning for the structural + slack column set. *)
-let extract_basis st n =
-  let m = st.m in
+let extract_basis st =
+  let n = st.n and m = st.m in
   let ok = ref true in
   for i = 0 to m - 1 do
     if st.basis.(i) >= n + m then ok := false
@@ -865,18 +934,29 @@ let extract_basis st n =
         rows = Array.sub st.basis 0 m;
       }
 
-let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
-  (match Problem.validate p with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Simplex.solve: " ^ msg));
+let optimal st iters =
+  let x = Array.sub st.xval 0 st.n in
+  Optimal
+    {
+      x;
+      obj = Problem.objective st.prob x;
+      iterations = !iters;
+      basis = extract_basis st;
+    }
+
+(* True costs on the structurals, zero on every other column. *)
+let load_costs st =
+  Array.blit st.obj 0 st.cost 0 st.n;
+  Array.fill st.cost st.n (Array.length st.cost - st.n) 0.
+
+(* Two-phase primal simplex from scratch under the loaded bounds. Every
+   array it reads is (re)initialised here, so it runs on a fresh state
+   and after any earlier solve on the same one alike. *)
+let cold_run st ~max_iters ?deadline iters =
   Atomic.incr c_cold_solves;
-  let max_iters =
-    match max_iters with Some k -> k | None -> default_max_iters p
-  in
-  let n, m, cols, lo, hi, cost = structural_arrays p in
-  let maxcols = n + m + m in
-  let status = Array.make maxcols (Nonbasic At_lower) in
-  let xval = Array.make maxcols 0. in
+  let n = st.n and m = st.m and tol = st.tol in
+  let lo = st.lo and hi = st.hi and status = st.status and xval = st.xval in
+  load_costs st;
   (* initial nonbasic position: nearest finite bound, else free at 0 *)
   for j = 0 to n - 1 do
     if lo.(j) > neg_infinity then begin
@@ -899,15 +979,14 @@ let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
       activity.(i) <-
         List.fold_left (fun acc (j, a) -> acc +. (a *. xval.(j))) 0.
           r.Problem.coeffs)
-    p.Problem.rows;
-  let basis = Array.make (max m 1) 0 in
+    st.prob.Problem.rows;
   let nart = ref 0 in
   for i = 0 to m - 1 do
     let sj = n + i in
     let act = activity.(i) in
     if act >= lo.(sj) -. tol && act <= hi.(sj) +. tol then begin
       (* slack can absorb the activity: make it basic *)
-      basis.(i) <- sj;
+      st.basis.(i) <- sj;
       status.(sj) <- Basic;
       xval.(sj) <- act
     end
@@ -917,53 +996,25 @@ let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
       let bound, kind =
         if act < lo.(sj) then lo.(sj), At_lower else hi.(sj), At_upper
       in
-      status.(sj) <- Nonbasic kind;
+      status.(sj) <- nonbasic kind;
       xval.(sj) <- bound;
       let resid = act -. bound in
       (* row equation: a.x - s + g*z = 0, want z = |resid| >= 0 *)
       let g = if resid > 0. then -1. else 1. in
       let zj = n + m + !nart in
       incr nart;
-      cols.(zj) <- [| (i, g) |];
+      let k = st.cstart.(zj) in
+      st.crow.(k) <- i;
+      st.cval.(k) <- g;
       lo.(zj) <- 0.;
       hi.(zj) <- infinity;
-      cost.(zj) <- 0.;
       status.(zj) <- Basic;
       xval.(zj) <- Float.abs resid;
-      basis.(i) <- zj
+      st.basis.(i) <- zj
     end
   done;
   let ncols = n + m + !nart in
-  let st =
-    {
-      m;
-      ncols;
-      cols;
-      lo;
-      hi;
-      cost;
-      status;
-      xval;
-      basis;
-      binv = Array.make_matrix (max m 1) (max m 1) 0.;
-      y = Array.make (max m 1) 0.;
-      w = Array.make (max m 1) 0.;
-      tol;
-    }
-  in
-  let iters = ref 0 in
-  let record result =
-    (match iterations with Some acc -> acc := !acc + !iters | None -> ());
-    result
-  in
-  let finish () =
-    let x = Array.sub st.xval 0 n in
-    Optimal
-      { x; obj = Problem.objective p x; iterations = !iters;
-        basis = extract_basis st n }
-  in
-  record
-  @@
+  st.ncols <- ncols;
   if m = 0 then begin
     (* No rows: each variable sits at the bound its cost prefers. *)
     let unbounded = ref false in
@@ -976,7 +1027,7 @@ let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
         if st.hi.(j) < infinity then st.xval.(j) <- st.hi.(j)
         else unbounded := true
     done;
-    if !unbounded then Unbounded else finish ()
+    if !unbounded then Unbounded else optimal st iters
   end
   else
     with_pool ncols @@ fun pool ->
@@ -986,14 +1037,10 @@ let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
       let result =
         if !nart > 0 then begin
           (* phase-1 objective: artificials only *)
-          let saved_costs = Array.sub st.cost 0 n in
-          for j = 0 to n - 1 do
-            st.cost.(j) <- 0.
-          done;
+          Array.fill st.cost 0 n 0.;
           for z = n + m to ncols - 1 do
             st.cost.(z) <- 1.
           done;
-          let restore () = Array.blit saved_costs 0 st.cost 0 n in
           match iterate ?pool st ~max_iters ?deadline iters with
           | L_iter_limit -> Some Iter_limit
           | L_unbounded ->
@@ -1004,7 +1051,7 @@ let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
               Some Infeasible
             else begin
               (* pin artificials at zero and restore true costs *)
-              restore ();
+              Array.blit st.obj 0 st.cost 0 n;
               for z = n + m to ncols - 1 do
                 st.cost.(z) <- 0.;
                 st.hi.(z) <- 0.;
@@ -1028,7 +1075,7 @@ let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
         | L_optimal ->
           refactorize st;
           recompute_basics st;
-          finish ())
+          optimal st iters)
     end
 
 (* ------------------------------------------------------------------ *)
@@ -1036,27 +1083,37 @@ let solve ?max_iters ?(tol = 1e-7) ?deadline ?iterations (p : Problem.t) =
 
 exception Warm_reject
 
-(* Install a saved basis into a freshly built state: restore statuses
-   and basis rows, then re-seat every nonbasic column on a bound of the
-   *new* problem (bounds may have moved or become infinite since the
-   basis was saved). Raises [Warm_reject] on any inconsistency. *)
-let install_basis st (b : Basis.t) n =
-  let m = st.m in
+(* Install a saved basis: restore statuses and basis rows, then re-seat
+   every nonbasic column on a bound of the problem now loaded (bounds
+   may have moved or become infinite since the basis was saved). Raises
+   [Warm_reject] on any inconsistency. *)
+let install_basis st (b : Basis.t) =
+  let n = st.n and m = st.m in
   let total = n + m in
-  if Array.length b.Basis.vstat <> total || Array.length b.Basis.rows <> m then
-    raise Warm_reject;
+  if
+    m = 0 || b.Basis.bn <> n || b.Basis.bm <> m
+    || Array.length b.Basis.vstat <> total
+    || Array.length b.Basis.rows <> m
+  then raise Warm_reject;
   let nbasic = ref 0 in
-  Array.iter (fun s -> if s = Basic then incr nbasic) b.Basis.vstat;
+  Array.iter
+    (function Basic -> incr nbasic | Nonbasic _ -> ())
+    b.Basis.vstat;
   if !nbasic <> m then raise Warm_reject;
-  let seen = Array.make total false in
+  Array.blit b.Basis.vstat 0 st.status 0 total;
+  (* every basis row must claim a distinct basic column: a claimed
+     column is marked nonbasic until all rows are placed *)
   Array.iteri
     (fun i j ->
-      if j < 0 || j >= total || seen.(j) || b.Basis.vstat.(j) <> Basic then
-        raise Warm_reject;
-      seen.(j) <- true;
+      if j < 0 || j >= total then raise Warm_reject;
+      (match st.status.(j) with
+      | Basic -> st.status.(j) <- Nonbasic Free_zero
+      | Nonbasic _ -> raise Warm_reject);
       st.basis.(i) <- j)
     b.Basis.rows;
-  Array.blit b.Basis.vstat 0 st.status 0 total;
+  Array.iter (fun j -> st.status.(j) <- Basic) b.Basis.rows;
+  st.ncols <- total;
+  load_costs st;
   for j = 0 to total - 1 do
     match st.status.(j) with
     | Basic -> ()
@@ -1077,105 +1134,93 @@ let install_basis st (b : Basis.t) n =
           else if lo > 0. then At_lower, lo
           else At_upper, hi
       in
-      st.status.(j) <- Nonbasic kind';
+      st.status.(j) <- nonbasic kind';
       st.xval.(j) <- v
   done
 
-(* [resolve ?basis p] solves [p] starting from a previously saved
-   optimal basis: dual pivots restore primal feasibility after bound
-   changes, then the ordinary primal phase 2 finishes off any dual
-   infeasibility left by objective changes. Every failure mode of the
-   warm path — wrong dimensions, singular or inconsistent basis, dual
-   infeasibility, stalls — degrades to an internal cold [solve] of the
-   same problem, so a stale or corrupt basis can cost time but never
-   change an answer. *)
-let resolve ?basis ?max_iters ?(tol = 1e-7) ?deadline ?iterations
-    (p : Problem.t) =
-  match basis with
-  | None -> solve ?max_iters ~tol ?deadline ?iterations p
-  | Some _ when not (warm_enabled ()) ->
-    solve ?max_iters ~tol ?deadline ?iterations p
-  | Some b -> (
-    (match Problem.validate p with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("Simplex.resolve: " ^ msg));
-    let n = Problem.nvars p and m = Problem.nrows p in
-    let max_iters =
-      match max_iters with Some k -> k | None -> default_max_iters p
-    in
-    Atomic.incr c_warm_attempts;
-    let iters = ref 0 in
-    let record result =
-      (match iterations with Some acc -> acc := !acc + !iters | None -> ());
-      result
-    in
-    let cold () =
-      (* pivots burned by the failed warm attempt still count against
-         the caller's budget *)
-      let sub = ref 0 in
-      let r =
-        solve ~max_iters:(max 1 (max_iters - !iters)) ~tol ?deadline
-          ~iterations:sub p
-      in
-      iters := !iters + !sub;
-      record r
-    in
-    let bn, bm = Basis.dims b in
-    if m = 0 || bn <> n || bm <> m then cold ()
-    else
-      let built =
-        match
-          let _, _, cols, lo, hi, cost = structural_arrays p in
-          let maxcols = n + m + m in
-          let st =
-            {
-              m;
-              ncols = n + m;
-              cols;
-              lo;
-              hi;
-              cost;
-              status = Array.make maxcols (Nonbasic At_lower);
-              xval = Array.make maxcols 0.;
-              basis = Array.make (max m 1) 0;
-              binv = Array.make_matrix (max m 1) (max m 1) 0.;
-              y = Array.make (max m 1) 0.;
-              w = Array.make (max m 1) 0.;
-              tol;
-            }
-          in
-          install_basis st b n;
-          (try refactorize st with Singular_basis -> raise Warm_reject);
-          recompute_basics st;
-          st
-        with
-        | st -> Some st
-        | exception Warm_reject -> None
-      in
-      match built with
-      | None -> cold ()
-      | Some st -> (
-        with_pool st.ncols @@ fun pool ->
-        match dual_iterate ?pool st ~max_iters ?deadline iters with
-        | D_infeasible | D_stalled ->
-          (* never certify infeasibility (or give up) from a warm
-             start: confirm with a cold solve *)
-          cold ()
-        | D_iter_limit -> record Iter_limit
-        | D_feasible -> (
-          match iterate ?pool st ~max_iters ?deadline iters with
-          | L_iter_limit -> record Iter_limit
-          | L_unbounded -> cold ()
-          | L_optimal ->
-            refactorize st;
-            recompute_basics st;
-            Atomic.incr c_warm_hits;
-            let x = Array.sub st.xval 0 n in
-            record
-              (Optimal
-                 {
-                   x;
-                   obj = Problem.objective p x;
-                   iterations = !iters;
-                   basis = extract_basis st n;
-                 }))))
+(* One warm attempt from [b]: dual pivots restore primal feasibility
+   after bound changes, then primal phase 2 finishes off any dual
+   infeasibility left by objective changes. [None] means the attempt
+   failed — wrong dimensions, an inconsistent or singular basis (at
+   install or at any later refactorization), dual infeasibility, a
+   stall — and the caller must solve cold. *)
+let warm_run st b ~max_iters ?deadline iters =
+  match
+    install_basis st b;
+    refactorize st;
+    recompute_basics st;
+    with_pool st.ncols @@ fun pool ->
+    match dual_iterate ?pool st ~max_iters ?deadline iters with
+    | D_infeasible | D_stalled ->
+      (* never certify infeasibility (or give up) from a warm start:
+         confirm with a cold solve *)
+      None
+    | D_iter_limit -> Some Iter_limit
+    | D_feasible -> (
+      match iterate ?pool st ~max_iters ?deadline iters with
+      | L_iter_limit -> Some Iter_limit
+      | L_unbounded -> None
+      | L_optimal ->
+        refactorize st;
+        recompute_basics st;
+        Atomic.incr c_warm_hits;
+        Some (optimal st iters))
+  with
+  | r -> r
+  | exception (Warm_reject | Singular_basis) -> None
+
+(* Solve under the bounds loaded in [st]: warm from [basis] when one is
+   given and warm starts are on, cold otherwise or when the warm attempt
+   fails. [iterations] is charged on every non-exceptional exit. *)
+let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?iterations () =
+  st.tol <- tol;
+  let max_iters =
+    match max_iters with Some k -> k | None -> default_max_iters st.prob
+  in
+  let iters = ref 0 in
+  let result =
+    match basis with
+    | Some b when warm_enabled () -> (
+      Atomic.incr c_warm_attempts;
+      match warm_run st b ~max_iters ?deadline iters with
+      | Some r -> r
+      | None ->
+        (* pivots burned by the failed warm attempt still count against
+           the caller's budget *)
+        let sub = ref 0 in
+        let r =
+          cold_run st ~max_iters:(max 1 (max_iters - !iters)) ?deadline sub
+        in
+        iters := !iters + !sub;
+        r)
+    | _ -> cold_run st ~max_iters ?deadline iters
+  in
+  (match iterations with Some acc -> acc := !acc + !iters | None -> ());
+  result
+
+let solve ?max_iters ?tol ?deadline ?iterations p =
+  run (build ~who:"Simplex.solve" p) ?max_iters ?tol ?deadline ?iterations ()
+
+let resolve ?basis ?max_iters ?tol ?deadline ?iterations p =
+  run
+    (build ~who:"Simplex.resolve" p)
+    ?basis ?max_iters ?tol ?deadline ?iterations ()
+
+module Workspace = struct
+  type t = state
+
+  let create p = build ~who:"Simplex.Workspace.create" p
+
+  let resolve ?basis ?max_iters ?tol ?deadline ?iterations ~lo ~hi st =
+    let n = st.n in
+    if Array.length lo <> n || Array.length hi <> n then
+      invalid_arg "Simplex.Workspace.resolve: bounds do not match the columns";
+    for j = 0 to n - 1 do
+      if lo.(j) > hi.(j) then
+        invalid_arg
+          (Printf.sprintf "Simplex.Workspace.resolve: variable %d has lo > hi" j)
+    done;
+    Array.blit lo 0 st.lo 0 n;
+    Array.blit hi 0 st.hi 0 n;
+    run st ?basis ?max_iters ?tol ?deadline ?iterations ()
+end

@@ -33,9 +33,6 @@
 module Basis : sig
   type t
 
-  (** [(nvars, nrows)] of the problem the basis was saved from. *)
-  val dims : t -> int * int
-
   (** Fault-injection helper: returns a structurally valid but singular
       basis, which {!resolve} must reject into a cold solve. *)
   val corrupt : t -> t
@@ -88,6 +85,39 @@ val resolve :
   ?iterations:int ref ->
   Problem.t ->
   result
+
+(** {2 Workspaces}
+
+    A workspace holds the solver state of one problem: its rows
+    transposed once into compressed columns, plus the status, value,
+    basis and basis-inverse arrays. {!Workspace.resolve} re-solves in
+    place under new structural bounds, so a search that solves the same
+    rows many times (branch-and-bound nodes) pays the build once.
+    {!solve} and {!resolve} are a fresh workspace and one re-solve, and
+    a workspace re-solve returns bit-for-bit what {!resolve} returns on
+    the problem with the same bounds. Not safe to share across
+    domains. *)
+module Workspace : sig
+  type t
+
+  (** [create p] validates [p] and builds its state.
+      @raise Invalid_argument when [p] is malformed. *)
+  val create : Problem.t -> t
+
+  (** [resolve ?basis ... ~lo ~hi ws] is {!resolve} of [ws]'s problem
+      with structural bounds [lo] / [hi] (copied in; length [nvars]).
+      @raise Invalid_argument when some [lo.(j) > hi.(j)]. *)
+  val resolve :
+    ?basis:Basis.t ->
+    ?max_iters:int ->
+    ?tol:float ->
+    ?deadline:float ->
+    ?iterations:int ref ->
+    lo:float array ->
+    hi:float array ->
+    t ->
+    result
+end
 
 val pp_result : Format.formatter -> result -> unit
 

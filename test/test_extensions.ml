@@ -1,6 +1,6 @@
-(* Tests for the extension modules: LP presolve, cover cuts
-   (branch-and-cut), the dynamic quad-tree partitioner, and the
-   Section 4.4 false-infeasibility fallback strategies. *)
+(* Tests for the extension modules: cover cuts (branch-and-cut), the
+   dynamic quad-tree partitioner, and the Section 4.4
+   false-infeasibility fallback strategies. *)
 
 module P = Lp.Problem
 module V = Relalg.Value
@@ -10,130 +10,6 @@ module R = Relalg.Relation
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf = Alcotest.check (Alcotest.float 1e-6)
-
-(* ------------------------------------------------------------------ *)
-(* Presolve                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_presolve_fixed_vars () =
-  (* y is fixed at 2 and must be substituted out *)
-  let p =
-    P.make ~sense:P.Minimize
-      ~vars:[ P.var ~hi:10. 1.; P.var ~lo:2. ~hi:2. 3. ]
-      ~rows:[ P.row [ (0, 1.); (1, 1.) ] ~lo:5. ~hi:infinity ]
-  in
-  match Lp.Presolve.run p with
-  | Lp.Presolve.Proven_infeasible m -> Alcotest.fail m
-  | Lp.Presolve.Reduced red ->
-    (* the reductions cascade to a complete solve here: y fixed at 2,
-       the row folds into x >= 3, and the now-empty column fixes x at
-       its preferred bound *)
-    checki "fully reduced" 0 (P.nvars red.Lp.Presolve.problem);
-    checkf "objective captured in offset" 9. red.Lp.Presolve.obj_offset;
-    let full = Lp.Presolve.restore red [||] in
-    checkb "restored point feasible" true (P.feasible p full);
-    checkf "restored x" 3. full.(0);
-    checkf "restored y" 2. full.(1)
-
-let test_presolve_singleton_row () =
-  let p =
-    P.make ~sense:P.Minimize
-      ~vars:[ P.var ~integer:true ~hi:10. 1. ]
-      ~rows:[ P.row [ (0, 2.) ] ~lo:3. ~hi:9. ]
-  in
-  match Lp.Presolve.run p with
-  | Lp.Presolve.Reduced red ->
-    checki "rows folded" 0 (P.nrows red.Lp.Presolve.problem);
-    (* integer rounding: 1.5 <= x <= 4.5 becomes [2, 4]; the empty
-       column then pins the minimization at the rounded lower bound *)
-    let full = Lp.Presolve.restore red (Array.make (P.nvars red.Lp.Presolve.problem) 0.) in
-    checkf "pinned at rounded bound" 2. full.(0);
-    checkb "restored point feasible" true (P.feasible p full)
-  | Lp.Presolve.Proven_infeasible m -> Alcotest.fail m
-
-let test_presolve_detects_infeasibility () =
-  let empty_bad =
-    P.make ~sense:P.Minimize ~vars:[ P.var 1. ]
-      ~rows:[ P.row [] ~lo:1. ~hi:2. ]
-  in
-  checkb "empty row" true
-    (match Lp.Presolve.run empty_bad with
-    | Lp.Presolve.Proven_infeasible _ -> true
-    | _ -> false);
-  let forcing_bad =
-    P.make ~sense:P.Minimize
-      ~vars:[ P.var ~hi:1. 0.; P.var ~hi:1. 0. ]
-      ~rows:[ P.row [ (0, 1.); (1, 1.) ] ~lo:3. ~hi:infinity ]
-  in
-  checkb "forcing row" true
-    (match Lp.Presolve.run forcing_bad with
-    | Lp.Presolve.Proven_infeasible _ -> true
-    | _ -> false);
-  let bound_clash =
-    P.make ~sense:P.Minimize
-      ~vars:[ P.var ~hi:4. 0. ]
-      ~rows:[ P.row [ (0, 1.) ] ~lo:5. ~hi:9. ]
-  in
-  checkb "singleton clash" true
-    (match Lp.Presolve.run bound_clash with
-    | Lp.Presolve.Proven_infeasible _ -> true
-    | _ -> false)
-
-let test_presolve_redundant_rows () =
-  let p =
-    P.make ~sense:P.Maximize
-      ~vars:[ P.var ~hi:1. 1.; P.var ~hi:1. 1. ]
-      ~rows:[ P.row [ (0, 1.); (1, 1.) ] ~lo:neg_infinity ~hi:5. ]
-  in
-  match Lp.Presolve.run p with
-  | Lp.Presolve.Reduced red ->
-    checki "redundant row dropped" 1 (Lp.Presolve.dropped_rows p red);
-    (* with no rows left, vars are fixed at their preferred bound *)
-    checki "vars fixed" 2 (Lp.Presolve.dropped_vars p red);
-    checkf "objective offset" 2. red.Lp.Presolve.obj_offset
-  | Lp.Presolve.Proven_infeasible m -> Alcotest.fail m
-
-(* Property: presolve + solve + restore produces the same objective as
-   solving directly, and a feasible point. *)
-let presolve_equivalence_prop =
-  let gen =
-    QCheck.Gen.(
-      let coeff = map float_of_int (int_range (-4) 6) in
-      int_range 1 6 >>= fun n ->
-      list_size (return n) coeff >>= fun costs ->
-      list_size (int_range 0 3) (list_size (return n) coeff) >>= fun rows ->
-      list_size (return (List.length rows)) (int_range 1 15) >>= fun caps ->
-      return (costs, rows, caps))
-  in
-  QCheck.Test.make ~count:200 ~name:"presolve preserves the optimum"
-    (QCheck.make gen)
-    (fun (costs, rows, caps) ->
-      let vars = List.map (fun c -> P.var ~hi:2. c) costs in
-      let rows =
-        List.map2
-          (fun coeffs cap ->
-            P.row (List.mapi (fun i c -> (i, c)) coeffs) ~lo:neg_infinity
-              ~hi:(float_of_int cap))
-          rows caps
-      in
-      let p = P.make ~sense:P.Maximize ~vars ~rows in
-      match Lp.Simplex.solve p, Lp.Presolve.run p with
-      | Lp.Simplex.Optimal direct, Lp.Presolve.Reduced red -> (
-        match Lp.Simplex.solve red.Lp.Presolve.problem with
-        | Lp.Simplex.Optimal reduced ->
-          let total = reduced.Lp.Simplex.obj +. red.Lp.Presolve.obj_offset in
-          Float.abs (total -. direct.Lp.Simplex.obj) < 1e-5
-          && P.feasible ~tol:1e-5 p
-               (Lp.Presolve.restore red reduced.Lp.Simplex.x)
-        | _ -> false)
-      | Lp.Simplex.Infeasible, Lp.Presolve.Proven_infeasible _ -> true
-      | Lp.Simplex.Infeasible, Lp.Presolve.Reduced red -> (
-        (* presolve may not prove it; the reduced problem must still be
-           infeasible *)
-        match Lp.Simplex.solve red.Lp.Presolve.problem with
-        | Lp.Simplex.Infeasible -> true
-        | _ -> false)
-      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Cover cuts                                                         *)
@@ -547,17 +423,6 @@ let test_eval_pretty_printers () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "presolve",
-        [
-          Alcotest.test_case "fixed variables" `Quick test_presolve_fixed_vars;
-          Alcotest.test_case "singleton rows" `Quick
-            test_presolve_singleton_row;
-          Alcotest.test_case "infeasibility detection" `Quick
-            test_presolve_detects_infeasibility;
-          Alcotest.test_case "redundant rows" `Quick
-            test_presolve_redundant_rows;
-          QCheck_alcotest.to_alcotest presolve_equivalence_prop;
-        ] );
       ( "cuts",
         [
           Alcotest.test_case "cover cut found and valid" `Quick

@@ -221,6 +221,125 @@ let test_warm_disabled_is_cold () =
   | r -> Alcotest.failf "seed solve: %a" S.pp_result r
 
 (* ------------------------------------------------------------------ *)
+(* Workspace reuse                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One step of a reuse sequence: a bound change on one variable, then
+   the basis handed to the re-solve — the previous step's, the root's,
+   none, a singular corruption of the previous one, or one of the wrong
+   shape (the last two force the cold fallback). *)
+let gen_step =
+  QCheck.Gen.(
+    triple (int_range 0 1000)
+      (oneofl [ `Pin_up; `Pin_down; `Halve; `Restore ])
+      (oneofl [ `Prev; `Prev; `Root; `None; `Corrupt; `Foreign ]))
+
+let bits x = Array.map Int64.bits_of_float x
+
+let same_result name (a, ia) (b, ib) =
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) name in
+  if ia <> ib then fail "iterations %d (workspace) <> %d (fresh)" ia ib
+  else
+    match (a, b) with
+    | S.Optimal x, S.Optimal y ->
+      if bits x.S.x <> bits y.S.x then fail "x differs"
+      else if Int64.bits_of_float x.S.obj <> Int64.bits_of_float y.S.obj then
+        fail "obj %h <> %h" x.S.obj y.S.obj
+      else if x.S.iterations <> y.S.iterations then fail "pivot counts differ"
+      else if x.S.basis <> y.S.basis then fail "exported bases differ"
+      else true
+    | S.Infeasible, S.Infeasible
+    | S.Unbounded, S.Unbounded
+    | S.Iter_limit, S.Iter_limit -> true
+    | a, b -> fail "workspace %a, fresh %a" S.pp_result a S.pp_result b
+
+(* one workspace driven through bound tightenings and basis hand-offs
+   returns, at every step, exactly what a fresh [resolve] of the same
+   problem returns: nothing leaks from one re-solve into the next *)
+let workspace_reuse_prop =
+  QCheck.Test.make ~count:150 ~name:"workspace reuse is bit-identical to fresh"
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_lp (list_size (int_range 2 10) gen_step) gen_step))
+    (fun (p, steps, forced) ->
+      let n = Array.length p.P.vars in
+      let lo0 = Array.map (fun v -> v.P.lo) p.P.vars in
+      let hi0 = Array.map (fun v -> v.P.hi) p.P.vars in
+      let lo = Array.copy lo0 and hi = Array.copy hi0 in
+      let foreign =
+        match S.solve { p with P.rows = [||] } with
+        | S.Optimal s -> s.S.basis
+        | _ -> None
+      in
+      let ws = S.Workspace.create p in
+      let root = ref None and prev = ref None in
+      let fj, fchange, _ = forced in
+      let steps = ((0, `Restore, `None) :: steps) @ [ (fj, fchange, `Foreign) ] in
+      List.for_all
+        (fun (jseed, change, handoff) ->
+          let j = jseed mod n in
+          (match change with
+          | `Pin_up -> lo.(j) <- hi.(j)
+          | `Pin_down -> hi.(j) <- lo.(j)
+          | `Halve -> hi.(j) <- lo.(j) +. ((hi.(j) -. lo.(j)) /. 2.)
+          | `Restore ->
+            lo.(j) <- lo0.(j);
+            hi.(j) <- hi0.(j));
+          let basis =
+            match handoff with
+            | `Prev -> !prev
+            | `Root -> !root
+            | `None -> None
+            | `Corrupt -> Option.map S.Basis.corrupt !prev
+            | `Foreign -> foreign
+          in
+          let iw = ref 0 and ifr = ref 0 in
+          let w = S.Workspace.resolve ?basis ~iterations:iw ~lo ~hi ws in
+          let vars =
+            Array.mapi (fun j v -> { v with P.lo = lo.(j); hi = hi.(j) }) p.P.vars
+          in
+          let f = S.resolve ?basis ~iterations:ifr { p with P.vars } in
+          (match w with
+          | S.Optimal s ->
+            prev := s.S.basis;
+            if !root = None then root := s.S.basis
+          | _ -> ());
+          same_result "reuse step" (w, !iw) (f, !ifr))
+        steps)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned branch-and-bound trajectory                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Direct on Galaxy Q7 (2,000 rows, seed 1) under a 200-node budget.
+   The constants were recorded before the simplex workspace existed; a
+   change that alters any pivot choice, however slightly, moves them. *)
+let test_golden_trajectory () =
+  let g = Datagen.Galaxy.generate ~seed:1 2000 in
+  let def = List.nth (Datagen.Workload.galaxy_queries g) 6 in
+  Alcotest.(check string) "query" "Q7" def.Datagen.Workload.name;
+  let qrel = Datagen.Workload.query_relation ~dataset:`Galaxy g def in
+  let spec = Datagen.Workload.compile qrel def in
+  let candidates = Paql.Translate.base_candidates spec qrel in
+  let p = Paql.Translate.to_problem spec qrel ~candidates in
+  let limits = { B.default_limits with max_nodes = 200; max_seconds = 3600. } in
+  let c0 = S.counters () in
+  let r = B.solve ~limits p in
+  let c1 = S.counters () in
+  let st = B.stats_of r in
+  checki "nodes" 200 st.B.nodes;
+  checki "simplex iterations" 713 st.B.simplex_iterations;
+  checki "primal pivots" 271 (c1.S.pivots - c0.S.pivots);
+  checki "dual pivots" 442 (c1.S.dual_pivots - c0.S.dual_pivots);
+  checki "cold solves" 2 (c1.S.cold_solves - c0.S.cold_solves);
+  checki "warm hits" 199 (c1.S.warm_hits - c0.S.warm_hits);
+  match r with
+  | B.Feasible (s, _, _) ->
+    Alcotest.(check int64)
+      "objective bits" 4643813136073241003L (Int64.bits_of_float s.B.obj)
+  | r -> Alcotest.failf "expected a node-limited incumbent, got %a" B.pp_result r
+
+(* ------------------------------------------------------------------ *)
 (* Parallel pricing determinism                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -240,8 +359,6 @@ let big_lp () =
           ~lo:neg_infinity ~hi:450.)
   in
   P.make ~sense:P.Maximize ~vars ~rows:(count_row :: res_rows)
-
-let bits x = Array.map Int64.bits_of_float x
 
 let test_parallel_pricing_deterministic () =
   let p = big_lp () in
@@ -301,6 +418,12 @@ let () =
             test_corrupt_basis_falls_cold;
           Alcotest.test_case "warm disabled is cold" `Quick
             test_warm_disabled_is_cold;
+        ] );
+      ( "workspace",
+        [
+          QCheck_alcotest.to_alcotest workspace_reuse_prop;
+          Alcotest.test_case "pinned B&B trajectory" `Quick
+            test_golden_trajectory;
         ] );
       ( "determinism",
         [
