@@ -181,16 +181,8 @@ let run_inner connect retries connect_timeout data query_text query_file
       numeric
     | attrs -> attrs
   in
-  let radius_of_epsilon () =
-    match epsilon with
-    | None -> Pkg.Partition.No_radius
-    | Some epsilon ->
-      let maximize =
-        match Paql.Translate.objective_sense spec with
-        | Lp.Problem.Maximize -> true
-        | Lp.Problem.Minimize -> false
-      in
-      Pkg.Partition.Theorem { epsilon; maximize }
+  let radius =
+    Pkg.Partition.theorem_radius ?epsilon (Paql.Translate.objective_sense spec)
   in
   let report =
     (* Stochastic queries always route to the stochastic driver — the
@@ -217,7 +209,6 @@ let run_inner connect retries connect_timeout data query_text query_file
     | Direct -> Pkg.Direct.run ~limits spec rel
     | Progressive ->
       let attrs = partition_attrs () in
-      let radius = radius_of_epsilon () in
       let t0 = Unix.gettimeofday () in
       (* --tau overrides the leaf threshold (PKGQ_DLV_LEAF / card/100
          default); level count comes from PKGQ_HIER_LEVELS *)
@@ -270,12 +261,11 @@ let run_inner connect retries connect_timeout data query_text query_file
       let tau =
         match tau with
         | Some t -> t
-        | None -> max 1 (Relalg.Relation.cardinality rel / 10)
+        | None -> Pkg.Partition.default_tau rel
       in
       let persisted =
         Option.map (fun path -> Pkg.Partition.load path rel) partition_file
       in
-      let radius = radius_of_epsilon () in
       let t0 = Unix.gettimeofday () in
       let build () = Pkg.Partition.create ~radius ~tau ~attrs rel in
       let part =

@@ -168,8 +168,10 @@ let run_query st text =
               Pkg.Direct.run ~limits:st.limits spec st.rel
             end
             else begin
-              let tau = max 1 (Relalg.Relation.cardinality st.rel / 10) in
-              let part = Pkg.Partition.create ~tau ~attrs st.rel in
+              let part =
+                Pkg.Partition.create ~tau:(Pkg.Partition.default_tau st.rel)
+                  ~attrs st.rel
+              in
               st.part <- Some part;
               Pkg.Sketch_refine.run
                 ~options:
@@ -212,14 +214,13 @@ let meta st line =
     let tau =
       match List.assoc_opt "tau" kvs with
       | Some v -> int_of_string v
-      | None -> max 1 (Relalg.Relation.cardinality st.rel / 10)
+      | None -> Pkg.Partition.default_tau st.rel
     in
     let radius =
-      match List.assoc_opt "epsilon" kvs with
-      | Some e ->
-        let maximize = not (List.exists (fun w -> w = "min") rest) in
-        Pkg.Partition.Theorem { epsilon = float_of_string e; maximize }
-      | None -> Pkg.Partition.No_radius
+      Pkg.Partition.theorem_radius
+        ?epsilon:(Option.map float_of_string (List.assoc_opt "epsilon" kvs))
+        (if List.mem "min" rest then Lp.Problem.Minimize
+         else Lp.Problem.Maximize)
     in
     let build () = Pkg.Partition.create ~radius ~tau ~attrs st.rel in
     match

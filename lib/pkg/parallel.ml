@@ -6,9 +6,7 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
     =
   let start = Unix.gettimeofday () in
   let deadline = start +. options.Sketch_refine.max_seconds in
-  let solver_deadline =
-    if options.Sketch_refine.propagate_deadline then Some deadline else None
-  in
+  let limits = options.Sketch_refine.limits in
   let counters = Eval.fresh_counters () in
   let finish status package objective =
     Eval.report ~status ~package ~objective
@@ -19,14 +17,10 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
     (* keep the already-spent counters visible in the final report, and
        hand the ladder only the budget that is actually left *)
     let remaining = deadline -. Unix.gettimeofday () in
-    if options.Sketch_refine.propagate_deadline && remaining <= 0. then
+    if remaining <= 0. then
       finish (Eval.failed ~stage:Eval.Fallback Eval.Deadline_exceeded) None None
     else begin
-      let options =
-        if options.Sketch_refine.propagate_deadline then
-          { options with Sketch_refine.max_seconds = remaining }
-        else options
-      in
+      let options = { options with Sketch_refine.max_seconds = remaining } in
       let r = Sketch_refine.run ~options spec rel partition in
       counters.Eval.ilp_calls <-
         counters.Eval.ilp_calls + r.Eval.counters.Eval.ilp_calls;
@@ -42,10 +36,7 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
   let evaluate () =
     let ctx = Sketch.make_ctx spec rel partition in
     let m = Partition.num_groups partition in
-    match
-      Sketch.run ~limits:options.Sketch_refine.limits ?deadline:solver_deadline
-        ctx counters
-    with
+    match Sketch.run ~limits ~deadline ctx counters with
     | Sketch.Sketch_failed f -> finish (Eval.Failed f) None None
     | Sketch.Sketch_infeasible ->
       (* nothing to parallelize; use the sequential fallback ladder *)
@@ -68,9 +59,7 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
            beyond the joins. A worker body never lets an exception
            escape: a crash marks the worker's remaining stripe [`Failed]
            and the groups are repaired in Phase 3. *)
-        let initial =
-          { Refine.srep_counts = rep_counts; srefined = Array.make m None }
-        in
+        let initial = Array.make m None in
         let results :
             [ `Feasible of (int * int) list
             | `Infeasible
@@ -97,11 +86,17 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
                   raise
                     (Faults.Injected
                        (Printf.sprintf "worker %d killed by fault injection" w));
+                (* cold solves: each group is solved once, against the
+                   initial sketch *)
+                let solve =
+                  Refine.local ~limits ~deadline ~stage:Eval.Parallel ctx
+                    worker_counters.(w)
+                in
                 while !i < k do
+                  let j = todo.(!i) in
                   results.(!i) <-
-                    Refine.solve_group ~limits:options.Sketch_refine.limits
-                      ?deadline:solver_deadline ctx worker_counters.(w) initial
-                      todo.(!i);
+                    solve j
+                      (Refine.offsets ctx ~rep_counts ~refined:initial j);
                   i := !i + workers
                 done
               with e ->
@@ -145,11 +140,11 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
               let saved = merged_reps.(j) in
               merged_reps.(j) <- 0.;
               merged_refined.(j) <- Some entries;
-              let snapshot =
-                { Refine.srep_counts = merged_reps; srefined = merged_refined }
+              let totals =
+                Refine.totals ctx ~rep_counts:merged_reps
+                  ~refined:merged_refined
               in
-              if not (Refine.within_bounds ctx (Refine.totals ctx snapshot))
-              then begin
+              if not (Refine.within_bounds ctx totals) then begin
                 (* the optimistic answer no longer fits: undo *)
                 merged_reps.(j) <- saved;
                 merged_refined.(j) <- None;
@@ -161,8 +156,10 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
         (* Phase 3: repair the rejected groups sequentially (Algorithm 2
            from the merged state). *)
         match
-          Refine.run ~limits:options.Sketch_refine.limits ~deadline
-            ~clamp:options.Sketch_refine.propagate_deadline ~stage:Eval.Repair
+          Refine.run ~deadline ~stage:Eval.Repair
+            ~solve:
+              (Refine.local ~limits ~deadline ~stage:Eval.Repair
+                 ~bases:(Array.make m None) ctx counters)
             ctx counters ~rep_counts:merged_reps ~refined:merged_refined
         with
         | Refine.Refined p ->

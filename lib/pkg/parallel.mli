@@ -21,8 +21,9 @@
     The result is always a feasible package (or a principled
     infeasible/failed report), never a torn merge.
 
-    Resilience: Phase-1 workers run under the propagated deadline (see
-    {!Sketch_refine.options.propagate_deadline}); a worker body never
+    Resilience: every ILP, Phase-1 workers' included, clamps its time
+    limit to the global deadline (see
+    {!Sketch_refine.options.max_seconds}); a worker body never
     lets an exception escape — a crash (including an injected
     [worker=W:crash] fault) marks the worker's stripe of groups
     [`Failed] and they are repaired in Phase 3; all domains are joined

@@ -21,6 +21,14 @@ let num_groups p = Array.length p.groups
 let gamma ~maximize ~epsilon =
   if maximize then epsilon else epsilon /. (1. +. epsilon)
 
+let theorem_radius ?epsilon sense =
+  match epsilon with
+  | None -> No_radius
+  | Some epsilon ->
+    Theorem { epsilon; maximize = sense = Lp.Problem.Maximize }
+
+let default_tau rel = max 1 (Relalg.Relation.cardinality rel / 10)
+
 (* Per-group radius limit under the given spec. *)
 let radius_ok spec ~centroid ~radius =
   match spec with

@@ -23,6 +23,19 @@ type radius_spec =
       (** Equation 1: group radius <= gamma * min_attr |centroid_attr|,
           gamma = epsilon (maximize) or epsilon/(1+epsilon) (minimize) *)
 
+(** The partitioning parameters every entry point derives the same
+    way. A coordinator and its shards each re-derive a partitioning
+    from these, and must agree bit for bit. *)
+
+(** [theorem_radius ?epsilon sense] is the Theorem 3 radius condition
+    for approximation parameter [epsilon] under the query's objective
+    [sense], or [No_radius] without [epsilon]. *)
+val theorem_radius : ?epsilon:float -> Lp.Problem.sense -> radius_spec
+
+(** [default_tau rel] is the flat size threshold used when none is
+    given: a tenth of the rows, at least 1. *)
+val default_tau : Relalg.Relation.t -> int
+
 type group = {
   members : int array;   (** row ids, increasing *)
   centroid : float array;  (** per partitioning attribute *)

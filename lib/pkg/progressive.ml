@@ -240,9 +240,10 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
             let bases = Array.make m None in
             let refine rc =
               Eval.observe_stage Eval.Refine (fun () ->
-                  Refine.run ~limits:options.limits ~deadline ~bases ctx
-                    counters ~rep_counts:rc
-                    ~refined:(Array.make m None))
+                  Refine.run ~deadline
+                    ~solve:(Refine.local ~limits:options.limits ~deadline
+                              ~bases ctx counters)
+                    ctx counters ~rep_counts:rc ~refined:(Array.make m None))
             in
             let finish_refined p =
               let detail = String.concat "; " (List.rev !degraded) in

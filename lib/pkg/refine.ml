@@ -3,70 +3,78 @@ type result =
   | Refine_infeasible
   | Refine_failed of Eval.failure
 
-exception Deadline
-exception Solver_failure of Eval.failure
-exception Budget_exhausted
+type answer =
+  [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
 
-(* Mutable refinement state: a group is either still represented by
-   [rep_counts.(j)] copies of its representative, or fixed to original
-   tuples [refined.(j) = Some entries]. [bases.(j)] caches the optimal
-   root basis of the last refine ILP solved for group [j]: the group's
-   candidate columns never change across backtracking re-solves (only
-   the constraint-bound offsets move), so the next solve for the same
-   group warm-starts from it. *)
-type state = {
-  ctx : Sketch.ctx;
-  rep_counts : float array;
-  refined : (int * int) list option array;
-  bases : Lp.Simplex.Basis.t option array;
-}
+type solver = int -> float array -> answer
 
-let num_constraints st = Array.length st.ctx.Sketch.coeff_rel
-
-(* Contribution of group [j]'s current contents to constraint [ci],
-   read through the ctx's precomputed row-coefficient accessors. *)
-let group_contribution st j ci =
-  match st.refined.(j) with
+(* Contribution of group [j]'s current contents to constraint [ci]: a
+   group is either still represented by [rep_counts.(j)] copies of its
+   representative, or fixed to original tuples [refined.(j) = Some
+   entries]. Read through the ctx's precomputed row-coefficient
+   accessors. *)
+let group_contribution (ctx : Sketch.ctx) rep_counts refined j ci =
+  match refined.(j) with
   | Some entries ->
-    let f = st.ctx.Sketch.coeff_rel.(ci) in
+    let f = ctx.Sketch.coeff_rel.(ci) in
     List.fold_left
       (fun acc (row, cnt) -> acc +. (float_of_int cnt *. f row))
       0. entries
   | None ->
-    if st.rep_counts.(j) = 0. then 0.
-    else st.rep_counts.(j) *. st.ctx.Sketch.coeff_reps.(ci) j
+    if rep_counts.(j) = 0. then 0.
+    else rep_counts.(j) *. ctx.Sketch.coeff_reps.(ci) j
 
-(* Aggregates of the partial package p-bar_j (everything but group j),
-   which offset the refine query's constraint bounds. *)
-let offsets_excluding st j =
-  let m = Partition.num_groups st.ctx.Sketch.part in
-  Array.init (num_constraints st) (fun ci ->
+(* Per-constraint aggregates of every group but [except] (none when
+   [except] is not a group id), summed in group order. *)
+let aggregate ctx ~rep_counts ~refined ~except =
+  let m = Partition.num_groups ctx.Sketch.part in
+  Array.init (Array.length ctx.Sketch.coeff_rel) (fun ci ->
       let acc = ref 0. in
       for i = 0 to m - 1 do
-        if i <> j then acc := !acc +. group_contribution st i ci
+        if i <> except then
+          acc := !acc +. group_contribution ctx rep_counts refined i ci
       done;
       !acc)
 
-(* Solve the refine query Q[Gj]: pick original tuples from group j that
-   combine with the rest of the package to satisfy the query. *)
-let refine_query ?limits ?(clamp = true) ~deadline ~stage st counters j =
-  (match deadline with
-  | Some d when Unix.gettimeofday () > d -> raise Deadline
-  | _ -> ());
-  let candidates = st.ctx.Sketch.cand.(j) in
-  let offsets = offsets_excluding st j in
+let offsets ctx ~rep_counts ~refined j =
+  aggregate ctx ~rep_counts ~refined ~except:j
+
+let totals ctx ~rep_counts ~refined =
+  aggregate ctx ~rep_counts ~refined ~except:(-1)
+
+let within_bounds ?(tol = 1e-6) ctx values =
+  List.for_all2
+    (fun (c : Paql.Translate.compiled_constraint) v ->
+      v >= c.Paql.Translate.clo -. tol && v <= c.Paql.Translate.chi +. tol)
+    ctx.Sketch.spec.Paql.Translate.constraints
+    (Array.to_list values)
+
+(* The refine query Q[Gj]: pick original tuples from group j that
+   combine with the rest of the package (the [offsets]) to satisfy the
+   query. [bases.(j)] caches the optimal root basis of the group's last
+   solve: its candidate columns never change across backtracking
+   re-solves (only the constraint-bound offsets move), so the next
+   solve for the same group warm-starts from it. *)
+let local ?limits ?deadline ?(stage = Eval.Refine) ?bases (ctx : Sketch.ctx)
+    counters j offsets =
+  let candidates = ctx.Sketch.cand.(j) in
   let problem =
     Paql.Translate.to_problem ~offsets
-      { st.ctx.Sketch.spec with Paql.Translate.where = None }
-      st.ctx.Sketch.rel ~candidates
+      { ctx.Sketch.spec with Paql.Translate.where = None }
+      ctx.Sketch.rel ~candidates
   in
-  let basis_out = ref None in
   let result =
-    Faults.solve ?limits
-      ?deadline:(if clamp then deadline else None)
-      ?warm:st.bases.(j) ~basis_out ~stage ~group:j problem
+    match bases with
+    | None -> Faults.solve ?limits ?deadline ~stage ~group:j problem
+    | Some bases ->
+      let basis_out = ref None in
+      let r =
+        Faults.solve ?limits ?deadline ?warm:bases.(j) ~basis_out ~stage
+          ~group:j problem
+      in
+      (match !basis_out with Some _ as b -> bases.(j) <- b | None -> ());
+      r
   in
-  (match !basis_out with Some _ as b -> st.bases.(j) <- b | None -> ());
   Eval.bump counters result;
   match result with
   | Ilp.Branch_bound.Optimal (sol, _) | Ilp.Branch_bound.Feasible (sol, _, _)
@@ -97,117 +105,74 @@ let refine_query ?limits ?(clamp = true) ~deadline ~stage st counters j =
    worst-case factorial, and past the budget we declare (possibly
    false) infeasibility so the caller can fall back to the hybrid
    sketch, which re-anchors the search on real tuples. *)
-let rec refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root st
-    counters todo =
-  match todo with
-  | [] -> Ok ()
-  | _ ->
-    let failed = ref [] in
-    let queue = ref todo in
-    let result = ref None in
-    while !result = None && !queue <> [] do
-      let j, rest =
-        match !queue with j :: rest -> j, rest | [] -> assert false
-      in
-      queue := rest;
-      match refine_query ?limits ~clamp ~deadline ~stage st counters j with
-      | `Failed f -> raise (Solver_failure f)
-      | `Infeasible ->
-        counters.Eval.backtracks <- counters.Eval.backtracks + 1;
-        if counters.Eval.backtracks > budget then raise Budget_exhausted;
-        failed := j :: !failed;
-        if not at_root then result := Some (Error !failed)
-      | `Feasible entries -> (
-        let saved_rep = st.rep_counts.(j) in
-        st.refined.(j) <- Some entries;
-        st.rep_counts.(j) <- 0.;
-        let child_todo = List.filter (fun g -> g <> j) todo in
-        match
-          refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root:false
-            st counters child_todo
-        with
-        | Ok () -> result := Some (Ok ())
-        | Error f ->
-          (* undo the speculative refinement and greedily prioritize
-             the groups that could not be refined below *)
-          st.refined.(j) <- None;
-          st.rep_counts.(j) <- saved_rep;
-          failed := f @ !failed;
-          let prioritized, others =
-            List.partition (fun g -> List.mem g f) !queue
-          in
-          queue := prioritized @ others)
-    done;
-    (match !result with Some r -> r | None -> Error !failed)
-
-type snapshot = {
-  srep_counts : float array;
-  srefined : (int * int) list option array;
-}
-
-let state_of_snapshot ctx snapshot =
-  {
-    ctx;
-    rep_counts = snapshot.srep_counts;
-    refined = snapshot.srefined;
-    (* parallel workers solve each group once from a snapshot: no
-       re-solve to warm, so every group starts cold *)
-    bases = Array.make (Partition.num_groups ctx.Sketch.part) None;
-  }
-
-let solve_group ?limits ?deadline ctx counters snapshot j =
-  let st = state_of_snapshot ctx snapshot in
-  match refine_query ?limits ~deadline ~stage:Eval.Parallel st counters j with
-  | r -> r
-  | exception Deadline ->
-    `Failed (Eval.failure ~stage:Eval.Parallel ~group:j Eval.Deadline_exceeded)
-
-let totals ctx snapshot =
-  let st = state_of_snapshot ctx snapshot in
-  let m = Partition.num_groups ctx.Sketch.part in
-  Array.init (num_constraints st) (fun ci ->
-      let acc = ref 0. in
-      for i = 0 to m - 1 do
-        acc := !acc +. group_contribution st i ci
-      done;
-      !acc)
-
-let within_bounds ?(tol = 1e-6) ctx values =
-  List.for_all2
-    (fun (c : Paql.Translate.compiled_constraint) v ->
-      v >= c.Paql.Translate.clo -. tol && v <= c.Paql.Translate.chi +. tol)
-    ctx.Sketch.spec.Paql.Translate.constraints
-    (Array.to_list values)
-
-let run ?limits ?deadline ?(clamp = true) ?(max_backtracks = 256)
-    ?(stage = Eval.Refine) ?bases ctx counters ~rep_counts ~refined =
-  let m = Partition.num_groups ctx.Sketch.part in
-  let bases =
-    match bases with Some b -> b | None -> Array.make m None
-  in
-  let st = { ctx; rep_counts; refined; bases } in
+let run ?deadline ?(max_backtracks = 256) ?(stage = Eval.Refine) ~solve ctx
+    counters ~rep_counts ~refined =
+  let exception Deadline in
+  let exception Solver_failure of Eval.failure in
+  let exception Budget_exhausted in
   let budget = counters.Eval.backtracks + max_backtracks in
+  let refine_group j =
+    (match deadline with
+    | Some d when Unix.gettimeofday () > d -> raise Deadline
+    | _ -> ());
+    solve j (offsets ctx ~rep_counts ~refined j)
+  in
+  let rec refine_level ~at_root todo =
+    match todo with
+    | [] -> Ok ()
+    | _ ->
+      let failed = ref [] in
+      let queue = ref todo in
+      let result = ref None in
+      while !result = None && !queue <> [] do
+        let j, rest =
+          match !queue with j :: rest -> j, rest | [] -> assert false
+        in
+        queue := rest;
+        match refine_group j with
+        | `Failed f -> raise (Solver_failure f)
+        | `Infeasible ->
+          counters.Eval.backtracks <- counters.Eval.backtracks + 1;
+          if counters.Eval.backtracks > budget then raise Budget_exhausted;
+          failed := j :: !failed;
+          if not at_root then result := Some (Error !failed)
+        | `Feasible entries -> (
+          let saved_rep = rep_counts.(j) in
+          refined.(j) <- Some entries;
+          rep_counts.(j) <- 0.;
+          let child_todo = List.filter (fun g -> g <> j) todo in
+          match refine_level ~at_root:false child_todo with
+          | Ok () -> result := Some (Ok ())
+          | Error f ->
+            (* undo the speculative refinement and greedily prioritize
+               the groups that could not be refined below *)
+            refined.(j) <- None;
+            rep_counts.(j) <- saved_rep;
+            failed := f @ !failed;
+            let prioritized, others =
+              List.partition (fun g -> List.mem g f) !queue
+            in
+            queue := prioritized @ others)
+      done;
+      (match !result with Some r -> r | None -> Error !failed)
+  in
   (* Refine biggest representative multiplicities first: they constrain
      the remaining groups the most. (The initial order is arbitrary per
      the paper; this deterministic choice keeps runs reproducible.) *)
   let todo =
     List.filter
-      (fun j -> st.refined.(j) = None && st.rep_counts.(j) > 0.)
-      (List.init m Fun.id)
-    |> List.sort (fun a b -> compare st.rep_counts.(b) st.rep_counts.(a))
+      (fun j -> refined.(j) = None && rep_counts.(j) > 0.)
+      (List.init (Partition.num_groups ctx.Sketch.part) Fun.id)
+    |> List.sort (fun a b -> compare rep_counts.(b) rep_counts.(a))
   in
-  match
-    refine_level ?limits ~clamp ~deadline ~stage ~budget ~at_root:true st
-      counters todo
-  with
+  match refine_level ~at_root:true todo with
   | Ok () ->
     let entries =
-      Array.to_list st.refined
+      Array.to_list refined
       |> List.concat_map (function Some e -> e | None -> [])
     in
     Refined (Package.make ctx.Sketch.rel entries)
-  | Error _ -> Refine_infeasible
+  | Error _ | (exception Budget_exhausted) -> Refine_infeasible
   | exception Deadline ->
     Refine_failed (Eval.failure ~stage Eval.Deadline_exceeded)
-  | exception Budget_exhausted -> Refine_infeasible
   | exception Solver_failure f -> Refine_failed f

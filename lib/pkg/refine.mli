@@ -1,9 +1,14 @@
 (** The REFINE step with greedy backtracking (Section 4.2.2,
     Algorithm 2): replace each group's representatives with original
-    tuples, one group at a time, by solving a per-group ILP whose
+    tuples, one group at a time, by solving a per-group query whose
     bounds are offset by the aggregates of the rest of the current
     package. On an infeasible refine query the algorithm backtracks,
-    reordering so that previously non-refinable groups go first. *)
+    reordering so that previously non-refinable groups go first.
+
+    The search is independent of where a group's query is solved: it
+    calls a {!solver} with a group id and that group's offsets. The
+    in-process drivers pass {!local}; the shard coordinator passes an
+    RPC to the group's owning shard, which answers with {!local}. *)
 
 type result =
   | Refined of Package.t
@@ -11,69 +16,76 @@ type result =
       (** greedy backtracking exhausted every ordering *)
   | Refine_failed of Eval.failure  (** solver limit or deadline *)
 
-(** [run ?limits ?deadline ctx counters ~rep_counts ~refined] completes
-    the sketch package described by [rep_counts] (per-group
-    representative multiplicities) and [refined] (groups already fixed
-    to original tuples, e.g. by the hybrid sketch query).
-    [deadline] is an absolute [Unix.gettimeofday] instant; exceeding it
-    yields [Refine_failed]. When [clamp] is true (the default) each
-    per-group ILP additionally derives its time limit from the budget
-    remaining before [deadline] (via {!Faults.solve}); [clamp:false]
-    restores the legacy behaviour of checking the deadline only between
-    ILPs. [stage] (default {!Eval.Refine}) tags fault-injection
-    matching and failure context — the parallel driver's Phase 3 passes
-    {!Eval.Repair}. Backtracking events are counted in
+(** One refine query's outcome: the group's chosen original tuples as
+    [(row, count)] entries in candidate order, infeasibility, or a
+    typed failure. *)
+type answer =
+  [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
+
+(** [solve j offsets] answers the refine query Q[Gj] given [offsets],
+    the per-constraint aggregates of the rest of the package. *)
+type solver = int -> float array -> answer
+
+(** [local ?limits ?deadline ?stage ?bases ctx counters] solves refine
+    queries in process: it builds the group's ILP over its candidate
+    rows, solves it through {!Faults.solve} (so [deadline], an absolute
+    [Unix.gettimeofday] instant, clamps the solver's time limit) and
+    counts the call in [counters]. [stage] (default {!Eval.Refine})
+    tags fault-injection matching and failures. [bases] (one slot per
+    partition group) carries each group's last optimal root basis
+    across calls: a group re-solved after backtracking — same candidate
+    columns, shifted offsets — warm-starts from it. Without [bases]
+    every solve is cold. *)
+val local :
+  ?limits:Ilp.Branch_bound.limits ->
+  ?deadline:float ->
+  ?stage:Eval.stage ->
+  ?bases:Lp.Simplex.Basis.t option array ->
+  Sketch.ctx ->
+  Eval.counters ->
+  solver
+
+(** [run ?deadline ?max_backtracks ?stage ~solve ctx counters
+    ~rep_counts ~refined] completes the sketch package described by
+    [rep_counts] (per-group representative multiplicities) and
+    [refined] (groups already fixed to original tuples, e.g. by the
+    hybrid sketch query); both arrays are updated in place. Groups are
+    visited largest multiplicity first. Passing the deadline before a
+    refine query yields [Refine_failed] tagged with [stage] (default
+    {!Eval.Refine}); a [`Failed] answer yields [Refine_failed] with the
+    answer's failure. Backtracking events are counted in
     [counters.backtracks]; more than [max_backtracks] of them (default
     256, greedy backtracking is worst-case factorial) yields
     [Refine_infeasible] so the caller can fall back to the hybrid
-    sketch.
-
-    [bases] (one slot per partition group, created internally when
-    omitted) carries each group's last optimal ILP root basis across
-    refine queries: a group re-solved after backtracking — same
-    candidate columns, shifted constraint offsets — warm-starts from
-    its previous basis ({!Lp.Simplex.resolve}). Passing the same array
-    across successive [run] calls over one [ctx] extends the reuse
-    across fallback rungs. *)
+    sketch. An exception raised by [solve] propagates unchanged. *)
 val run :
-  ?limits:Ilp.Branch_bound.limits ->
   ?deadline:float ->
-  ?clamp:bool ->
   ?max_backtracks:int ->
   ?stage:Eval.stage ->
-  ?bases:Lp.Simplex.Basis.t option array ->
+  solve:solver ->
   Sketch.ctx ->
   Eval.counters ->
   rep_counts:float array ->
   refined:(int * int) list option array ->
   result
 
-(** {1 Low-level pieces for the parallel driver ({!Parallel})} *)
-
-(** A package assignment: per-group representative multiplicities and
-    already-refined original-tuple choices. *)
-type snapshot = {
-  srep_counts : float array;
-  srefined : (int * int) list option array;
-}
-
-(** [solve_group ?limits ?deadline ctx counters snapshot j] solves the
-    refine query Q[Gj] against the given assignment (everything except
-    group [j] contributes offsets). Runs under the {!Eval.Parallel}
-    stage; an expired [deadline] is reported as a [`Failed] result
-    (never an exception), so worker domains stay crash-contained. *)
-val solve_group :
-  ?limits:Ilp.Branch_bound.limits ->
-  ?deadline:float ->
+(** [offsets ctx ~rep_counts ~refined j] is the value of each global
+    constraint's linear form over every group but [j] (representatives
+    included): the offsets of group [j]'s refine query. *)
+val offsets :
   Sketch.ctx ->
-  Eval.counters ->
-  snapshot ->
+  rep_counts:float array ->
+  refined:(int * int) list option array ->
   int ->
-  [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
+  float array
 
-(** [totals ctx snapshot] is the value of each global constraint's
-    linear form under the assignment (representatives included). *)
-val totals : Sketch.ctx -> snapshot -> float array
+(** [totals ctx ~rep_counts ~refined] is {!offsets} with no group left
+    out: the value of each global constraint's linear form. *)
+val totals :
+  Sketch.ctx ->
+  rep_counts:float array ->
+  refined:(int * int) list option array ->
+  float array
 
 (** [within_bounds ctx values] checks the per-constraint values against
     the query's bounds. *)

@@ -8,7 +8,6 @@ type options = {
   limits : Ilp.Branch_bound.limits;
   max_seconds : float;
   fallbacks : fallback list;
-  propagate_deadline : bool;
 }
 
 let default_options =
@@ -16,7 +15,6 @@ let default_options =
     limits = Ilp.Branch_bound.default_limits;
     max_seconds = 3600.;
     fallbacks = [ Hybrid_sketch ];
-    propagate_deadline = true;
   }
 
 (* Hybrid sketch query (Section 4.4.1): original tuples for group [j],
@@ -134,12 +132,9 @@ let merge_groups (part : Partition.t) rel =
 
 let run ?(options = default_options) spec rel partition =
   let start = Unix.gettimeofday () in
+  (* Every ILP derives its time limit from the remaining global
+     budget, so no single solve can overrun it. *)
   let deadline = start +. options.max_seconds in
-  (* When propagation is on, every ILP derives its time limit from the
-     remaining global budget; otherwise the deadline is only polled
-     between pipeline steps (the legacy behaviour, kept for the bench's
-     before/after comparison). *)
-  let solver_deadline = if options.propagate_deadline then Some deadline else None in
   let counters = Eval.fresh_counters () in
   let finish status package objective =
     Eval.report ~status ~package ~objective
@@ -162,9 +157,10 @@ let run ?(options = default_options) spec rel partition =
     let refine_from ~rep_counts ~refined ~on_infeasible =
       match
         Eval.observe_stage Eval.Refine (fun () ->
-            Refine.run ~limits:options.limits ~deadline
-              ~clamp:options.propagate_deadline ~bases ctx counters
-              ~rep_counts ~refined)
+            Refine.run ~deadline
+              ~solve:(Refine.local ~limits:options.limits ~deadline ~bases ctx
+                        counters)
+              ctx counters ~rep_counts ~refined)
       with
       | Refine.Refined p ->
         finish Eval.Optimal (Some p) (Some (Package.objective spec p))
@@ -179,8 +175,7 @@ let run ?(options = default_options) spec rel partition =
       else
         match
           Eval.observe_stage Eval.Hybrid (fun () ->
-              hybrid_sketch ~limits:options.limits ?deadline:solver_deadline
-                ctx counters j)
+              hybrid_sketch ~limits:options.limits ~deadline ctx counters j)
         with
         | Some (entries, rep_counts) ->
           let refined = Array.make m None in
@@ -230,8 +225,7 @@ let run ?(options = default_options) spec rel partition =
     in
     match
       Eval.observe_stage Eval.Sketch (fun () ->
-          Sketch.run ~limits:options.limits ?deadline:solver_deadline ctx
-            counters)
+          Sketch.run ~limits:options.limits ~deadline ctx counters)
     with
     | Sketch.Sketched rep_counts ->
       refine_from ~rep_counts ~refined:(Array.make m None)

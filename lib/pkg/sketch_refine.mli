@@ -26,17 +26,12 @@ type fallback = Hybrid_sketch | Drop_attributes | Merge_groups
 
 type options = {
   limits : Ilp.Branch_bound.limits;  (** per-ILP-call solver budget *)
-  max_seconds : float;               (** overall wall-clock budget *)
+  max_seconds : float;
+      (** overall wall-clock budget; every ILP's time limit is clamped
+          to what remains of it *)
   fallbacks : fallback list;
       (** tried in order on false infeasibility; default
           [[Hybrid_sketch]], matching the paper's setup *)
-  propagate_deadline : bool;
-      (** (default [true]) thread the absolute deadline
-          [start + max_seconds] into every ILP call, clamping each
-          per-call [max_seconds] to the remaining budget — so no single
-          ILP can blow past the global cap. [false] restores the legacy
-          behaviour of polling the deadline only between pipeline
-          steps, leaving per-call limits static. *)
 }
 
 val default_options : options

@@ -896,11 +896,12 @@ let plan t rel qfp query =
             Ok (ast, spec)
           end)))
 
-(* The partitioning derivation mirrors the server's [partition_for]
-   bit for bit (attrs, tau default, Theorem-3 radius from epsilon and
-   the objective sense): every shard re-derives the identical
-   partition from its own copy of the same config and data, which is
-   what the ASSIGN divergence check enforces. *)
+(* The partitioning parameters come from the same [Pkg.Partition]
+   derivations the server's [partition_for] uses (tau default,
+   Theorem-3 radius from epsilon and the objective sense): every shard
+   re-derives the identical partition from its own copy of the same
+   config and data, which is what the ASSIGN divergence check
+   enforces. *)
 let layout_for t rel fp spec =
   let attrs = t.cfg.attrs in
   let progressive = t.cfg.method_ = `Progressive in
@@ -909,18 +910,11 @@ let layout_for t rel fp spec =
     | Some tau -> tau
     | None ->
       if progressive then Pkg.Hierarchy.default_leaf_tau rel
-      else max 1 (Relalg.Relation.cardinality rel / 10)
+      else Pkg.Partition.default_tau rel
   in
   let radius =
-    match t.cfg.epsilon with
-    | None -> Pkg.Partition.No_radius
-    | Some epsilon ->
-      let maximize =
-        match Paql.Translate.objective_sense spec with
-        | Lp.Problem.Maximize -> true
-        | Lp.Problem.Minimize -> false
-      in
-      Pkg.Partition.Theorem { epsilon; maximize }
+    Pkg.Partition.theorem_radius ?epsilon:t.cfg.epsilon
+      (Paql.Translate.objective_sense spec)
   in
   let key =
     Printf.sprintf "%s|%s|%d|%s@%s"
@@ -981,54 +975,17 @@ let layout_for t rel fp spec =
         l)
 
 (* ------------------------------------------------------------------ *)
-(* The mirrored refine loop                                           *)
+(* Remote refine                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Coordinator-side copy of [Refine]'s partial-package state: groups
-   still carry [rep_counts] representatives or are fixed to original
-   tuples. The aggregation below reproduces [Refine.group_contribution]
-   / [offsets_excluding] exactly — same iteration order, same float
-   summation — so the offsets a shard receives are bit-identical to
-   the ones a single node would compute. *)
-type rstate = {
-  r_ctx : Pkg.Sketch.ctx;
-  r_rep_counts : float array;
-  r_refined : (int * int) list option array;
-}
-
-let group_contribution st j ci =
-  match st.r_refined.(j) with
-  | Some entries ->
-    let f = st.r_ctx.Pkg.Sketch.coeff_rel.(ci) in
-    List.fold_left
-      (fun acc (row, cnt) -> acc +. (float_of_int cnt *. f row))
-      0. entries
-  | None ->
-    if st.r_rep_counts.(j) = 0. then 0.
-    else st.r_rep_counts.(j) *. st.r_ctx.Pkg.Sketch.coeff_reps.(ci) j
-
-let offsets_excluding st j =
-  let m = Pkg.Partition.num_groups st.r_ctx.Pkg.Sketch.part in
-  let n = Array.length st.r_ctx.Pkg.Sketch.coeff_rel in
-  Array.init n (fun ci ->
-      let acc = ref 0. in
-      for i = 0 to m - 1 do
-        if i <> j then acc := !acc +. group_contribution st i ci
-      done;
-      !acc)
-
-exception Mirror_deadline
-exception Mirror_budget
-exception Mirror_solver of Pkg.Eval.failure
 exception Omit of int * string
 
-(* One refine RPC for group [j]: [Refine.refine_query] with the solve
-   on the owning shard. The deadline check, entry decoding and failure
-   taxonomy match the local path; unreachability raises [Omit] so the
-   driver can restart without the group. *)
-let rpc_refine t ~layout ~deadline ~stale query st counters j =
-  if Unix.gettimeofday () > deadline then raise Mirror_deadline;
-  let offsets = offsets_excluding st j in
+(* The coordinator's [Pkg.Refine.solver]: group [j]'s refine query is
+   solved on its owning shard (hedged, with failover to the replica),
+   given the offsets [Pkg.Refine.run] computed. Unreachability raises
+   [Omit], which passes through the search untouched so the driver can
+   restart without the group. *)
+let rpc_refine t ~layout ~deadline ~stale query counters j offsets =
   let remaining = deadline -. Unix.gettimeofday () in
   let budget_ms = max 1 (int_of_float (remaining *. 1000.)) in
   let body = Protocol.render_refine ~gid:j ~budget_ms ~offsets ~query in
@@ -1051,52 +1008,6 @@ let rpc_refine t ~layout ~deadline ~stale query st counters j =
       `Failed
         (Pkg.Eval.failure ~stage:Pkg.Eval.Refine ~group:j
            (Pkg.Eval.Solver_error msg)))
-
-(* [Refine.refine_level] verbatim, with the ILP replaced by the RPC:
-   same speculative refine/undo, same greedy reprioritization of
-   failed groups, same root-level retry semantics and backtrack
-   budget — the healthy distributed search visits the same groups in
-   the same order as a single node. *)
-let rec mirror_level t ~layout ~deadline ~stale ~budget ~at_root query st
-    counters todo =
-  match todo with
-  | [] -> Ok ()
-  | _ ->
-    let failed = ref [] in
-    let queue = ref todo in
-    let result = ref None in
-    while !result = None && !queue <> [] do
-      let j, rest =
-        match !queue with j :: rest -> (j, rest) | [] -> assert false
-      in
-      queue := rest;
-      match rpc_refine t ~layout ~deadline ~stale query st counters j with
-      | `Failed f -> raise (Mirror_solver f)
-      | `Infeasible ->
-        counters.Pkg.Eval.backtracks <- counters.Pkg.Eval.backtracks + 1;
-        if counters.Pkg.Eval.backtracks > budget then raise Mirror_budget;
-        failed := j :: !failed;
-        if not at_root then result := Some (Error !failed)
-      | `Feasible entries -> (
-        let saved_rep = st.r_rep_counts.(j) in
-        st.r_refined.(j) <- Some entries;
-        st.r_rep_counts.(j) <- 0.;
-        let child_todo = List.filter (fun g -> g <> j) todo in
-        match
-          mirror_level t ~layout ~deadline ~stale ~budget ~at_root:false query
-            st counters child_todo
-        with
-        | Ok () -> result := Some (Ok ())
-        | Error f ->
-          st.r_refined.(j) <- None;
-          st.r_rep_counts.(j) <- saved_rep;
-          failed := f @ !failed;
-          let prioritized, others =
-            List.partition (fun g -> List.mem g f) !queue
-          in
-          queue := prioritized @ others)
-    done;
-    (match !result with Some r -> r | None -> Error !failed)
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                   *)
@@ -1342,30 +1253,16 @@ let eval_query t ~deadline query =
           let rep_counts = Array.copy rep_counts0 in
           List.iter (fun g -> rep_counts.(g) <- 0.) !omitted;
           stale := List.filter (fun g -> not (List.mem g !omitted)) !stale;
-          let refined = Array.make m None in
-          let st = { r_ctx = ctx; r_rep_counts = rep_counts;
-                     r_refined = refined } in
-          let budget = counters.Pkg.Eval.backtracks + 256 in
-          let todo =
-            List.filter
-              (fun j -> refined.(j) = None && rep_counts.(j) > 0.)
-              (List.init m Fun.id)
-            |> List.sort (fun a b -> compare rep_counts.(b) rep_counts.(a))
-          in
           match
             Pkg.Eval.observe_stage Pkg.Eval.Refine (fun () ->
-                mirror_level t ~layout ~deadline ~stale ~budget ~at_root:true
-                  query st counters todo)
+                Pkg.Refine.run ~deadline
+                  ~solve:(rpc_refine t ~layout ~deadline ~stale query counters)
+                  ctx counters ~rep_counts ~refined:(Array.make m None))
           with
-          | Ok () ->
-            let entries =
-              Array.to_list refined
-              |> List.concat_map (function Some e -> e | None -> [])
-            in
-            let p = Pkg.Package.make rel entries in
+          | Pkg.Refine.Refined p ->
             finish (degrade Pkg.Eval.Optimal) (Some p)
               (Some (Pkg.Package.objective spec p))
-          | Error _ -> (
+          | Pkg.Refine.Refine_infeasible -> (
             match degrade Pkg.Eval.Infeasible with
             | Pkg.Eval.Degraded d ->
               finish
@@ -1374,19 +1271,13 @@ let eval_query t ~deadline query =
                             ^ "; refine infeasible over remaining groups" })
                 None None
             | status -> finish status None None)
+          | Pkg.Refine.Refine_failed f -> finish (Pkg.Eval.Failed f) None None
           | exception Omit (j, msg) ->
             Metrics.incr t.metrics "shard_omitted_groups";
             Log.warn (fun k -> k "%s" msg);
             omitted := j :: !omitted;
             details := msg :: !details;
             drive ()
-          | exception Mirror_deadline ->
-            finish
-              (Pkg.Eval.failed ~stage:Pkg.Eval.Refine
-                 Pkg.Eval.Deadline_exceeded)
-              None None
-          | exception Mirror_budget -> finish (degrade Pkg.Eval.Infeasible) None None
-          | exception Mirror_solver f -> finish (Pkg.Eval.Failed f) None None
         in
         try drive ()
         with e ->

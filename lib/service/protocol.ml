@@ -312,7 +312,9 @@ let parse_refine body =
           |> List.filter (fun s -> s <> "")
         with
         | [ gid; ms ] ->
-          (int_field "REFINE gid" gid, int_field "REFINE budget" ms)
+          let budget_ms = int_field "REFINE budget" ms in
+          if budget_ms <= 0 then bad "REFINE budget" ms;
+          (int_field "REFINE gid" gid, budget_ms)
         | _ -> bad "REFINE header" head
       in
       let offsets =
@@ -320,8 +322,8 @@ let parse_refine body =
         |> List.filter (fun s -> s <> "")
         |> List.map (fun s ->
                match float_of_string_opt s with
-               | Some v -> v
-               | None -> bad "REFINE offset" s)
+               | Some v when Float.is_finite v -> v
+               | _ -> bad "REFINE offset" s)
         |> Array.of_list
       in
       (gid, budget_ms, offsets, query))

@@ -145,6 +145,9 @@ val parse_counts : string -> (int * int) list
 val render_refine : gid:int -> budget_ms:int -> offsets:float array ->
   query:string -> string
 
+(** [parse_refine body] is [(gid, budget_ms, offsets, query)].
+    @raise Protocol_error on a malformed body, a budget that is not
+    positive or an offset that is not finite ([nan], [inf]). *)
 val parse_refine : string -> int * int * float array * string
 
 (** REFINE response body: line 1 is [feasible] / [infeasible] /

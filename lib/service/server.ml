@@ -239,18 +239,11 @@ let partition_for t snap ast spec =
     let tau =
       match t.cfg.tau with
       | Some tau -> tau
-      | None -> max 1 (Relalg.Relation.cardinality snap.rel / 10)
+      | None -> Pkg.Partition.default_tau snap.rel
     in
     let radius =
-      match t.cfg.epsilon with
-      | None -> Pkg.Partition.No_radius
-      | Some epsilon ->
-        let maximize =
-          match Paql.Translate.objective_sense spec with
-          | Lp.Problem.Maximize -> true
-          | Lp.Problem.Minimize -> false
-        in
-        Pkg.Partition.Theorem { epsilon; maximize }
+      Pkg.Partition.theorem_radius ?epsilon:t.cfg.epsilon
+        (Paql.Translate.objective_sense spec)
     in
     let id =
       Printf.sprintf "%s|%d|%s" (String.concat "," attrs) tau
@@ -297,15 +290,8 @@ let hierarchy_for t snap ast spec =
            "progressive needs numeric partitioning attributes" ))
   else begin
     let radius =
-      match t.cfg.epsilon with
-      | None -> Pkg.Partition.No_radius
-      | Some epsilon ->
-        let maximize =
-          match Paql.Translate.objective_sense spec with
-          | Lp.Problem.Maximize -> true
-          | Lp.Problem.Minimize -> false
-        in
-        Pkg.Partition.Theorem { epsilon; maximize }
+      Pkg.Partition.theorem_radius ?epsilon:t.cfg.epsilon
+        (Paql.Translate.objective_sense spec)
     in
     let id =
       Printf.sprintf "hier|%s|%s|%s" (String.concat "," attrs)
@@ -1021,11 +1007,12 @@ let handle_sketch t query =
           in
           Protocol.Resp_ok (Protocol.render_counts counts)))
 
-(* One refine ILP, mirroring [Refine.refine_query] exactly — same
-   problem construction, same fault/deadline choke point — minus the
-   warm-start basis: a cold solve is position-independent, so a
-   failover or hedged duplicate of this request computes the identical
-   answer on either the primary or its replica. *)
+(* One refine query, solved by [Pkg.Refine.local] — the same ILP a
+   single node solves for the group — minus the warm-start basis: a
+   cold solve is position-independent, so a failover or hedged
+   duplicate of this request computes the identical answer on either
+   the primary or its replica. Whatever the solve raises is answered
+   as a typed [failed] result. *)
 let handle_refine t body =
   Metrics.incr t.metrics "shard_refines";
   match Protocol.parse_refine body with
@@ -1042,16 +1029,14 @@ let handle_refine t body =
           match shard_ctx t snap query with
           | Error resp -> resp
           | Ok ctx ->
-            let spec = ctx.Pkg.Sketch.spec in
-            if
-              Array.length offsets
-              <> List.length spec.Paql.Translate.constraints
-            then
+            let nconstraints =
+              List.length ctx.Pkg.Sketch.spec.Paql.Translate.constraints
+            in
+            if Array.length offsets <> nconstraints then
               Protocol.Resp_err
                 ( Protocol.Data_error,
                   Printf.sprintf "offset arity %d does not match %d constraints"
-                    (Array.length offsets)
-                    (List.length spec.Paql.Translate.constraints) )
+                    (Array.length offsets) nconstraints )
             else begin
               let budget = float_of_int budget_ms /. 1000. in
               let deadline = Unix.gettimeofday () +. budget in
@@ -1062,50 +1047,25 @@ let handle_refine t body =
                     Float.min t.cfg.limits.Ilp.Branch_bound.max_seconds budget;
                 }
               in
-              let candidates = ctx.Pkg.Sketch.cand.(gid) in
-              let problem =
-                Paql.Translate.to_problem ~offsets
-                  { spec with Paql.Translate.where = None }
-                  ctx.Pkg.Sketch.rel ~candidates
-              in
-              let outcome =
-                Metrics.time t.metrics "shard_refine" (fun () ->
-                    try
-                      Ok
-                        (Pkg.Faults.solve ~limits ~deadline
-                           ~stage:Pkg.Eval.Refine ~group:gid problem)
-                    with Pkg.Faults.Injected msg -> Error msg)
+              let result =
+                match
+                  Metrics.time t.metrics "shard_refine" (fun () ->
+                      Pkg.Refine.local ~limits ~deadline ctx
+                        (Pkg.Eval.fresh_counters ()) gid offsets)
+                with
+                | `Feasible entries -> Protocol.Refine_feasible entries
+                | `Infeasible -> Protocol.Refine_infeasible
+                | `Failed f ->
+                  Protocol.Refine_failed
+                    (Format.asprintf "%a" Pkg.Eval.pp_failure f)
+                | exception Pkg.Faults.Injected msg ->
+                  Protocol.Refine_failed ("injected: " ^ msg)
+                | exception e ->
+                  Protocol.Refine_failed
+                    ("solver exception: " ^ Printexc.to_string e)
               in
               sync_solver_gauges t.metrics;
-              let render r =
-                Protocol.Resp_ok (Protocol.render_refine_result r)
-              in
-              match outcome with
-              | Error msg ->
-                render (Protocol.Refine_failed ("injected: " ^ msg))
-              | Ok
-                  ( Ilp.Branch_bound.Optimal (sol, _)
-                  | Ilp.Branch_bound.Feasible (sol, _, _) ) ->
-                let entries = ref [] in
-                Array.iteri
-                  (fun k row ->
-                    let c =
-                      int_of_float (Float.round sol.Ilp.Branch_bound.x.(k))
-                    in
-                    if c > 0 then entries := (row, c) :: !entries)
-                  candidates;
-                render (Protocol.Refine_feasible (List.rev !entries))
-              | Ok (Ilp.Branch_bound.Infeasible _) ->
-                render Protocol.Refine_infeasible
-              | Ok (Ilp.Branch_bound.Unbounded _) ->
-                render (Protocol.Refine_failed "refine query unbounded")
-              | Ok (Ilp.Branch_bound.Limit st) ->
-                let f =
-                  Pkg.Eval.limit_failure ~stage:Pkg.Eval.Refine ~group:gid st
-                in
-                render
-                  (Protocol.Refine_failed
-                     (Format.asprintf "%a" Pkg.Eval.pp_failure f))
+              Protocol.Resp_ok (Protocol.render_refine_result result)
             end)
 
 let handle_conn t fd =

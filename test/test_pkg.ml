@@ -396,18 +396,142 @@ let test_refine_totals_helpers () =
   let spec = compile rel q in
   let part = Pkg.Partition.create ~tau:3 ~attrs:[ "a" ] rel in
   let ctx = Pkg.Sketch.make_ctx spec rel part in
-  let snapshot =
-    {
-      Pkg.Refine.srep_counts = Array.make (Pkg.Partition.num_groups part) 0.;
-      srefined =
-        Array.init (Pkg.Partition.num_groups part) (fun g ->
-            if g = 0 then Some [ (0, 1); (2, 1) ] else None);
-    }
+  let m = Pkg.Partition.num_groups part in
+  let totals =
+    Pkg.Refine.totals ctx ~rep_counts:(Array.make m 0.)
+      ~refined:
+        (Array.init m (fun g -> if g = 0 then Some [ (0, 1); (2, 1) ] else None))
   in
-  let totals = Pkg.Refine.totals ctx snapshot in
   checkf "count total" 2. totals.(0);
   checkf "sum total" 4. totals.(1);
   checkb "within bounds" true (Pkg.Refine.within_bounds ctx totals)
+
+(* Algorithm 2 driven by a scripted group solver: four singleton
+   groups over rows a = 1..4, so a group's representative is its one
+   row and every offset is a small exact sum. Groups 0..2 carry
+   representatives (1, 3 and 2 copies); group 3 carries none. *)
+let refine_fixture () =
+  let rel =
+    mkrel [ (1., 10., "x"); (2., 20., "x"); (3., 30., "x"); (4., 40., "x") ]
+  in
+  let q =
+    "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 3 SUCH THAT COUNT(P.*) <= 10 AND \
+     SUM(P.a) <= 100 MAXIMIZE SUM(P.b)"
+  in
+  let spec = compile rel q in
+  let part =
+    Pkg.Partition.of_groups ~attrs:[ "a" ] rel
+      [ [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |] ]
+  in
+  let ctx = Pkg.Sketch.make_ctx spec rel part in
+  (ctx, [| 1.; 3.; 2.; 0. |], Array.make 4 None)
+
+exception Unreachable of int
+
+(* [script j ~refined] answers group [j]'s refine query; every call is
+   logged as (group, offsets). *)
+let scripted script refined =
+  let calls = ref [] in
+  let solve j offsets =
+    calls := (j, Array.to_list offsets) :: !calls;
+    script j ~refined
+  in
+  (solve, fun () -> List.rev !calls)
+
+let visits calls = List.map fst (calls ())
+
+let test_refine_scripted_search () =
+  let ctx, rep_counts, refined = refine_fixture () in
+  (* group 2 is infeasible while group 1 is refined (to 2 copies) *)
+  let script j ~refined =
+    match j with
+    | 0 -> `Feasible [ (0, 1) ]
+    | 1 -> `Feasible [ (1, 2) ]
+    | 2 when refined.(1) <> None -> `Infeasible
+    | 2 -> `Feasible [ (2, 2) ]
+    | _ -> Alcotest.failf "group %d has no representatives" j
+  in
+  let solve, calls = scripted script refined in
+  let counters = Pkg.Eval.fresh_counters () in
+  let r = Pkg.Refine.run ~solve ctx counters ~rep_counts ~refined in
+  (* largest multiplicity first (1, 2, 0); group 2 fails below group 1,
+     so the root retries with group 2 first, then 1 and 0 below it *)
+  Alcotest.(check (list int)) "visit order" [ 1; 2; 2; 1; 0 ] (visits calls);
+  (* offsets = (COUNT, SUM(a)) over every other group: a represented
+     group g adds rep_counts(g) * (1, a_g), a refined one its entries *)
+  Alcotest.(check (list (list (float 0.)))) "offsets per call"
+    [
+      [ 1. +. 2.; (1. *. 1.) +. (2. *. 3.) ];
+      [ 1. +. 2.; (1. *. 1.) +. (2. *. 2.) ];
+      [ 1. +. 3.; (1. *. 1.) +. (3. *. 2.) ];
+      [ 1. +. 2.; (1. *. 1.) +. (2. *. 3.) ];
+      [ 2. +. 2.; (2. *. 2.) +. (2. *. 3.) ];
+    ]
+    (List.map snd (calls ()));
+  checki "backtracks" 1 counters.Pkg.Eval.backtracks;
+  match r with
+  | Pkg.Refine.Refined p ->
+    Alcotest.(check (list (pair int int)))
+      "package" [ (0, 1); (1, 2); (2, 2) ] (Pkg.Package.entries p)
+  | _ -> Alcotest.fail "expected a refined package"
+
+let test_refine_scripted_budget () =
+  let ctx, rep_counts, refined = refine_fixture () in
+  let solve, calls = scripted (fun _ ~refined:_ -> `Infeasible) refined in
+  let counters = Pkg.Eval.fresh_counters () in
+  let r =
+    Pkg.Refine.run ~max_backtracks:1 ~solve ctx counters ~rep_counts ~refined
+  in
+  checkb "budget exhausted is infeasible" true
+    (r = Pkg.Refine.Refine_infeasible);
+  Alcotest.(check (list int)) "stops past the budget" [ 1; 2 ] (visits calls);
+  checki "backtracks" 2 counters.Pkg.Eval.backtracks
+
+let test_refine_scripted_failure () =
+  let ctx, rep_counts, refined = refine_fixture () in
+  let script j ~refined:_ =
+    if j = 2 then
+      `Failed
+        (Pkg.Eval.failure ~stage:Pkg.Eval.Repair ~group:2 Pkg.Eval.Node_limit)
+    else `Feasible [ (j, 1) ]
+  in
+  let solve, calls = scripted script refined in
+  (match
+     Pkg.Refine.run ~stage:Pkg.Eval.Repair ~solve ctx
+       (Pkg.Eval.fresh_counters ()) ~rep_counts ~refined
+   with
+  | Pkg.Refine.Refine_failed f ->
+    checkb "stage" true (f.Pkg.Eval.stage = Some Pkg.Eval.Repair);
+    Alcotest.(check (option int)) "group" (Some 2) f.Pkg.Eval.group;
+    checkb "kind" true (f.Pkg.Eval.kind = Pkg.Eval.Node_limit)
+  | _ -> Alcotest.fail "expected Refine_failed");
+  Alcotest.(check (list int)) "no call after the failure" [ 1; 2 ]
+    (visits calls);
+  (* a deadline already past fails before the first call *)
+  let ctx, rep_counts, refined = refine_fixture () in
+  let solve, calls = scripted script refined in
+  (match
+     Pkg.Refine.run ~deadline:0. ~solve ctx (Pkg.Eval.fresh_counters ())
+       ~rep_counts ~refined
+   with
+  | Pkg.Refine.Refine_failed f ->
+    checkb "deadline kind" true (f.Pkg.Eval.kind = Pkg.Eval.Deadline_exceeded);
+    checkb "deadline stage" true (f.Pkg.Eval.stage = Some Pkg.Eval.Refine)
+  | _ -> Alcotest.fail "expected a deadline failure");
+  checki "no solver call" 0 (List.length (calls ()))
+
+let test_refine_scripted_exception () =
+  let ctx, rep_counts, refined = refine_fixture () in
+  let script j ~refined:_ =
+    if j = 2 then raise (Unreachable 2) else `Feasible [ (j, 1) ]
+  in
+  let solve, calls = scripted script refined in
+  Alcotest.check_raises "solver exception propagates" (Unreachable 2)
+    (fun () ->
+      ignore
+        (Pkg.Refine.run ~solve ctx (Pkg.Eval.fresh_counters ()) ~rep_counts
+           ~refined));
+  Alcotest.(check (list int)) "visits" [ 1; 2 ] (visits calls)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
@@ -632,6 +756,14 @@ let () =
           Alcotest.test_case "repeat caps" `Quick test_sketch_caps_repeat;
           Alcotest.test_case "refine totals helpers" `Quick
             test_refine_totals_helpers;
+          Alcotest.test_case "refine scripted search" `Quick
+            test_refine_scripted_search;
+          Alcotest.test_case "refine scripted budget" `Quick
+            test_refine_scripted_budget;
+          Alcotest.test_case "refine scripted failure" `Quick
+            test_refine_scripted_failure;
+          Alcotest.test_case "refine scripted exception" `Quick
+            test_refine_scripted_exception;
         ] );
       ( "properties",
         [

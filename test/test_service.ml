@@ -411,6 +411,69 @@ let test_protocol_roundtrip () =
   | Ok _ -> Alcotest.fail "endpoint without port should not parse"
   | Error _ -> ()
 
+(* REFINE frames carry offsets as hex floats: every finite value,
+   subnormals and the sign of zero included, survives the trip bit for
+   bit. *)
+let refine_frame_roundtrip_prop =
+  let finite =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          oneofl
+            [ 0.; -0.; 5e-324; -5e-324; Float.min_float /. 3.; Float.max_float;
+              -.Float.max_float; Float.epsilon ];
+          map (fun m -> ldexp m (-1074)) (float_bound_inclusive 1e6);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 10_000) (int_range 1 1_000_000)
+        (array_size (int_range 0 6)
+           (finite >|= fun v -> if Float.is_finite v then v else 1.))
+        (oneofl queries))
+  in
+  QCheck.Test.make ~count:300 ~name:"REFINE frame round-trips bit for bit"
+    (QCheck.make gen) (fun (gid, budget_ms, offsets, query) ->
+      let gid', budget_ms', offsets', query' =
+        Pr.parse_refine (Pr.render_refine ~gid ~budget_ms ~offsets ~query)
+      in
+      gid' = gid && budget_ms' = budget_ms && query' = query
+      && Array.length offsets' = Array.length offsets
+      && Array.for_all2
+           (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+           offsets offsets')
+
+(* Malformed REFINE frames — non-finite offsets, a budget that is not
+   positive — are answered with a typed data error by a live server,
+   raised by the frame parse itself (before the shard-assignment
+   check, which would also answer a data error). *)
+let test_refine_frame_rejected () =
+  with_server (base_cfg ()) galaxy (fun t ->
+      with_client t (fun c ->
+          List.iter
+            (fun (what, body) ->
+              match Cl.roundtrip c (Pr.Refine body) with
+              | Pr.Resp_err (Pr.Data_error, msg)
+                when String.starts_with ~prefix:"REFINE" msg ->
+                ()
+              | r ->
+                Alcotest.failf "%s: expected a REFINE data error, got %s" what
+                  (match r with
+                  | Pr.Resp_ok b -> "OK " ^ b
+                  | Pr.Resp_err (code, msg) -> Pr.code_name code ^ " " ^ msg))
+            [
+              ("nan offset", "0 1000\nnan 0x1p+0\n" ^ List.hd queries);
+              ("inf offset", "0 1000\n0x1p+0 inf\n" ^ List.hd queries);
+              ("-infinity offset", "0 1000\n-infinity\n" ^ List.hd queries);
+              ("zero budget", "0 0\n0x1p+0\n" ^ List.hd queries);
+              ("negative budget", "0 -5\n0x1p+0\n" ^ List.hd queries);
+            ];
+          (* the connection survives every rejection *)
+          match Cl.ping c with
+          | Pr.Resp_ok _ -> ()
+          | _ -> Alcotest.fail "connection lost after rejected frames"))
+
 let () =
   Alcotest.run "service"
     [
@@ -457,5 +520,8 @@ let () =
             test_metrics_render;
           Alcotest.test_case "protocol bodies and endpoints round-trip" `Quick
             test_protocol_roundtrip;
+          QCheck_alcotest.to_alcotest refine_frame_roundtrip_prop;
+          Alcotest.test_case "malformed REFINE frames are data errors" `Quick
+            test_refine_frame_rejected;
         ] );
     ]
