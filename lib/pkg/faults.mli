@@ -82,9 +82,11 @@
     verification fail; service layer: [queue=full] makes every
     admission check report a full queue while installed — so shedding
     is testable without racing real load — and [net=accept] /
-    [net=read] arm {e one-shot} connection faults: the server drops the
-    next accepted connection / fails the next request read, consumed on
-    use). [queue=full] alone is accepted as shorthand for
+    [net=read] arm {e one-shot} connection faults: the service front-end
+    shell drops the next accepted connection / fails the next request
+    read, consumed on use; the shell is shared by [pkgq_server] and
+    [pkgq_shard], so they apply to whichever front end runs in the
+    process). [queue=full] alone is accepted as shorthand for
     [queue=full:fail]. Examples: ["ilp=3:limit"],
     ["stage=sketch:infeasible"],
     ["stage=refine,group=2:raise; worker=1:crash"],

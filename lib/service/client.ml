@@ -206,9 +206,12 @@ let roundtrip t req =
     try
       Protocol.write_request c.oc req;
       Protocol.read_response c.ic
-    with (Sys_error _ | Unix.Unix_error _ | End_of_file) as e -> (
+    with
+    | (Sys_error _ | Sys_blocked_io | Unix.Unix_error _ | End_of_file) as e
+    -> (
       (* With a read timeout armed, an expired SO_RCVTIMEO surfaces as a
-         channel error indistinguishable from a peer reset by type
+         channel error (EAGAIN reaches the channel layer as
+         [Sys_blocked_io]) indistinguishable from a peer reset by type
          alone; the elapsed clock tells them apart. Either way the
          stream is desynchronized, so the connection is dropped. *)
       match t.timeout with

@@ -32,6 +32,10 @@ exception Timed_out of { phase : [ `Connect | `Read ]; seconds : float }
 (** ["HOST:PORT"] → [(host, port)]. *)
 val parse_endpoint : string -> (string * int, string) result
 
+(** A dotted address or a host name → its (first) IPv4 address.
+    @raise Failure when the name does not resolve. *)
+val resolve : string -> Unix.inet_addr
+
 (** [connect ?retries ?connect_timeout ?timeout ~host ~port] — with
     [retries = 0] (the default) raises [Unix.Unix_error] when the
     server is unreachable; with a budget, retries with backoff and

@@ -31,14 +31,6 @@ type config = {
   epoch_dir : string option;
 }
 
-let int_env name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 let default_config () =
   {
     host = "127.0.0.1";
@@ -52,8 +44,8 @@ let default_config () =
     connect_timeout = 1.;
     rpc_seconds = 2.;
     retries = 2;
-    hedge_ms = int_env "PKGQ_HEDGE_MS" 50;
-    breaker_trips = max 1 (int_env "PKGQ_BREAKER_TRIPS" 3);
+    hedge_ms = Front.int_env "PKGQ_HEDGE_MS" 50;
+    breaker_trips = max 1 (Front.int_env "PKGQ_BREAKER_TRIPS" 3);
     breaker_probe_seconds = 0.25;
     probe_timeout = 0.25;
     ship_every = 0.05;
@@ -190,21 +182,11 @@ type t = {
   mutable fp : string;
   layouts : (string, layout) Hashtbl.t;
   state_mu : Mutex.t;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  mutable accept_thread : Thread.t option;
+  front : Front.t;
   mutable ship_thread : Thread.t option;
-  conns : (int, Unix.file_descr) Hashtbl.t;
-  mutable conn_threads : Thread.t list;
-  mutable next_conn : int;
-  conns_mu : Mutex.t;
-  mutable stopped : bool;
-  mutable finished : bool;
-  stop_mu : Mutex.t;
-  stop_cond : Condition.t;
 }
 
-let port t = t.bound_port
+let port t = Front.port t.front
 let metrics t = t.metrics
 
 let shard_epoch t i = Membership.epoch t.membership i
@@ -693,7 +675,7 @@ let ship_loop t =
   in
   let last_renew = ref 0. in
   let rec loop () =
-    if t.stopped then ()
+    if Front.stopped t.front then ()
     else begin
       Thread.delay t.cfg.ship_every;
       Array.iter
@@ -847,12 +829,6 @@ let hedged_refine t ~layout ~timeout shard req =
 (* Planning and layout                                                *)
 (* ------------------------------------------------------------------ *)
 
-let status_line (r : Pkg.Eval.report) =
-  Format.asprintf "%a%s" Pkg.Eval.pp_status r.status
-    (match r.objective with
-    | Some o -> Format.asprintf ", obj=%g" o
-    | None -> "")
-
 let plan t rel qfp query =
   match Cache.find_opt t.plan_cache qfp with
   | Some p ->
@@ -860,41 +836,22 @@ let plan t rel qfp query =
     Ok p
   | None -> (
     Metrics.incr t.metrics "plan_misses";
-    let parsed =
-      try Paql.Parser.parse query with
-      | Paql.Lexer.Lex_error (msg, pos) ->
-        Error (Printf.sprintf "lex error at offset %d: %s" pos msg)
-      | Paql.Parser.Parse_error (msg, pos) ->
-        Error (Printf.sprintf "parse error at offset %d: %s" pos msg)
-    in
-    match parsed with
-    | Error msg -> Error (Protocol.Resp_err (Protocol.Parse_error, msg))
-    | Ok ast -> (
-      let schema = Relalg.Relation.schema rel in
-      match Paql.Analyze.check schema ast with
-      | Error errs ->
-        Error
-          (Protocol.Resp_err (Protocol.Analysis_error, String.concat "\n" errs))
-      | Ok () -> (
-        match Paql.Translate.compile_exn schema ast with
-        | exception Failure msg ->
-          Error (Protocol.Resp_err (Protocol.Analysis_error, msg))
-        | spec ->
-          if Paql.Translate.is_stochastic spec then
-            (* Scatter/gather distributes deterministic sketch/refine
-               work; SummarySearch's scenario matrices and validation
-               rounds are not shard-decomposable (yet). A typed
-               rejection beats a wrong or hanging scatter. *)
-            Error
-              (Protocol.Resp_err
-                 ( Protocol.Rejected,
-                   "stochastic queries (WITH PROBABILITY / EXPECTED) are not \
-                    supported by the shard coordinator; use pkgq_server or \
-                    paql --method stochastic" ))
-          else begin
-            Cache.add t.plan_cache qfp (ast, spec);
-            Ok (ast, spec)
-          end)))
+    match Front.compile t.metrics (Relalg.Relation.schema rel) query with
+    | Ok (_, spec) when Paql.Translate.is_stochastic spec ->
+      (* Scatter/gather distributes deterministic sketch/refine work;
+         SummarySearch's scenario matrices and validation rounds are not
+         shard-decomposable (yet). A typed rejection beats a wrong or
+         hanging scatter. *)
+      Error
+        (Protocol.Resp_err
+           ( Protocol.Rejected,
+             "stochastic queries (WITH PROBABILITY / EXPECTED) are not \
+              supported by the shard coordinator; use pkgq_server or paql \
+              --method stochastic" ))
+    | Ok p ->
+      Cache.add t.plan_cache qfp p;
+      Ok p
+    | Error _ as e -> e)
 
 (* The partitioning parameters come from the same [Pkg.Partition]
    derivations the server's [partition_for] uses (tau default,
@@ -1012,30 +969,6 @@ let rpc_refine t ~layout ~deadline ~stale query counters j offsets =
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let response_of_report (r : Pkg.Eval.report) =
-  match r.status with
-  | Pkg.Eval.Infeasible ->
-    Protocol.Resp_err (Protocol.Infeasible, status_line r)
-  | Pkg.Eval.Degraded _ ->
-    Protocol.Resp_err (Protocol.Degraded, status_line r)
-  | Pkg.Eval.Failed f ->
-    let code =
-      match f.Pkg.Eval.kind with
-      | Pkg.Eval.Deadline_exceeded -> Protocol.Deadline
-      | Pkg.Eval.Rejected _ -> Protocol.Rejected
-      | Pkg.Eval.Fenced _ -> Protocol.Fenced
-      | _ -> Protocol.Failed
-    in
-    Protocol.Resp_err (code, Format.asprintf "%a" Pkg.Eval.pp_failure f)
-  | Pkg.Eval.Optimal | Pkg.Eval.Feasible _ -> (
-    match r.package with
-    | None -> Protocol.Resp_err (Protocol.Failed, "no package produced")
-    | Some p ->
-      let csv = Relalg.Csv.to_string (Pkg.Package.materialize p) in
-      Protocol.Resp_ok
-        (Protocol.render_result ~status_line:(status_line r) ~wall:r.wall_time
-           ~csv))
 
 let eval_query t ~deadline query =
   let rel, fp = Mutex.protect t.state_mu (fun () -> (t.rel, t.fp)) in
@@ -1285,7 +1218,7 @@ let eval_query t ~deadline query =
             (Pkg.Eval.failed (Pkg.Eval.Solver_error (Printexc.to_string e)))
             None None)
     in
-    response_of_report report
+    Front.response_of_report report
 
 (* ------------------------------------------------------------------ *)
 (* Writes                                                             *)
@@ -1448,125 +1381,39 @@ let handle_delete t ids =
 (* ------------------------------------------------------------------ *)
 
 let handle_query t query =
-  Metrics.incr t.metrics "requests";
   let deadline = Unix.gettimeofday () +. t.cfg.request_seconds in
-  let resp =
-    Metrics.time t.metrics "total" (fun () ->
-        try eval_query t ~deadline query
-        with e -> Protocol.Resp_err (Protocol.Internal, Printexc.to_string e))
-  in
-  (match resp with
-  | Protocol.Resp_ok _ -> Metrics.incr t.metrics "ok"
-  | Protocol.Resp_err _ -> Metrics.incr t.metrics "failed");
-  resp
+  Front.answer t.metrics (fun () -> eval_query t ~deadline query)
 
 let eval t query = handle_query t query
 
-let handle_conn t fd =
-  Metrics.incr t.metrics "connections";
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let respond r = Protocol.write_response oc r in
-  let rec loop () =
-    match Protocol.read_request ic with
-    | None -> ()
-    | Some Protocol.Quit -> (
-      try respond (Protocol.Resp_ok "bye") with _ -> ())
-    | Some Protocol.Ping ->
-      respond (Protocol.Resp_ok "pong");
-      loop ()
-    | Some Protocol.Stats ->
-      Array.iter (fun s -> refresh_shard_gauges t s) t.shards;
-      respond (Protocol.Resp_ok (Metrics.render t.metrics));
-      loop ()
-    | Some Protocol.Fingerprint ->
-      let fp, rows =
-        Mutex.protect t.state_mu (fun () ->
-            (t.fp, Relalg.Relation.cardinality t.rel))
-      in
-      respond (Protocol.Resp_ok (Printf.sprintf "%s %d" fp rows));
-      loop ()
-    | Some (Protocol.Append { csv; epoch = _ }) ->
-      respond (handle_append t csv);
-      loop ()
-    | Some (Protocol.Delete { ids; epoch = _ }) ->
-      respond (handle_delete t ids);
-      loop ()
-    | Some (Protocol.Query q) ->
-      respond (handle_query t q);
-      loop ()
-    | Some (Protocol.Assign _ | Protocol.Sketch _ | Protocol.Refine _
-           | Protocol.Lease _) ->
-      (* the coordinator fronts a fleet; it is not itself a shard *)
-      respond
-        (Protocol.Resp_err
-           (Protocol.Data_error, "shard verbs are not served here"));
-      loop ()
-  in
-  try loop () with
-  | End_of_file -> ()
-  | Protocol.Protocol_error msg ->
-    Metrics.incr t.metrics "net_errors";
-    (try respond (Protocol.Resp_err (Protocol.Internal, msg)) with _ -> ())
-  | Sys_error _ | Unix.Unix_error _ -> Metrics.incr t.metrics "net_errors"
-
-let conn_main t id fd =
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.conns id);
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> handle_conn t fd)
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((EBADF | EINVAL | ECONNABORTED), _, _) ->
-      if not t.stopped then Log.err (fun k -> k "accept failed; stopping")
-    | exception Unix.Unix_error _ when t.stopped -> ()
-    | fd, _ ->
-      if t.stopped then (try Unix.close fd with Unix.Unix_error _ -> ())
-      else begin
-        Mutex.protect t.conns_mu (fun () ->
-            let id = t.next_conn in
-            t.next_conn <- id + 1;
-            Hashtbl.replace t.conns id fd;
-            t.conn_threads <-
-              Thread.create (fun () -> conn_main t id fd) ()
-              :: t.conn_threads);
-        loop ()
-      end
-  in
-  loop ()
+(* The verbs beyond the shell's PING/QUIT. *)
+let dispatch t = function
+  | Protocol.Stats ->
+    Array.iter (fun s -> refresh_shard_gauges t s) t.shards;
+    Protocol.Resp_ok (Metrics.render t.metrics)
+  | Protocol.Fingerprint ->
+    let fp, rows =
+      Mutex.protect t.state_mu (fun () ->
+          (t.fp, Relalg.Relation.cardinality t.rel))
+    in
+    Protocol.Resp_ok (Printf.sprintf "%s %d" fp rows)
+  | Protocol.Append { csv; epoch = _ } -> handle_append t csv
+  | Protocol.Delete { ids; epoch = _ } -> handle_delete t ids
+  | Protocol.Query q -> handle_query t q
+  | Protocol.Assign _ | Protocol.Sketch _ | Protocol.Refine _
+  | Protocol.Lease _ ->
+    (* the coordinator fronts a fleet; it is not itself a shard *)
+    Protocol.Resp_err (Protocol.Data_error, "shard verbs are not served here")
+  | Protocol.Ping | Protocol.Quit -> assert false (* answered by the shell *)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-      failwith (Printf.sprintf "cannot resolve host %S" host)
-    | h -> h.Unix.h_addr_list.(0))
-
-let prewarm rel =
-  let schema = Relalg.Relation.schema rel in
-  List.iter
-    (fun (a : Relalg.Schema.attr) ->
-      match a.ty with
-      | Relalg.Value.TInt | Relalg.Value.TFloat ->
-        ignore (Relalg.Relation.column rel a.name)
-      | Relalg.Value.TStr | Relalg.Value.TBool -> ())
-    (Relalg.Schema.attrs schema)
-
 let start cfg specs rel =
   if cfg.attrs = [] then
     failwith "coordinator: partitioning attributes are required (--attrs)";
   if specs = [] then failwith "coordinator: at least one shard is required";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   let metrics = Metrics.create () in
   let shards =
     Array.of_list
@@ -1596,20 +1443,8 @@ let start cfg specs rel =
            })
          specs)
   in
-  prewarm rel;
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let bound_port =
-    try
-      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-      Unix.bind listen_fd (Unix.ADDR_INET (resolve_host cfg.host, cfg.port));
-      Unix.listen listen_fd 64;
-      match Unix.getsockname listen_fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> cfg.port
-    with e ->
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      raise e
-  in
+  Front.prewarm rel;
+  let front = Front.listen ~metrics ~host:cfg.host ~port:cfg.port in
   let t =
     {
       cfg;
@@ -1623,18 +1458,8 @@ let start cfg specs rel =
       fp = Store.Segment.fingerprint rel;
       layouts = Hashtbl.create 4;
       state_mu = Mutex.create ();
-      listen_fd;
-      bound_port;
-      accept_thread = None;
+      front;
       ship_thread = None;
-      conns = Hashtbl.create 16;
-      conn_threads = [];
-      next_conn = 0;
-      conns_mu = Mutex.create ();
-      stopped = false;
-      finished = false;
-      stop_mu = Mutex.create ();
-      stop_cond = Condition.create ();
     }
   in
   Pkg.Eval.set_observer
@@ -1658,7 +1483,7 @@ let start cfg specs rel =
               k "shard %d: initial lease grant failed: %s" shard.s_idx msg))
     shards;
   Array.iter (fun s -> refresh_shard_gauges t s) shards;
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Front.serve front (dispatch t);
   if Array.exists (fun s -> s.s_replica <> None) shards then
     t.ship_thread <- Some (Thread.create ship_loop t);
   Log.info (fun k ->
@@ -1667,50 +1492,15 @@ let start cfg specs rel =
         (Array.fold_left
            (fun a s -> if s.s_replica <> None then a + 1 else a)
            0 shards)
-        cfg.host bound_port);
+        cfg.host (Front.port front));
   t
 
-let wait t =
-  Mutex.protect t.stop_mu (fun () ->
-      while not t.finished do
-        Condition.wait t.stop_cond t.stop_mu
-      done)
-
 let stop t =
-  let first =
-    Mutex.protect t.stop_mu (fun () ->
-        let first = not t.stopped in
-        t.stopped <- true;
-        first)
-  in
-  if first then begin
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
-     with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.accept_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    let fds =
-      Mutex.protect t.conns_mu (fun () ->
-          Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns [])
-    in
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      fds;
-    let conn_threads =
-      Mutex.protect t.conns_mu (fun () ->
-          let ts = t.conn_threads in
-          t.conn_threads <- [];
-          ts)
-    in
-    List.iter Thread.join conn_threads;
-    Option.iter Thread.join t.ship_thread;
-    Array.iter
-      (fun shard ->
-        sever shard.s_primary;
-        Option.iter sever shard.s_replica)
-      t.shards;
-    Pkg.Eval.set_observer None;
-    Mutex.protect t.stop_mu (fun () ->
-        t.finished <- true;
-        Condition.broadcast t.stop_cond)
-  end
+  Front.stop t.front ~teardown:(fun () ->
+      Option.iter Thread.join t.ship_thread;
+      Array.iter
+        (fun shard ->
+          sever shard.s_primary;
+          Option.iter sever shard.s_replica)
+        t.shards;
+      Pkg.Eval.set_observer None)

@@ -148,7 +148,4 @@ val shard_epoch : t -> int -> int
     QUERY verb runs) — for in-process tests and the bench. *)
 val eval : t -> string -> Protocol.response
 
-(** Block until {!stop} completes (for the binary's signal loop). *)
-val wait : t -> unit
-
 val stop : t -> unit

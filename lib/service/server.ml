@@ -23,14 +23,6 @@ type config = {
   wal_checkpoint : int;
 }
 
-let int_env name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 (* PKGQ_RESULT_CACHE accepts a capacity, or "off"/"0" to disable. *)
 let cache_env name default =
   match Sys.getenv_opt name with
@@ -45,8 +37,8 @@ let default_config () =
   {
     host = "127.0.0.1";
     port = 0;
-    workers = max 1 (int_env "PKGQ_SERVE_WORKERS" 4);
-    queue = max 1 (int_env "PKGQ_SERVE_QUEUE" 32);
+    workers = max 1 (Front.int_env "PKGQ_SERVE_WORKERS" 4);
+    queue = max 1 (Front.int_env "PKGQ_SERVE_QUEUE" 32);
     result_cache = cache_env "PKGQ_RESULT_CACHE" 256;
     plan_cache = 64;
     basis_cache = cache_env "PKGQ_BASIS_CACHE" 128;
@@ -119,21 +111,11 @@ type t = {
   state_mu : Mutex.t;
   wal : Store.Wal.t option;
   recovery : Store.Recovery.stats option;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  mutable accept_thread : Thread.t option;
+  front : Front.t;
   mutable log_thread : Thread.t option;
-  conns : (int, Unix.file_descr) Hashtbl.t;
-  mutable conn_threads : Thread.t list;
-  mutable next_conn : int;
-  conns_mu : Mutex.t;
-  mutable stopped : bool;
-  mutable finished : bool;
-  stop_mu : Mutex.t;
-  stop_cond : Condition.t;
 }
 
-let port t = t.bound_port
+let port t = Front.port t.front
 let metrics t = t.metrics
 let config t = t.cfg
 let solve_count t = Metrics.get t.metrics "solves"
@@ -147,21 +129,8 @@ let last_recovery t = t.recovery
 
 let current_epoch t = Mutex.protect t.fence_mu (fun () -> t.srv_epoch)
 
-(* Numeric columns are materialized lazily into a per-attribute slot;
-   forcing them before any worker runs keeps the hot path free of
-   same-column races and duplicate extraction work. *)
-let prewarm rel =
-  let schema = Relalg.Relation.schema rel in
-  List.iter
-    (fun (a : Relalg.Schema.attr) ->
-      match a.ty with
-      | Relalg.Value.TInt | Relalg.Value.TFloat ->
-        ignore (Relalg.Relation.column rel a.name)
-      | Relalg.Value.TStr | Relalg.Value.TBool -> ())
-    (Relalg.Schema.attrs schema)
-
 let fresh_snapshot rel =
-  prewarm rel;
+  Front.prewarm rel;
   {
     rel;
     fp = Store.Segment.fingerprint rel;
@@ -174,12 +143,6 @@ let fresh_snapshot rel =
 (* Query evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let status_line (r : Pkg.Eval.report) =
-  Format.asprintf "%a%s" Pkg.Eval.pp_status r.status
-    (match r.objective with
-    | Some o -> Format.asprintf ", obj=%g" o
-    | None -> "")
-
 let plan t snap qfp query =
   match Cache.find_opt t.plan_cache qfp with
   | Some p ->
@@ -187,29 +150,11 @@ let plan t snap qfp query =
     Ok p
   | None ->
     Metrics.incr t.metrics "plan_misses";
-    Metrics.time t.metrics "plan" (fun () ->
-        let parsed =
-          Metrics.time t.metrics "parse" (fun () ->
-              try Paql.Parser.parse query with
-              | Paql.Lexer.Lex_error (msg, pos) ->
-                Error (Printf.sprintf "lex error at offset %d: %s" pos msg)
-              | Paql.Parser.Parse_error (msg, pos) ->
-                Error (Printf.sprintf "parse error at offset %d: %s" pos msg))
-        in
-        match parsed with
-        | Error msg -> Error (Protocol.Resp_err (Protocol.Parse_error, msg))
-        | Ok ast -> (
-          let schema = Relalg.Relation.schema snap.rel in
-          match Paql.Analyze.check schema ast with
-          | Error errs ->
-            Error (Protocol.Resp_err (Protocol.Analysis_error, String.concat "\n" errs))
-          | Ok () -> (
-            match Paql.Translate.compile_exn schema ast with
-            | exception Failure msg ->
-              Error (Protocol.Resp_err (Protocol.Analysis_error, msg))
-            | spec ->
-              Cache.add t.plan_cache qfp (ast, spec);
-              Ok (ast, spec))))
+    let planned =
+      Front.compile t.metrics (Relalg.Relation.schema snap.rel) query
+    in
+    Result.iter (Cache.add t.plan_cache qfp) planned;
+    planned
 
 let numeric_query_attrs schema ast =
   List.filter
@@ -349,31 +294,6 @@ let record_stoch_stats metrics (st : Pkg.Stochastic.stats) =
     Metrics.set_gauge metrics "stoch_validated_pm"
       (int_of_float (Float.round (st.Pkg.Stochastic.st_validated *. 1000.)))
   end
-
-let response_of_report (r : Pkg.Eval.report) =
-  match r.status with
-  | Pkg.Eval.Infeasible -> Protocol.Resp_err (Protocol.Infeasible, status_line r)
-  | Pkg.Eval.Degraded _ ->
-    (* Single-node evaluation never degrades; the coordinator renders
-       its own Degraded bodies. Mapped anyway so the taxonomy stays
-       total. *)
-    Protocol.Resp_err (Protocol.Degraded, status_line r)
-  | Pkg.Eval.Failed f ->
-    let code =
-      match f.kind with
-      | Pkg.Eval.Deadline_exceeded -> Protocol.Deadline
-      | Pkg.Eval.Rejected _ -> Protocol.Rejected
-      | _ -> Protocol.Failed
-    in
-    Protocol.Resp_err (code, Format.asprintf "%a" Pkg.Eval.pp_failure f)
-  | Pkg.Eval.Optimal | Pkg.Eval.Feasible _ -> (
-    match r.package with
-    | None -> Protocol.Resp_err (Protocol.Failed, "no package produced")
-    | Some p ->
-      let csv = Relalg.Csv.to_string (Pkg.Package.materialize p) in
-      Protocol.Resp_ok
-        (Protocol.render_result ~status_line:(status_line r) ~wall:r.wall_time
-           ~csv))
 
 (* Only proven outcomes are safe to replay: a Feasible gap depends on
    the budget the original request happened to have left, and failures
@@ -518,7 +438,7 @@ let eval_query t ~deadline query =
         | Error resp -> resp
         | Ok report ->
           sync_solver_gauges t.metrics;
-          let resp = response_of_report report in
+          let resp = Front.response_of_report report in
           if cacheable report then Cache.add t.result_cache rkey resp;
           resp
       end)
@@ -675,7 +595,7 @@ let publish_locked t ~old_fp ~verb rel' parts =
       hiers = Hashtbl.create 4;
       parts_mu = Mutex.create () }
   in
-  prewarm rel';
+  Front.prewarm rel';
   Option.iter
     (fun cat ->
       Hashtbl.iter
@@ -800,78 +720,47 @@ let delete ?epoch t ids =
 (* Request handling                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let handle_query t query =
-  Metrics.incr t.metrics "requests";
-  let deadline = Unix.gettimeofday () +. t.cfg.request_seconds in
+(* Run [eval] on the worker pool and wait for its answer; a full queue
+   answers a typed [rejected] at once. *)
+let on_pool t eval =
   let mu = Mutex.create () in
   let cond = Condition.create () in
   let slot = ref None in
   let job () =
-    let resp =
-      Metrics.time t.metrics "total" (fun () ->
-          try eval_query t ~deadline query
-          with e ->
-            Protocol.Resp_err (Protocol.Internal, Printexc.to_string e))
-    in
+    let resp = eval () in
     Mutex.protect mu (fun () ->
         slot := Some resp;
         Condition.signal cond)
   in
-  let resp =
-    match Scheduler.submit t.sched job with
-    | `Rejected ->
-      let f =
-        Pkg.Eval.failure
-          (Pkg.Eval.Rejected
-             (Printf.sprintf "queue full (capacity %d)"
-                (Scheduler.capacity t.sched)))
-      in
-      Protocol.Resp_err (Protocol.Rejected, Format.asprintf "%a" Pkg.Eval.pp_failure f)
-    | `Accepted ->
-      Mutex.protect mu (fun () ->
-          while !slot = None do
-            Condition.wait cond mu
-          done;
-          Option.get !slot)
-  in
-  (match resp with
-  | Protocol.Resp_ok _ -> Metrics.incr t.metrics "ok"
-  | Protocol.Resp_err _ -> Metrics.incr t.metrics "failed");
-  resp
+  match Scheduler.submit t.sched job with
+  | `Rejected ->
+    let f =
+      Pkg.Eval.failure
+        (Pkg.Eval.Rejected
+           (Printf.sprintf "queue full (capacity %d)"
+              (Scheduler.capacity t.sched)))
+    in
+    Protocol.Resp_err (Protocol.Rejected, Format.asprintf "%a" Pkg.Eval.pp_failure f)
+  | `Accepted ->
+    Mutex.protect mu (fun () ->
+        while !slot = None do
+          Condition.wait cond mu
+        done;
+        Option.get !slot)
 
-let handle_append t ~epoch csv =
-  match Relalg.Csv.of_string csv with
-  | exception Relalg.Csv.Error (line, msg) ->
-    Protocol.Resp_err
-      (Protocol.Data_error, Printf.sprintf "csv error at line %d: %s" line msg)
-  | extra -> (
-    match append ?epoch t extra with
-    | seq ->
-      Protocol.Resp_ok
-        (Printf.sprintf "appended %d rows; table now %d rows, fingerprint %s%s"
-           (Relalg.Relation.cardinality extra)
-           (Mutex.protect t.state_mu (fun () ->
-                Relalg.Relation.cardinality t.state.rel))
-           (table_fingerprint t)
-           (match seq with
-           | Some s -> Printf.sprintf "; seq %d" s
-           | None -> ""))
-    | exception Invalid_argument msg ->
-      Protocol.Resp_err (Protocol.Data_error, msg)
-    | exception Fenced_write msg -> Protocol.Resp_err (Protocol.Fenced, msg)
-    | exception Store.Wal.Sync_failed msg ->
-      Protocol.Resp_err
-        (Protocol.Internal, Printf.sprintf "append not durable: %s" msg))
+let handle_query t query =
+  let deadline = Unix.gettimeofday () +. t.cfg.request_seconds in
+  Front.answer ~run:(on_pool t) t.metrics (fun () ->
+      eval_query t ~deadline query)
 
-let handle_delete t ~epoch ids =
-  match delete ?epoch t ids with
+(* The ack of one write ([verb] "append" or "delete", [rows] touched),
+   naming the durable record's sequence number, or its typed refusal. *)
+let write_ack t ~verb ~rows write =
+  match write () with
   | seq ->
     Protocol.Resp_ok
-      (Printf.sprintf "deleted %d rows; table now %d rows, fingerprint %s%s"
-         (List.length ids)
-         (Mutex.protect t.state_mu (fun () ->
-              Relalg.Relation.cardinality t.state.rel))
-         (table_fingerprint t)
+      (Printf.sprintf "%sd %d rows; table now %d rows, fingerprint %s%s" verb
+         rows (table_rows t) (table_fingerprint t)
          (match seq with
          | Some s -> Printf.sprintf "; seq %d" s
          | None -> ""))
@@ -880,7 +769,20 @@ let handle_delete t ~epoch ids =
   | exception Fenced_write msg -> Protocol.Resp_err (Protocol.Fenced, msg)
   | exception Store.Wal.Sync_failed msg ->
     Protocol.Resp_err
-      (Protocol.Internal, Printf.sprintf "delete not durable: %s" msg)
+      (Protocol.Internal, Printf.sprintf "%s not durable: %s" verb msg)
+
+let handle_append t ~epoch csv =
+  match Relalg.Csv.of_string csv with
+  | exception Relalg.Csv.Error (line, msg) ->
+    Protocol.Resp_err
+      (Protocol.Data_error, Printf.sprintf "csv error at line %d: %s" line msg)
+  | extra ->
+    write_ack t ~verb:"append" ~rows:(Relalg.Relation.cardinality extra)
+      (fun () -> append ?epoch t extra)
+
+let handle_delete t ~epoch ids =
+  write_ack t ~verb:"delete" ~rows:(List.length ids) (fun () ->
+      delete ?epoch t ids)
 
 let handle_fingerprint t =
   let fp, rows =
@@ -1068,101 +970,27 @@ let handle_refine t body =
               Protocol.Resp_ok (Protocol.render_refine_result result)
             end)
 
-let handle_conn t fd =
-  Metrics.incr t.metrics "connections";
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let respond r = Protocol.write_response oc r in
-  let rec loop () =
-    if Pkg.Faults.take_net_fault Pkg.Faults.Net_read then begin
-      Metrics.incr t.metrics "net_errors";
-      Log.warn (fun k -> k "injected net=read fault: dropping connection");
-      try respond (Protocol.Resp_err (Protocol.Internal, "injected read fault"))
-      with _ -> ()
-    end
-    else
-      match Protocol.read_request ic with
-      | None -> ()
-      | Some Protocol.Quit -> ( try respond (Protocol.Resp_ok "bye") with _ -> ())
-      | Some Protocol.Ping ->
-        respond (Protocol.Resp_ok "pong");
-        loop ()
-      | Some Protocol.Stats ->
-        respond (Protocol.Resp_ok (Metrics.render t.metrics));
-        loop ()
-      | Some (Protocol.Append { csv; epoch }) ->
-        respond (handle_append t ~epoch csv);
-        loop ()
-      | Some (Protocol.Delete { ids; epoch }) ->
-        respond (handle_delete t ~epoch ids);
-        loop ()
-      | Some (Protocol.Lease { epoch; ttl_ms }) ->
-        respond (handle_lease t ~epoch ~ttl_ms);
-        loop ()
-      | Some Protocol.Fingerprint ->
-        respond (handle_fingerprint t);
-        loop ()
-      | Some (Protocol.Assign body) ->
-        respond (handle_assign t body);
-        loop ()
-      | Some (Protocol.Sketch q) ->
-        respond (handle_sketch t q);
-        loop ()
-      | Some (Protocol.Refine body) ->
-        (* refine ILPs run on the connection thread, not the query
-           worker pool: the coordinator bounds its own fan-out, and a
-           queued refine behind a long QUERY would blow the per-group
-           budget it was sent with *)
-        respond (handle_refine t body);
-        loop ()
-      | Some (Protocol.Query q) ->
-        respond (handle_query t q);
-        loop ()
-  in
-  try loop () with
-  | End_of_file -> ()
-  | Protocol.Protocol_error msg ->
-    Metrics.incr t.metrics "net_errors";
-    Log.warn (fun k -> k "protocol error: %s" msg);
-    (try respond (Protocol.Resp_err (Protocol.Internal, msg)) with _ -> ())
-  | Sys_error _ | Unix.Unix_error _ -> Metrics.incr t.metrics "net_errors"
-
-let conn_main t id fd =
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect t.conns_mu (fun () -> Hashtbl.remove t.conns id);
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> handle_conn t fd)
-
-let accept_loop t =
-  let rec loop () =
-    match Unix.accept t.listen_fd with
-    | exception Unix.Unix_error ((EBADF | EINVAL | ECONNABORTED), _, _) ->
-      if not t.stopped then Log.err (fun k -> k "accept failed; stopping")
-    | exception Unix.Unix_error _ when t.stopped -> ()
-    | fd, _ ->
-      if t.stopped then (try Unix.close fd with Unix.Unix_error _ -> ())
-      else if Pkg.Faults.take_net_fault Pkg.Faults.Net_accept then begin
-        Metrics.incr t.metrics "net_errors";
-        Log.warn (fun k -> k "injected net=accept fault: closing connection");
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        loop ()
-      end
-      else begin
-        Mutex.protect t.conns_mu (fun () ->
-            let id = t.next_conn in
-            t.next_conn <- id + 1;
-            Hashtbl.replace t.conns id fd;
-            t.conn_threads <-
-              Thread.create (fun () -> conn_main t id fd) () :: t.conn_threads);
-        loop ()
-      end
-  in
-  loop ()
+(* The verbs beyond the shell's PING/QUIT. *)
+let dispatch t = function
+  | Protocol.Stats -> Protocol.Resp_ok (Metrics.render t.metrics)
+  | Protocol.Append { csv; epoch } -> handle_append t ~epoch csv
+  | Protocol.Delete { ids; epoch } -> handle_delete t ~epoch ids
+  | Protocol.Lease { epoch; ttl_ms } -> handle_lease t ~epoch ~ttl_ms
+  | Protocol.Fingerprint -> handle_fingerprint t
+  | Protocol.Assign body -> handle_assign t body
+  | Protocol.Sketch q -> handle_sketch t q
+  | Protocol.Refine body ->
+    (* refine ILPs run on the connection thread, not the query worker
+       pool: the coordinator bounds its own fan-out, and a queued refine
+       behind a long QUERY would blow the per-group budget it was sent
+       with *)
+    handle_refine t body
+  | Protocol.Query q -> handle_query t q
+  | Protocol.Ping | Protocol.Quit -> assert false (* answered by the shell *)
 
 let log_loop t =
   let rec loop since =
-    if t.stopped then ()
+    if Front.stopped t.front then ()
     else begin
       Thread.delay 0.05;
       let now = Unix.gettimeofday () in
@@ -1179,18 +1007,7 @@ let log_loop t =
 (* Lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.gethostbyname host with
-    | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-      failwith (Printf.sprintf "cannot resolve host %S" host)
-    | h -> h.Unix.h_addr_list.(0))
-
 let start ?catalog cfg rel =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   let metrics = Metrics.create () in
   (* Durability: with a WAL dir, the served state is whatever recovery
      rebuilds — checkpoint plus replayed log — not the caller's [rel],
@@ -1213,21 +1030,8 @@ let start ?catalog cfg rel =
             dir Store.Recovery.pp_stats stats);
       (rel', Some wal, Some stats)
   in
+  let front = Front.listen ~metrics ~host:cfg.host ~port:cfg.port in
   let sched = Scheduler.create ~workers:cfg.workers ~capacity:cfg.queue ~metrics in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let bound_port =
-    try
-      Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-      Unix.bind listen_fd (Unix.ADDR_INET (resolve_host cfg.host, cfg.port));
-      Unix.listen listen_fd 64;
-      match Unix.getsockname listen_fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> cfg.port
-    with e ->
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      Scheduler.shutdown sched;
-      raise e
-  in
   let t =
     {
       cfg;
@@ -1251,18 +1055,8 @@ let start ?catalog cfg rel =
       state_mu = Mutex.create ();
       wal;
       recovery;
-      listen_fd;
-      bound_port;
-      accept_thread = None;
+      front;
       log_thread = None;
-      conns = Hashtbl.create 16;
-      conn_threads = [];
-      next_conn = 0;
-      conns_mu = Mutex.create ();
-      stopped = false;
-      finished = false;
-      stop_mu = Mutex.create ();
-      stop_cond = Condition.create ();
     }
   in
   Pkg.Eval.set_observer
@@ -1271,54 +1065,17 @@ let start ?catalog cfg rel =
     (fun wal -> Metrics.set_gauge metrics "wal_last_seq" (Store.Wal.last_seq wal))
     t.wal;
   Metrics.set_gauge metrics "epoch" t.srv_epoch;
-  t.accept_thread <- Some (Thread.create accept_loop t);
+  Front.serve front (dispatch t);
   if cfg.log_every > 0. then t.log_thread <- Some (Thread.create log_loop t);
   Log.info (fun k ->
       k "serving %d rows on %s:%d (%d workers, queue %d, result cache %d)"
         (Relalg.Relation.cardinality rel)
-        cfg.host bound_port cfg.workers cfg.queue cfg.result_cache);
+        cfg.host (Front.port front) cfg.workers cfg.queue cfg.result_cache);
   t
 
-let wait t =
-  Mutex.protect t.stop_mu (fun () ->
-      while not t.finished do
-        Condition.wait t.stop_cond t.stop_mu
-      done)
-
 let stop t =
-  let first =
-    Mutex.protect t.stop_mu (fun () ->
-        let first = not t.stopped in
-        t.stopped <- true;
-        first)
-  in
-  if first then begin
-    (* shutdown (not close) wakes the blocked accept; close only after
-       the accept thread is joined, so the fd cannot be recycled under
-       it. *)
-    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.accept_thread;
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    let fds =
-      Mutex.protect t.conns_mu (fun () ->
-          Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns [])
-    in
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      fds;
-    let conn_threads =
-      Mutex.protect t.conns_mu (fun () ->
-          let ts = t.conn_threads in
-          t.conn_threads <- [];
-          ts)
-    in
-    List.iter Thread.join conn_threads;
-    Scheduler.shutdown t.sched;
-    Option.iter Thread.join t.log_thread;
-    Option.iter Store.Wal.close t.wal;
-    Pkg.Eval.set_observer None;
-    Mutex.protect t.stop_mu (fun () ->
-        t.finished <- true;
-        Condition.broadcast t.stop_cond)
-  end
+  Front.stop t.front ~teardown:(fun () ->
+      Scheduler.shutdown t.sched;
+      Option.iter Thread.join t.log_thread;
+      Option.iter Store.Wal.close t.wal;
+      Pkg.Eval.set_observer None)

@@ -1,10 +1,11 @@
 (** The package-query server: a long-running TCP service evaluating
     PaQL queries over one shared, warm table.
 
-    Request flow: a connection thread reads a framed {!Protocol}
-    request, stamps its deadline ([arrival + request_seconds] — the
-    budget the resilience layer then propagates into every ILP call),
-    and submits an evaluation job to the {!Scheduler}. Admission
+    Request flow: a connection thread of the {!Front} shell reads a
+    framed {!Protocol} request, stamps its deadline
+    ([arrival + request_seconds] — the budget the resilience layer then
+    propagates into every ILP call), and submits an evaluation job to
+    the {!Scheduler}. Admission
     control answers over-capacity requests immediately with a typed
     [rejected] failure ({!Pkg.Eval.Rejected}); admitted jobs run on the
     worker pool against an immutable snapshot of the table state.
@@ -158,9 +159,6 @@ val delete : ?epoch:int -> t -> int list -> int option
 
 (** Recovery statistics from startup, when [wal_dir] was set. *)
 val last_recovery : t -> Store.Recovery.stats option
-
-(** Block until the server is stopped (for the server binary). *)
-val wait : t -> unit
 
 (** Stop accepting, drain admitted work, close connections, join every
     thread. Idempotent. *)

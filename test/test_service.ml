@@ -7,6 +7,7 @@
 
 module W = Datagen.Workload
 module Srv = Service.Server
+module Co = Service.Coordinator
 module Cl = Service.Client
 module Pr = Service.Protocol
 
@@ -47,9 +48,39 @@ let with_server cfg rel f =
   let t = Srv.start cfg rel in
   Fun.protect ~finally:(fun () -> Srv.stop t) (fun () -> f t)
 
-let with_client t f =
-  let c = Cl.connect ~host:"127.0.0.1" ~port:(Srv.port t) () in
+let with_port_client port f =
+  let c = Cl.connect ~host:"127.0.0.1" ~port () in
   Fun.protect ~finally:(fun () -> Cl.close c) (fun () -> f c)
+
+let with_client t f = with_port_client (Srv.port t) f
+
+(* Both owners of the front-end shell, as the shell tests see them: the
+   listening port, the metrics, and an idempotent stop. The coordinator
+   runs over one in-process sketchrefine server shard. *)
+type front = { port : int; metrics : Service.Metrics.t; stop : unit -> unit }
+
+let start_front = function
+  | `Server ->
+    let t = Srv.start (base_cfg ()) galaxy in
+    { port = Srv.port t; metrics = Srv.metrics t; stop = (fun () -> Srv.stop t) }
+  | `Coordinator ->
+    let attrs = [ "redshift" ] in
+    let shard =
+      Srv.start
+        { (base_cfg ()) with Srv.method_ = Srv.Sketch_refine; attrs }
+        galaxy
+    in
+    let spec =
+      { Co.primary = { Co.ep_host = "127.0.0.1"; ep_port = Srv.port shard };
+        replica = None; wal = None }
+    in
+    let co = Co.start { (Co.default_config ()) with Co.attrs } [ spec ] galaxy in
+    { port = Co.port co; metrics = Co.metrics co;
+      stop = (fun () -> Co.stop co; Srv.stop shard) }
+
+let with_front kind f =
+  let fe = start_front kind in
+  Fun.protect ~finally:fe.stop (fun () -> f fe)
 
 (* Response modulo the wall-time line (the only nondeterministic
    byte): status, package CSV, or the typed error. *)
@@ -238,16 +269,16 @@ let test_deadline_expired () =
 (* Net fault directives                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_net_accept_fault () =
+let test_net_accept_fault kind () =
   (match Pkg.Faults.parse "net=accept:fail" with
   | Ok spec -> Pkg.Faults.install spec
   | Error msg -> Alcotest.fail ("net=accept:fail should parse: " ^ msg));
   Fun.protect ~finally:Pkg.Faults.clear (fun () ->
-      with_server (base_cfg ()) galaxy (fun t ->
+      with_front kind (fun fe ->
           (* first connection is accepted then dropped by the fault *)
           let dropped =
             match
-              with_client t (fun c -> Cl.ping c)
+              with_port_client fe.port (fun c -> Cl.ping c)
             with
             | Pr.Resp_ok _ -> false
             | Pr.Resp_err _ -> true
@@ -257,21 +288,21 @@ let test_net_accept_fault () =
           in
           checkb "first connection dropped" true dropped;
           checkb "net error counted" true
-            (Service.Metrics.get (Srv.metrics t) "net_errors" >= 1);
-          (* the fault is one-shot: the server recovered *)
-          with_client t (fun c ->
+            (Service.Metrics.get fe.metrics "net_errors" >= 1);
+          (* the fault is one-shot: the front end recovered *)
+          with_port_client fe.port (fun c ->
               match Cl.ping c with
               | Pr.Resp_ok body -> checks "server recovered" "pong" body
               | Pr.Resp_err (_, m) -> Alcotest.fail m)))
 
-let test_net_read_fault () =
+let test_net_read_fault kind () =
   (match Pkg.Faults.parse "net=read:fail" with
   | Ok spec -> Pkg.Faults.install spec
   | Error msg -> Alcotest.fail ("net=read:fail should parse: " ^ msg));
   Fun.protect ~finally:Pkg.Faults.clear (fun () ->
-      with_server (base_cfg ()) galaxy (fun t ->
+      with_front kind (fun fe ->
           let dropped =
-            match with_client t (fun c -> Cl.ping c) with
+            match with_port_client fe.port (fun c -> Cl.ping c) with
             | Pr.Resp_ok _ -> false
             | Pr.Resp_err _ -> true
             | exception Pr.Protocol_error _ -> true
@@ -279,10 +310,35 @@ let test_net_read_fault () =
             | exception Sys_error _ -> true
           in
           checkb "read faulted" true dropped;
-          with_client t (fun c ->
+          with_port_client fe.port (fun c ->
               match Cl.ping c with
               | Pr.Resp_ok body -> checks "server recovered" "pong" body
               | Pr.Resp_err (_, m) -> Alcotest.fail m)))
+
+(* [stop] with an idle client connected returns promptly, hangs up on
+   the client, closes the port, and is a no-op the second time. *)
+let test_stop_lifecycle kind () =
+  let fe = start_front kind in
+  let c = Cl.connect ~host:"127.0.0.1" ~port:fe.port () in
+  Fun.protect ~finally:(fun () -> try Cl.close c with _ -> ()) @@ fun () ->
+  (match Cl.ping c with
+  | Pr.Resp_ok body -> checks "client connected" "pong" body
+  | Pr.Resp_err (_, m) -> Alcotest.fail m);
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
+  in
+  checkb "stop returns promptly" true (timed fe.stop < 2.);
+  checkb "idle client was hung up on" true
+    (match Cl.ping c with Pr.Resp_ok _ -> false | Pr.Resp_err _ | exception _ -> true);
+  checkb "port refuses connections" true
+    (match Cl.connect ~host:"127.0.0.1" ~port:fe.port () with
+    | c ->
+      Cl.close c;
+      false
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true);
+  checkb "second stop is a no-op" true (timed fe.stop < 0.1)
 
 let test_fault_grammar () =
   (match Pkg.Faults.parse "queue=full; net=accept:fail; net=read:fail" with
@@ -474,6 +530,25 @@ let test_refine_frame_rejected () =
           | Pr.Resp_ok _ -> ()
           | _ -> Alcotest.fail "connection lost after rejected frames"))
 
+(* A peer that accepts (here: the kernel backlog) but never answers
+   must surface as the typed read timeout, not as a raw channel
+   exception. *)
+let test_client_read_timeout () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 4;
+  let port =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let c = Cl.connect ~timeout:0.2 ~host:"127.0.0.1" ~port () in
+  Fun.protect ~finally:(fun () -> Cl.close c) @@ fun () ->
+  match Cl.ping c with
+  | exception Cl.Timed_out { phase = `Read; seconds } ->
+    checkb "carries the configured budget" true (seconds = 0.2)
+  | exception e -> Alcotest.fail ("untyped: " ^ Printexc.to_string e)
+  | _ -> Alcotest.fail "a silent peer answered"
+
 let () =
   Alcotest.run "service"
     [
@@ -500,11 +575,22 @@ let () =
       ( "faults",
         [
           Alcotest.test_case "net=accept:fail drops one connection" `Quick
-            test_net_accept_fault;
+            (test_net_accept_fault `Server);
+          Alcotest.test_case "coordinator net=accept:fail drops one" `Quick
+            (test_net_accept_fault `Coordinator);
           Alcotest.test_case "net=read:fail drops one read" `Quick
-            test_net_read_fault;
+            (test_net_read_fault `Server);
+          Alcotest.test_case "coordinator net=read:fail drops one read" `Quick
+            (test_net_read_fault `Coordinator);
           Alcotest.test_case "grammar accepts/rejects the new directives"
             `Quick test_fault_grammar;
+        ] );
+      ( "front",
+        [
+          Alcotest.test_case "server stop is prompt, closes, idempotent" `Quick
+            (test_stop_lifecycle `Server);
+          Alcotest.test_case "coordinator stop is prompt, closes, idempotent"
+            `Quick (test_stop_lifecycle `Coordinator);
         ] );
       ( "fingerprint",
         [
@@ -523,5 +609,7 @@ let () =
           QCheck_alcotest.to_alcotest refine_frame_roundtrip_prop;
           Alcotest.test_case "malformed REFINE frames are data errors" `Quick
             test_refine_frame_rejected;
+          Alcotest.test_case "client read timeout is typed" `Quick
+            test_client_read_timeout;
         ] );
     ]

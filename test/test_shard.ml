@@ -536,6 +536,59 @@ let test_zombie_split_brain () =
   checki "all phases acked" (List.length (pre @ during @ post)) r.Ch.z_acked
 
 (* ------------------------------------------------------------------ *)
+(* Front-end shell                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A descriptor shortage must not kill the accept loop. Under
+   [ulimit -n 24], a flood of 40 connections makes [accept] fail with
+   EMFILE; once the flood hangs up, a new client must be answered. *)
+let test_accept_survives_emfile () =
+  let dir = Filename.concat tmp_dir "emfile" in
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  let wrapper = Filename.concat dir "server-nofile-24.sh" in
+  Out_channel.with_open_bin wrapper (fun oc ->
+      Printf.fprintf oc "#!/bin/sh\nulimit -n 24\nexec %s \"$@\"\n"
+        (Filename.quote server_exe));
+  Unix.chmod wrapper 0o755;
+  let data = Filename.concat dir "base.seg" in
+  Store.Segment.write data galaxy;
+  let srv =
+    Ch.start_server ~exe:wrapper ~data ~wal:(Filename.concat dir "wal")
+      ~out_file:(Filename.concat dir "out") ()
+  in
+  Fun.protect ~finally:(fun () -> Ch.stop_server srv) @@ fun () ->
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, srv.Ch.port) in
+  let flood =
+    List.init 40 (fun _ ->
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect fd addr;
+        fd)
+  in
+  (* give the server time to accept until it runs out of descriptors *)
+  Thread.delay 0.3;
+  List.iter Unix.close flood;
+  let c =
+    Cl.connect ~connect_timeout:2. ~timeout:2. ~host:"127.0.0.1"
+      ~port:srv.Ch.port ()
+  in
+  Fun.protect ~finally:(fun () -> try Cl.close c with _ -> ()) @@ fun () ->
+  (match Cl.ping c with
+  | Pr.Resp_ok body -> Alcotest.(check string) "answered after the flood" "pong" body
+  | Pr.Resp_err (_, msg) -> Alcotest.fail msg
+  | exception Cl.Timed_out _ ->
+    Alcotest.fail "PING timed out: the accept loop is gone");
+  match Cl.stats c with
+  | Pr.Resp_ok body ->
+    let net_errors =
+      String.split_on_char '\n' body
+      |> List.find_map (fun line ->
+             Scanf.sscanf_opt line "net_errors %d" Fun.id)
+    in
+    checkb "the flood did hit failed accepts" true
+      (match net_errors with Some n -> n >= 1 | None -> false)
+  | Pr.Resp_err (_, msg) -> Alcotest.fail msg
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "shard"
@@ -579,5 +632,10 @@ let () =
             test_lease_regime_renewals;
           Alcotest.test_case "zombie primary cannot split the brain" `Quick
             test_zombie_split_brain;
+        ] );
+      ( "front",
+        [
+          Alcotest.test_case "accept loop survives EMFILE" `Quick
+            test_accept_survives_emfile;
         ] );
     ]
