@@ -837,9 +837,10 @@ let store_bench ~scale () =
     Array.concat (List.init copies (fun _ -> g.Pkg.Partition.members))
   in
   let extra = Relalg.Relation.take rel extra_ids in
-  let (_, _, stats), t_append =
+  let (_, stats), t_append =
     time (fun () ->
-        Store.Maintain.append ~tau ~radius:Pkg.Partition.No_radius p rel extra)
+        Store.Maintain.append ~tau ~radius:Pkg.Partition.No_radius p
+          (Store.Recovery.apply rel (Store.Wal.Append extra)))
   in
   let _, t_scratch =
     time (fun () ->

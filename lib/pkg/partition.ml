@@ -90,7 +90,8 @@ let centroid_radius cols members =
   centroid, !radius
 
 (* Representative tuple of one member set: means over cached columns
-   (non-numeric slots are None per schema and become NULL). *)
+   (non-numeric slots are None per schema and become NULL). A plain
+   loop keeps the accumulator unboxed. *)
 let rep_row rel members =
   let arity = Relalg.Schema.arity (Relalg.Relation.schema rel) in
   Array.init arity (fun col ->
@@ -99,14 +100,13 @@ let rep_row rel members =
       | Some c ->
         let data = Relalg.Column.data c in
         let sum = ref 0. and cnt = ref 0 in
-        Array.iter
-          (fun row ->
-            let v = Array.unsafe_get data row in
-            if not (Float.is_nan v) then begin
-              sum := !sum +. v;
-              incr cnt
-            end)
-          members;
+        for i = 0 to Array.length members - 1 do
+          let v = Array.unsafe_get data (Array.unsafe_get members i) in
+          if not (Float.is_nan v) then begin
+            sum := !sum +. v;
+            incr cnt
+          end
+        done;
         if !cnt = 0 then Relalg.Value.Null
         else Relalg.Value.Float (!sum /. float_of_int !cnt))
 

@@ -34,6 +34,27 @@ let of_raw ~data ~nulls =
   done;
   { data; nulls; n_nulls = !n_nulls; zeroed = None }
 
+let append a b =
+  {
+    data = Array.append a.data b.data;
+    nulls = Bytes.cat a.nulls b.nulls;
+    n_nulls = a.n_nulls + b.n_nulls;
+    zeroed = None;
+  }
+
+let gather c ids =
+  let k = Array.length ids in
+  let data = Array.create_float k and nulls = Bytes.create k in
+  let n_nulls = ref 0 in
+  for j = 0 to k - 1 do
+    let i = Array.unsafe_get ids j in
+    let b = Bytes.get c.nulls i in
+    Bytes.unsafe_set nulls j b;
+    if b = '\001' then incr n_nulls;
+    Array.unsafe_set data j (Array.unsafe_get c.data i)
+  done;
+  { data; nulls; n_nulls = !n_nulls; zeroed = None }
+
 let length c = Array.length c.data
 let data c = c.data
 
@@ -65,6 +86,12 @@ let cache_seed cache i c =
   if ok then cache.slots.(i) <- Numeric c;
   Mutex.unlock cache.lock;
   if not ok then invalid_arg "Column.cache_seed: slot already materialized"
+
+let cache_peek cache i =
+  Mutex.protect cache.lock (fun () ->
+      match cache.slots.(i) with
+      | Numeric c -> Some c
+      | Not_loaded | Not_numeric -> None)
 
 let cached cache rows ~numeric i =
   Mutex.lock cache.lock;

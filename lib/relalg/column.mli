@@ -26,6 +26,15 @@ val of_rows : Tuple.t array -> int -> t
     @raise Invalid_argument when lengths differ. *)
 val of_raw : data:float array -> nulls:Bytes.t -> t
 
+(** [append a b] is [a]'s cells followed by [b]'s: the column
+    {!of_rows} would build over the concatenated rows. *)
+val append : t -> t -> t
+
+(** [gather c ids] is the column of the rows [ids] of [c], in that
+    order: the column {!of_rows} would build over those rows.
+    @raise Invalid_argument on an out-of-range id. *)
+val gather : t -> int array -> t
+
 val length : t -> int
 
 (** Shared backing array; NULL cells hold [nan]. Do not mutate. *)
@@ -60,6 +69,10 @@ val cache_create : int -> cache
     says whether the schema types the attribute as [TInt]/[TFloat];
     non-numeric attributes yield [None]. *)
 val cached : cache -> Tuple.t array -> numeric:bool -> int -> t option
+
+(** [cache_peek cache i] is slot [i]'s column when it is already
+    materialized, without materializing it. *)
+val cache_peek : cache -> int -> t option
 
 (** [cache_seed cache i c] pre-populates slot [i] with an
     already-materialized column (the segment loader's warm path).

@@ -170,6 +170,45 @@ let project r names =
 
 let take r ids = make r.schema (Array.map (fun i -> row r i) ids)
 
+(* A relation over [rows] whose cache holds [carry i c] for every
+   column [r] has already materialized, so the new relation never
+   re-reads boxed rows for those. *)
+let derive r rows carry =
+  let r' = make r.schema rows in
+  for i = 0 to Schema.arity r.schema - 1 do
+    Option.iter
+      (fun c -> Column.cache_seed r'.cache i (carry i c))
+      (Column.cache_peek r.cache i)
+  done;
+  r'
+
+let append a b =
+  if not (Schema.equal a.schema b.schema) then
+    invalid_arg "Relation.append: schemas differ";
+  if Array.length b.rows = 0 then a
+  else
+    derive a (Array.append a.rows b.rows) (fun i c ->
+        Column.append c (Option.get (column_at b i)))
+
+let compact r ~dead =
+  let n = Array.length r.rows in
+  if Array.length dead <> n then
+    invalid_arg "Relation.compact: one dead flag per row expected";
+  let kept = Array.fold_left (fun k d -> if d then k else k + 1) 0 dead in
+  if kept = n then r
+  else begin
+    let keep = Array.make kept 0 and k = ref 0 in
+    Array.iteri
+      (fun i d ->
+        if not d then begin
+          keep.(!k) <- i;
+          incr k
+        end)
+      dead;
+    derive r (Array.map (Array.get r.rows) keep) (fun _ c ->
+        Column.gather c keep)
+  end
+
 let prefix r n =
   let n = min n (Array.length r.rows) in
   make r.schema (Array.sub r.rows 0 n)

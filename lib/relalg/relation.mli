@@ -53,6 +53,20 @@ val project : t -> string list -> t
     order and multiplicity. *)
 val take : t -> int array -> t
 
+(** [append a b] is [a]'s rows followed by [b]'s. Every numeric column
+    [a] has already materialized is carried over, extended by [b]'s, so
+    the result never re-reads boxed rows for it; the carried columns
+    are bit-identical to the ones the result would materialize. [a]
+    itself when [b] is empty.
+    @raise Invalid_argument when the schemas differ. *)
+val append : t -> t -> t
+
+(** [compact r ~dead] keeps the rows whose [dead] flag is false, in
+    order, carrying over [r]'s materialized columns the same way as
+    {!append}. [r] itself when no row is dead.
+    @raise Invalid_argument unless [dead] has one flag per row. *)
+val compact : t -> dead:bool array -> t
+
 (** [prefix r n] keeps the first [n] rows (used for scaled-down runs). *)
 val prefix : t -> int -> t
 

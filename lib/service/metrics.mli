@@ -9,7 +9,7 @@
     [plan_hits], [plan_misses], [result_hits], [result_misses],
     [result_invalidated], (gauge) [queue_depth], and (stages) [parse],
     [plan], [partition], [sketch], [hybrid], [refine], [solve],
-    [queue_wait], [total]. *)
+    [queue_wait], [total], and per write [wal_append], [maintain]. *)
 
 type t
 

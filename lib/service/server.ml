@@ -444,15 +444,8 @@ let eval_query t ~deadline query =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* Appends                                                            *)
+(* Writes                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let concat_rows a b =
-  let sa = Relalg.Relation.schema a in
-  if not (Relalg.Schema.equal sa (Relalg.Relation.schema b)) then
-    invalid_arg "append: schemas differ";
-  Relalg.Relation.of_rows sa
-    (Relalg.Relation.to_list a @ Relalg.Relation.to_list b)
 
 (* The write path makes the op durable first: under [state_mu] the WAL
    record is written and synced (when a log is attached), and only then
@@ -468,7 +461,8 @@ let wal_log t ~epoch op =
   match t.wal with
   | None -> None
   | Some wal -> (
-    match Store.Wal.append ~epoch wal op with
+    match Metrics.time t.metrics "wal_append" (fun () ->
+              Store.Wal.append ~epoch wal op) with
     | seq ->
       Metrics.incr t.metrics "wal_records";
       (* published so a coordinator can read replica lag (primary seq
@@ -622,36 +616,56 @@ let publish_locked t ~old_fp ~verb rel' parts =
   ignore (Cache.remove_if t.basis_cache superseded);
   dropped
 
-let append_locked t extra =
-  let snap = t.state in
-  (* Maintain every cached partitioning incrementally; they all
-     derive the same appended relation. *)
-  let parts = Hashtbl.create 4 in
-  let appended = ref None in
-  Mutex.protect snap.parts_mu (fun () ->
-      Hashtbl.iter
-        (fun id e ->
-          let rel', part', stats =
-            Store.Maintain.append ~tau:e.pe_tau ~radius:e.pe_radius
-              e.pe_part snap.rel extra
-          in
-          Log.info (fun k ->
-              k "append maintained %s: %a" id Store.Maintain.pp_stats stats);
-          appended := Some rel';
-          Hashtbl.replace parts id { e with pe_part = part' })
-        snap.parts);
-  let rel' =
-    match !appended with
-    | Some rel' -> rel'
-    | None -> concat_rows snap.rel extra
+(* One validated write, under [state_mu]: fence it, log it, build the
+   table it leaves behind once ([Store.Recovery.apply], the builder WAL
+   replay uses), maintain every cached partitioning against that one
+   relation, and publish. A write of no rows changes nothing: it is
+   acked without a record (so without a sequence number), a snapshot
+   swap or an invalidation. *)
+let write_locked t ~epoch op =
+  let stamp = fence_check t ~epoch in
+  let verb, past, rows =
+    match op with
+    | Store.Wal.Append extra ->
+      ("append", "appended", Relalg.Relation.cardinality extra)
+    | Store.Wal.Delete ids -> ("delete", "deleted", List.length ids)
   in
-  let dropped = publish_locked t ~old_fp:snap.fp ~verb:"appends" rel' parts in
-  Log.info (fun k ->
-      k "appended %d rows: table now %d rows, fingerprint %s (%d cached \
-         results invalidated)"
-        (Relalg.Relation.cardinality extra)
-        (Relalg.Relation.cardinality rel')
-        t.state.fp dropped)
+  if rows = 0 then None
+  else begin
+    let seq = wal_log t ~epoch:stamp op in
+    let snap = t.state in
+    let rel' = Store.Recovery.apply snap.rel op in
+    let maintain =
+      match op with
+      | Store.Wal.Append _ ->
+        fun e ->
+          Store.Maintain.append ~tau:e.pe_tau ~radius:e.pe_radius e.pe_part
+            rel'
+      | Store.Wal.Delete ids ->
+        let dead = Array.of_list ids in
+        fun e -> Store.Maintain.delete e.pe_part rel' dead
+    in
+    let parts = Hashtbl.create 4 in
+    Metrics.time t.metrics "maintain" (fun () ->
+        Mutex.protect snap.parts_mu (fun () ->
+            Hashtbl.iter
+              (fun id e ->
+                let part', stats = maintain e in
+                Log.info (fun k ->
+                    k "%s maintained %s: %a" verb id Store.Maintain.pp_stats
+                      stats);
+                Hashtbl.replace parts id { e with pe_part = part' })
+              snap.parts));
+    let dropped =
+      publish_locked t ~old_fp:snap.fp ~verb:(verb ^ "s") rel' parts
+    in
+    Log.info (fun k ->
+        k "%s %d rows: table now %d rows, fingerprint %s (%d cached results \
+           invalidated)"
+          past rows (Relalg.Relation.cardinality rel') t.state.fp dropped);
+    maybe_checkpoint_locked t;
+    seq
+  end
 
 let append ?epoch t extra =
   Mutex.protect t.state_mu (fun () ->
@@ -664,42 +678,7 @@ let append ?epoch t extra =
              (Relalg.Relation.schema t.state.rel)
              (Relalg.Relation.schema extra))
       then invalid_arg "append: schemas differ";
-      let stamp = fence_check t ~epoch in
-      let seq = wal_log t ~epoch:stamp (Store.Wal.Append extra) in
-      append_locked t extra;
-      maybe_checkpoint_locked t;
-      seq)
-
-let delete_locked t ids =
-  let snap = t.state in
-  let dead = Array.of_list ids in
-  let parts = Hashtbl.create 4 in
-  let result = ref None in
-  Mutex.protect snap.parts_mu (fun () ->
-      Hashtbl.iter
-        (fun id e ->
-          let rel', part', stats =
-            Store.Maintain.delete e.pe_part snap.rel dead
-          in
-          Log.info (fun k ->
-              k "delete maintained %s: %a" id Store.Maintain.pp_stats stats);
-          result := Some rel';
-          Hashtbl.replace parts id { e with pe_part = part' })
-        snap.parts);
-  let rel' =
-    match !result with
-    | Some rel' -> rel'
-    | None ->
-      (* same compaction semantics as [Maintain.delete] and WAL replay *)
-      Store.Recovery.apply snap.rel (Store.Wal.Delete ids)
-  in
-  let dropped = publish_locked t ~old_fp:snap.fp ~verb:"deletes" rel' parts in
-  Log.info (fun k ->
-      k "deleted %d rows: table now %d rows, fingerprint %s (%d cached \
-         results invalidated)"
-        (List.length ids)
-        (Relalg.Relation.cardinality rel')
-        t.state.fp dropped)
+      write_locked t ~epoch (Store.Wal.Append extra))
 
 let delete ?epoch t ids =
   Mutex.protect t.state_mu (fun () ->
@@ -710,11 +689,7 @@ let delete ?epoch t ids =
             invalid_arg
               (Printf.sprintf "delete: row id %d out of range (%d rows)" id n))
         ids;
-      let stamp = fence_check t ~epoch in
-      let seq = wal_log t ~epoch:stamp (Store.Wal.Delete ids) in
-      delete_locked t ids;
-      maybe_checkpoint_locked t;
-      seq)
+      write_locked t ~epoch (Store.Wal.Delete ids))
 
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                   *)
@@ -753,13 +728,14 @@ let handle_query t query =
   Front.answer ~run:(on_pool t) t.metrics (fun () ->
       eval_query t ~deadline query)
 
-(* The ack of one write ([verb] "append" or "delete", [rows] touched),
-   naming the durable record's sequence number, or its typed refusal. *)
-let write_ack t ~verb ~rows write =
+(* The ack of one write ([verb] "append" or "delete", [acked] its past
+   tense, [rows] touched), naming the durable record's sequence number,
+   or its typed refusal. *)
+let write_ack t ~verb ~acked ~rows write =
   match write () with
   | seq ->
     Protocol.Resp_ok
-      (Printf.sprintf "%sd %d rows; table now %d rows, fingerprint %s%s" verb
+      (Printf.sprintf "%s %d rows; table now %d rows, fingerprint %s%s" acked
          rows (table_rows t) (table_fingerprint t)
          (match seq with
          | Some s -> Printf.sprintf "; seq %d" s
@@ -777,12 +753,13 @@ let handle_append t ~epoch csv =
     Protocol.Resp_err
       (Protocol.Data_error, Printf.sprintf "csv error at line %d: %s" line msg)
   | extra ->
-    write_ack t ~verb:"append" ~rows:(Relalg.Relation.cardinality extra)
-      (fun () -> append ?epoch t extra)
+    write_ack t ~verb:"append" ~acked:"appended"
+      ~rows:(Relalg.Relation.cardinality extra) (fun () ->
+        append ?epoch t extra)
 
 let handle_delete t ~epoch ids =
-  write_ack t ~verb:"delete" ~rows:(List.length ids) (fun () ->
-      delete ?epoch t ids)
+  write_ack t ~verb:"delete" ~acked:"deleted" ~rows:(List.length ids)
+    (fun () -> delete ?epoch t ids)
 
 let handle_fingerprint t =
   let fp, rows =

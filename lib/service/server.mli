@@ -36,10 +36,15 @@
       disables); entries for a superseded table fingerprint are
       invalidated alongside results.
 
-    [APPEND] routes through {!Store.Maintain.append}: cached
-    partitionings are maintained incrementally (local re-splits only),
-    the table fingerprint is recomputed, and in-flight requests keep
-    their pre-append snapshot. *)
+    [APPEND] and [DELETE] build the table the write leaves behind once,
+    with {!Store.Recovery.apply} (the builder WAL replay uses, carrying
+    the warm numeric columns over), then maintain every cached
+    partitioning against that one relation ({!Store.Maintain}: local
+    re-splits only), recompute the table fingerprint and swap in a new
+    snapshot; in-flight requests keep their pre-write snapshot. STATS
+    splits a write's server time into the [wal_append] (record +
+    fsync) and [maintain] (all partitionings) stages. A write of no
+    rows changes nothing and is acked without a sequence number. *)
 
 type method_ =
   | Direct
@@ -137,6 +142,8 @@ val current_epoch : t -> int
 (** [append t extra] appends [extra]'s rows to the served table:
     maintains cached partitionings incrementally, recomputes the
     fingerprint, and invalidates the superseded result-cache entries.
+    An [extra] of no rows is acked without logging, publishing or
+    invalidating anything, and returns [None].
     Also the implementation of the [APPEND] verb. With a WAL attached
     the rows are durable before the call returns, stamped with [epoch]
     (raised to the installed epoch; default the installed epoch), and
@@ -151,9 +158,10 @@ val append : ?epoch:int -> t -> Relalg.Relation.t -> int option
 
 (** [delete t ids] removes the given row ids (0-based, into the current
     table; duplicates allowed), compacting the remaining rows in order
-    via {!Store.Maintain.delete} for every cached partitioning. Also
-    the implementation of the [DELETE] verb; same durability, fencing,
-    and returned-sequence contract as {!append}.
+    ({!Store.Recovery.apply}) and updating every cached partitioning
+    against the compacted table ({!Store.Maintain.delete}). Also the
+    implementation of the [DELETE] verb; same durability, fencing,
+    returned-sequence and empty-write contract as {!append}.
     @raise Invalid_argument on an out-of-range id. *)
 val delete : ?epoch:int -> t -> int list -> int option
 

@@ -15,15 +15,17 @@
       as-is.
 
     - {b Delete}: rows are removed and groups shrink in place. Row ids
-      are compacted (the relation is rebuilt without the dead rows), so
-      member sets are remapped everywhere, but centroids, radii and
-      representatives are recomputed only for groups that lost members.
-      Shrinking can only reduce a group's radius and size, so deletes
-      never trigger a re-split. Emptied groups are dropped.
+      are compacted, so member sets are remapped everywhere, but
+      centroids, radii and representatives are recomputed only for
+      groups that lost members. Shrinking can only reduce a group's
+      radius and size, so deletes never trigger a re-split. Emptied
+      groups are dropped.
 
-    Both operations return the updated relation, the updated
-    partitioning (valid for that relation), and {!stats} describing how
-    local the update was. *)
+    Neither operation builds a table: both take the one relation the
+    write leaves behind ({!Recovery.apply}, built once per write and
+    shared by every cached partitioning) and return the updated
+    partitioning, valid for that relation, with {!stats} describing
+    how local the update was. *)
 
 type stats = {
   rows_appended : int;
@@ -36,30 +38,31 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** [append ?max_fanout_dims ~tau ~radius p rel extra] appends the rows
-    of [extra] to [rel] (they become row ids [n..n+m-1]) and updates
-    [p] accordingly. [tau], [radius] and [max_fanout_dims] must be the
-    parameters the partitioning was built with — they bound the local
-    re-splits.
+(** [append ?max_fanout_dims ~tau ~radius p rel] updates [p] for the
+    rows appended to its table: [rel] is that table after the append,
+    so the rows [p] covers keep their ids and the batch holds ids
+    [Array.length p.gid_of_row] onward. [tau], [radius] and
+    [max_fanout_dims] must be the parameters the partitioning was
+    built with — they bound the local re-splits. An append of no rows
+    returns [p] itself.
 
-    @raise Invalid_argument when the schemas of [rel] and [extra]
-    differ, or when [p] does not cover [rel]. *)
+    @raise Invalid_argument when [rel] has fewer rows than [p] covers. *)
 val append :
   ?max_fanout_dims:int ->
   tau:int ->
   radius:Pkg.Partition.radius_spec ->
   Pkg.Partition.t ->
   Relalg.Relation.t ->
-  Relalg.Relation.t ->
-  Relalg.Relation.t * Pkg.Partition.t * stats
+  Pkg.Partition.t * stats
 
-(** [delete p rel dead] removes the row ids in [dead] (duplicates
-    allowed) from [rel], compacting the remaining rows in order.
+(** [delete p rel dead] updates [p] for the removal of the row ids
+    [dead] (into the table [p] covers; duplicates allowed): [rel] is
+    the table after the delete, its surviving rows compacted in order.
 
-    @raise Invalid_argument on an out-of-range id, or when [p] does not
-    cover [rel]. *)
+    @raise Invalid_argument on an out-of-range id, or when [rel] does
+    not have the surviving row count. *)
 val delete :
   Pkg.Partition.t ->
   Relalg.Relation.t ->
   int array ->
-  Relalg.Relation.t * Pkg.Partition.t * stats
+  Pkg.Partition.t * stats

@@ -76,37 +76,30 @@ let write_checkpoint dir ~seq rel =
 (* Applying ops                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* These mirror the server's apply semantics exactly (append =
-   concatenate rows in order; delete = drop ids, compact in order, as
-   [Maintain.delete] does), so the recovered relation is byte-identical
-   — same segment fingerprint — to the state the live process
-   acknowledged. *)
-
-let apply_append rel extra =
-  let s = Relalg.Relation.schema rel in
-  if not (Relalg.Schema.equal s (Relalg.Relation.schema extra)) then
-    Wire.error "wal append record schema does not match table";
-  Relalg.Relation.of_rows s
-    (Relalg.Relation.to_list rel @ Relalg.Relation.to_list extra)
-
-let apply_delete rel ids =
-  let n = Relalg.Relation.cardinality rel in
-  let dead = Array.make n false in
-  List.iter
-    (fun id ->
-      if id < 0 || id >= n then
-        Wire.error "wal delete record id %d out of range (%d rows)" id n;
-      dead.(id) <- true)
-    ids;
-  let rows =
-    List.filteri (fun i _ -> not dead.(i)) (Relalg.Relation.to_list rel)
-  in
-  Relalg.Relation.of_rows (Relalg.Relation.schema rel) rows
-
+(* The one builder of the table a write leaves behind: the live server,
+   WAL replay, the coordinator's table copy and chaos's reference all
+   call it, so the recovered relation is byte-identical — same segment
+   fingerprint — to the state the live process acknowledged. Append =
+   rows in order; delete = drop ids (duplicates allowed), compact in
+   order. Materialized numeric columns are carried over, never re-read
+   from boxed rows. *)
 let apply rel (op : Wal.op) =
   match op with
-  | Wal.Append extra -> apply_append rel extra
-  | Wal.Delete ids -> apply_delete rel ids
+  | Wal.Append extra ->
+    if not (Relalg.Schema.equal (Relalg.Relation.schema rel)
+              (Relalg.Relation.schema extra)) then
+      Wire.error "wal append record schema does not match table";
+    Relalg.Relation.append rel extra
+  | Wal.Delete ids ->
+    let n = Relalg.Relation.cardinality rel in
+    let dead = Array.make n false in
+    List.iter
+      (fun id ->
+        if id < 0 || id >= n then
+          Wire.error "wal delete record id %d out of range (%d rows)" id n;
+        dead.(id) <- true)
+      ids;
+    Relalg.Relation.compact rel ~dead
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                           *)
@@ -141,6 +134,17 @@ let recover ?sync ~dir ~base () =
      numbering above the checkpoint's seq or the skip guard would
      swallow them on the next recovery *)
   Wal.bump_seq wal ckpt_seq;
+  (* [apply] copies every materialized column once per record; past a
+     single record, replaying rows alone and letting the served table
+     materialize its columns once afterwards is cheaper, so replay
+     starts from the checkpoint's rows without its columns. *)
+  let start_rel =
+    match List.filter (fun (rc : Wal.record) -> rc.seq > ckpt_seq) rep.ops with
+    | _ :: _ :: _ ->
+      Relalg.Relation.of_rows (Relalg.Relation.schema start_rel)
+        (Relalg.Relation.to_list start_rel)
+    | [] | [ _ ] -> start_rel
+  in
   let replayed = ref 0 in
   let skipped = ref 0 in
   let appended = ref 0 in

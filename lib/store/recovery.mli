@@ -47,9 +47,9 @@ val pp_stats : Format.formatter -> stats -> unit
 
 (** [recover ?sync ~dir ~base ()] rebuilds the table from [dir]
     (created if missing), falling back to [base ()] when no checkpoint
-    exists. Applies the same append/delete semantics as the live
-    server, so the recovered relation's segment fingerprint equals the
-    acknowledged state's.
+    exists. Replays through {!apply}, the builder the live server's
+    writes use, so the recovered relation's segment fingerprint equals
+    the acknowledged state's.
     @raise Wire.Error on a corrupt checkpoint or a record that does not
     fit the table (WAL torn tails are handled, not raised). *)
 val recover :
@@ -64,7 +64,12 @@ val recover :
     truncates the log. *)
 val checkpoint : dir:string -> Wal.t -> Relalg.Relation.t -> unit
 
-(** [apply rel op] — one WAL op, the server's semantics: append
-    concatenates rows in order; delete drops ids and compacts.
+(** [apply rel op] builds the table one write leaves behind — the one
+    builder the server's write path, replay, the coordinator and chaos
+    share: append concatenates rows in order; delete drops ids
+    (duplicates allowed) and compacts in order. Numeric columns [rel]
+    has materialized are carried over (extended or filtered), so the
+    result never re-reads boxed rows for them. A write of no rows
+    returns [rel] itself.
     @raise Wire.Error on schema mismatch or out-of-range id. *)
 val apply : Relalg.Relation.t -> Wal.op -> Relalg.Relation.t

@@ -396,6 +396,74 @@ let test_apply_matches_live_semantics () =
   | r -> checki "empty append is identity" 30 (R.cardinality r)
   | exception _ -> Alcotest.fail "empty append must not raise"
 
+(* [apply] carries the numeric columns its input has materialized over
+   to the table it builds. Whatever the input's cache held — every
+   column, one, none — each numeric column of the result has the data
+   bits and null map of the column a fresh relation over the same rows
+   materializes. *)
+let test_apply_carries_columns () =
+  let module S = Relalg.Schema in
+  let module V = Relalg.Value in
+  let schema =
+    S.make
+      [ { S.name = "i"; ty = V.TInt }; { S.name = "f"; ty = V.TFloat };
+        { S.name = "s"; ty = V.TStr }; { S.name = "g"; ty = V.TFloat } ]
+  in
+  let row k =
+    [|
+      (if k mod 3 = 0 then V.Null else V.Int ((7 * k) - 20));
+      (if k mod 4 = 1 then V.Null else V.Float (float_of_int k /. 3.));
+      (if k mod 5 = 2 then V.Null else V.Str (string_of_int k));
+      (match k mod 6 with
+      | 0 -> V.Float nan
+      | 1 -> V.Float (-0.)
+      | 2 -> V.Null
+      | _ -> V.Float (ldexp 1. (-1070 + k)));
+    |]
+  in
+  let rel ~warm ks =
+    let r = R.of_rows schema (List.map row ks) in
+    List.iter (fun i -> ignore (R.column_at r i)) warm;
+    r
+  in
+  let base = List.init 40 Fun.id and batch = List.init 9 (fun k -> 40 + k) in
+  let same_column what a b =
+    let n = Relalg.Column.length a in
+    checki (what ^ ": length") (Relalg.Column.length b) n;
+    checki (what ^ ": null count") (Relalg.Column.n_nulls b)
+      (Relalg.Column.n_nulls a);
+    for j = 0 to n - 1 do
+      let bits view c = Int64.bits_of_float (view c).(j) in
+      if
+        bits Relalg.Column.data a <> bits Relalg.Column.data b
+        || bits Relalg.Column.zeroed a <> bits Relalg.Column.zeroed b
+        || Relalg.Column.is_null a j <> Relalg.Column.is_null b j
+      then Alcotest.failf "%s: cell %d differs from a fresh column" what j
+    done
+  in
+  List.iter
+    (fun (state, warm) ->
+      List.iter
+        (fun (what, op) ->
+          let what = state ^ ", " ^ what in
+          let out = Rec.apply (rel ~warm base) op in
+          let fresh = R.of_rows schema (R.to_list out) in
+          for i = 0 to S.arity schema - 1 do
+            match (R.column_at out i, R.column_at fresh i) with
+            | None, None -> ()
+            | Some a, Some b ->
+              same_column (Printf.sprintf "%s, column %d" what i) a b
+            | _ ->
+              Alcotest.failf "%s: column %d numeric on one side only" what i
+          done)
+        [
+          ("append", Wal.Append (rel ~warm:[] batch));
+          ("append of a warm batch", Wal.Append (rel ~warm:[ 0; 1; 3 ] batch));
+          ("delete", Wal.Delete [ 0; 5; 5; 17; 39 ]);
+          ("delete of every row", Wal.Delete base);
+        ])
+    [ ("warm", [ 0; 1; 2; 3 ]); ("one column warm", [ 3 ]); ("cold", []) ]
+
 (* ------------------------------------------------------------------ *)
 (* Client retries                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -591,6 +659,8 @@ let () =
             test_recover_truncates_torn_tail;
           Alcotest.test_case "apply matches live semantics" `Quick
             test_apply_matches_live_semantics;
+          Alcotest.test_case "apply carries columns bit for bit" `Quick
+            test_apply_carries_columns;
         ] );
       ( "retry",
         [

@@ -183,6 +183,197 @@ let test_append_bad_schema () =
                  | `Bad e -> e))))
 
 (* ------------------------------------------------------------------ *)
+(* The write path: acks, no-op writes, maintained partitionings       *)
+(* ------------------------------------------------------------------ *)
+
+let tmp_dir name =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "pkgq-test-service-%d-%s" (Unix.getpid ()) name)
+
+let ok_body what = function
+  | Pr.Resp_ok body -> body
+  | Pr.Resp_err (code, msg) ->
+    Alcotest.failf "%s: %s %s" what (Pr.code_name code) msg
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Both write acks, byte for byte up to the fingerprint. *)
+let test_write_ack_prefixes () =
+  with_server (base_cfg ()) galaxy (fun t ->
+      with_client t (fun c ->
+          let extra = Datagen.Galaxy.generate ~seed:99 3 in
+          let body =
+            ok_body "append" (Cl.append c ~csv:(Relalg.Csv.to_string extra))
+          in
+          checkb ("append ack: " ^ body) true
+            (String.starts_with
+               ~prefix:"appended 3 rows; table now 403 rows, fingerprint "
+               body);
+          let body = ok_body "delete" (Cl.delete c [ 0; 1 ]) in
+          checkb ("delete ack: " ^ body) true
+            (String.starts_with
+               ~prefix:"deleted 2 rows; table now 401 rows, fingerprint "
+               body)))
+
+(* A header-only APPEND and an empty DELETE change no rows: they are
+   acked without a WAL record (so without a "; seq"), without a new
+   snapshot, and without dropping a cached result. *)
+let test_noop_writes () =
+  let cfg = { (base_cfg ()) with Srv.wal_dir = Some (tmp_dir "noop-wal") } in
+  with_server cfg galaxy (fun t ->
+      with_client t (fun c ->
+          let q = List.hd distinct_queries in
+          ignore (Cl.query c q);
+          let fp0 = Srv.table_fingerprint t in
+          let header_only =
+            Relalg.Csv.to_string
+              (Relalg.Relation.of_rows (Relalg.Relation.schema galaxy) [])
+          in
+          let append_ack =
+            ok_body "empty append" (Cl.append c ~csv:header_only)
+          in
+          let delete_ack = ok_body "empty delete" (Cl.delete c []) in
+          List.iter2
+            (fun prefix body ->
+              checkb ("no-op ack: " ^ body) true
+                (String.starts_with ~prefix body
+                && not (contains ~sub:"; seq" body)))
+            [ "appended 0 rows; table now 400 rows, fingerprint " ^ fp0;
+              "deleted 0 rows; table now 400 rows, fingerprint " ^ fp0 ]
+            [ append_ack; delete_ack ];
+          let m = Srv.metrics t in
+          checks "fingerprint unchanged" fp0 (Srv.table_fingerprint t);
+          checki "no WAL record" 0 (Service.Metrics.get m "wal_records");
+          checki "no write counted" 0
+            (Service.Metrics.get m "appends" + Service.Metrics.get m "deletes");
+          checki "nothing invalidated" 0
+            (Service.Metrics.get m "result_invalidated");
+          ignore (Cl.query c q);
+          checki "the repeat is a cache hit" 1 (Srv.solve_count t)))
+
+(* Golden digest of the write path, pinned from eager maintenance as it
+   stood before writes built one table per write: three cached
+   partitionings are maintained through appends (one overflowing a
+   group into a local re-split, one carrying NULL cells) and deletes
+   (one with a duplicate id). After every write the table fingerprint
+   and every maintained partitioning the catalog holds for it —
+   members, centroid and radius bits, [gid_of_row], the reps segment —
+   feed one running digest. *)
+let write_path_golden = "cc9b1311e91d5fd464bf534ee8c3ca61"
+
+let test_write_path_golden () =
+  let module P = Pkg.Partition in
+  let module V = Relalg.Value in
+  let dir = tmp_dir "golden-catalog" in
+  let catalog = Store.Catalog.open_dir dir in
+  let cfg =
+    { (base_cfg ()) with
+      Srv.method_ = Srv.Sketch_refine; attrs = []; tau = Some 40 }
+  in
+  let q body =
+    "SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0 SUCH THAT " ^ body
+  in
+  let t = Srv.start ~catalog cfg galaxy in
+  Fun.protect ~finally:(fun () -> Srv.stop t) @@ fun () ->
+  with_client t (fun c ->
+      List.iter
+        (fun body -> ignore (Cl.query c (q body)))
+        [
+          "COUNT(P.*) = 3 MAXIMIZE SUM(P.petro_rad)";
+          "COUNT(P.*) = 3 AND SUM(P.redshift) <= 1.0 MAXIMIZE SUM(P.r)";
+          "COUNT(P.*) = 2 AND SUM(P.g) >= 10 MINIMIZE SUM(P.objid)";
+        ]);
+  let maintained fp =
+    Store.Catalog.entries catalog
+    |> List.filter_map (fun (e : Store.Catalog.entry) ->
+           if e.entry_key.fingerprint = fp then Some e.entry_key else None)
+    |> List.sort_uniq (fun a b ->
+           compare (Store.Catalog.key_string a) (Store.Catalog.key_string b))
+    |> List.map (fun key ->
+           match Store.Catalog.find catalog key with
+           | Some p -> (key, p)
+           | None -> Alcotest.fail "listed entry not found")
+  in
+  let b = Buffer.create 65536 in
+  let add_int i = Buffer.add_string b (string_of_int i ^ ",") in
+  let add_float f =
+    Buffer.add_string b (Int64.to_string (Int64.bits_of_float f) ^ ",")
+  in
+  let groups = ref [] in
+  let record () =
+    let fp = Srv.table_fingerprint t in
+    let parts = maintained fp in
+    checki "three partitionings maintained" 3 (List.length parts);
+    Buffer.add_string b fp;
+    List.iter
+      (fun (key, (p : P.t)) ->
+        Buffer.add_string b (Store.Catalog.key_string key);
+        Array.iter
+          (fun (g : P.group) ->
+            Array.iter add_int g.P.members;
+            Array.iter add_float g.P.centroid;
+            add_float g.P.radius)
+          p.P.groups;
+        Array.iter add_int p.P.gid_of_row;
+        Buffer.add_string b (Store.Segment.to_string p.P.reps))
+      parts;
+    groups := List.map (fun (_, p) -> P.num_groups p) parts :: !groups
+  in
+  record ();
+  let append rel = ignore (Srv.append t rel) in
+  let delete ids = ignore (Srv.delete t ids) in
+  append (Datagen.Galaxy.generate ~seed:71 25);
+  record ();
+  (* 50 near-copies of row 0: more than tau land in one group *)
+  let row0 = Relalg.Relation.row galaxy 0 in
+  append
+    (Relalg.Relation.of_rows (Relalg.Relation.schema galaxy)
+       (List.init 50 (fun k ->
+            Array.map
+              (function
+                | V.Float f -> V.Float (f *. (1. +. (1e-4 *. float_of_int k)))
+                | V.Int x -> V.Int (x + k)
+                | v -> v)
+              row0)));
+  record ();
+  (match !groups with
+  | after :: before :: _ ->
+    checkb "the overflowing batch re-split a group" true
+      (List.exists2 ( > ) after before)
+  | _ -> assert false);
+  (* NULL cells in an int and two float columns, the partitioning
+     attrs among them *)
+  let schema = (Relalg.Relation.schema galaxy) in
+  let nulled = [ "objid"; "redshift"; "g" ] in
+  append
+    (Relalg.Relation.of_rows schema
+       (List.mapi
+          (fun k row ->
+            Array.mapi
+              (fun i v ->
+                let a = Relalg.Schema.attr_at schema i in
+                if k mod 2 = 0 && List.mem a.Relalg.Schema.name nulled then
+                  V.Null
+                else v)
+              row)
+          (Relalg.Relation.to_list (Datagen.Galaxy.generate ~seed:73 6))));
+  record ();
+  delete [ 5; 17; 17; 300; Srv.table_rows t - 1 ];
+  record ();
+  append (Datagen.Galaxy.generate ~seed:74 10);
+  record ();
+  delete [ 0; 1; 2; 480; 486 ];
+  record ();
+  checks "write-path digest" write_path_golden
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* ------------------------------------------------------------------ *)
 (* Admission control and deadlines                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -560,6 +751,12 @@ let () =
             test_cache_hits_skip_solver;
           Alcotest.test_case "append invalidates cached results" `Quick
             test_append_invalidates_results;
+          Alcotest.test_case "write acks name the verb" `Quick
+            test_write_ack_prefixes;
+          Alcotest.test_case "writes of no rows change nothing" `Quick
+            test_noop_writes;
+          Alcotest.test_case "write path golden digest" `Quick
+            test_write_path_golden;
           Alcotest.test_case "append with a foreign schema is a data error"
             `Quick test_append_bad_schema;
         ] );

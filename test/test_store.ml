@@ -445,9 +445,8 @@ let test_append_local_resplit () =
              V.Float (Datagen.Prng.uniform rng (-1.) 1.);
            |]))
   in
-  let rel', p', stats =
-    Store.Maintain.append ~tau ~radius:P.No_radius p rel extra
-  in
+  let rel' = Store.Recovery.apply rel (Store.Wal.Append extra) in
+  let p', stats = Store.Maintain.append ~tau ~radius:P.No_radius p rel' in
   checki "rows appended" (R.cardinality rel)
     (R.cardinality rel' - R.cardinality extra);
   checki "one group touched" 1 stats.Store.Maintain.groups_touched;
@@ -475,13 +474,19 @@ let test_append_empty_and_mismatch () =
   let rel = cluster_rel ~per_cluster:10 in
   let p = P.create ~tau:15 ~attrs:[ "x"; "y" ] rel in
   let empty = R.of_rows cluster_schema [] in
-  let rel', p', stats = Store.Maintain.append ~tau:15 ~radius:P.No_radius p rel empty in
+  let rel' = Store.Recovery.apply rel (Store.Wal.Append empty) in
+  let p', stats = Store.Maintain.append ~tau:15 ~radius:P.No_radius p rel' in
   checkb "no-op append" true
     (rel' == rel && p' == p && stats.Store.Maintain.groups_touched = 0);
   let other = R.of_rows (S.make [ { S.name = "z"; ty = V.TFloat } ]) [] in
   checkb "schema mismatch rejected" true
     (try
-       ignore (Store.Maintain.append ~tau:15 ~radius:P.No_radius p rel other);
+       ignore (Store.Recovery.apply rel (Store.Wal.Append other));
+       false
+     with Store.Wire.Error _ -> true);
+  checkb "a table short of the partitioning rejected" true
+    (try
+       ignore (Store.Maintain.append ~tau:15 ~radius:P.No_radius p empty);
        false
      with Invalid_argument _ -> true)
 
@@ -495,7 +500,8 @@ let test_delete_shrinks_in_place () =
      duplicate id to exercise dedup *)
   let dead = Array.init (per / 3) (fun i -> 3 * i) in
   let dead = Array.append dead [| 0 |] in
-  let rel', p', stats = Store.Maintain.delete p rel dead in
+  let rel' = Store.Recovery.apply rel (Store.Wal.Delete (Array.to_list dead)) in
+  let p', stats = Store.Maintain.delete p rel' dead in
   checki "rows deleted" (per / 3) stats.Store.Maintain.rows_deleted;
   checki "cardinality shrank" (2 * per - per / 3) (R.cardinality rel');
   checki "only the near group touched" 1 stats.Store.Maintain.groups_touched;
@@ -513,7 +519,10 @@ let test_delete_shrinks_in_place () =
   | Error m -> Alcotest.fail ("partition invalid after delete: " ^ m));
   (* deleting everything yields an empty, valid partitioning *)
   let all = Array.init (R.cardinality rel') (fun i -> i) in
-  let rel'', p'', _ = Store.Maintain.delete p' rel' all in
+  let rel'' =
+    Store.Recovery.apply rel' (Store.Wal.Delete (Array.to_list all))
+  in
+  let p'', _ = Store.Maintain.delete p' rel'' all in
   checki "empty relation" 0 (R.cardinality rel'');
   checki "no groups left" 0 (P.num_groups p'')
 
@@ -530,7 +539,8 @@ let test_maintained_matches_scratch () =
     (* fresh rows from the same distribution *)
     Datagen.Galaxy.generate ~seed:13 (n / 4)
   in
-  let rel', p', _ = Store.Maintain.append ~tau ~radius:P.No_radius p rel extra in
+  let rel' = Store.Recovery.apply rel (Store.Wal.Append extra) in
+  let p', _ = Store.Maintain.append ~tau ~radius:P.No_radius p rel' in
   (match P.check ~tau p' rel' with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
@@ -586,7 +596,8 @@ let test_append_survives_cold_reload () =
              V.Float (Datagen.Prng.uniform rng (-1.) 1.);
            |]))
   in
-  let rel', p', _ = Store.Maintain.append ~tau ~radius:P.No_radius p rel extra in
+  let rel' = Store.Recovery.apply rel (Store.Wal.Append extra) in
+  let p', _ = Store.Maintain.append ~tau ~radius:P.No_radius p rel' in
   let fp' = Store.Segment.fingerprint rel' in
   Store.Catalog.store cat (key fp') p';
   Store.Segment.write (Filename.concat dir "table.seg") rel';
