@@ -10,7 +10,7 @@
      fig8   partition size threshold sweep, TPC-H (Figure 8)
      fig9   partitioning coverage sweep (Figure 9)
      radius radius-limited partitioning repairs TPC-H Q2 (Section 5.2.1)
-     ablation partitioner / fan-out / cuts design choices
+     ablation partitioner / parallel refine / fan-out design choices
      scan   row path vs vectorized columnar scans
      robust deadline propagation overshoot
      store  binary segments, partition catalog, incremental maintenance
@@ -502,24 +502,7 @@ let ablation ~scale () =
       report
         (Printf.sprintf "max_fanout_dims = %d" dims)
         (fun () -> Pkg.Partition.create ~max_fanout_dims:dims ~tau ~attrs rel))
-    [ 1; 2; 3 ];
-  Format.printf
-    "@.-- root cover cuts in branch-and-bound (Galaxy Q7-style ILP) --@.";
-  let d7 = List.nth queries 6 in
-  let spec7 = Datagen.Workload.compile rel d7 in
-  let candidates = Paql.Translate.base_candidates spec7 rel in
-  let problem = Paql.Translate.to_problem spec7 rel ~candidates in
-  List.iter
-    (fun rounds ->
-      let r, t =
-        time (fun () ->
-            Ilp.Branch_bound.solve ~limits:bench_limits ~cut_rounds:rounds
-              problem)
-      in
-      let stats = Ilp.Branch_bound.stats_of r in
-      Format.printf "  cut_rounds = %d: %7.3fs, %6d nodes@." rounds t
-        stats.Ilp.Branch_bound.nodes)
-    [ 0; 4 ]
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Columnar scan layer microbenchmarks                                *)

@@ -173,8 +173,8 @@ let noise_arg =
           "Emit Monte-Carlo realizations of the table instead of the base \
            relation: additive gaussian noise on the named float columns, \
            comma-separated $(b,attr:sigma) entries with an optional \
-           $(b,\\@corr) correlated-component weight in [0,1] (default 0.5), \
-           e.g. $(b,'u:0.3,r:0.1\\@0.8'). The stochastic solver derives the \
+           $(b,@corr) correlated-component weight in [0,1] (default 0.5), \
+           e.g. $(b,'u:0.3,r:0.1@0.8'). The stochastic solver derives the \
            same model internally; this surface materializes the scenarios \
            for external tools.")
 

@@ -54,16 +54,13 @@ let pp_result ppf = function
       st.stopped st.nodes st.elapsed
 
 (* A node is a set of bound overrides relative to the root problem,
-   plus the LP bound of its parent (used for best-first ordering), the
-   branching step that created it (variable, direction 0=down / 1=up,
-   fractional distance, parent bound — the inputs of the pseudo-cost
-   update), and the parent's optimal basis: the child differs by one
-   tightened bound, so that basis is dual-feasible for the child LP and
-   the dual simplex restarts from it in a handful of pivots. *)
+   plus the LP bound of its parent (used for best-first ordering) and
+   the parent's optimal basis: the child differs by one tightened
+   bound, so that basis is dual-feasible for the child LP and the dual
+   simplex restarts from it in a handful of pivots. *)
 type node = {
   overrides : (int * float * float) list;
   bound : float;
-  branched : (int * int * float * float) option;
   nbasis : Simplex.Basis.t option;
 }
 
@@ -74,8 +71,7 @@ module Heap = struct
   let create () =
     {
       data =
-        Array.make 64
-          { overrides = []; bound = 0.; branched = None; nbasis = None };
+        Array.make 64 { overrides = []; bound = 0.; nbasis = None };
       size = 0;
     }
 
@@ -128,66 +124,16 @@ module Heap = struct
   let best_bound h = if h.size = 0 then None else Some h.data.(0).bound
 end
 
-(* Root cutting-plane loop: solve the LP relaxation, separate violated
-   cover inequalities at the fractional point, append them and repeat.
-   Cuts are valid for every integer point, so the strengthened problem
-   has the same integer optima; the tightened relaxation shrinks the
-   branch-and-bound tree (branch-and-cut, as in the paper's CPLEX).
+(* Integrality tolerance: an integer variable within this distance of
+   an integer is integral. *)
+let int_tol = 1e-6
 
-   Cut-round LP solves draw on the same wall-clock deadline and pivot
-   budget as the node solves ([iters] accumulates into the caller's
-   counter), so a pathological separation loop cannot overshoot the
-   propagated budget — it just stops strengthening. *)
-let strengthen_with_cuts ~rounds ~deadline ~iter_budget iters (p : Problem.t) =
-  let rec go k (p : Problem.t) =
-    if
-      k >= rounds
-      || iter_budget - !iters <= 0
-      || Unix.gettimeofday () > deadline
-    then p
-    else
-      let max_iters =
-        min (Simplex.default_max_iters p) (iter_budget - !iters)
-      in
-      match Simplex.solve ~max_iters ~deadline ~iterations:iters p with
-      | Simplex.Optimal s -> (
-        let fractional =
-          Array.exists2
-            (fun (v : Problem.var) xj ->
-              v.Problem.integer && Float.abs (xj -. Float.round xj) > 1e-6)
-            p.Problem.vars s.Simplex.x
-        in
-        if not fractional then p
-        else
-          match Cuts.cover_cuts p s.Simplex.x with
-          | [] -> p
-          | cuts ->
-            go (k + 1)
-              { p with Problem.rows = Array.append p.Problem.rows
-                                        (Array.of_list cuts) })
-      | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iter_limit -> p
-  in
-  go 0 p
-
-type branching = Most_fractional | Pseudo_cost
-
-let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
-    ?(branching = Most_fractional) ?(rel_gap = 0.) ?(diving = false)
-    ?warm_start ?basis_out (p : Problem.t) =
+let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
+    (p : Problem.t) =
   (* Internal objective is minimized: internal = sense_sign * external. *)
   let start = Unix.gettimeofday () in
   let deadline = start +. limits.max_seconds in
   let nodes = ref 0 and lp_iters = ref 0 in
-  let p =
-    if cut_rounds > 0 then
-      strengthen_with_cuts ~rounds:cut_rounds ~deadline
-        ~iter_budget:limits.max_simplex_iters lp_iters p
-    else p
-  in
-  (* a saved basis only fits the uncut root problem: adding cut rows
-     changes the row dimension, so the warm start is dropped (resolve
-     would reject it anyway — this just skips the attempt) *)
-  let warm_start = if cut_rounds > 0 then None else warm_start in
   let sense_sign =
     match p.Problem.sense with Problem.Minimize -> 1. | Problem.Maximize -> -1.
   in
@@ -225,10 +171,10 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
       overrides;
     r
   in
-  (* Every LP of the search shares the (cut) problem's rows and
-     objective and differs only in bounds: one simplex workspace, built
-     on the first LP solve and re-solved in place at every node. *)
-  let workspace = ref None in
+  (* Every LP of the search shares the problem's rows and objective and
+     differs only in bounds: one simplex workspace, re-solved in place
+     at every node. *)
+  let ws = Simplex.Workspace.create p in
   let solve_lp ?basis overrides =
     let iter_budget = limits.max_simplex_iters - !lp_iters in
     if iter_budget <= 0 then begin
@@ -237,14 +183,6 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
     end
     else
       with_overrides overrides (fun () ->
-          let ws =
-            match !workspace with
-            | Some ws -> ws
-            | None ->
-              let ws = Simplex.Workspace.create p in
-              workspace := Some ws;
-              ws
-          in
           let max_iters = min (Simplex.default_max_iters p) iter_budget in
           Simplex.Workspace.resolve ?basis ~max_iters ~deadline
             ~iterations:lp_iters ~lo:cur_lo ~hi:cur_hi ws)
@@ -263,52 +201,17 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
     | None -> 0.
     | Some s -> rel_gap *. Float.max 1e-9 (Float.abs (sense_sign *. s.obj))
   in
-  (* Pseudo-cost bookkeeping: the average objective degradation per
-     fractional unit observed when branching down/up on each variable.
-     A classic estimate that steers branching toward the variables that
-     actually move the bound (used when [branching = Pseudo_cost]). *)
-  let n = Problem.nvars p in
-  let pc_sum = Array.make_matrix 2 n 0. in
-  let pc_cnt = Array.make_matrix 2 n 0 in
-  let pc_estimate j frac =
-    let avg dir fallback =
-      if pc_cnt.(dir).(j) > 0 then
-        pc_sum.(dir).(j) /. float_of_int pc_cnt.(dir).(j)
-      else fallback
-    in
-    (* untried variables get an optimistic unit cost so they are
-       explored at least once *)
-    let down = avg 0 1. *. frac and up = avg 1 1. *. (1. -. frac) in
-    Float.min down up
-  in
-  let pc_record ~dir j ~frac_move ~degradation =
-    if frac_move > 1e-9 then begin
-      pc_sum.(dir).(j) <- pc_sum.(dir).(j) +. (degradation /. frac_move);
-      pc_cnt.(dir).(j) <- pc_cnt.(dir).(j) + 1
-    end
-  in
   let fractional_var x =
-    (* branching variable, or None when the point is integral *)
-    let best = ref None and best_score = ref 0. in
+    (* most fractional integer variable, or None when the point is
+       integral *)
+    let best = ref None and best_frac = ref 0. in
     Array.iteri
       (fun j v ->
         if v.Problem.integer then begin
           let f = Float.abs (x.(j) -. Float.round x.(j)) in
-          if f > int_tol then begin
-            let score =
-              match branching with
-              | Most_fractional -> f
-              | Pseudo_cost -> pc_estimate j (x.(j) -. Float.floor x.(j))
-            in
-            match !best with
-            | None ->
-              best := Some j;
-              best_score := score
-            | Some _ ->
-              if score > !best_score then begin
-                best := Some j;
-                best_score := score
-              end
+          if f > int_tol && f > !best_frac then begin
+            best := Some j;
+            best_frac := f
           end
         end)
       p.Problem.vars;
@@ -332,39 +235,6 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
       p.Problem.vars;
     if Problem.feasible ~tol:1e-6 p y then try_incumbent y
   in
-  (* Diving heuristic: from an LP point, repeatedly pin the *least*
-     fractional integer variable to its nearest integer and re-solve,
-     hoping to reach an integer-feasible leaf quickly. A classic primal
-     heuristic for strong early incumbents. *)
-  let dive x0 basis0 =
-    let rec go overrides x basis depth =
-      if depth > 64 then ()
-      else begin
-        (* least fractional, still-fractional variable *)
-        let best = ref None and best_frac = ref infinity in
-        Array.iteri
-          (fun j v ->
-            if v.Problem.integer then begin
-              let f = Float.abs (x.(j) -. Float.round x.(j)) in
-              if f > int_tol && f < !best_frac then begin
-                best_frac := f;
-                best := Some j
-              end
-            end)
-          p.Problem.vars;
-        match !best with
-        | None -> try_incumbent x
-        | Some j ->
-          let target = Float.round x.(j) in
-          let overrides = (j, target, target) :: overrides in
-          (match solve_lp ?basis overrides with
-          | Simplex.Optimal lp ->
-            go overrides lp.Simplex.x lp.Simplex.basis (depth + 1)
-          | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iter_limit -> ())
-      end
-    in
-    go [] x0 basis0 0
-  in
   let heap = Heap.create () in
   match solve_lp ?basis:warm_start [] with
   | Simplex.Infeasible -> Infeasible (stats ())
@@ -381,14 +251,8 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
     | None -> Optimal ({ x = root.Simplex.x; obj = root.Simplex.obj }, stats ())
     | Some _ ->
       rounding_heuristic root.Simplex.x;
-      if diving then dive root.Simplex.x root.Simplex.basis;
       Heap.push heap
-        {
-          overrides = [];
-          bound = root_bound;
-          branched = None;
-          nbasis = root.Simplex.basis;
-        };
+        { overrides = []; bound = root_bound; nbasis = root.Simplex.basis };
       let best_open = ref root_bound in
       let limit_hit = ref false in
       while (not (Heap.is_empty heap)) && not !limit_hit do
@@ -420,12 +284,6 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
               ()
             | Simplex.Optimal lp ->
               let bound = sense_sign *. lp.Simplex.obj in
-              (* account the parent's branching step for pseudo-costs *)
-              (match node.branched with
-              | Some (j, dir, frac_move, parent_bound) ->
-                pc_record ~dir j ~frac_move
-                  ~degradation:(Float.max 0. (bound -. parent_bound))
-              | None -> ());
               if bound < incumbent_internal () -. 1e-9 -. gap_slack () then begin
                 match fractional_var lp.Simplex.x with
                 | None ->
@@ -434,19 +292,16 @@ let solve ?(limits = default_limits) ?(int_tol = 1e-6) ?(cut_rounds = 0)
                   rounding_heuristic lp.Simplex.x;
                   let xj = lp.Simplex.x.(j) in
                   let fl = Float.of_int (int_of_float (floor (xj +. int_tol))) in
-                  let frac = xj -. fl in
                   Heap.push heap
                     {
                       overrides = (j, neg_infinity, fl) :: node.overrides;
                       bound;
-                      branched = Some (j, 0, frac, bound);
                       nbasis = lp.Simplex.basis;
                     };
                   Heap.push heap
                     {
                       overrides = (j, fl +. 1., infinity) :: node.overrides;
                       bound;
-                      branched = Some (j, 1, 1. -. frac, bound);
                       nbasis = lp.Simplex.basis;
                     }
               end

@@ -44,44 +44,24 @@ type result =
   | Unbounded of stats
   | Limit of stats  (** limit hit before any feasible point was found *)
 
-(** Branching-variable selection: [Most_fractional] (default) picks
-    the variable closest to half-integrality; [Pseudo_cost] picks by
-    the historical objective degradation per fractional unit, learned
-    as the search branches — the classic strategy commercial solvers
-    blend in. *)
-type branching = Most_fractional | Pseudo_cost
-
-(** [solve ?limits ?int_tol ?cut_rounds ?branching ?rel_gap p] honours
-    the [integer] flags in [p].
-
-    [cut_rounds > 0] (default 0) runs that many rounds of root-node
-    cover-cut separation ({!Cuts}) before branching — branch-and-cut,
-    as the paper's CPLEX does.
+(** [solve ?limits ?rel_gap ?warm_start ?basis_out p] honours the
+    [integer] flags in [p].
 
     [rel_gap] (default [0.] = prove exact optimality) stops the search
     once no open node can improve the incumbent by more than this
     relative amount; CPLEX's default is [1e-4]. A search stopped by the
     gap reports [Optimal].
 
-    [diving] (default false) runs a root diving pass — iteratively
-    pinning the least-fractional variable and re-solving the LP — to
-    seed a strong incumbent before the search, reducing the chance of
-    a [Limit] outcome on tightly budgeted runs.
-
     [warm_start] seeds the root LP with a previously saved basis (see
-    {!Lp.Simplex.resolve}); it is ignored when [cut_rounds > 0], since
-    cut rows change the basis dimension. Child nodes always warm-start
-    from their parent's optimal basis internally, and every LP of one
-    search re-solves a single {!Lp.Simplex.Workspace} in place.
-    [basis_out], when given, receives the root relaxation's optimal
-    basis — the handle a caller caches to warm-start the next search
-    over the same columns. *)
+    {!Lp.Simplex.resolve}). Child nodes always warm-start from their
+    parent's optimal basis internally, and every LP of one search
+    re-solves a single {!Lp.Simplex.Workspace} in place. [basis_out],
+    when given, receives the root relaxation's optimal basis — the
+    handle a caller caches to warm-start the next search over the same
+    columns. *)
 val solve :
-  ?limits:limits -> ?int_tol:float -> ?cut_rounds:int ->
-  ?branching:branching -> ?rel_gap:float -> ?diving:bool ->
-  ?warm_start:Lp.Simplex.Basis.t ->
-  ?basis_out:Lp.Simplex.Basis.t option ref -> Lp.Problem.t ->
-  result
+  ?limits:limits -> ?rel_gap:float -> ?warm_start:Lp.Simplex.Basis.t ->
+  ?basis_out:Lp.Simplex.Basis.t option ref -> Lp.Problem.t -> result
 
 val stats_of : result -> stats
 val solution_of : result -> sol option

@@ -10,7 +10,7 @@
    both concentrated and heavy-tailed data.
 
    Determinism: member statistics are reduced over fixed-size chunks
-   merged in chunk order (the [Relalg.Scan] idiom, so any
+   merged in chunk order ([Relalg.Scan.run_chunks], so any
    [PKGQ_SCAN_WORKERS] setting yields bitwise-identical sums), and the
    sort key is [(value, row id)] — a total order. *)
 
@@ -54,38 +54,15 @@ let merge_stats a b =
     if b.mx.(d) > a.mx.(d) then a.mx.(d) <- b.mx.(d)
   done
 
-(* Per-chunk partials are computed by workers striping over chunks,
-   then merged sequentially in chunk order: bitwise identical for any
+(* Per-chunk partials merged in chunk order: bitwise identical for any
    worker count. *)
 let member_stats cols members =
-  let n = Array.length members in
   let k = Array.length cols in
-  let chunk = Relalg.Scan.chunk_size () in
-  let nchunks = (n + chunk - 1) / chunk in
-  let workers = max 1 (min (Relalg.Scan.default_workers ()) nchunks) in
   let partials =
-    if workers = 1 || nchunks <= 1 then
-      Array.init nchunks (fun c ->
-          stats_chunk cols members (c * chunk) (min n ((c + 1) * chunk)))
-    else begin
-      let out = Array.make nchunks None in
-      let worker w =
-        let c = ref w in
-        while !c < nchunks do
-          out.(!c) <-
-            Some
-              (stats_chunk cols members (!c * chunk) (min n ((!c + 1) * chunk)));
-          c := !c + workers
-        done
-      in
-      let doms =
-        Array.init (workers - 1) (fun i ->
-            Domain.spawn (fun () -> worker (i + 1)))
-      in
-      worker 0;
-      Array.iter Domain.join doms;
-      Array.map (function Some s -> s | None -> assert false) out
-    end
+    Relalg.Scan.run_chunks
+      ~workers:(Relalg.Scan.default_workers ())
+      (Array.length members)
+      (fun _ lo hi -> stats_chunk cols members lo hi)
   in
   let acc =
     {

@@ -8,10 +8,6 @@ let default_workers () =
 
 let chunk_size () = env_int "PKGQ_SCAN_CHUNK" 16384
 
-(* [run_chunks ~workers n f] evaluates [f ci lo hi] for every chunk
-   [ci] covering [lo, hi) of [0, n) and returns the per-chunk results
-   in chunk order. Chunks are striped across workers; [f] must only
-   read data materialized before the call. *)
 let run_chunks ~workers n f =
   let csize = chunk_size () in
   let nchunks = (n + csize - 1) / csize in

@@ -18,6 +18,12 @@ val default_workers : unit -> int
 (** Chunk size in rows ([PKGQ_SCAN_CHUNK], default 16384). *)
 val chunk_size : unit -> int
 
+(** [run_chunks ~workers n f] evaluates [f ci lo hi] for every chunk
+    [ci] covering [\[lo, hi)] of [\[0, n)] and returns the per-chunk
+    results in chunk order. Chunks are striped across at most [workers]
+    domains; [f] must only read data materialized before the call. *)
+val run_chunks : workers:int -> int -> (int -> int -> int -> 'a) -> 'a array
+
 (** [mask r pred] evaluates [pred] over every row: byte [i] is [1] iff
     row [i] satisfies it (NULL counts as false). Also returns the
     number of matches. *)

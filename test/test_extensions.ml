@@ -1,6 +1,5 @@
-(* Tests for the extension modules: cover cuts (branch-and-cut), the
-   dynamic quad-tree partitioner, and the Section 4.4
-   false-infeasibility fallback strategies. *)
+(* Tests for the extension modules: the dynamic quad-tree partitioner
+   and the Section 4.4 false-infeasibility fallback strategies. *)
 
 module P = Lp.Problem
 module V = Relalg.Value
@@ -10,95 +9,6 @@ module R = Relalg.Relation
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checkf = Alcotest.check (Alcotest.float 1e-6)
-
-(* ------------------------------------------------------------------ *)
-(* Cover cuts                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let knapsack_fractional () =
-  (* max 10a + 9b + 8c st 5a + 5b + 5c <= 12, binary: LP picks 2.4
-     items' worth; any cover cut must keep all integer points *)
-  P.make ~sense:P.Maximize
-    ~vars:
-      [ P.var ~integer:true ~hi:1. 10.;
-        P.var ~integer:true ~hi:1. 9.;
-        P.var ~integer:true ~hi:1. 8. ]
-    ~rows:[ P.row [ (0, 5.); (1, 5.); (2, 5.) ] ~lo:neg_infinity ~hi:12. ]
-
-let test_cover_cut_found () =
-  let p = knapsack_fractional () in
-  match Lp.Simplex.solve p with
-  | Lp.Simplex.Optimal s ->
-    let cuts = Ilp.Cuts.cover_cuts p s.Lp.Simplex.x in
-    checkb "at least one cut" true (cuts <> []);
-    (* each cut must be violated by the LP point *)
-    List.iter
-      (fun (r : P.row) ->
-        let v =
-          List.fold_left
-            (fun acc (j, a) -> acc +. (a *. s.Lp.Simplex.x.(j)))
-            0. r.P.coeffs
-        in
-        checkb "violated at LP point" true (v > r.P.rhi +. 1e-6))
-      cuts;
-    (* and satisfied by every integer-feasible point *)
-    for mask = 0 to 7 do
-      let x =
-        Array.init 3 (fun i -> if mask land (1 lsl i) <> 0 then 1. else 0.)
-      in
-      if P.feasible p x then
-        List.iter
-          (fun (r : P.row) ->
-            let v =
-              List.fold_left
-                (fun acc (j, a) -> acc +. (a *. x.(j)))
-                0. r.P.coeffs
-            in
-            checkb "integer point survives" true (v <= r.P.rhi +. 1e-9))
-          cuts
-    done
-  | _ -> Alcotest.fail "LP should solve"
-
-let test_cuts_skip_nonbinary () =
-  let p =
-    P.make ~sense:P.Maximize
-      ~vars:[ P.var ~integer:true ~hi:3. 1.; P.var ~integer:true ~hi:1. 1. ]
-      ~rows:[ P.row [ (0, 1.); (1, 1.) ] ~lo:neg_infinity ~hi:2. ]
-  in
-  checkb "no cuts on general-integer rows" true
-    (Ilp.Cuts.cover_cuts p [| 1.5; 0.5 |] = [])
-
-(* Property: branch-and-bound with cuts matches branch-and-bound
-   without cuts on random binary ILPs. *)
-let cuts_preserve_optimum_prop =
-  let gen =
-    QCheck.Gen.(
-      let coeff = map float_of_int (int_range 1 9) in
-      int_range 3 9 >>= fun n ->
-      list_size (return n) coeff >>= fun costs ->
-      list_size (int_range 1 2) (list_size (return n) coeff) >>= fun rows ->
-      list_size (return (List.length rows)) (int_range 5 20) >>= fun caps ->
-      return (costs, rows, caps))
-  in
-  QCheck.Test.make ~count:200 ~name:"cuts preserve the integer optimum"
-    (QCheck.make gen)
-    (fun (costs, rows, caps) ->
-      let vars = List.map (fun c -> P.var ~integer:true ~hi:1. c) costs in
-      let rows =
-        List.map2
-          (fun coeffs cap ->
-            P.row (List.mapi (fun i c -> (i, c)) coeffs) ~lo:neg_infinity
-              ~hi:(float_of_int cap))
-          rows caps
-      in
-      let p = P.make ~sense:P.Maximize ~vars ~rows in
-      match
-        Ilp.Branch_bound.solve p, Ilp.Branch_bound.solve ~cut_rounds:4 p
-      with
-      | Ilp.Branch_bound.Optimal (a, _), Ilp.Branch_bound.Optimal (b, _) ->
-        Float.abs (a.Ilp.Branch_bound.obj -. b.Ilp.Branch_bound.obj) < 1e-6
-      | Ilp.Branch_bound.Infeasible _, Ilp.Branch_bound.Infeasible _ -> true
-      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic quad-tree partitioning                                     *)
@@ -423,14 +333,6 @@ let test_eval_pretty_printers () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "cuts",
-        [
-          Alcotest.test_case "cover cut found and valid" `Quick
-            test_cover_cut_found;
-          Alcotest.test_case "non-binary rows skipped" `Quick
-            test_cuts_skip_nonbinary;
-          QCheck_alcotest.to_alcotest cuts_preserve_optimum_prop;
-        ] );
       ( "quad_tree",
         [
           Alcotest.test_case "cut invariants" `Quick

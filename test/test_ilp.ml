@@ -229,18 +229,6 @@ let prop_bb_matches_brute_force =
       | Some _, B.Infeasible _ | None, B.Optimal _ -> false
       | _, (B.Feasible _ | B.Limit _ | B.Unbounded _) -> false)
 
-let prop_bb_pseudo_cost_matches =
-  QCheck.Test.make ~count:200
-    ~name:"pseudo-cost branching finds the same optimum"
-    (QCheck.make random_ilp_gen)
-    (fun input ->
-      let p = ilp_of input in
-      match B.solve p, B.solve ~branching:B.Pseudo_cost p with
-      | B.Optimal (a, _), B.Optimal (b, _) ->
-        Float.abs (a.B.obj -. b.B.obj) < 1e-6
-      | B.Infeasible _, B.Infeasible _ -> true
-      | _ -> false)
-
 let prop_bb_rel_gap_within_tolerance =
   QCheck.Test.make ~count:200 ~name:"rel_gap solutions are within the gap"
     (QCheck.make random_ilp_gen)
@@ -255,37 +243,6 @@ let prop_bb_rel_gap_within_tolerance =
         <= (gap *. Float.max 1e-9 (Float.abs approx.B.obj)) +. 1e-6
       | B.Infeasible _, B.Infeasible _ -> true
       | _ -> false)
-
-let prop_bb_diving_matches =
-  QCheck.Test.make ~count:200 ~name:"diving heuristic preserves the optimum"
-    (QCheck.make random_ilp_gen)
-    (fun input ->
-      let p = ilp_of input in
-      match B.solve p, B.solve ~diving:true p with
-      | B.Optimal (a, _), B.Optimal (b, _) ->
-        Float.abs (a.B.obj -. b.B.obj) < 1e-6
-      | B.Infeasible _, B.Infeasible _ -> true
-      | _ -> false)
-
-let test_diving_seeds_incumbent () =
-  (* with zero search nodes allowed, only the root heuristics can
-     produce an incumbent; diving reliably does on this instance *)
-  let n = 20 in
-  let vals = Array.init n (fun i -> float_of_int (1 + (i mod 7))) in
-  let wts = Array.init n (fun i -> float_of_int (2 + (i mod 5))) in
-  let vars =
-    Array.to_list (Array.map (fun v -> P.var ~integer:true ~hi:1. v) vals)
-  in
-  let coeffs = Array.to_list (Array.mapi (fun i w -> (i, w)) wts) in
-  let p =
-    P.make ~sense:P.Maximize ~vars
-      ~rows:[ P.row coeffs ~lo:neg_infinity ~hi:11. ]
-  in
-  match B.solve ~diving:true ~limits:{ B.default_limits with max_nodes = 0; max_seconds = 10. } p with
-  | B.Feasible (s, _, _) | B.Optimal (s, _) ->
-    checkb "diving incumbent feasible" true (P.feasible p s.B.x)
-  | B.Limit _ -> Alcotest.fail "diving should have produced an incumbent"
-  | _ -> Alcotest.fail "unexpected status"
 
 let prop_bb_solution_feasible =
   QCheck.Test.make ~count:200 ~name:"branch&bound solutions are feasible"
@@ -316,8 +273,6 @@ let () =
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "stats and accessors" `Quick
             test_stats_and_accessors;
-          Alcotest.test_case "diving seeds incumbent" `Quick
-            test_diving_seeds_incumbent;
         ] );
       ( "iis",
         [
@@ -328,9 +283,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_bb_matches_brute_force;
-          QCheck_alcotest.to_alcotest prop_bb_pseudo_cost_matches;
           QCheck_alcotest.to_alcotest prop_bb_rel_gap_within_tolerance;
-          QCheck_alcotest.to_alcotest prop_bb_diving_matches;
           QCheck_alcotest.to_alcotest prop_bb_solution_feasible;
         ] );
     ]
