@@ -64,22 +64,19 @@ type node = {
   nbasis : Simplex.Basis.t option;
 }
 
-(* Minimal binary heap on node bound (internal minimization). *)
+(* Minimal binary heap on node bound (internal minimization). Slots at
+   [size] and beyond hold [vacant], so a popped node and its basis
+   snapshot are garbage as soon as the search lets go of them. *)
 module Heap = struct
   type t = { mutable data : node array; mutable size : int }
 
-  let create () =
-    {
-      data =
-        Array.make 64 { overrides = []; bound = 0.; nbasis = None };
-      size = 0;
-    }
-
+  let vacant = { overrides = []; bound = 0.; nbasis = None }
+  let create () = { data = Array.make 64 vacant; size = 0 }
   let is_empty h = h.size = 0
 
   let push h node =
     if h.size = Array.length h.data then begin
-      let bigger = Array.make (2 * h.size) node in
+      let bigger = Array.make (2 * h.size) vacant in
       Array.blit h.data 0 bigger 0 h.size;
       h.data <- bigger
     end;
@@ -101,6 +98,7 @@ module Heap = struct
     let top = h.data.(0) in
     h.size <- h.size - 1;
     h.data.(0) <- h.data.(h.size);
+    h.data.(h.size) <- vacant;
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -127,6 +125,13 @@ end
 (* Integrality tolerance: an integer variable within this distance of
    an integer is integral. *)
 let int_tol = 1e-6
+
+(* [Float.round x], bit for bit, without its C call when [x] is already
+   an integer in [int] range — most variables of an LP vertex sit on
+   integral bounds. [Float.of_int (Float.to_int x) = x] holds only for
+   such [x], and [Float.round] returns them unchanged, [-0.] included. *)
+let[@inline] round x =
+  if Float.of_int (Float.to_int x) = x then x else Float.round x
 
 let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     (p : Problem.t) =
@@ -201,39 +206,40 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     | None -> 0.
     | Some s -> rel_gap *. Float.max 1e-9 (Float.abs (sense_sign *. s.obj))
   in
-  let fractional_var x =
-    (* most fractional integer variable, or None when the point is
-       integral *)
-    let best = ref None and best_frac = ref 0. in
-    Array.iteri
-      (fun j v ->
-        if v.Problem.integer then begin
-          let f = Float.abs (x.(j) -. Float.round x.(j)) in
-          if f > int_tol && f > !best_frac then begin
-            best := Some j;
-            best_frac := f
-          end
-        end)
-      p.Problem.vars;
-    !best
-  in
   let try_incumbent x =
     let obj = Problem.objective p x in
     let internal = sense_sign *. obj in
     if internal < incumbent_internal () -. 1e-9 then
       incumbent := Some { x = Array.copy x; obj }
   in
-  (* Nearest-rounding heuristic: round integer vars of an LP point and
-     keep the result when it happens to be feasible. *)
-  let rounding_heuristic x =
-    let y = Array.copy x in
-    Array.iteri
-      (fun j v ->
-        if v.Problem.integer then
-          y.(j) <-
-            Float.min v.Problem.hi (Float.max v.Problem.lo (Float.round y.(j))))
-      p.Problem.vars;
-    if Problem.feasible ~tol:1e-6 p y then try_incumbent y
+  let n = Problem.nvars p in
+  (* The variable to branch on at an LP point: the most fractional
+     integer variable, or None when the point is integral. The same
+     pass rounds every integer variable to the nearest integer inside
+     its bounds, into one buffer reused at every node; a fractional
+     point's rounding becomes an incumbent when it happens to be
+     feasible (the nearest-rounding heuristic). *)
+  let rounded = Array.make n 0. in
+  let branching_var x =
+    let best = ref (-1) and best_frac = ref 0. in
+    for j = 0 to n - 1 do
+      let xj = x.(j) in
+      if p.Problem.vars.(j).Problem.integer then begin
+        let r = round xj in
+        let f = Float.abs (xj -. r) in
+        if f > int_tol && f > !best_frac then begin
+          best := j;
+          best_frac := f
+        end;
+        rounded.(j) <- Float.min base_hi.(j) (Float.max base_lo.(j) r)
+      end
+      else rounded.(j) <- xj
+    done;
+    if !best < 0 then None
+    else begin
+      if Problem.feasible ~tol:1e-6 p rounded then try_incumbent rounded;
+      Some !best
+    end
   in
   let heap = Heap.create () in
   match solve_lp ?basis:warm_start [] with
@@ -247,10 +253,9 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     | Some out -> out := root.Simplex.basis
     | None -> ());
     let root_bound = sense_sign *. root.Simplex.obj in
-    (match fractional_var root.Simplex.x with
+    (match branching_var root.Simplex.x with
     | None -> Optimal ({ x = root.Simplex.x; obj = root.Simplex.obj }, stats ())
     | Some _ ->
-      rounding_heuristic root.Simplex.x;
       Heap.push heap
         { overrides = []; bound = root_bound; nbasis = root.Simplex.basis };
       let best_open = ref root_bound in
@@ -285,11 +290,9 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
             | Simplex.Optimal lp ->
               let bound = sense_sign *. lp.Simplex.obj in
               if bound < incumbent_internal () -. 1e-9 -. gap_slack () then begin
-                match fractional_var lp.Simplex.x with
-                | None ->
-                  try_incumbent lp.Simplex.x
+                match branching_var lp.Simplex.x with
+                | None -> try_incumbent lp.Simplex.x
                 | Some j ->
-                  rounding_heuristic lp.Simplex.x;
                   let xj = lp.Simplex.x.(j) in
                   let fl = Float.of_int (int_of_float (floor (xj +. int_tol))) in
                   Heap.push heap

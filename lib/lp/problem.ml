@@ -28,26 +28,53 @@ let make ~sense ~vars ~rows =
 let nvars p = Array.length p.vars
 let nrows p = Array.length p.rows
 
+(* The arithmetic below is written as plain loops so its float
+   accumulators stay unboxed; the terms are summed in the same order as
+   a left fold over [vars] / [coeffs]. *)
 let objective p x =
   let acc = ref 0. in
-  Array.iteri (fun j v -> acc := !acc +. (v.obj *. x.(j))) p.vars;
+  for j = 0 to Array.length p.vars - 1 do
+    acc := !acc +. (p.vars.(j).obj *. x.(j))
+  done;
   !acc
 
 let row_value r x =
-  List.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.coeffs
+  let acc = ref 0. and rest = ref r.coeffs in
+  while
+    match !rest with
+    | [] -> false
+    | (j, a) :: tl ->
+      acc := !acc +. (a *. x.(j));
+      rest := tl;
+      true
+  do
+    ()
+  done;
+  !acc
 
+(* The rows are checked before the variables: a rounded LP point, which
+   branch-and-bound checks at every node, mostly fails on a row. For a
+   problem that passes [validate] the conjunction is the same in either
+   order. *)
 let feasible ?(tol = 1e-6) p x =
-  Array.length x = nvars p
-  && Array.for_all2
-       (fun v xj ->
-         xj >= v.lo -. tol && xj <= v.hi +. tol
-         && ((not v.integer) || Float.abs (xj -. Float.round xj) <= tol))
-       p.vars x
-  && Array.for_all
-       (fun r ->
-         let v = row_value r x in
-         v >= r.rlo -. tol && v <= r.rhi +. tol)
-       p.rows
+  let n = nvars p in
+  let ok = ref (Array.length x = n) in
+  let i = ref 0 in
+  while !ok && !i < nrows p do
+    let r = p.rows.(!i) in
+    let v = row_value r x in
+    ok := v >= r.rlo -. tol && v <= r.rhi +. tol;
+    incr i
+  done;
+  let j = ref 0 in
+  while !ok && !j < n do
+    let v = p.vars.(!j) and xj = x.(!j) in
+    ok :=
+      xj >= v.lo -. tol && xj <= v.hi +. tol
+      && ((not v.integer) || Float.abs (xj -. Float.round xj) <= tol);
+    incr j
+  done;
+  !ok
 
 let validate p =
   let n = nvars p in

@@ -40,6 +40,10 @@ val nrows : t -> int
 (** [objective p x] evaluates the objective at a point. *)
 val objective : t -> float array -> float
 
+(** [row_value r x] is the activity [a . x] of row [r] at [x], summed
+    in [coeffs] order. *)
+val row_value : row -> float array -> float
+
 (** [feasible ?tol p x] checks bounds, rows and integrality at [x]. *)
 val feasible : ?tol:float -> t -> float array -> bool
 

@@ -1,17 +1,26 @@
-type nb_kind = At_lower | At_upper | Free_zero
+(* A column's status: basic, or nonbasic resting at its lower bound,
+   its upper bound, or (free column) at zero. Constant constructors
+   only, so a status array is an unboxed int array and a store into it
+   is a plain write. *)
+type vstat = Basic | At_lower | At_upper | Free_zero
 
-type vstat = Basic | Nonbasic of nb_kind
+(* One byte per column in a basis snapshot; [install_basis] decodes it. *)
+let code_of_vstat = function
+  | Basic -> '\000'
+  | At_lower -> '\001'
+  | At_upper -> '\002'
+  | Free_zero -> '\003'
 
 module Basis = struct
   (* Snapshot of a simplex basis over the structural + slack columns:
      which column occupies each basis row, plus the resting side of
-     every nonbasic column. Opaque to callers; [resolve] validates it
-     against the problem it is applied to and degrades to a cold solve
-     whenever it does not fit. *)
+     every nonbasic column as a {!code_of_vstat} byte. Opaque to
+     callers; [resolve] validates it against the problem it is applied
+     to and degrades to a cold solve whenever it does not fit. *)
   type t = {
     bn : int; (* structural variables *)
     bm : int; (* rows *)
-    vstat : vstat array; (* length bn + bm *)
+    vstat : Bytes.t; (* length bn + bm *)
     rows : int array; (* length bm: column occupying each basis row *)
   }
 
@@ -347,15 +356,14 @@ let recompute_basics st =
   let m = st.m in
   let rhs = Array.make m 0. in
   for j = 0 to st.ncols - 1 do
-    match st.status.(j) with
-    | Basic -> ()
-    | Nonbasic _ ->
+    if st.status.(j) <> Basic then begin
       let v = st.xval.(j) in
       if v <> 0. then
         for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
           let r = st.crow.(k) in
           rhs.(r) <- rhs.(r) -. (st.cval.(k) *. v)
         done
+    end
   done;
   for i = 0 to m - 1 do
     let acc = ref 0. in
@@ -376,107 +384,75 @@ let compute_duals st =
     st.y.(k) <- !acc
   done
 
-let reduced_cost st j =
-  let acc = ref st.cost.(j) in
-  for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
-    acc := !acc -. (st.y.(st.crow.(k)) *. st.cval.(k))
-  done;
-  !acc
-
-(* The nonbasic statuses as shared constants, so the per-node paths
-   re-seat columns without allocating. *)
-let nonbasic = function
-  | At_lower -> Nonbasic At_lower
-  | At_upper -> Nonbasic At_upper
-  | Free_zero -> Nonbasic Free_zero
-
 (* Dantzig pricing over one chunk of columns. Selection is the maximum
    under the total order (|d| desc, column asc), so the global winner
    is independent of how the column range is chunked — parallel and
-   serial pricing agree bit-for-bit at any worker count. Returns
+   serial pricing agree bit-for-bit at any worker count. With [~bland]
+   the scan stops at the first eligible column instead (Bland's rule:
+   index-minimal, hence trivially schedule-independent). Returns
    (column, direction, score) with column = -1 when the chunk has no
    eligible candidate. *)
-let price_range st ~jlo ~jhi =
-  let best = ref (-1) and best_dir = ref 0. and best_score = ref st.tol in
-  for j = jlo to jhi - 1 do
-    match st.status.(j) with
-    | Basic -> ()
-    | Nonbasic kind ->
-      if st.hi.(j) -. st.lo.(j) > st.tol then begin
-        let d = reduced_cost st j in
-        let dir =
-          match kind with
-          | At_lower -> if d < -.st.tol then 1. else 0.
-          | At_upper -> if d > st.tol then -1. else 0.
-          | Free_zero ->
-            if d < -.st.tol then 1. else if d > st.tol then -1. else 0.
-        in
-        if dir <> 0. then begin
-          let score = Float.abs d in
-          if score > !best_score then begin
-            best := j;
-            best_dir := dir;
-            best_score := score
-          end
+let price_range st ~bland ~jlo ~jhi =
+  let tol = st.tol in
+  let status = st.status and lo = st.lo and hi = st.hi and cost = st.cost in
+  let cstart = st.cstart and crow = st.crow and cval = st.cval and y = st.y in
+  let best = ref (-1) and best_dir = ref 0. and best_score = ref tol in
+  let j = ref jlo in
+  while !j < jhi && not (bland && !best >= 0) do
+    let j' = !j in
+    let kind = status.(j') in
+    if kind <> Basic && hi.(j') -. lo.(j') > tol then begin
+      (* reduced cost d_j = c_j - y.A_j, summed in column order *)
+      let d = ref cost.(j') in
+      for k = cstart.(j') to cstart.(j' + 1) - 1 do
+        d := !d -. (y.(crow.(k)) *. cval.(k))
+      done;
+      let d = !d in
+      let dir =
+        match kind with
+        | At_lower -> if d < -.tol then 1. else 0.
+        | At_upper -> if d > tol then -1. else 0.
+        | Free_zero -> if d < -.tol then 1. else if d > tol then -1. else 0.
+        | Basic -> 0.
+      in
+      if dir <> 0. then begin
+        let score = Float.abs d in
+        if score > !best_score then begin
+          best := j';
+          best_dir := dir;
+          best_score := score
         end
       end
+    end;
+    incr j
   done;
   (!best, !best_dir, !best_score)
 
-(* Bland's rule: the first eligible column. Always serial — the result
-   is index-minimal, hence trivially schedule-independent. *)
-let price_bland st =
-  let found = ref None in
-  (try
-     for j = 0 to st.ncols - 1 do
-       match st.status.(j) with
-       | Basic -> ()
-       | Nonbasic kind ->
-         if st.hi.(j) -. st.lo.(j) > st.tol then begin
-           let d = reduced_cost st j in
-           let dir =
-             match kind with
-             | At_lower -> if d < -.st.tol then 1. else 0.
-             | At_upper -> if d > st.tol then -1. else 0.
-             | Free_zero ->
-               if d < -.st.tol then 1. else if d > st.tol then -1. else 0.
-           in
-           if dir <> 0. then begin
-             found := Some (j, dir);
-             raise Exit
-           end
-         end
-     done
-   with Exit -> ());
-  !found
-
 (* Price nonbasic columns; return the entering column and its direction
-   (+1. increase / -1. decrease), or None at optimality. *)
+   (+1. increase / -1. decrease), or None at optimality. Bland scans
+   are always serial. *)
 let price ?pool st ~bland =
-  if bland then price_bland st
-  else begin
-    match pool with
-    | Some p ->
-      let nchunks = (st.ncols + price_chunk - 1) / price_chunk in
-      let res = Array.make nchunks (-1, 0., 0.) in
-      Pool.run p nchunks (fun ci ->
-          let jlo = ci * price_chunk in
-          let jhi = min st.ncols (jlo + price_chunk) in
-          res.(ci) <- price_range st ~jlo ~jhi);
-      let best = ref (-1) and best_dir = ref 0. and best_score = ref st.tol in
-      Array.iter
-        (fun (j, dir, score) ->
-          if j >= 0 && score > !best_score then begin
-            best := j;
-            best_dir := dir;
-            best_score := score
-          end)
-        res;
-      if !best >= 0 then Some (!best, !best_dir) else None
-    | None ->
-      let j, dir, _ = price_range st ~jlo:0 ~jhi:st.ncols in
-      if j >= 0 then Some (j, dir) else None
-  end
+  match pool with
+  | Some p when not bland ->
+    let nchunks = (st.ncols + price_chunk - 1) / price_chunk in
+    let res = Array.make nchunks (-1, 0., 0.) in
+    Pool.run p nchunks (fun ci ->
+        let jlo = ci * price_chunk in
+        let jhi = min st.ncols (jlo + price_chunk) in
+        res.(ci) <- price_range st ~bland ~jlo ~jhi);
+    let best = ref (-1) and best_dir = ref 0. and best_score = ref st.tol in
+    Array.iter
+      (fun (j, dir, score) ->
+        if j >= 0 && score > !best_score then begin
+          best := j;
+          best_dir := dir;
+          best_score := score
+        end)
+      res;
+    if !best >= 0 then Some (!best, !best_dir) else None
+  | _ ->
+    let j, dir, _ = price_range st ~bland ~jlo:0 ~jhi:st.ncols in
+    if j >= 0 then Some (j, dir) else None
 
 (* w := B^-1 A_q *)
 let ftran st q =
@@ -493,7 +469,7 @@ let ftran st q =
 
 type step =
   | Bound_flip of float
-  | Pivot of int * float * nb_kind (* leaving row, step, leaving status *)
+  | Pivot of int * float * vstat (* leaving row, step, leaving status *)
   | Ray (* unbounded direction *)
 
 (* Ratio test: entering q moves by [t >= 0] in direction [dir]; basic i
@@ -607,16 +583,16 @@ let iterate ?pool st ~max_iters ?deadline iters_ref =
           apply_step st q dir t;
           st.status.(q) <-
             (match st.status.(q) with
-            | Nonbasic At_lower -> Nonbasic At_upper
-            | Nonbasic At_upper -> Nonbasic At_lower
-            | Nonbasic Free_zero | Basic ->
+            | At_lower -> At_upper
+            | At_upper -> At_lower
+            | Free_zero | Basic ->
               (* a free column cannot bound-flip: its span is infinite *)
               assert false);
           (* snap to the exact bound to avoid drift *)
           st.xval.(q) <-
             (match st.status.(q) with
-            | Nonbasic At_lower -> st.lo.(q)
-            | Nonbasic At_upper -> st.hi.(q)
+            | At_lower -> st.lo.(q)
+            | At_upper -> st.hi.(q)
             | _ -> st.xval.(q));
           degen := 0;
           bland := false
@@ -624,12 +600,12 @@ let iterate ?pool st ~max_iters ?deadline iters_ref =
           let leaver = st.basis.(r) in
           apply_step st q dir t;
           st.status.(q) <- Basic;
-          st.status.(leaver) <- nonbasic leave_to;
+          st.status.(leaver) <- leave_to;
           st.xval.(leaver) <-
             (match leave_to with
             | At_lower -> st.lo.(leaver)
             | At_upper -> st.hi.(leaver)
-            | Free_zero -> 0.);
+            | Free_zero | Basic -> 0.);
           update_basis st r q;
           incr since_refactor;
           if t <= st.tol then begin
@@ -656,56 +632,62 @@ let iterate ?pool st ~max_iters ?deadline iters_ref =
    (column, direction, ratio, |alpha|, |d|), column = -1 when the
    chunk has no eligible candidate. *)
 let dual_range st rho ~upward ~jlo ~jhi =
+  let tol = st.tol in
+  let status = st.status and lo = st.lo and hi = st.hi and cost = st.cost in
+  let cstart = st.cstart and crow = st.crow and cval = st.cval and y = st.y in
   let bj = ref (-1)
   and bdir = ref 0.
   and bratio = ref infinity
   and babs = ref 0.
   and babsd = ref 0. in
   for j = jlo to jhi - 1 do
-    match st.status.(j) with
-    | Basic -> ()
-    | Nonbasic kind ->
-      if st.hi.(j) -. st.lo.(j) > st.tol then begin
-        let alpha = ref 0. in
-        for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
-          alpha := !alpha +. (rho.(st.crow.(k)) *. st.cval.(k))
-        done;
-        let alpha = !alpha in
-        (* entering j by [dir] changes the leaving basic by
-           [-dir * alpha]; keep only moves pushing it toward the
-           violated bound while respecting j's own resting side *)
-        let dir =
-          match kind with
-          | At_lower ->
-            if (upward && alpha < -.st.tol) || ((not upward) && alpha > st.tol)
-            then 1.
-            else 0.
-          | At_upper ->
-            if (upward && alpha > st.tol) || ((not upward) && alpha < -.st.tol)
-            then -1.
-            else 0.
-          | Free_zero ->
-            if Float.abs alpha > st.tol then
-              if upward = (alpha < 0.) then 1. else -1.
-            else 0.
-        in
-        if dir <> 0. then begin
-          let aabs = Float.abs alpha in
-          let dabs = Float.abs (reduced_cost st j) in
-          let ratio = dabs /. aabs in
-          if
-            ratio < !bratio
-            || (ratio = !bratio
-               && (aabs > !babs || (aabs = !babs && j < !bj)))
-          then begin
-            bj := j;
-            bdir := dir;
-            bratio := ratio;
-            babs := aabs;
-            babsd := dabs
-          end
+    let kind = status.(j) in
+    if kind <> Basic && hi.(j) -. lo.(j) > tol then begin
+      (* alpha_j = rho.A_j and the reduced cost d_j = c_j - y.A_j, in
+         one pass over the column *)
+      let alpha = ref 0. and d = ref cost.(j) in
+      for k = cstart.(j) to cstart.(j + 1) - 1 do
+        let r = crow.(k) and a = cval.(k) in
+        alpha := !alpha +. (rho.(r) *. a);
+        d := !d -. (y.(r) *. a)
+      done;
+      let alpha = !alpha in
+      (* entering j by [dir] changes the leaving basic by
+         [-dir * alpha]; keep only moves pushing it toward the
+         violated bound while respecting j's own resting side *)
+      let dir =
+        match kind with
+        | At_lower ->
+          if (upward && alpha < -.tol) || ((not upward) && alpha > tol)
+          then 1.
+          else 0.
+        | At_upper ->
+          if (upward && alpha > tol) || ((not upward) && alpha < -.tol)
+          then -1.
+          else 0.
+        | Free_zero ->
+          if Float.abs alpha > tol then
+            if upward = (alpha < 0.) then 1. else -1.
+          else 0.
+        | Basic -> 0.
+      in
+      if dir <> 0. then begin
+        let aabs = Float.abs alpha in
+        let dabs = Float.abs !d in
+        let ratio = dabs /. aabs in
+        if
+          ratio < !bratio
+          || (ratio = !bratio
+             && (aabs > !babs || (aabs = !babs && j < !bj)))
+        then begin
+          bj := j;
+          bdir := dir;
+          bratio := ratio;
+          babs := aabs;
+          babsd := dabs
         end
       end
+    end
   done;
   (!bj, !bdir, !bratio, !babs, !babsd)
 
@@ -807,7 +789,7 @@ let dual_iterate ?pool st ~max_iters ?deadline iters_ref =
           apply_step st q dir t;
           st.status.(q) <- Basic;
           let leave_to = if !upward then At_lower else At_upper in
-          st.status.(leaver) <- nonbasic leave_to;
+          st.status.(leaver) <- leave_to;
           st.xval.(leaver) <-
             (if !upward then st.lo.(leaver) else st.hi.(leaver));
           update_basis st !r q;
@@ -906,7 +888,7 @@ let build ~who (p : Problem.t) =
         (fun (v : Problem.var) -> sense_sign *. v.Problem.obj)
         p.Problem.vars;
     cost = Array.make maxcols 0.;
-    status = Array.make maxcols (Nonbasic At_lower);
+    status = Array.make maxcols At_lower;
     xval = Array.make maxcols 0.;
     basis = Array.make mm 0;
     binv = Array.make_matrix mm mm 0.;
@@ -925,14 +907,19 @@ let extract_basis st =
     if st.basis.(i) >= n + m then ok := false
   done;
   if not !ok then None
-  else
+  else begin
+    let codes = Bytes.create (n + m) in
+    for j = 0 to n + m - 1 do
+      Bytes.set codes j (code_of_vstat st.status.(j))
+    done;
     Some
       {
         Basis.bn = n;
         bm = m;
-        vstat = Array.sub st.status 0 (n + m);
+        vstat = codes;
         rows = Array.sub st.basis 0 m;
       }
+  end
 
 let optimal st iters =
   let x = Array.sub st.xval 0 st.n in
@@ -960,15 +947,15 @@ let cold_run st ~max_iters ?deadline iters =
   (* initial nonbasic position: nearest finite bound, else free at 0 *)
   for j = 0 to n - 1 do
     if lo.(j) > neg_infinity then begin
-      status.(j) <- Nonbasic At_lower;
+      status.(j) <- At_lower;
       xval.(j) <- lo.(j)
     end
     else if hi.(j) < infinity then begin
-      status.(j) <- Nonbasic At_upper;
+      status.(j) <- At_upper;
       xval.(j) <- hi.(j)
     end
     else begin
-      status.(j) <- Nonbasic Free_zero;
+      status.(j) <- Free_zero;
       xval.(j) <- 0.
     end
   done;
@@ -996,7 +983,7 @@ let cold_run st ~max_iters ?deadline iters =
       let bound, kind =
         if act < lo.(sj) then lo.(sj), At_lower else hi.(sj), At_upper
       in
-      status.(sj) <- nonbasic kind;
+      status.(sj) <- kind;
       xval.(sj) <- bound;
       let resid = act -. bound in
       (* row equation: a.x - s + g*z = 0, want z = |resid| >= 0 *)
@@ -1056,7 +1043,7 @@ let cold_run st ~max_iters ?deadline iters =
                 st.cost.(z) <- 0.;
                 st.hi.(z) <- 0.;
                 if st.status.(z) <> Basic then begin
-                  st.status.(z) <- Nonbasic At_lower;
+                  st.status.(z) <- At_lower;
                   st.xval.(z) <- 0.
                 end
               done;
@@ -1083,60 +1070,62 @@ let cold_run st ~max_iters ?deadline iters =
 
 exception Warm_reject
 
-(* Install a saved basis: restore statuses and basis rows, then re-seat
+(* Install a saved basis: restore statuses and basis rows, and re-seat
    every nonbasic column on a bound of the problem now loaded (bounds
-   may have moved or become infinite since the basis was saved). Raises
-   [Warm_reject] on any inconsistency. *)
+   may have moved or become infinite since the basis was saved), in one
+   pass over the columns. Raises [Warm_reject] on any inconsistency: a
+   wrong shape, a status code out of range, a basic count other than
+   [m], or basis rows that do not claim [m] distinct basic columns. *)
 let install_basis st (b : Basis.t) =
   let n = st.n and m = st.m in
   let total = n + m in
   if
     m = 0 || b.Basis.bn <> n || b.Basis.bm <> m
-    || Array.length b.Basis.vstat <> total
+    || Bytes.length b.Basis.vstat <> total
     || Array.length b.Basis.rows <> m
   then raise Warm_reject;
   let nbasic = ref 0 in
-  Array.iter
-    (function Basic -> incr nbasic | Nonbasic _ -> ())
-    b.Basis.vstat;
+  for j = 0 to total - 1 do
+    match Bytes.get b.Basis.vstat j with
+    | '\000' ->
+      incr nbasic;
+      st.status.(j) <- Basic
+    | code ->
+      let lo = st.lo.(j) and hi = st.hi.(j) in
+      let kind =
+        match code with
+        | '\001' ->
+          if lo > neg_infinity then At_lower
+          else if hi < infinity then At_upper
+          else Free_zero
+        | '\002' ->
+          if hi < infinity then At_upper
+          else if lo > neg_infinity then At_lower
+          else Free_zero
+        | '\003' ->
+          if lo <= 0. && 0. <= hi then Free_zero
+          else if lo > 0. then At_lower
+          else At_upper
+        | _ -> raise Warm_reject
+      in
+      st.status.(j) <- kind;
+      st.xval.(j) <-
+        (match kind with At_lower -> lo | At_upper -> hi | _ -> 0.)
+  done;
   if !nbasic <> m then raise Warm_reject;
-  Array.blit b.Basis.vstat 0 st.status 0 total;
   (* every basis row must claim a distinct basic column: a claimed
      column is marked nonbasic until all rows are placed *)
-  Array.iteri
-    (fun i j ->
-      if j < 0 || j >= total then raise Warm_reject;
-      (match st.status.(j) with
-      | Basic -> st.status.(j) <- Nonbasic Free_zero
-      | Nonbasic _ -> raise Warm_reject);
-      st.basis.(i) <- j)
-    b.Basis.rows;
-  Array.iter (fun j -> st.status.(j) <- Basic) b.Basis.rows;
+  for i = 0 to m - 1 do
+    let j = b.Basis.rows.(i) in
+    if j < 0 || j >= total || st.status.(j) <> Basic then raise Warm_reject;
+    st.status.(j) <- Free_zero;
+    st.basis.(i) <- j
+  done;
+  for i = 0 to m - 1 do
+    st.status.(st.basis.(i)) <- Basic
+  done;
   st.ncols <- total;
-  load_costs st;
-  for j = 0 to total - 1 do
-    match st.status.(j) with
-    | Basic -> ()
-    | Nonbasic kind ->
-      let lo = st.lo.(j) and hi = st.hi.(j) in
-      let kind', v =
-        match kind with
-        | At_lower ->
-          if lo > neg_infinity then At_lower, lo
-          else if hi < infinity then At_upper, hi
-          else Free_zero, 0.
-        | At_upper ->
-          if hi < infinity then At_upper, hi
-          else if lo > neg_infinity then At_lower, lo
-          else Free_zero, 0.
-        | Free_zero ->
-          if lo <= 0. && 0. <= hi then Free_zero, 0.
-          else if lo > 0. then At_lower, lo
-          else At_upper, hi
-      in
-      st.status.(j) <- nonbasic kind';
-      st.xval.(j) <- v
-  done
+  load_costs st
 
 (* One warm attempt from [b]: dual pivots restore primal feasibility
    after bound changes, then primal phase 2 finishes off any dual

@@ -364,6 +364,98 @@ let prop_mps_roundtrip =
       | Sx.Unbounded, Sx.Unbounded -> true
       | _ -> false)
 
+(* Problem's arithmetic against the left folds it is defined as, bit for
+   bit: objective over [vars] in order, each row over its [coeffs] in
+   list order, and feasibility as the conjunction of the bound,
+   integrality and row checks. Values come from a pool rich in signed
+   zeros, halves, tiny and huge magnitudes; bounds may be infinite and
+   rows may repeat a variable. *)
+let ref_objective p x =
+  let acc = ref 0. in
+  Array.iteri (fun j v -> acc := !acc +. (v.P.obj *. x.(j))) p.P.vars;
+  !acc
+
+let ref_row_value r x =
+  List.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.P.coeffs
+
+let ref_feasible ~tol p x =
+  Array.length x = P.nvars p
+  && Array.for_all2
+       (fun v xj ->
+         xj >= v.P.lo -. tol && xj <= v.P.hi +. tol
+         && ((not v.P.integer) || Float.abs (xj -. Float.round xj) <= tol))
+       p.P.vars x
+  && Array.for_all
+       (fun r ->
+         let v = ref_row_value r x in
+         v >= r.P.rlo -. tol && v <= r.P.rhi +. tol)
+       p.P.rows
+
+let arith_gen =
+  QCheck.Gen.(
+    let value =
+      oneof
+        [
+          oneofl
+            [ 0.; -0.; 0.5; -0.5; 1.; -1.; 2.5; 1e-7; -1e-7; 1e300; -1e300;
+              3.0000001; 0.1 ];
+          map (fun i -> float_of_int i /. 4.) (int_range (-12) 12);
+          float_range (-10.) 10.;
+        ]
+    in
+    let bound = oneof [ value; oneofl [ infinity; neg_infinity ] ] in
+    int_range 1 6 >>= fun n ->
+    list_repeat n (quad value bound bound bool) >>= fun vars ->
+    list_size (int_range 0 4)
+      (triple
+         (list_size (int_range 0 8) (pair (int_range 0 (n - 1)) value))
+         bound bound)
+    >>= fun rows ->
+    list_repeat n value >>= fun x ->
+    return (vars, rows, Array.of_list x))
+
+let arith_print (vars, rows, x) =
+  Printf.sprintf "vars=[%s] rows=[%s] x=[%s]"
+    (String.concat "; "
+       (List.map
+          (fun (o, lo, hi, i) -> Printf.sprintf "(%h,%h,%h,%b)" o lo hi i)
+          vars))
+    (String.concat "; "
+       (List.map
+          (fun (c, lo, hi) ->
+            Printf.sprintf "(%s | %h,%h)"
+              (String.concat " "
+                 (List.map (fun (j, a) -> Printf.sprintf "%d:%h" j a) c))
+              lo hi)
+          rows))
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") x)))
+
+let prop_problem_arithmetic =
+  QCheck.Test.make ~count:1000
+    ~name:"objective/row_value/feasible match left folds bit for bit"
+    (QCheck.make ~print:arith_print arith_gen)
+    (fun (vars, rows, x) ->
+      let p =
+        P.make ~sense:P.Maximize
+          ~vars:
+            (List.map
+               (fun (o, lo, hi, integer) -> P.var ~integer ~lo ~hi o)
+               vars)
+          ~rows:(List.map (fun (c, lo, hi) -> P.row c ~lo ~hi) rows)
+      in
+      let bits = Int64.bits_of_float in
+      let short = Array.sub x 0 (Array.length x - 1) in
+      bits (P.objective p x) = bits (ref_objective p x)
+      && Array.for_all
+           (fun r -> bits (P.row_value r x) = bits (ref_row_value r x))
+           p.P.rows
+      && List.for_all
+           (fun tol ->
+             P.feasible ~tol p x = ref_feasible ~tol p x
+             && P.feasible ~tol p short = ref_feasible ~tol p short)
+           [ 0.; 1e-6; 0.5 ]
+      && P.feasible p x = ref_feasible ~tol:1e-6 p x)
+
 let () =
   Alcotest.run "lp"
     [
@@ -404,5 +496,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_simplex_feasible_and_dominant;
           QCheck_alcotest.to_alcotest prop_objective_scaling;
           QCheck_alcotest.to_alcotest prop_sense_symmetry;
+          QCheck_alcotest.to_alcotest prop_problem_arithmetic;
         ] );
     ]

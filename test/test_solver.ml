@@ -311,33 +311,81 @@ let workspace_reuse_prop =
 (* Pinned branch-and-bound trajectory                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct on Galaxy Q7 (2,000 rows, seed 1) under a 200-node budget.
-   The constants were recorded before the simplex workspace existed; a
-   change that alters any pivot choice, however slightly, moves them. *)
-let test_golden_trajectory () =
-  let g = Datagen.Galaxy.generate ~seed:1 2000 in
-  let def = List.nth (Datagen.Workload.galaxy_queries g) 6 in
-  Alcotest.(check string) "query" "Q7" def.Datagen.Workload.name;
-  let qrel = Datagen.Workload.query_relation ~dataset:`Galaxy g def in
+(* The Direct ILP of one paper-suite query: the query's candidate rows,
+   translated as the benchmark translates them. *)
+let direct_problem ~dataset rel defs name =
+  let def = List.find (fun d -> d.Datagen.Workload.name = name) defs in
+  let qrel = Datagen.Workload.query_relation ~dataset rel def in
   let spec = Datagen.Workload.compile qrel def in
   let candidates = Paql.Translate.base_candidates spec qrel in
-  let p = Paql.Translate.to_problem spec qrel ~candidates in
-  let limits = { B.default_limits with max_nodes = 200; max_seconds = 3600. } in
+  Paql.Translate.to_problem spec qrel ~candidates
+
+(* Galaxy Q7 (2,000 rows, seed 1) and TPC-H Q1 (3,000 rows, seed 2, the
+   widest ILP of the paper suite: 3,000 columns over 2 rows). *)
+let galaxy_q7 () =
+  let g = Datagen.Galaxy.generate ~seed:1 2000 in
+  direct_problem ~dataset:`Galaxy g (Datagen.Workload.galaxy_queries g) "Q7"
+
+let tpch_q1 () =
+  let t = Datagen.Tpch.generate ~seed:2 3000 in
+  direct_problem ~dataset:`Tpch t (Datagen.Workload.tpch_queries t) "Q1"
+
+let node_budget = { B.default_limits with max_nodes = 200; max_seconds = 3600. }
+
+(* Solve [p] under the 200-node budget and check the search against
+   recorded constants; a change that alters any pivot choice, however
+   slightly, moves them. *)
+let check_trajectory p ~iterations ~primal ~dual ~cold ~warm ~obj_bits =
   let c0 = S.counters () in
-  let r = B.solve ~limits p in
+  let r = B.solve ~limits:node_budget p in
   let c1 = S.counters () in
   let st = B.stats_of r in
   checki "nodes" 200 st.B.nodes;
-  checki "simplex iterations" 713 st.B.simplex_iterations;
-  checki "primal pivots" 271 (c1.S.pivots - c0.S.pivots);
-  checki "dual pivots" 442 (c1.S.dual_pivots - c0.S.dual_pivots);
-  checki "cold solves" 2 (c1.S.cold_solves - c0.S.cold_solves);
-  checki "warm hits" 199 (c1.S.warm_hits - c0.S.warm_hits);
+  checki "simplex iterations" iterations st.B.simplex_iterations;
+  checki "primal pivots" primal (c1.S.pivots - c0.S.pivots);
+  checki "dual pivots" dual (c1.S.dual_pivots - c0.S.dual_pivots);
+  checki "cold solves" cold (c1.S.cold_solves - c0.S.cold_solves);
+  checki "warm hits" warm (c1.S.warm_hits - c0.S.warm_hits);
   match r with
   | B.Feasible (s, _, _) ->
     Alcotest.(check int64)
-      "objective bits" 4643813136073241003L (Int64.bits_of_float s.B.obj)
+      "objective bits" obj_bits (Int64.bits_of_float s.B.obj)
   | r -> Alcotest.failf "expected a node-limited incumbent, got %a" B.pp_result r
+
+(* Recorded before the simplex workspace existed. *)
+let test_golden_trajectory () =
+  check_trajectory (galaxy_q7 ()) ~iterations:713 ~primal:271 ~dual:442
+    ~cold:2 ~warm:199 ~obj_bits:4643813136073241003L
+
+(* Recorded before node statuses became immediate and basis snapshots
+   became bytes. *)
+let test_wide_trajectory () =
+  let p = tpch_q1 () in
+  checki "columns" 3000 (P.nvars p);
+  checki "rows" 2 (P.nrows p);
+  check_trajectory p ~iterations:654 ~primal:292 ~dual:362 ~cold:1 ~warm:200
+    ~obj_bits:4682041704611480996L
+
+(* A node's warm re-solve allocates its solution vector and its basis
+   snapshot (one byte per column) and nothing else per column: no boxed
+   statuses, reduced costs or accumulators, no per-node copies. The
+   budget counts every word the search allocates, its one-off workspace
+   build included. *)
+let test_node_allocation_budget () =
+  let p = galaxy_q7 () in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
+  let r = B.solve ~limits:node_budget p in
+  let w1 = allocated () in
+  let nodes = (B.stats_of r).B.nodes in
+  checki "nodes" 200 nodes;
+  let per = (w1 -. w0) /. float nodes /. float (P.nvars p) in
+  Printf.printf "%.2f words per column per node\n" per;
+  if per > 3. then
+    Alcotest.failf "%.2f words per column per node (budget 3)" per
 
 (* ------------------------------------------------------------------ *)
 (* Parallel pricing determinism                                       *)
@@ -424,6 +472,10 @@ let () =
           QCheck_alcotest.to_alcotest workspace_reuse_prop;
           Alcotest.test_case "pinned B&B trajectory" `Quick
             test_golden_trajectory;
+          Alcotest.test_case "pinned wide B&B trajectory" `Quick
+            test_wide_trajectory;
+          Alcotest.test_case "node allocation budget" `Quick
+            test_node_allocation_budget;
         ] );
       ( "determinism",
         [
