@@ -586,7 +586,7 @@ let run_point ?checkpoint name point =
   in
   (match Ch.check r with
   | Ok _ -> ()
-  | Error msg -> Alcotest.fail msg);
+  | Error msg -> Alcotest.failf "%s: %s" name msg);
   r
 
 let test_chaos_reference () =
@@ -620,6 +620,34 @@ let test_chaos_kill_with_checkpoint () =
   checks "checkpoint + replay = acknowledged state" (fst r.Ch.refs.(3))
     r.Ch.recovered_fp;
   checkb "recovery was timed" true (r.Ch.recovery_seconds > 0.)
+
+(* The full crash matrix: every WAL record torn mid-frame, every record
+   durable but unacknowledged, and a kill after every acknowledged
+   append, then a slice with a checkpoint inside the window so recovery
+   also replays checkpoint + partial log. Each point must recover
+   exactly the acknowledged prefix (plus the in-doubt record for
+   [Crash]): no lost acknowledged write, no phantom. *)
+let test_chaos_crash_matrix () =
+  let ks = List.init (List.length chaos_batches) (fun i -> i + 1) in
+  let points =
+    List.concat_map
+      (fun k ->
+        [ (Ch.Torn k, None); (Ch.Crash k, None); (Ch.Kill_after k, None) ])
+      ks
+    @ [ (Ch.Torn 3, Some 2); (Ch.Crash 3, Some 2); (Ch.Kill_after 4, Some 2) ]
+  in
+  List.iter
+    (fun (point, checkpoint) ->
+      let name =
+        Ch.point_name point
+        ^
+        match checkpoint with
+        | Some c -> Printf.sprintf "-ckpt%d" c
+        | None -> ""
+      in
+      let r = run_point ?checkpoint name point in
+      checkb (name ^ ": server died at the injected point") true r.Ch.died)
+    points
 
 (* ------------------------------------------------------------------ *)
 
@@ -679,5 +707,6 @@ let () =
             test_chaos_crash_pre_ack;
           Alcotest.test_case "kill after checkpoint" `Quick
             test_chaos_kill_with_checkpoint;
+          Alcotest.test_case "crash matrix" `Quick test_chaos_crash_matrix;
         ] );
     ]

@@ -149,6 +149,51 @@ let test_cache_hits_skip_solver () =
             (Service.Metrics.get (Srv.metrics t) "result_hits"
              >= List.length queries)))
 
+(* The basis cache: with the result cache off every request reaches the
+   solver, and a stream of one Direct query with a tweaked numeric bound
+   shares one structure fingerprint, so every request after the first
+   finds the previous optimal root basis and warm-starts from it. *)
+let test_basis_cache_stream () =
+  let n = 12 in
+  let mu =
+    Relalg.Value.to_float
+      (Relalg.Aggregate.over galaxy (Relalg.Aggregate.Avg "redshift"))
+  in
+  let stream =
+    List.init n (fun i ->
+        Printf.sprintf
+          "SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0 SUCH THAT COUNT(P.*) \
+           = 8 AND SUM(P.redshift) <= %.6f MAXIMIZE SUM(P.petro_rad)"
+          (8. *. mu *. (1.2 +. (0.02 *. float_of_int i))))
+  in
+  let cfg =
+    {
+      (base_cfg ()) with
+      Srv.workers = 1;
+      result_cache = 0;
+      method_ = Srv.Direct;
+    }
+  in
+  let c0 = Lp.Simplex.counters () in
+  with_server cfg galaxy (fun t ->
+      with_client t (fun c ->
+          List.iteri
+            (fun i q ->
+              checkb (Printf.sprintf "query %d answered" i) true
+                (match essence (Cl.query c q) with `Ok _ -> true | _ -> false))
+            stream);
+      let m = Srv.metrics t in
+      checki "every request solved" n (Srv.solve_count t);
+      checkb "basis hits >= N - 1" true
+        (Service.Metrics.get m "basis_hits" >= n - 1));
+  let c1 = Lp.Simplex.counters () in
+  let attempts = c1.Lp.Simplex.warm_attempts - c0.Lp.Simplex.warm_attempts in
+  let hits = c1.Lp.Simplex.warm_hits - c0.Lp.Simplex.warm_hits in
+  checkb
+    (Printf.sprintf "warm hits/attempts > 0.8 (%d/%d)" hits attempts)
+    true
+    (attempts > 0 && float_of_int hits > 0.8 *. float_of_int attempts)
+
 let test_append_invalidates_results () =
   with_server (base_cfg ()) galaxy (fun t ->
       with_client t (fun c ->
@@ -749,6 +794,8 @@ let () =
             `Slow test_concurrent_matches_cold;
           Alcotest.test_case "result cache hits skip the solver" `Quick
             test_cache_hits_skip_solver;
+          Alcotest.test_case "basis cache warm-starts a stream" `Quick
+            test_basis_cache_stream;
           Alcotest.test_case "append invalidates cached results" `Quick
             test_append_invalidates_results;
           Alcotest.test_case "write acks name the verb" `Quick

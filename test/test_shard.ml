@@ -370,10 +370,28 @@ let test_injected_stall_hedges () =
              answer must be byte-identical whichever side produced it *)
           check_ok_reference "under stall" q_max (essence (Co.eval t q_max))))
 
-(* A bounded kill/stall matrix: every point must end in one of the
-   sanctioned outcomes — the exact reference package, or a typed
-   degraded/failed answer — within the query budget. Never a hang,
-   never an unexplained wrong answer. *)
+(* One matrix point: query [q] and require a sanctioned outcome — the
+   exact reference package, or a typed degraded/failed/deadline answer
+   ([fenced] too where a promotion window may be open) — within twice
+   the query budget. Never a hang, never an unexplained wrong answer. *)
+let matrix_point ?(fenced = false) t label q =
+  let t0 = Unix.gettimeofday () in
+  let e = essence (Co.eval t q) in
+  let wall = Unix.gettimeofday () -. t0 in
+  checkb (label ^ ": answers within 2x budget") true
+    (wall <= 2. *. (coord_cfg ()).Co.request_seconds);
+  match e with
+  | `Ok _ ->
+    checkb (label ^ ": package is the reference") true (e = reference q)
+  | `Err (("degraded" | "failed" | "deadline"), _) -> ()
+  | `Err ("fenced", _) when fenced -> ()
+  | `Err (c, m) -> Alcotest.failf "%s: unsanctioned outcome %s: %s" label c m
+  | `Bad m -> Alcotest.failf "%s: bad result: %s" label m
+
+(* A bounded kill/stall matrix: one fault per two-shard fleet, then one
+   four-shard fleet taking a cumulative sequence — injected crash, drop
+   and stall; SIGSTOPs and SIGKILLs of primaries; shards going dark —
+   with a query after every step. *)
 let test_kill_stall_matrix () =
   let scenarios =
     [ `Kill_primary 0; `Kill_primary 1; `Pause_primary 0; `Pause_primary 1 ]
@@ -396,26 +414,39 @@ let test_kill_stall_matrix () =
               fun () -> Ch.resume (target k)
           in
           Fun.protect ~finally:cleanup (fun () ->
-              let t0 = Unix.gettimeofday () in
-              let e = essence (Co.eval t q_max) in
-              let wall = Unix.gettimeofday () -. t0 in
-              checkb
-                (Printf.sprintf "point %d answers within 2x budget" i)
-                true
-                (wall <= 2. *. (coord_cfg ()).Co.request_seconds);
-              match e with
-              | `Ok _ ->
-                checkb
-                  (Printf.sprintf "point %d package is the reference" i)
-                  true
-                  (e = reference q_max)
-              | `Err ("degraded", _) | `Err ("failed", _)
-              | `Err ("deadline", _) ->
-                ()
-              | `Err (c, m) ->
-                Alcotest.failf "point %d: unsanctioned outcome %s: %s" i c m
-              | `Bad m -> Alcotest.failf "point %d: bad result: %s" i m)))
-    scenarios
+              matrix_point t (Printf.sprintf "point %d" i) q_max)))
+    scenarios;
+  with_fleet "matrix-cumulative" ~shards:4 ~replicas:1 (fun fleet t ->
+      let prim k = (List.nth fleet k).Ch.fm_primary in
+      let repl k = Option.get (List.nth fleet k).Ch.fm_replica in
+      let step = ref 0 in
+      (* [wrap] sets the step's fault up around the query; kills stay *)
+      let point label wrap =
+        let q = List.nth queries (!step mod List.length queries) in
+        incr step;
+        wrap (fun () -> matrix_point ~fenced:true t label q)
+      in
+      let stopped s query =
+        Ch.pause s;
+        Fun.protect ~finally:(fun () -> Ch.resume s) query
+      in
+      let killed ss query =
+        List.iter Ch.kill_server ss;
+        query ()
+      in
+      point "healthy" (fun query -> query ());
+      point "inject crash shard0" (with_faults "shard=0:crash");
+      point "inject drop shard1" (with_faults "shard=1:drop");
+      point "inject stall shard2" (with_faults "shard=2:stall:100");
+      point "SIGSTOP primary3" (stopped (prim 3));
+      point "SIGKILL primary0" (killed [ prim 0 ]);
+      point "SIGKILL primary1" (killed [ prim 1 ]);
+      point "SIGSTOP primary2" (stopped (prim 2));
+      point "SIGKILL replica0 (shard0 dark)" (killed [ repl 0 ]);
+      point "SIGKILL primary2 for good" (killed [ prim 2 ]);
+      point "SIGKILL primary3+replica3 (shard3 dark)"
+        (killed [ prim 3; repl 3 ]);
+      point "aftermath" (fun query -> query ()))
 
 (* ------------------------------------------------------------------ *)
 (* fence: leases, epochs, self-demotion, the zombie                   *)
@@ -515,25 +546,35 @@ let test_lease_regime_renewals () =
       expect_ok "append under lease regime"
         (Cl.append c ~csv:(Relalg.Csv.to_string (batch 41))))
 
+(* Two rounds, at lease TTLs of 300 ms and 500 ms, so the invariants
+   are checked at more than one lease length. *)
 let test_zombie_split_brain () =
-  let pre = [ batch 51; batch 52 ] in
-  let during = [ batch 53; batch 54 ] in
-  let post = [ batch 55; batch 56 ] in
-  let r =
-    Ch.run_zombie ~exe:server_exe
-      ~dir:(Filename.concat tmp_dir "zombie")
-      ~base:galaxy ~pre ~during ~post ~lease_ms:300 ~attrs ~tau ()
-  in
-  checki "no dual-primary acks" 0 r.Ch.z_dual_acks;
-  checki "no acked-write loss" 0 r.Ch.z_lost_acks;
-  checki "every zombie write answered the typed fence" (List.length post)
-    r.Ch.z_zombie_fenced;
-  checki "no untyped zombie refusals" 0 r.Ch.z_zombie_other;
-  checkb "stale stamp fenced at the new primary" true r.Ch.z_stale_fenced;
-  checkb "promotion happened" true (r.Ch.z_promotions >= 1);
-  checkb "epoch advanced" true (r.Ch.z_epoch >= 2);
-  checki "failover acks" (List.length during) r.Ch.z_failover_acks;
-  checki "all phases acked" (List.length (pre @ during @ post)) r.Ch.z_acked
+  List.iter
+    (fun (lease_ms, seed0) ->
+      let label what = Printf.sprintf "lease %d ms: %s" lease_ms what in
+      let pre = [ batch seed0; batch (seed0 + 1) ] in
+      let during = [ batch (seed0 + 2); batch (seed0 + 3) ] in
+      let post = [ batch (seed0 + 4); batch (seed0 + 5) ] in
+      let r =
+        Ch.run_zombie ~exe:server_exe
+          ~dir:(Filename.concat tmp_dir (Printf.sprintf "zombie-%d" lease_ms))
+          ~base:galaxy ~pre ~during ~post ~lease_ms ~attrs ~tau ()
+      in
+      checki (label "no dual-primary acks") 0 r.Ch.z_dual_acks;
+      checki (label "no acked-write loss") 0 r.Ch.z_lost_acks;
+      checki
+        (label "every zombie write answered the typed fence")
+        (List.length post) r.Ch.z_zombie_fenced;
+      checki (label "no untyped zombie refusals") 0 r.Ch.z_zombie_other;
+      checkb (label "stale stamp fenced at the new primary") true
+        r.Ch.z_stale_fenced;
+      checkb (label "promotion happened") true (r.Ch.z_promotions >= 1);
+      checkb (label "epoch advanced") true (r.Ch.z_epoch >= 2);
+      checki (label "failover acks") (List.length during) r.Ch.z_failover_acks;
+      checki (label "all phases acked")
+        (List.length (pre @ during @ post))
+        r.Ch.z_acked)
+    [ (300, 51); (500, 61) ]
 
 (* ------------------------------------------------------------------ *)
 (* Front-end shell                                                    *)

@@ -220,6 +220,70 @@ let test_warm_disabled_is_cold () =
     | r -> Alcotest.failf "disabled resolve: %a" S.pp_result r)
   | r -> Alcotest.failf "seed solve: %a" S.pp_result r
 
+(* [p] with the column [x] selects most pinned to 0 — the bound change
+   a B&B branch or a refine rung makes. *)
+let pin_most_selected p x =
+  let j = ref 0 in
+  Array.iteri (fun i v -> if v > x.(!j) then j := i) x;
+  let vars = Array.copy p.P.vars in
+  vars.(!j) <- { vars.(!j) with P.hi = 0. };
+  { p with P.vars }
+
+(* A chained re-solve ladder, the shape of B&B children and refine
+   rungs: each rung pins the variable the previous optimum selects most
+   (its upper bound drops to 0) and re-solves warm from the previous
+   rung's basis. Every rung's objective must equal a cold solve of the
+   same problem, and the chain must really run warm. *)
+let test_warm_ladder () =
+  let n = 400 and rungs = 20 in
+  let rng = Datagen.Prng.create 42 in
+  let obj = Array.init n (fun _ -> Datagen.Prng.uniform rng 1. 10.) in
+  let res =
+    List.init 3 (fun _ ->
+        Array.init n (fun _ -> Datagen.Prng.uniform rng 0. 5.))
+  in
+  let k = 10. in
+  let root =
+    P.make ~sense:P.Maximize
+      ~vars:(List.init n (fun j -> P.var ~hi:1. obj.(j)))
+      ~rows:
+        (P.row (List.init n (fun j -> (j, 1.))) ~lo:k ~hi:k
+        :: List.map
+             (fun a ->
+               P.row
+                 (List.init n (fun j -> (j, a.(j))))
+                 ~lo:neg_infinity
+                 ~hi:(Array.fold_left ( +. ) 0. a /. float_of_int n *. k *. 2.))
+             res)
+  in
+  let optimal what = function
+    | S.Optimal sol -> sol
+    | r -> Alcotest.failf "%s: %a" what S.pp_result r
+  in
+  let was_warm = S.warm_enabled () in
+  S.set_warm_enabled true;
+  Fun.protect ~finally:(fun () -> S.set_warm_enabled was_warm) @@ fun () ->
+  let c0 = S.counters () in
+  ignore
+    (List.fold_left
+      (fun (p, (sol : S.solution)) i ->
+        let p = pin_most_selected p sol.S.x in
+        let warm =
+          optimal (Printf.sprintf "warm rung %d" i)
+            (S.resolve ?basis:sol.S.basis p)
+        in
+        let cold = optimal (Printf.sprintf "cold rung %d" i) (S.solve p) in
+        checkb
+          (Printf.sprintf "rung %d: warm objective = cold within 1e-9" i)
+          true
+          (Float.abs (warm.S.obj -. cold.S.obj)
+           <= 1e-9 *. Float.max 1. (Float.abs cold.S.obj));
+        (p, warm))
+      (root, optimal "root" (S.solve root))
+      (List.init rungs Fun.id));
+  let c1 = S.counters () in
+  checki "every rung re-solved warm" rungs (c1.S.warm_hits - c0.S.warm_hits)
+
 (* ------------------------------------------------------------------ *)
 (* Workspace reuse                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -434,11 +498,7 @@ let test_parallel_warm_deterministic () =
     | r -> Alcotest.failf "root: %a" S.pp_result r
   in
   (* pin the most-selected column, then warm re-solve at 1 vs 4 workers *)
-  let j = ref 0 in
-  Array.iteri (fun i v -> if v > root.S.x.(!j) then j := i) root.S.x;
-  let vars' = Array.copy p.P.vars in
-  vars'.(!j) <- { vars'.(!j) with P.hi = 0. };
-  let p' = { p with P.vars = vars' } in
+  let p' = pin_most_selected p root.S.x in
   let resolve_with w =
     S.set_price_workers w;
     Fun.protect
@@ -466,6 +526,8 @@ let () =
             test_corrupt_basis_falls_cold;
           Alcotest.test_case "warm disabled is cold" `Quick
             test_warm_disabled_is_cold;
+          Alcotest.test_case "chained warm ladder equals cold" `Quick
+            test_warm_ladder;
         ] );
       ( "workspace",
         [
