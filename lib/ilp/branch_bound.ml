@@ -7,7 +7,7 @@ type limits = { max_nodes : int; max_seconds : float; max_simplex_iters : int }
 let default_limits =
   { max_nodes = 200_000; max_seconds = 3600.; max_simplex_iters = max_int }
 
-type stop_reason = Stop_nodes | Stop_time | Stop_iterations
+type stop_reason = Stop_nodes | Stop_time | Stop_iterations | Stop_gap
 
 type stats = {
   nodes : int;
@@ -20,6 +20,14 @@ let pp_stop_reason ppf = function
   | Stop_nodes -> Format.pp_print_string ppf "node limit"
   | Stop_time -> Format.pp_print_string ppf "time limit"
   | Stop_iterations -> Format.pp_print_string ppf "simplex iteration limit"
+  | Stop_gap -> Format.pp_print_string ppf "relative gap"
+
+(* Two decimals of a percent, except that a nonzero gap below 0.01%
+   keeps two significant digits rather than printing as zero. *)
+let pp_gap ppf gap =
+  let pct = gap *. 100. in
+  if pct = 0. || Float.abs pct >= 0.01 then Format.fprintf ppf "%.2f%%" pct
+  else Format.fprintf ppf "%.2g%%" pct
 
 type result =
   | Optimal of sol * stats
@@ -41,8 +49,8 @@ let pp_result ppf = function
     Format.fprintf ppf "optimal obj=%g (nodes=%d, %.3fs)" s.obj st.nodes
       st.elapsed
   | Feasible (s, st, gap) ->
-    Format.fprintf ppf "feasible obj=%g gap=%.2f%% (nodes=%d, %.3fs)" s.obj
-      (gap *. 100.) st.nodes st.elapsed
+    Format.fprintf ppf "feasible obj=%g gap=%a (nodes=%d, %.3fs)" s.obj pp_gap
+      gap st.nodes st.elapsed
   | Infeasible st -> Format.fprintf ppf "infeasible (nodes=%d)" st.nodes
   | Unbounded st -> Format.fprintf ppf "unbounded (nodes=%d)" st.nodes
   | Limit st ->
@@ -206,6 +214,20 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     | None -> 0.
     | Some s -> rel_gap *. Float.max 1e-9 (Float.abs (sense_sign *. s.obj))
   in
+  (* A node is pruned when its bound is within 1e-9 of the incumbent,
+     or within the slack when that is wider. The least bound among nodes
+     pruned only by the slack is kept: each could still improve the
+     incumbent, so a search that dropped one proves a gap, not
+     optimality. *)
+  let gap_bound = ref infinity in
+  let[@inline] pruned bound =
+    let inc = incumbent_internal () in
+    if bound < inc -. Float.max 1e-9 (gap_slack ()) then false
+    else begin
+      if bound < inc -. 1e-9 && bound < !gap_bound then gap_bound := bound;
+      true
+    end
+  in
   let try_incumbent x =
     let obj = Problem.objective p x in
     let internal = sense_sign *. obj in
@@ -276,7 +298,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
             | Some b -> Float.min node.bound b
             | None -> node.bound);
           (* prune against the incumbent (with the MIP-gap slack) *)
-          if node.bound < incumbent_internal () -. 1e-9 -. gap_slack () then begin
+          if not (pruned node.bound) then begin
             incr nodes;
             match solve_lp ?basis:node.nbasis node.overrides with
             | Simplex.Infeasible -> ()
@@ -289,7 +311,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
               ()
             | Simplex.Optimal lp ->
               let bound = sense_sign *. lp.Simplex.obj in
-              if bound < incumbent_internal () -. 1e-9 -. gap_slack () then begin
+              if not (pruned bound) then begin
                 match branching_var lp.Simplex.x with
                 | None -> try_incumbent lp.Simplex.x
                 | Some j ->
@@ -315,18 +337,32 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
       (match !incumbent with
       | None -> if !limit_hit then Limit st else Infeasible st
       | Some s ->
+        let inc = sense_sign *. s.obj in
+        let gap_to lb =
+          if Float.abs inc < 1e-12 then Float.abs (inc -. lb)
+          else Float.abs (inc -. lb) /. Float.abs inc
+        in
+        (* a gap-pruned node that a later, better incumbent prunes
+           outright no longer stands between it and optimality *)
+        let gap_lb =
+          if !gap_bound < inc -. 1e-9 then !gap_bound else infinity
+        in
         if !limit_hit || not (Heap.is_empty heap) then begin
           let open_bound =
             match Heap.best_bound heap with
             | Some b -> Float.min !best_open b
             | None -> !best_open
           in
-          let inc = sense_sign *. s.obj in
-          let gap =
-            if Float.abs inc < 1e-12 then Float.abs (inc -. open_bound)
-            else Float.abs (inc -. open_bound) /. Float.abs inc
-          in
-          if gap <= Float.max 1e-9 rel_gap then Optimal (s, st)
+          let gap = gap_to (Float.min open_bound gap_lb) in
+          if gap <= 1e-9 && gap_lb = infinity then Optimal (s, st)
           else Feasible (s, st, gap)
         end
+        else if gap_lb < infinity then
+          (* each dropped node was within [rel_gap] of the incumbent of
+             its time, and so of this one, which is no worse; the min
+             absorbs the rounding of the two computations *)
+          Feasible
+            ( s,
+              { st with stopped = Some Stop_gap },
+              Float.min rel_gap (gap_to gap_lb) )
         else Optimal (s, st)))

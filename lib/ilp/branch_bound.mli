@@ -6,7 +6,9 @@
     (1-hour cap, kill on resource exhaustion). A search that hits a
     limit reports [Feasible] (with the optimality gap) when an
     incumbent exists and [Limit] otherwise — the latter is what the
-    benchmarks treat as a Direct failure. *)
+    benchmarks treat as a Direct failure. A search that [rel_gap]
+    stopped short of a proof reports [Feasible] too, with
+    [stopped = Some Stop_gap]. *)
 
 type sol = { x : float array; obj : float }
 
@@ -20,12 +22,20 @@ type limits = {
 
 val default_limits : limits
 
-(** Which limit stopped a search that came back [Limit]/[Feasible].
-    The {e first} limit crossed is recorded; later triggers are
-    consequences of it. *)
-type stop_reason = Stop_nodes | Stop_time | Stop_iterations
+(** What stopped a search that came back [Limit]/[Feasible]. The
+    {e first} limit crossed is recorded; later triggers are
+    consequences of it. [Stop_gap] marks a search that ran to
+    completion but dropped nodes that could improve the incumbent by
+    no more than [rel_gap]; it always comes with an incumbent, so never
+    with [Limit]. *)
+type stop_reason = Stop_nodes | Stop_time | Stop_iterations | Stop_gap
 
 val pp_stop_reason : Format.formatter -> stop_reason -> unit
+
+(** A relative gap as a percentage with two decimals; a nonzero gap
+    below 0.01% prints with two significant digits instead, never as
+    [0.00%]. *)
+val pp_gap : Format.formatter -> float -> unit
 
 type stats = {
   nodes : int;
@@ -38,8 +48,8 @@ type stats = {
 type result =
   | Optimal of sol * stats
   | Feasible of sol * stats * float
-      (** best incumbent when a limit was hit; the float is the relative
-          optimality gap *)
+      (** best incumbent when a limit or the relative gap stopped the
+          search; the float is the proven relative optimality gap *)
   | Infeasible of stats
   | Unbounded of stats
   | Limit of stats  (** limit hit before any feasible point was found *)
@@ -49,8 +59,13 @@ type result =
 
     [rel_gap] (default [0.] = prove exact optimality) stops the search
     once no open node can improve the incumbent by more than this
-    relative amount; CPLEX's default is [1e-4]. A search stopped by the
-    gap reports [Optimal].
+    relative amount; CPLEX's default is [1e-4]. A search that dropped
+    such a node reports [Feasible (sol, st, gap)] with
+    [st.stopped = Some Stop_gap] and the proven [gap] ([0 < gap <=
+    rel_gap]); [Optimal] means no node was dropped that way. A node-
+    or time-limit stop folds the dropped nodes into the gap it
+    reports. With [rel_gap = 0.] no node is ever dropped by the gap,
+    and the search is the exact one.
 
     [warm_start] seeds the root LP with a previously saved basis (see
     {!Lp.Simplex.resolve}). Child nodes always warm-start from their

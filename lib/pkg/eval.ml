@@ -1,3 +1,5 @@
+let rel_gap = 1e-4
+
 type stage =
   | Sketch
   | Hybrid
@@ -44,13 +46,16 @@ type failure = {
 let failure ?stage ?group ?worker kind = { kind; stage; group; worker }
 
 (* Map a Branch_bound [Limit] outcome to the taxonomy. An unclassified
-   limit (old-style synthetic stats) is attributed to the node budget. *)
+   limit (old-style synthetic stats) is attributed to the node budget.
+   A gap stop always has an incumbent, so it comes back [Feasible]. *)
 let limit_failure ?stage ?group ?worker (st : Ilp.Branch_bound.stats) =
   let kind =
     match st.Ilp.Branch_bound.stopped with
     | Some Ilp.Branch_bound.Stop_time -> Deadline_exceeded
     | Some Ilp.Branch_bound.Stop_iterations -> Iteration_limit
     | Some Ilp.Branch_bound.Stop_nodes | None -> Node_limit
+    | Some Ilp.Branch_bound.Stop_gap ->
+      invalid_arg "Eval.limit_failure: a gap stop is an answer, not a limit"
   in
   failure ?stage ?group ?worker kind
 
@@ -142,7 +147,8 @@ let pp_degradation ppf d =
 
 let pp_status ppf = function
   | Optimal -> Format.pp_print_string ppf "optimal"
-  | Feasible gap -> Format.fprintf ppf "feasible (gap %.2f%%)" (gap *. 100.)
+  | Feasible gap ->
+    Format.fprintf ppf "feasible (gap %a)" Ilp.Branch_bound.pp_gap gap
   | Infeasible -> Format.pp_print_string ppf "infeasible"
   | Degraded d -> Format.fprintf ppf "degraded: %a" pp_degradation d
   | Failed f -> Format.fprintf ppf "failed: %a" pp_failure f

@@ -1,6 +1,12 @@
 (** Shared result types, failure taxonomy and counters for the package
     evaluation methods (DIRECT, SKETCHREFINE, parallel refinement). *)
 
+(** The relative MIP gap every package ILP stops at: [1e-4], CPLEX's
+    default, under which the paper ran every ILP (Section 5). A search
+    it stops short of a proof answers [Feasible gap] with
+    [gap <= rel_gap]. *)
+val rel_gap : float
+
 (** Where in the pipeline a failure originated — the ladder rung or
     evaluation phase that was executing. *)
 type stage =
@@ -50,7 +56,9 @@ val failure : ?stage:stage -> ?group:int -> ?worker:int -> failure_kind -> failu
 (** Classify a {!Ilp.Branch_bound.Limit} outcome by its recorded stop
     reason: time maps to [Deadline_exceeded], pivots to
     [Iteration_limit], nodes (or an unclassified limit) to
-    [Node_limit]. *)
+    [Node_limit]. A gap stop is an answer, not a failure, and never
+    comes with [Limit].
+    @raise Invalid_argument on stats stopped by [Stop_gap]. *)
 val limit_failure :
   ?stage:stage -> ?group:int -> ?worker:int -> Ilp.Branch_bound.stats -> failure
 
@@ -71,8 +79,8 @@ type status =
   | Optimal
       (** every ILP subproblem was solved to proven optimality *)
   | Feasible of float
-      (** a solver limit was hit; the payload is the worst relative
-          optimality gap observed *)
+      (** a solver limit was hit, or a search stopped at {!rel_gap};
+          the payload is the proven relative optimality gap *)
   | Infeasible
   | Degraded of degradation
       (** a sharded evaluation answered with reduced fidelity rather

@@ -497,6 +497,10 @@ let solve ?limits ?deadline ?warm ?basis_out ~stage ?group problem =
     | Some b when lp_fault Lp_singular -> Some (Lp.Simplex.Basis.corrupt b)
     | Some b -> Some b
   in
+  let branch_and_bound limits =
+    Ilp.Branch_bound.solve ~limits ~rel_gap:Eval.rel_gap ?warm_start
+      ?basis_out problem
+  in
   let call = Atomic.fetch_and_add calls 1 + 1 in
   match action_for ~call ~stage ~group with
   | Some Force_raise ->
@@ -511,8 +515,7 @@ let solve ?limits ?deadline ?warm ?basis_out ~stage ?group problem =
     Ilp.Branch_bound.Limit (zero_stats (Some Ilp.Branch_bound.Stop_nodes))
   | None -> (
     match deadline with
-    | None ->
-      Ilp.Branch_bound.solve ~limits ?warm_start ?basis_out problem
+    | None -> branch_and_bound limits
     | Some d ->
       let remaining = d -. Unix.gettimeofday () in
       if remaining <= 0. then
@@ -527,4 +530,4 @@ let solve ?limits ?deadline ?warm ?basis_out ~stage ?group problem =
               Float.min limits.Ilp.Branch_bound.max_seconds remaining;
           }
         in
-        Ilp.Branch_bound.solve ~limits ?warm_start ?basis_out problem)
+        branch_and_bound limits)

@@ -157,10 +157,12 @@ val install_from_env : unit -> unit
 val env_var : string
 
 (** [solve ?limits ?deadline ?warm ?basis_out ~stage ?group p] is
-    [Branch_bound.solve ~limits p] with the per-call [max_seconds]
-    clamped to the budget remaining before [deadline], after applying
-    any fault directive matching this call. Increments the global call
-    counter even when a fault short-circuits the solver.
+    [Branch_bound.solve ~limits ~rel_gap:Eval.rel_gap p] — every
+    package ILP stops at the paper's relative gap — with the per-call
+    [max_seconds] clamped to the budget remaining before [deadline],
+    after applying any fault directive matching this call. Increments
+    the global call counter even when a fault short-circuits the
+    solver.
 
     [warm] seeds the root LP from a saved basis (subject to the [lp=]
     fault directives above); [basis_out], when given, receives the root

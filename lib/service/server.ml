@@ -295,13 +295,16 @@ let record_stoch_stats metrics (st : Pkg.Stochastic.stats) =
       (int_of_float (Float.round (st.Pkg.Stochastic.st_validated *. 1000.)))
   end
 
-(* Only proven outcomes are safe to replay: a Feasible gap depends on
-   the budget the original request happened to have left, and failures
-   should retry. *)
+(* Only proven outcomes are safe to replay. A gap within [Eval.rel_gap]
+   is what every search is asked to prove, so such an answer is a
+   function of the query and the table like [Optimal]; a larger gap
+   depends on the budget the original request happened to have left,
+   and failures should retry. *)
 let cacheable (r : Pkg.Eval.report) =
   match r.status with
   | Pkg.Eval.Optimal | Pkg.Eval.Infeasible -> true
-  | Pkg.Eval.Feasible _ | Pkg.Eval.Failed _ | Pkg.Eval.Degraded _ -> false
+  | Pkg.Eval.Feasible gap -> gap <= Pkg.Eval.rel_gap
+  | Pkg.Eval.Failed _ | Pkg.Eval.Degraded _ -> false
 
 (* The STATS verb reports the process-wide simplex counters as gauges:
    they are cumulative totals read from [Lp.Simplex.counters], so a

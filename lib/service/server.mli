@@ -22,8 +22,9 @@
     - {b result cache} — keyed by (query fingerprint, table
       fingerprint): a repeated query against an unchanged table
       returns the rendered answer without touching the solver. Only
-      {e proven} outcomes (Optimal / Infeasible) are cached — budget-
-      dependent [Feasible] gaps and failures are recomputed. [APPEND]
+      {e proven} outcomes are cached: Optimal, Infeasible, and a
+      [Feasible] gap within {!Pkg.Eval.rel_gap} (a gap-stopped search).
+      Larger, budget-dependent gaps and failures are recomputed. [APPEND]
       explicitly invalidates every result for the superseded table
       fingerprint;
     - {b basis cache} — keyed by (query {e structure} fingerprint,

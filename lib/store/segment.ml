@@ -125,11 +125,21 @@ let encode_body rel =
 (* Decoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Counts come from the file, so each is checked against the bytes
+   left before anything is allocated for it: an attribute takes at
+   least 5 header bytes (name length and type tag), a row at least one
+   byte in every column (a bool), and a dictionary entry at least its
+   4-byte length. A body with no columns holds no rows. *)
 let decode_body r =
   let n_attrs = Wire.get_i32 r in
   if n_attrs < 0 then Wire.error "negative attribute count %d" n_attrs;
   let n = Wire.get_i32 r in
   if n < 0 then Wire.error "negative row count %d" n;
+  let left = Wire.remaining r in
+  if n_attrs > left / 5 then
+    Wire.error "attribute count %d exceeds the %d body bytes left" n_attrs left;
+  if n > 0 && (n_attrs = 0 || n > left / n_attrs) then
+    Wire.error "row count %d exceeds the %d body bytes left" n left;
   let attrs =
     List.init n_attrs (fun _ ->
         let name = Wire.get_str r in
@@ -180,6 +190,9 @@ let decode_body r =
       | V.TStr ->
         let cnt = Wire.get_i32 r in
         if cnt < 0 then Wire.error "negative dictionary size %d" cnt;
+        if cnt > Wire.remaining r / 4 then
+          Wire.error "dictionary size %d exceeds the %d body bytes left" cnt
+            (Wire.remaining r);
         let dict = Array.init cnt (fun _ -> Wire.get_str r) in
         let idxs = Wire.get_i32_array r n in
         for row = 0 to n - 1 do

@@ -97,6 +97,8 @@ type reader = { s : string; mutable pos : int; limit : int }
 let need r n =
   if n < 0 || r.pos + n > r.limit then error "truncated store file body"
 
+let remaining r = r.limit - r.pos
+
 let get_u8 r =
   need r 1;
   let v = Char.code (String.unsafe_get r.s r.pos) in

@@ -72,6 +72,10 @@ val peek_version : string -> int option
 (** Raises [Sys_error] on IO failure. *)
 val read_file : string -> string
 
+(** Body bytes not yet read. A decoder checks a count read from the
+    body against it before allocating for that count. *)
+val remaining : reader -> int
+
 val get_u8 : reader -> int
 val get_i32 : reader -> int
 val get_i64 : reader -> int

@@ -319,6 +319,20 @@ let test_eval_pretty_printers () =
   checkb "optimal" true (to_s Pkg.Eval.pp_status Pkg.Eval.Optimal = "optimal");
   checkb "gap" true
     (to_s Pkg.Eval.pp_status (Pkg.Eval.Feasible 0.125) = "feasible (gap 12.50%)");
+  (* a gap below 0.01% keeps its digits instead of printing as zero *)
+  Alcotest.(check string) "small gap" "feasible (gap 0.0015%)"
+    (to_s Pkg.Eval.pp_status (Pkg.Eval.Feasible 1.5e-5));
+  Alcotest.(check string) "tiny gap" "7e-05%"
+    (to_s Ilp.Branch_bound.pp_gap 7e-7);
+  Alcotest.(check string) "zero gap" "0.00%" (to_s Ilp.Branch_bound.pp_gap 0.);
+  Alcotest.(check string) "solver result"
+    "feasible obj=2 gap=0.0015% (nodes=3, 0.000s)"
+    (to_s Ilp.Branch_bound.pp_result
+       (Ilp.Branch_bound.Feasible
+          ( { Ilp.Branch_bound.x = [||]; obj = 2. },
+            { Ilp.Branch_bound.nodes = 3; simplex_iterations = 0;
+              elapsed = 0.; stopped = Some Ilp.Branch_bound.Stop_gap },
+            1.5e-5 )));
   checkb "failed" true
     (to_s Pkg.Eval.pp_status
        (Pkg.Eval.Failed (Pkg.Eval.failure (Pkg.Eval.Solver_error "x")))

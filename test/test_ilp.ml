@@ -235,13 +235,59 @@ let prop_bb_rel_gap_within_tolerance =
     (fun input ->
       let p = ilp_of input in
       let gap = 0.05 in
-      match B.solve p, B.solve ~rel_gap:gap p with
-      | B.Optimal (exact, _), B.Optimal (approx, _) ->
-        (* maximization: the gap-stopped incumbent may be below the
-           exact optimum by at most rel_gap * |approx| (plus epsilon) *)
+      (* maximization: the gap-stopped incumbent may be below the exact
+         optimum by at most [bound] * |approx| (plus epsilon) *)
+      let within exact approx bound =
         exact.B.obj -. approx.B.obj
-        <= (gap *. Float.max 1e-9 (Float.abs approx.B.obj)) +. 1e-6
+        <= (bound *. Float.max 1e-9 (Float.abs approx.B.obj)) +. 1e-6
+      in
+      match B.solve p, B.solve ~rel_gap:gap p with
+      | B.Optimal (exact, _), B.Optimal (approx, st) ->
+        st.B.stopped = None && within exact approx gap
+      | B.Optimal (exact, _), (B.Feasible (approx, st, g) as r) ->
+        (* a gap stop reports the gap it proved, which bounds the
+           distance to the exact optimum *)
+        (st.B.stopped = Some B.Stop_gap
+        && g > 0. && g <= gap
+        && within exact approx gap
+        && within exact approx g)
+        || QCheck.Test.fail_reportf "exact obj=%g, gap %a" exact.B.obj
+             B.pp_result r
       | B.Infeasible _, B.Infeasible _ -> true
+      | a, b ->
+        QCheck.Test.fail_reportf "exact %a, gap %a" B.pp_result a B.pp_result b)
+
+(* With no gap the slack is zero, so no node is ever dropped by it:
+   the search, its stats and its answer are those of a solve without
+   the argument. *)
+let prop_bb_zero_gap_is_exact =
+  QCheck.Test.make ~count:200 ~name:"rel_gap 0 is the exact search"
+    (QCheck.make random_ilp_gen)
+    (fun input ->
+      let p = ilp_of input in
+      let a = B.solve p and b = B.solve ~rel_gap:0. p in
+      let same_stats (x : B.stats) (y : B.stats) =
+        x.B.nodes = y.B.nodes
+        && x.B.simplex_iterations = y.B.simplex_iterations
+        && x.B.stopped = y.B.stopped
+      in
+      let same_sol (x : B.sol) (y : B.sol) =
+        Int64.bits_of_float x.B.obj = Int64.bits_of_float y.B.obj
+        && Array.for_all2
+             (fun u v -> Int64.bits_of_float u = Int64.bits_of_float v)
+             x.B.x y.B.x
+      in
+      (B.stats_of b).B.stopped <> Some B.Stop_gap
+      &&
+      match a, b with
+      | B.Optimal (x, sx), B.Optimal (y, sy) -> same_sol x y && same_stats sx sy
+      | B.Feasible (x, sx, gx), B.Feasible (y, sy, gy) ->
+        same_sol x y && same_stats sx sy
+        && Int64.bits_of_float gx = Int64.bits_of_float gy
+      | B.Infeasible sx, B.Infeasible sy
+      | B.Unbounded sx, B.Unbounded sy
+      | B.Limit sx, B.Limit sy ->
+        same_stats sx sy
       | _ -> false)
 
 let prop_bb_solution_feasible =
@@ -284,6 +330,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_bb_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_bb_rel_gap_within_tolerance;
+          QCheck_alcotest.to_alcotest prop_bb_zero_gap_is_exact;
           QCheck_alcotest.to_alcotest prop_bb_solution_feasible;
         ] );
     ]

@@ -700,6 +700,97 @@ let quad_tree_cut_prop =
       in
       Pkg.Partition.check part rel = Ok ())
 
+(* ------------------------------------------------------------------ *)
+(* The paper suite under the gap stop                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Q1-Q7 of Galaxy (2,000 rows, seed 1) and TPC-H (3,000 rows, seed 2),
+   each ILP under a 1,000-node budget: the suite of Figs. 5-6. Every
+   package ILP stops at [Eval.rel_gap], so a DIRECT search either
+   proves its optimum or proves a gap within it, and each bounds what
+   any method may find. DIRECT's own ILP is solved a second time
+   through [Faults.solve], the choke point every method goes through,
+   for the typed stop reason the report does not carry. *)
+let test_suite_direct_bounds () =
+  let module B = Ilp.Branch_bound in
+  let limits = { B.default_limits with B.max_nodes = 1000 } in
+  let gap_stops = ref [] in
+  let datasets =
+    [ ("galaxy", `Galaxy, Datagen.Galaxy.generate ~seed:1 2000,
+       Datagen.Workload.galaxy_queries);
+      ("tpch", `Tpch, Datagen.Tpch.generate ~seed:2 3000,
+       Datagen.Workload.tpch_queries) ]
+  in
+  List.iter
+    (fun (dataset, kind, rel, queries) ->
+      let defs = queries rel in
+      let wattrs = Datagen.Workload.workload_attrs defs in
+      List.iter
+        (fun (def : Datagen.Workload.def) ->
+          let cell = dataset ^ "/" ^ def.Datagen.Workload.name in
+          let qrel = Datagen.Workload.query_relation ~dataset:kind rel def in
+          let spec = Datagen.Workload.compile qrel def in
+          let candidates = Paql.Translate.base_candidates spec qrel in
+          let problem = Paql.Translate.to_problem spec qrel ~candidates in
+          let typed =
+            Pkg.Faults.solve ~limits ~stage:Pkg.Eval.Direct problem
+          in
+          let direct = Pkg.Direct.run ~limits spec qrel in
+          let tau = max 1 (R.cardinality qrel / 10) in
+          let part = Pkg.Partition.create ~tau ~attrs:wattrs qrel in
+          let hier = Pkg.Hierarchy.build ~attrs:wattrs qrel in
+          let others =
+            [ ( "sketchrefine",
+                Pkg.Sketch_refine.run
+                  ~options:{ Pkg.Sketch_refine.default_options with limits }
+                  spec qrel part );
+              ( "progressive",
+                fst
+                  (Pkg.Progressive.run
+                     ~options:{ Pkg.Progressive.default_options with limits }
+                     spec qrel hier) ) ]
+          in
+          (* [slack] is how far another method may beat DIRECT's
+             objective, relative to its magnitude *)
+          let no_method_beats obj slack =
+            List.iter
+              (fun (m, (r : Pkg.Eval.report)) ->
+                match r.Pkg.Eval.objective with
+                | None -> ()
+                | Some o ->
+                  let beats =
+                    if def.Datagen.Workload.maximize then o -. obj
+                    else obj -. o
+                  in
+                  let tol =
+                    (slack *. Float.abs obj)
+                    +. (1e-6 *. Float.max 1. (Float.abs obj))
+                  in
+                  if beats > tol then
+                    Alcotest.failf "%s: %s %.17g beats DIRECT %.17g" cell m o
+                      obj)
+              others
+          in
+          match typed, direct.Pkg.Eval.status, direct.Pkg.Eval.objective with
+          | B.Optimal (_, st), Pkg.Eval.Optimal, Some obj ->
+            checkb (cell ^ ": no gap stop behind an optimum") true
+              (st.B.stopped <> Some B.Stop_gap);
+            no_method_beats obj 0.
+          | B.Feasible (_, st, g), Pkg.Eval.Feasible g', Some obj ->
+            checkb (cell ^ ": DIRECT reports the solver's gap") true (g = g');
+            if st.B.stopped = Some B.Stop_gap then begin
+              gap_stops := cell :: !gap_stops;
+              checkb (cell ^ ": gap within Eval.rel_gap") true
+                (g > 0. && g <= Pkg.Eval.rel_gap);
+              no_method_beats obj g
+            end
+          | _, s, _ ->
+            Alcotest.failf "%s: solver %a, DIRECT %a" cell B.pp_result typed
+              Pkg.Eval.pp_status s)
+        defs)
+    datasets;
+  checkb "the gap stops some DIRECT search" true (!gap_stops <> [])
+
 let () =
   Alcotest.run "pkg"
     [
@@ -734,6 +825,11 @@ let () =
           Alcotest.test_case "empty candidates" `Quick
             test_where_eliminates_everything;
           Alcotest.test_case "package pp" `Quick test_package_pp;
+        ] );
+      ( "paper_suite",
+        [
+          Alcotest.test_case "no method beats DIRECT's bound" `Quick
+            test_suite_direct_bounds;
         ] );
       ( "naive_sql",
         [

@@ -245,7 +245,21 @@ let test_stop_reason_recorded () =
     ((B.stats_of r2).B.stopped = Some B.Stop_iterations);
   let clean = B.solve problem in
   checkb "natural completion has no stop reason" true
-    ((B.stats_of clean).B.stopped = None)
+    ((B.stats_of clean).B.stopped = None);
+  (* the second child's bound 2.5 is within the slack 0.5 * 2 of the
+     first child's integral 2, so a 0.5 gap drops it unexplored: the
+     answer is that incumbent with the gap it proves, (2.5 - 2) / 2 *)
+  match B.solve ~rel_gap:0.5 problem with
+  | B.Feasible (s, st, gap) ->
+    checkb "stopped by the gap" true (st.B.stopped = Some B.Stop_gap);
+    checkb "incumbent" true (s.B.obj = 2.);
+    checkb "proven gap" true (gap = 0.25);
+    (* a gap stop is an answer, never a limit failure *)
+    Alcotest.check_raises "no failure kind for a gap stop"
+      (Invalid_argument
+         "Eval.limit_failure: a gap stop is an answer, not a limit")
+      (fun () -> ignore (E.limit_failure st))
+  | r -> Alcotest.failf "expected a gap stop, got %a" B.pp_result r
 
 (* ------------------------------------------------------------------ *)
 (* Injection containment                                              *)

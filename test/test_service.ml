@@ -194,6 +194,45 @@ let test_basis_cache_stream () =
     true
     (attempts > 0 && float_of_int hits > 0.8 *. float_of_int attempts)
 
+(* The result cache keeps a gap-stopped answer: a gap within
+   [Eval.rel_gap] is what every search is asked to prove, so the answer
+   is a function of the query and the table. A node-limited answer with
+   a wider gap depends on the budget and is solved again. Under a
+   5-node budget, Galaxy Q5 (2,000 rows, seed 1) gap-stops after 3
+   nodes and Galaxy Q1 stops at the node limit with a gap near 0.7%. *)
+let test_cache_keeps_gap_stops () =
+  let rel = Datagen.Galaxy.generate ~seed:1 2000 in
+  let query name =
+    (List.find (fun (d : W.def) -> d.name = name) (W.galaxy_queries rel)).paql
+  in
+  let cfg =
+    {
+      (base_cfg ()) with
+      Srv.method_ = Srv.Direct;
+      limits = { Ilp.Branch_bound.default_limits with max_nodes = 5 };
+    }
+  in
+  let feasible q c =
+    match essence (Cl.query c q) with
+    | `Ok (status, _) as r when String.starts_with ~prefix:"feasible" status
+      ->
+      r
+    | `Ok (status, _) -> Alcotest.failf "expected feasible, got %s" status
+    | `Err (code, msg) -> Alcotest.failf "error %s: %s" code msg
+    | `Bad e -> Alcotest.fail e
+  in
+  with_server cfg rel (fun t ->
+      with_client t (fun c ->
+          let gap_stop = query "Q5" and node_limit = query "Q1" in
+          let first = feasible gap_stop c in
+          checki "gap stop solved once" 1 (Srv.solve_count t);
+          checkb "repeat is the cached answer" true
+            (feasible gap_stop c = first);
+          checki "repeat solves nothing" 1 (Srv.solve_count t);
+          ignore (feasible node_limit c);
+          ignore (feasible node_limit c);
+          checki "a node-limit gap is solved every time" 3 (Srv.solve_count t)))
+
 let test_append_invalidates_results () =
   with_server (base_cfg ()) galaxy (fun t ->
       with_client t (fun c ->
@@ -796,6 +835,8 @@ let () =
             test_cache_hits_skip_solver;
           Alcotest.test_case "basis cache warm-starts a stream" `Quick
             test_basis_cache_stream;
+          Alcotest.test_case "result cache keeps gap stops only" `Quick
+            test_cache_keeps_gap_stops;
           Alcotest.test_case "append invalidates cached results" `Quick
             test_append_invalidates_results;
           Alcotest.test_case "write acks name the verb" `Quick

@@ -181,6 +181,49 @@ let test_corrupt_segment () =
       (String.length msg >= 11 && String.sub msg 0 11 = "unsupported")
   | _ -> Alcotest.fail "bad version accepted"
 
+(* A re-sealed segment passes the checksum, so a planted count reaches
+   the body decoder: it must be refused as corrupt before anything is
+   allocated for it. [offset] is the count's position in the body (the
+   image minus its 12-byte header and 8-byte checksum). *)
+let check_planted_count what rel ~offset counts =
+  let image = Store.Segment.to_string rel in
+  let body = Bytes.of_string (String.sub image 12 (String.length image - 20)) in
+  List.iter
+    (fun count ->
+      Bytes.set_int32_le body offset (Int32.of_int count);
+      let buf = Buffer.create (Bytes.length body) in
+      Buffer.add_bytes buf body;
+      let planted =
+        Store.Wire.seal ~magic:Store.Segment.magic
+          ~version:Store.Segment.version buf
+      in
+      let before = Gc.allocated_bytes () in
+      expect_store_error
+        (Printf.sprintf "planted %s %d" what count)
+        (fun () -> Store.Segment.of_string planted);
+      let allocated = Gc.allocated_bytes () -. before in
+      checkb
+        (Printf.sprintf "%s %d: %.0f bytes allocated, under 1 MiB" what count
+           allocated)
+        true
+        (allocated < 1048576.))
+    counts
+
+let test_planted_counts () =
+  let big = [ 1_000_000; 0x7fff_ffff ] in
+  (* the row count is the body's second i32 *)
+  check_planted_count "row count" (Datagen.Galaxy.generate ~seed:3 200)
+    ~offset:4 big;
+  (* one string column without NULLs: n_attrs, n_rows, the name "s"
+     (length + byte), its type tag and the null-map flag come before
+     the dictionary size *)
+  let words =
+    R.of_rows
+      (S.make [ { S.name = "s"; ty = V.TStr } ])
+      (List.init 50 (fun i -> [| V.Str (string_of_int (i mod 7)) |]))
+  in
+  check_planted_count "dictionary size" words ~offset:15 big
+
 let test_corrupt_catalog_entry () =
   let dir = tmp_path "corrupt-cat" in
   let cat = Store.Catalog.open_dir dir in
@@ -686,6 +729,7 @@ let () =
       ( "corruption",
         [
           Alcotest.test_case "corrupt segment" `Quick test_corrupt_segment;
+          Alcotest.test_case "planted counts" `Quick test_planted_counts;
           Alcotest.test_case "corrupt catalog entry" `Quick
             test_corrupt_catalog_entry;
           Alcotest.test_case "injected store faults" `Quick
