@@ -473,16 +473,6 @@ let ablation ~scale () =
       pt pp_time (status_cell rs ts)
       (match r with Some r -> Printf.sprintf "%.2f" r | None -> "-")
   in
-  Format.printf "@.-- partitioner choice (Galaxy Q1, n=%d, tau=%d) --@." n tau;
-  report "quad-tree (static)" (fun () ->
-      Pkg.Partition.create ~tau ~attrs rel);
-  report "k-means (+ tau chunking)" (fun () ->
-      Pkg.Kmeans.create ~k:(max 2 (n / tau)) ~tau ~attrs rel);
-  let tree = ref None in
-  report "dynamic quad-tree cut" (fun () ->
-      let t = Pkg.Quad_tree.build ~leaf_size:(max 1 (tau / 4)) ~attrs rel in
-      tree := Some t;
-      Pkg.Quad_tree.cut ~tau t rel);
   Format.printf "@.-- parallel refine (Section 4.5, optimistic + repair) --@.";
   let part = Pkg.Partition.create ~tau ~attrs rel in
   let rs_seq, ts_seq = sr_with part in
@@ -493,7 +483,10 @@ let ablation ~scale () =
     Pkg.Eval.pp_status rs_seq.Pkg.Eval.status;
   Format.printf "  parallel:   %a s (%a)@." pp_time (status_cell rs_par ts_par)
     Pkg.Eval.pp_status rs_par.Pkg.Eval.status;
-  Format.printf "@.-- split fan-out (2^d sub-quadrants per violating group) --@.";
+  Format.printf
+    "@.-- split fan-out (2^d sub-quadrants per violating group; Galaxy Q1, \
+     n=%d, tau=%d) --@."
+    n tau;
   List.iter
     (fun dims ->
       report

@@ -1,6 +1,7 @@
 (** Dynamic Low Variance partitioning (arXiv:2307.02860 §4).
 
-    The alternative to {!Quad_tree}: a violating group is cut into
+    The alternative to {!Partition.create}'s quad-tree split: a
+    violating group is cut into
     equal-size contiguous slices of its members sorted along the
     attribute with the highest range-normalized variance, recursively,
     until every group satisfies the size threshold [tau] and the radius

@@ -26,18 +26,10 @@ type options = {
   keep : float;
       (* near-binding augmentation: fraction of the active-group count
          worth of inactive runners-up whose children also descend *)
-  flat_fallback : bool;
-      (* on a leaf refine dead end, re-run flat SketchRefine (its
-         hybrid/merge ladder) over the leaf partitioning *)
 }
 
 let default_options =
-  {
-    limits = Ilp.Branch_bound.default_limits;
-    max_seconds = 3600.;
-    keep = 0.5;
-    flat_fallback = true;
-  }
+  { limits = Ilp.Branch_bound.default_limits; max_seconds = 3600.; keep = 0.5 }
 
 (* Per-level descent telemetry (surfaced as server STATS gauges). *)
 type level_stat = {
@@ -76,17 +68,23 @@ let runners_up (ctx : Sketch.ctx) ~eligible ~active ~n =
     List.filteri (fun i _ -> i < n) ranked
   end
 
-let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
-  let start = Unix.gettimeofday () in
-  let deadline = start +. options.max_seconds in
-  let counters = Eval.fresh_counters () in
+type outcome =
+  | Sketched of Sketch.ctx * float array
+  | Infeasible
+  | Failed of Eval.failure
+
+type descent = {
+  outcome : outcome;
+  levels : level_stat list;
+  degraded : string list;
+}
+
+let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
+    (hier : Hierarchy.t) counters =
   let stats : level_stat list ref = ref [] in
   let degraded : string list ref = ref [] in
-  let finish status package objective =
-    ( Eval.report ~status ~package ~objective
-        ~wall_time:(Unix.gettimeofday () -. start)
-        ~counters,
-      List.rev !stats )
+  let finish outcome =
+    { outcome; levels = List.rev !stats; degraded = List.rev !degraded }
   in
   let out_of_time () = Unix.gettimeofday () > deadline in
   let nlevels = Hierarchy.num_levels hier in
@@ -105,21 +103,19 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
                 (Printf.sprintf "injected descent fault at level %d" level)))
       else
         Eval.observe_stage Eval.Progressive (fun () ->
-            Sketch.run ~limits:options.limits ~deadline ?warm:!basis
-              ~basis_out ~stage:Eval.Progressive ctx counters)
+            Sketch.run ?limits ~deadline ?warm:!basis ~basis_out
+              ~stage:Eval.Progressive ctx counters)
     in
     (match !basis_out with Some _ as b -> basis := b | None -> ());
     r
   in
   (* Solve one level, widening to the full level once if the restricted
      solve fails or comes back infeasible. [pristine] is the cap array
-     as [make_ctx] computed it (the caps in [ctx] are zeroed in place
-     to shade groups out, so re-entries must restore first). Returns
-     [`Counts of rep_counts * widened | `Infeasible | `Failed of f]. *)
+     as the caller built it (the caps in [ctx] are zeroed in place to
+     shade groups out). Returns [`Counts rep_counts | `Infeasible |
+     `Failed f]. *)
   let solve_level ~level ctx ~pristine ~restricted =
     let t0 = Unix.gettimeofday () in
-    let full_caps = pristine in
-    Array.blit full_caps 0 ctx.Sketch.caps 0 (Array.length full_caps);
     let record ~widened ~counts =
       let groups = ref 0 and active = ref 0 in
       Array.iter (fun c -> if c > 0. then incr groups) ctx.Sketch.caps;
@@ -137,7 +133,7 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
         :: !stats
     in
     let widen () =
-      Array.blit full_caps 0 ctx.Sketch.caps 0 (Array.length full_caps)
+      Array.blit pristine 0 ctx.Sketch.caps 0 (Array.length pristine)
     in
     (match restricted with
     | None -> ()
@@ -148,13 +144,12 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
     let narrowed =
       match restricted with
       | None -> false
-      | Some allowed ->
-        Array.exists (fun g -> not g) allowed
+      | Some allowed -> Array.exists (fun g -> not g) allowed
     in
     match sketch_level ~level ctx with
     | Sketch.Sketched rc ->
       record ~widened:false ~counts:(Some rc);
-      `Counts (rc, false)
+      `Counts rc
     | Sketch.Sketch_infeasible when narrowed -> (
       (* the shading was too aggressive for this query: retry over the
          whole level before concluding anything *)
@@ -163,7 +158,7 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
       match sketch_level ~level ctx with
       | Sketch.Sketched rc ->
         record ~widened:true ~counts:(Some rc);
-        `Counts (rc, true)
+        `Counts rc
       | Sketch.Sketch_infeasible ->
         record ~widened:true ~counts:None;
         `Infeasible
@@ -189,7 +184,7 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
             Eval.pp_failure f
           :: !degraded;
         record ~widened:true ~counts:(Some rc);
-        `Counts (rc, true)
+        `Counts rc
       | Sketch.Sketch_infeasible ->
         record ~widened:true ~counts:None;
         `Infeasible
@@ -200,156 +195,129 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
       record ~widened:false ~counts:None;
       `Failed f
   in
-  let attempt () =
-    (* restriction for the current level: None = all groups *)
-    let restricted = ref None in
-    let result = ref None in
-    let level = ref 0 in
-    while !result = None && !level < nlevels do
-      let l = !level in
-      if out_of_time () then
-        result :=
-          Some
-            (finish
-               (Eval.failed ~stage:Eval.Progressive Eval.Deadline_exceeded)
-               None None)
-      else begin
-        let part = Hierarchy.level hier l in
-        let ctx = Sketch.make_ctx spec rel part in
-        let pristine = Array.copy ctx.Sketch.caps in
-        let eligible = Array.map (fun c -> c > 0.) ctx.Sketch.caps in
-        match solve_level ~level:l ctx ~pristine ~restricted:!restricted with
-        | `Failed f -> result := Some (finish (Eval.Failed f) None None)
-        | `Infeasible ->
-          if l = nlevels - 1 then
-            (* infeasible over the full leaf level: the same verdict
-               flat SketchRefine's plain sketch would reach *)
-            result := Some (finish Eval.Infeasible None None)
-          else begin
-            (* means at this granularity cannot express the query;
-               descend unshaded — finer reps may still manage *)
-            Log.info (fun k ->
-                k "level %d infeasible at full width; descending unshaded" l);
-            restricted := None;
-            incr level
-          end
-        | `Counts (rep_counts, widened) ->
-          if l = nlevels - 1 then begin
-            (* leaf: refine the sketch into original tuples *)
-            let m = Partition.num_groups part in
-            let bases = Array.make m None in
-            let refine rc =
-              Eval.observe_stage Eval.Refine (fun () ->
-                  Refine.run ~deadline
-                    ~solve:(Refine.local ~limits:options.limits ~deadline
-                              ~bases ctx counters)
-                    ctx counters ~rep_counts:rc ~refined:(Array.make m None))
-            in
-            let finish_refined p =
-              let detail = String.concat "; " (List.rev !degraded) in
-              let status =
-                if detail = "" then Eval.Optimal
-                else
-                  Eval.Degraded
-                    { Eval.stale_groups = []; omitted_groups = []; detail }
-              in
-              finish status (Some p) (Some (Package.objective spec p))
-            in
-            match refine rep_counts with
-            | Refine.Refined p -> result := Some (finish_refined p)
-            | Refine.Refine_failed f ->
-              result := Some (finish (Eval.Failed f) None None)
-            | Refine.Refine_infeasible -> (
-              (* First widen the leaf sketch (unless it already ran
-                 full-width), then hand the leaf partitioning to flat
-                 SketchRefine's fallback ladder. *)
-              let widened_counts =
-                if widened || !restricted = None then None
-                else
-                  match solve_level ~level:l ctx ~pristine ~restricted:None with
-                  | `Counts (rc, _) -> Some rc
-                  | `Infeasible | `Failed _ -> None
-              in
-              let after_widen =
-                match widened_counts with
-                | Some rc -> (
-                  match refine rc with
-                  | Refine.Refined p -> Some (finish_refined p)
-                  | Refine.Refine_failed f ->
-                    Some (finish (Eval.Failed f) None None)
-                  | Refine.Refine_infeasible -> None)
-                | None -> None
-              in
-              match after_widen with
-              | Some r -> result := Some r
-              | None ->
-                if options.flat_fallback && not (out_of_time ()) then begin
-                  Log.info (fun k ->
-                      k "leaf refine dead end; flat fallback over %d groups" m);
-                  let sr_opts =
-                    {
-                      Sketch_refine.default_options with
-                      limits = options.limits;
-                      max_seconds = deadline -. Unix.gettimeofday ();
-                    }
-                  in
-                  let r = Sketch_refine.run ~options:sr_opts spec rel part in
-                  result := Some (r, List.rev !stats)
-                end
-                else result := Some (finish Eval.Infeasible None None))
-          end
-          else begin
-            (* choose who descends: the active groups plus the most
-               objective-attractive runners-up *)
-            let active = Array.map (fun c -> c > 0.5) rep_counts in
-            let n_active =
-              Array.fold_left (fun n a -> if a then n + 1 else n) 0 active
-            in
-            let extra =
-              runners_up ctx
-                ~eligible:(fun g -> eligible.(g))
-                ~active:(fun g -> active.(g))
-                ~n:
-                  (int_of_float
-                     (Float.round (options.keep *. float_of_int n_active)))
-            in
-            List.iter (fun g -> active.(g) <- true) extra;
-            let children = Hierarchy.children hier l in
-            let next = Hierarchy.level hier (l + 1) in
-            let allowed = Array.make (Partition.num_groups next) false in
-            Array.iteri
-              (fun g on ->
-                if on then List.iter (fun c -> allowed.(c) <- true) children.(g))
-              active;
-            Log.debug (fun k ->
-                k "level %d: %d active (+%d runners-up) of %d; %d children"
-                  l n_active (List.length extra)
-                  (Partition.num_groups part)
-                  (Array.fold_left
-                     (fun n a -> if a then n + 1 else n)
-                     0 allowed));
-            restricted := Some allowed;
-            incr level
-          end
-      end
-    done;
-    match !result with
-    | Some r -> r
-    | None ->
-      (* an empty hierarchy cannot happen (build yields >= 1 level);
-         typed, not an assert, per the resilience contract *)
-      finish
-        (Eval.failed ~stage:Eval.Progressive
-           (Eval.Data_error "empty hierarchy"))
-        None None
+  (* [restricted]: the groups of level [l] that get variables; None =
+     all groups *)
+  let rec level l restricted =
+    if out_of_time () then
+      Failed (Eval.failure ~stage:Eval.Progressive Eval.Deadline_exceeded)
+    else begin
+      let ctx = level_ctx l in
+      let pristine = Array.copy ctx.Sketch.caps in
+      match solve_level ~level:l ctx ~pristine ~restricted with
+      | `Failed f -> Failed f
+      | `Infeasible when l = nlevels - 1 ->
+        (* infeasible over the full leaf level: the same verdict flat
+           SketchRefine's plain sketch would reach *)
+        Infeasible
+      | `Infeasible ->
+        (* means at this granularity cannot express the query; descend
+           unshaded — finer reps may still manage *)
+        Log.info (fun k ->
+            k "level %d infeasible at full width; descending unshaded" l);
+        level (l + 1) None
+      | `Counts rep_counts when l = nlevels - 1 -> Sketched (ctx, rep_counts)
+      | `Counts rep_counts ->
+        (* choose who descends: the active groups plus the most
+           objective-attractive runners-up *)
+        let active = Array.map (fun c -> c > 0.5) rep_counts in
+        let n_active =
+          Array.fold_left (fun n a -> if a then n + 1 else n) 0 active
+        in
+        let extra =
+          runners_up ctx
+            ~eligible:(fun g -> pristine.(g) > 0.)
+            ~active:(fun g -> active.(g))
+            ~n:(int_of_float (Float.round (keep *. float_of_int n_active)))
+        in
+        List.iter (fun g -> active.(g) <- true) extra;
+        let children = Hierarchy.children hier l in
+        let next = Hierarchy.level hier (l + 1) in
+        let allowed = Array.make (Partition.num_groups next) false in
+        Array.iteri
+          (fun g on ->
+            if on then List.iter (fun c -> allowed.(c) <- true) children.(g))
+          active;
+        Log.debug (fun k ->
+            k "level %d: %d active (+%d runners-up) of %d; %d children" l
+              n_active (List.length extra)
+              (Partition.num_groups ctx.Sketch.part)
+              (Array.fold_left (fun n a -> if a then n + 1 else n) 0 allowed));
+        level (l + 1) (Some allowed)
+    end
   in
-  (* The resilience contract: a report, never an exception. *)
-  try attempt () with
-  | Faults.Injected msg ->
-    finish (Eval.failed ~stage:Eval.Progressive (Eval.Solver_error msg)) None
-      None
-  | e ->
+  (* The resilience contract: an outcome, never an exception. *)
+  try finish (level 0 None)
+  with e ->
+    let msg =
+      match e with Faults.Injected msg -> msg | e -> Printexc.to_string e
+    in
     finish
-      (Eval.failed ~stage:Eval.Progressive
-         (Eval.Solver_error (Printexc.to_string e)))
-      None None
+      (Failed (Eval.failure ~stage:Eval.Progressive (Eval.Solver_error msg)))
+
+let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
+  let start = Unix.gettimeofday () in
+  let deadline = start +. options.max_seconds in
+  let counters = Eval.fresh_counters () in
+  let d =
+    descend ~limits:options.limits ~keep:options.keep ~deadline
+      ~level_ctx:(fun l -> Sketch.make_ctx spec rel (Hierarchy.level hier l))
+      hier counters
+  in
+  let finish status package objective =
+    ( Eval.report ~status ~package ~objective
+        ~wall_time:(Unix.gettimeofday () -. start)
+        ~counters,
+      d.levels )
+  in
+  match d.outcome with
+  | Failed f -> finish (Eval.Failed f) None None
+  | Infeasible -> finish Eval.Infeasible None None
+  | Sketched (ctx, rep_counts) -> (
+    (* leaf: refine the sketch into original tuples *)
+    let m = Partition.num_groups ctx.Sketch.part in
+    try
+      match
+        Eval.observe_stage Eval.Refine (fun () ->
+            Refine.run ~deadline
+              ~solve:
+                (Refine.local ~limits:options.limits ~deadline
+                   ~bases:(Array.make m None) ctx counters)
+              ctx counters ~rep_counts ~refined:(Array.make m None))
+      with
+      | Refine.Refined p ->
+        let status =
+          if d.degraded = [] then Eval.Optimal
+          else
+            Eval.Degraded
+              {
+                Eval.stale_groups = [];
+                omitted_groups = [];
+                detail = String.concat "; " d.degraded;
+              }
+        in
+        finish status (Some p) (Some (Package.objective spec p))
+      | Refine.Refine_failed f -> finish (Eval.Failed f) None None
+      | Refine.Refine_infeasible ->
+        (* Dead end: hand the leaf partitioning to flat SketchRefine,
+           whose ladder starts with the full-width sketch and refine *)
+        if Unix.gettimeofday () > deadline then
+          finish Eval.Infeasible None None
+        else begin
+          Log.info (fun k ->
+              k "leaf refine dead end; flat fallback over %d groups" m);
+          let options =
+            {
+              Sketch_refine.default_options with
+              limits = options.limits;
+              max_seconds = deadline -. Unix.gettimeofday ();
+            }
+          in
+          (Sketch_refine.run ~options spec rel ctx.Sketch.part, d.levels)
+        end
+    with e ->
+      let msg =
+        match e with Faults.Injected msg -> msg | e -> Printexc.to_string e
+      in
+      finish
+        (Eval.failed ~stage:Eval.Progressive (Eval.Solver_error msg))
+        None None)

@@ -17,8 +17,9 @@
       retries widened and flags the answer [Degraded];
     - a full-width non-leaf infeasibility descends unshaded (finer
       representatives may still express the query);
-    - a leaf refine dead end widens the leaf, then hands the leaf
-      partitioning to flat {!Sketch_refine.run}'s fallback ladder;
+    - a leaf refine dead end hands the leaf partitioning to flat
+      {!Sketch_refine.run}, whose ladder starts with the full-width
+      sketch and refine;
     - everything else is a typed [Failed] report — never an exception,
       never a hang. *)
 
@@ -29,9 +30,6 @@ type options = {
       (** near-binding augmentation: how many inactive runners-up
           descend, as a fraction of the active-group count
           (default 0.5) *)
-  flat_fallback : bool;
-      (** run flat SketchRefine over the leaf partitioning when the
-          descent dead-ends (default true) *)
 }
 
 val default_options : options
@@ -46,8 +44,44 @@ type level_stat = {
   ls_widened : bool;  (** this solve ran widened to the full level *)
 }
 
+(** How a descent ended: the leaf level's context (caps shaded to the
+    descended cone) with its sketch solution, or the verdict of the
+    level that stopped it. *)
+type outcome =
+  | Sketched of Sketch.ctx * float array
+  | Infeasible  (** infeasible over the full leaf level *)
+  | Failed of Eval.failure
+
+type descent = {
+  outcome : outcome;
+  levels : level_stat list;  (** coarsest first *)
+  degraded : string list;
+      (** levels that failed and were solved widened, in order: a
+          package refined from this descent is [Degraded] *)
+}
+
+(** [descend ?limits ?keep ~deadline ~level_ctx hier counters] runs the
+    coarse-to-fine sketch descent ([keep] as in {!options}).
+    [level_ctx l] supplies level [l]'s context: its caps decide which
+    groups get variables, and a coarse group's cap is the sum of its
+    children's (as {!Sketch.make_ctx} computes it). It is called at
+    most once per level, and the descent zeroes the caps of shaded-out
+    groups in place. [run] passes {!Sketch.make_ctx} contexts; the shard
+    coordinator passes light contexts whose leaf caps come from its
+    SKETCH scatter. Never raises: exceptions become [Failed]. *)
+val descend :
+  ?limits:Ilp.Branch_bound.limits ->
+  ?keep:float ->
+  deadline:float ->
+  level_ctx:(int -> Sketch.ctx) ->
+  Hierarchy.t ->
+  Eval.counters ->
+  descent
+
 (** [run ?options spec rel hier] evaluates the query coarse-to-fine.
-    Returns the report plus per-level stats (coarsest first).
+    {!descend} with {!Sketch.make_ctx} contexts, then the leaf refine
+    on this node. Returns the report plus per-level stats (coarsest
+    first).
     Deterministic: identical hierarchies and options yield identical
     packages for any [PKGQ_SCAN_WORKERS] / [PKGQ_PRICE_WORKERS]. *)
 val run :

@@ -989,15 +989,17 @@ let eval_query t ~deadline query =
         ~wall_time:(Unix.gettimeofday () -. start)
         ~counters
     in
-    (* degradation dominates a nominal status, failure dominates both *)
-    let degrade status =
-      if !stale = [] && !omitted = [] then status
+    (* degradation dominates a nominal status, failure dominates both;
+       [descent] notes a progressive level solved widened after failing,
+       which degrades a refined package as it does on a single node *)
+    let degrade ?(descent = []) status =
+      if !stale = [] && !omitted = [] && descent = [] then status
       else
         Pkg.Eval.Degraded
           {
             Pkg.Eval.stale_groups = List.sort_uniq compare !stale;
             omitted_groups = List.sort_uniq compare !omitted;
-            detail = String.concat "; " (List.rev !details);
+            detail = String.concat "; " (List.rev !details @ descent);
           }
     in
     let scatter_timeout () =
@@ -1070,97 +1072,47 @@ let eval_query t ~deadline query =
             (Float.max 0.01 (deadline -. Unix.gettimeofday ()));
       }
     in
-    (* Progressive shading: aggregate the scatter-derived leaf caps up
-       the hierarchy (a coarse group's cap is the sum of its leaf
-       descendants', so shard omissions propagate), solve the coarse
-       levels locally, and zero the caps of leaf groups outside the
-       active cone. A coarse-level infeasibility or failure abandons
-       the shading (flat behaviour); a shaded leaf sketch that comes
-       back infeasible or failed is retried unshaded below — answers
-       never get worse than flat scatter/gather. *)
-    let m_leaf = m in
-    let pristine_caps = Array.copy caps in
-    let shaded = ref false in
-    (match layout.l_hier with
-    | Some hier when Pkg.Hierarchy.num_levels hier > 1 ->
-      let nl = Pkg.Hierarchy.num_levels hier in
-      let level_caps = Array.make nl [||] in
-      level_caps.(nl - 1) <- Array.copy caps;
-      for l = nl - 2 downto 0 do
-        let kids = Pkg.Hierarchy.children hier l in
-        level_caps.(l) <-
-          Array.map
-            (fun cs ->
-              List.fold_left (fun a c -> a +. level_caps.(l + 1).(c)) 0. cs)
-            kids
-      done;
-      let exception Unshaded in
-      (try
-         let allowed = ref None in
-         for l = 0 to nl - 2 do
-           let part_l = Pkg.Hierarchy.level hier l in
-           let caps_l =
-             match !allowed with
-             | None -> level_caps.(l)
-             | Some ok ->
-               Array.mapi
-                 (fun g c -> if List.mem g ok then c else 0.)
-                 level_caps.(l)
-           in
-           let ctx_l =
-             {
-               Pkg.Sketch.spec;
-               rel;
-               part = part_l;
-               cand = Array.make (Pkg.Partition.num_groups part_l) [||];
-               caps = caps_l;
-               coeff_rel = ctx.Pkg.Sketch.coeff_rel;
-               coeff_reps = coeff_of part_l.Pkg.Partition.reps;
-             }
-           in
-           match
-             Pkg.Eval.observe_stage Pkg.Eval.Progressive (fun () ->
-                 Pkg.Sketch.run ~limits ~deadline ~stage:Pkg.Eval.Progressive
-                   ctx_l counters)
-           with
-           | Pkg.Sketch.Sketched cnts ->
-             let active =
-               List.filter
-                 (fun g -> cnts.(g) > 0.5)
-                 (List.init (Array.length cnts) Fun.id)
-             in
-             if active = [] then raise Unshaded;
-             Metrics.set_gauge t.metrics
-               (Printf.sprintf "progressive_level%d_active" l)
-               (List.length active);
-             let kids = Pkg.Hierarchy.children hier l in
-             allowed := Some (List.concat_map (fun g -> kids.(g)) active)
-           | Pkg.Sketch.Sketch_infeasible | Pkg.Sketch.Sketch_failed _ ->
-             raise Unshaded
-         done;
-         match !allowed with
-         | Some ok ->
-           shaded := true;
-           Metrics.incr t.metrics "progressive_descents";
-           let keep = Array.make m_leaf false in
-           List.iter (fun g -> keep.(g) <- true) ok;
-           Array.iteri (fun g k -> if not k then caps.(g) <- 0.) keep
-         | None -> ()
-       with Unshaded -> Array.blit pristine_caps 0 caps 0 m_leaf)
-    | _ -> ());
-    let leaf_sketch () =
-      Pkg.Eval.observe_stage Pkg.Eval.Sketch (fun () ->
-          Pkg.Sketch.run ~limits ~deadline ctx counters)
-    in
-    let sketch_result =
-      match leaf_sketch () with
-      | (Pkg.Sketch.Sketch_infeasible | Pkg.Sketch.Sketch_failed _)
-        when !shaded ->
-        (* shading was too aggressive — widen to the full leaf *)
-        Metrics.incr t.metrics "progressive_widened";
-        Array.blit pristine_caps 0 caps 0 m_leaf;
-        leaf_sketch ()
-      | r -> r
+    (* A progressive fleet runs the same descent as a progressive
+       server, over light contexts: the leaf caps come from the
+       scatter, and a coarse group's cap is the sum of the caps of the
+       leaf groups inside it (so shard omissions propagate up; the caps
+       are whole multiples of [max_count], so the sum is exact in any
+       order). A flat fleet sketches the leaf once. *)
+    let sketch_result, descent_notes =
+      match layout.l_hier with
+      | None ->
+        ( Pkg.Eval.observe_stage Pkg.Eval.Sketch (fun () ->
+              Pkg.Sketch.run ~limits ~deadline ctx counters),
+          [] )
+      | Some hier ->
+        let level_ctx l =
+          if l = Pkg.Hierarchy.num_levels hier - 1 then ctx
+          else
+            let coarse = Pkg.Hierarchy.level hier l in
+            let caps_l = Array.make (Pkg.Partition.num_groups coarse) 0. in
+            let up = coarse.Pkg.Partition.gid_of_row in
+            Array.iteri
+              (fun g (leaf : Pkg.Partition.group) ->
+                let p = up.(leaf.Pkg.Partition.members.(0)) in
+                caps_l.(p) <- caps_l.(p) +. caps.(g))
+              part.Pkg.Partition.groups;
+            {
+              ctx with
+              Pkg.Sketch.part = coarse;
+              cand = Array.make (Array.length caps_l) [||];
+              caps = caps_l;
+              coeff_reps = coeff_of coarse.Pkg.Partition.reps;
+            }
+        in
+        let d =
+          Pkg.Progressive.descend ~limits ~deadline ~level_ctx hier counters
+        in
+        Front.record_level_stats t.metrics d.Pkg.Progressive.levels;
+        ( (match d.Pkg.Progressive.outcome with
+          | Pkg.Progressive.Sketched (_, rc) -> Pkg.Sketch.Sketched rc
+          | Pkg.Progressive.Infeasible -> Pkg.Sketch.Sketch_infeasible
+          | Pkg.Progressive.Failed f -> Pkg.Sketch.Sketch_failed f),
+          d.Pkg.Progressive.degraded )
     in
     let report =
       match sketch_result with
@@ -1193,7 +1145,7 @@ let eval_query t ~deadline query =
                   ctx counters ~rep_counts ~refined:(Array.make m None))
           with
           | Pkg.Refine.Refined p ->
-            finish (degrade Pkg.Eval.Optimal) (Some p)
+            finish (degrade ~descent:descent_notes Pkg.Eval.Optimal) (Some p)
               (Some (Pkg.Package.objective spec p))
           | Pkg.Refine.Refine_infeasible -> (
             match degrade Pkg.Eval.Infeasible with

@@ -83,13 +83,12 @@ type config = {
   port : int;  (** 0 picks an ephemeral port *)
   method_ : [ `Sketch_refine | `Progressive ];
       (** [`Progressive] partitions with the DLV hierarchy leaf instead
-          of the flat quad-tree and shades the leaf sketch through a
-          local coarse-to-fine descent before the distributed refine;
-          the fleet must be launched with [--method progressive] so the
-          shards derive the identical leaf (ASSIGN divergence check).
-          A shaded sketch that comes back infeasible is retried
-          unshaded, so answers never get {e worse} than flat
-          scatter/gather. *)
+          of the flat quad-tree and runs {!Pkg.Progressive.descend}
+          locally over scatter-derived caps before the distributed
+          refine, so it answers what a progressive {!Server} answers
+          (with its [progressive_level<l>*] STATS entries); the fleet
+          must be launched with [--method progressive] so the shards
+          derive the identical leaf (ASSIGN divergence check). *)
   attrs : string list;
       (** partitioning attributes; required non-empty, and the fleet
           must be launched with the identical [--attrs] (and [--tau],

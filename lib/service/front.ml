@@ -50,6 +50,18 @@ let response_of_report (r : Pkg.Eval.report) =
         (Protocol.render_result ~status_line:(status_line r) ~wall:r.wall_time
            ~csv))
 
+let record_level_stats metrics stats =
+  List.iter
+    (fun (s : Pkg.Progressive.level_stat) ->
+      let l = string_of_int s.ls_level in
+      Metrics.observe metrics ("progressive_level" ^ l) s.ls_seconds;
+      Metrics.set_gauge metrics ("progressive_level" ^ l ^ "_groups")
+        s.ls_groups;
+      Metrics.set_gauge metrics ("progressive_level" ^ l ^ "_active")
+        s.ls_active;
+      if s.ls_widened then Metrics.incr metrics "progressive_widened")
+    stats
+
 let compile metrics schema query =
   let fail code msg = Error (Protocol.Resp_err (code, msg)) in
   Metrics.time metrics "plan" @@ fun () ->

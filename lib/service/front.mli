@@ -23,6 +23,12 @@ val prewarm : Relalg.Relation.t -> unit
     [fenced] or [failed] with the rendered failure. *)
 val response_of_report : Pkg.Eval.report -> Protocol.response
 
+(** Per-level progressive descent telemetry for [STATS]: per level a
+    [progressive_level<l>] latency histogram and the
+    [progressive_level<l>_groups] / [_active] gauges, plus a
+    [progressive_widened] count of levels solved widened. *)
+val record_level_stats : Metrics.t -> Pkg.Progressive.level_stat list -> unit
+
 (** Parse, analyze and compile one PaQL query against [schema]. Timed
     under the [plan] stage, with the parse alone under [parse]; errors
     are typed [parse_error] / [analysis_error] responses. Caching the

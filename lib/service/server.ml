@@ -266,20 +266,6 @@ let hierarchy_for t snap ast spec =
             Error (Protocol.Resp_err (Protocol.Failed, msg))))
   end
 
-(* Per-level descent telemetry for STATS: one latency histogram and two
-   gauges per level, plus a widened-retry counter. *)
-let record_level_stats metrics stats =
-  List.iter
-    (fun (s : Pkg.Progressive.level_stat) ->
-      let l = string_of_int s.ls_level in
-      Metrics.observe metrics ("progressive_level" ^ l) s.ls_seconds;
-      Metrics.set_gauge metrics ("progressive_level" ^ l ^ "_groups")
-        s.ls_groups;
-      Metrics.set_gauge metrics ("progressive_level" ^ l ^ "_active")
-        s.ls_active;
-      if s.ls_widened then Metrics.incr metrics "progressive_widened")
-    stats
-
 (* SummarySearch telemetry for STATS: how many scenarios the last
    stochastic evaluation drew, how finely it summarized, how many
    solve/validate rounds it took, and the out-of-sample probability it
@@ -418,7 +404,7 @@ let eval_query t ~deadline query =
                   let report, stats =
                     Pkg.Progressive.run ~options spec snap.rel hier
                   in
-                  record_level_stats t.metrics stats;
+                  Front.record_level_stats t.metrics stats;
                   Ok report)
               | Sketch_refine | Parallel_refine -> (
                 match partition_for t snap ast spec with

@@ -1,5 +1,5 @@
-(* Tests for the extension modules: the dynamic quad-tree partitioner
-   and the Section 4.4 false-infeasibility fallback strategies. *)
+(* Tests for the extension modules: the Section 4.4 false-infeasibility
+   fallback strategies, parallel refine, and odds and ends. *)
 
 module P = Lp.Problem
 module V = Relalg.Value
@@ -11,7 +11,7 @@ let checki = Alcotest.check Alcotest.int
 let checkf = Alcotest.check (Alcotest.float 1e-6)
 
 (* ------------------------------------------------------------------ *)
-(* Dynamic quad-tree partitioning                                     *)
+(* Fixtures                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let qt_schema =
@@ -25,50 +25,6 @@ let qt_rel n seed =
            V.Float (Datagen.Prng.uniform rng 0. 100.);
            V.Float (Datagen.Prng.uniform rng 0. 100.);
          |]))
-
-let test_quad_tree_cut_invariants () =
-  let rel = qt_rel 500 5 in
-  let tree = Pkg.Quad_tree.build ~leaf_size:20 ~attrs:[ "a"; "b" ] rel in
-  checkb "hierarchy retained" true (Pkg.Quad_tree.size tree > 10);
-  (* coarse cut: only tau limits *)
-  let coarse = Pkg.Quad_tree.cut ~tau:200 tree rel in
-  (match Pkg.Partition.check ~tau:200 coarse rel with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  (* fine cut via radius *)
-  let fine = Pkg.Quad_tree.cut ~radius:(Pkg.Partition.Absolute 20.) tree rel in
-  (match Pkg.Partition.check fine rel with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  checkb "radius cut is finer" true
-    (Pkg.Partition.num_groups fine >= Pkg.Partition.num_groups coarse);
-  (* every non-leaf cut group satisfies the radius; leaves are exempt
-     (they cannot be split further) — verify indirectly through check *)
-  ()
-
-let test_quad_tree_coarsest_property () =
-  (* a looser radius must never produce more groups *)
-  let rel = qt_rel 800 9 in
-  let tree = Pkg.Quad_tree.build ~leaf_size:25 ~attrs:[ "a"; "b" ] rel in
-  let tight = Pkg.Quad_tree.cut ~radius:(Pkg.Partition.Absolute 10.) tree rel in
-  let loose = Pkg.Quad_tree.cut ~radius:(Pkg.Partition.Absolute 40.) tree rel in
-  checkb "looser radius, coarser cut" true
-    (Pkg.Partition.num_groups loose <= Pkg.Partition.num_groups tight)
-
-let test_quad_tree_matches_query () =
-  (* a cut partitioning drives SketchRefine end to end *)
-  let rel = qt_rel 600 11 in
-  let q =
-    "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 0 SUCH THAT COUNT(P.*) = 5 AND \
-     SUM(P.a) <= 250 MAXIMIZE SUM(P.b)"
-  in
-  let spec = Paql.Translate.compile_exn qt_schema (Paql.Parser.parse_exn q) in
-  let tree = Pkg.Quad_tree.build ~leaf_size:30 ~attrs:[ "a"; "b" ] rel in
-  let part = Pkg.Quad_tree.cut ~tau:60 tree rel in
-  let r = Pkg.Sketch_refine.run spec rel part in
-  match r.Pkg.Eval.package with
-  | Some p -> checkb "feasible" true (Pkg.Package.feasible spec p)
-  | None -> Alcotest.fail "dynamic-partitioned SketchRefine found nothing"
 
 (* ------------------------------------------------------------------ *)
 (* Section 4.4 fallback strategies                                    *)
@@ -240,16 +196,11 @@ let test_mps_error_paths () =
       "WHATSECTION\nENDATA\n";
     ]
 
-let test_kmeans_degenerate () =
-  let rel = qt_rel 5 3 in
-  (* k larger than n clamps *)
-  let part = Pkg.Kmeans.create ~k:50 ~attrs:[ "a"; "b" ] rel in
-  checkb "clamped" true (Pkg.Partition.num_groups part <= 5);
-  checkb "valid" true (Pkg.Partition.check part rel = Ok ())
-
-let test_quad_tree_theorem_radius_cut () =
-  (* a Theorem-radius cut yields a partition whose groups all satisfy
-     the epsilon condition (away-from-zero data so the bound is real) *)
+let test_theorem_radius_cut () =
+  (* a Theorem-radius partitioning's groups all satisfy the epsilon
+     condition (away-from-zero data so the bound is real); only the
+     minimizing bound, gamma = 0.4 / 1.4, is tight enough to split
+     this table *)
   let rng = Datagen.Prng.create 21 in
   let rel =
     R.of_rows qt_schema
@@ -259,14 +210,18 @@ let test_quad_tree_theorem_radius_cut () =
              V.Float (Datagen.Prng.uniform rng 50. 100.);
            |]))
   in
-  let spec = Pkg.Partition.Theorem { epsilon = 0.4; maximize = true } in
-  let tree = Pkg.Quad_tree.build ~leaf_size:4 ~attrs:[ "a"; "b" ] rel in
-  let part = Pkg.Quad_tree.cut ~radius:spec tree rel in
-  (* leaves are size <= 4; on this data every non-leaf kept node passed
-     the radius test, so the whole partition should verify *)
-  match Pkg.Partition.check ~radius:spec part rel with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  List.iter
+    (fun maximize ->
+      let spec = Pkg.Partition.Theorem { epsilon = 0.4; maximize } in
+      let part =
+        Pkg.Partition.create ~radius:spec ~tau:400 ~attrs:[ "a"; "b" ] rel
+      in
+      (match Pkg.Partition.check ~radius:spec part rel with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m);
+      checkb "split where the radius binds" (not maximize)
+        (Pkg.Partition.num_groups part > 1))
+    [ true; false ]
 
 let test_csv_bad_arity () =
   checkb "row arity mismatch rejected" true
@@ -347,15 +302,6 @@ let test_eval_pretty_printers () =
 let () =
   Alcotest.run "extensions"
     [
-      ( "quad_tree",
-        [
-          Alcotest.test_case "cut invariants" `Quick
-            test_quad_tree_cut_invariants;
-          Alcotest.test_case "coarsest property" `Quick
-            test_quad_tree_coarsest_property;
-          Alcotest.test_case "drives SketchRefine" `Quick
-            test_quad_tree_matches_query;
-        ] );
       ( "parallel",
         [
           Alcotest.test_case "feasible results" `Quick test_parallel_feasible;
@@ -366,10 +312,8 @@ let () =
       ( "odds-and-ends",
         [
           Alcotest.test_case "mps error paths" `Quick test_mps_error_paths;
-          Alcotest.test_case "kmeans degenerate" `Quick test_kmeans_degenerate;
           Alcotest.test_case "eval printers" `Quick test_eval_pretty_printers;
-          Alcotest.test_case "theorem radius cut" `Quick
-            test_quad_tree_theorem_radius_cut;
+          Alcotest.test_case "theorem radius cut" `Quick test_theorem_radius_cut;
           Alcotest.test_case "csv bad arity" `Quick test_csv_bad_arity;
           Alcotest.test_case "mps objsense default" `Quick
             test_mps_objsense_default_min;

@@ -1,6 +1,5 @@
 (* Tests for the package-query engine: packages, partitioning, DIRECT,
-   SKETCH/REFINE/SKETCHREFINE, the naive SQL baseline and the k-means
-   alternative partitioner. *)
+   SKETCH/REFINE/SKETCHREFINE and the naive SQL baseline. *)
 
 module V = Relalg.Value
 module S = Relalg.Schema
@@ -160,19 +159,6 @@ let test_partition_errors () =
        ignore (Pkg.Partition.create ~tau:5 ~attrs:[ "tag" ] rel);
        false
      with Invalid_argument _ -> true)
-
-let test_kmeans_partition () =
-  let rel = grid_rel 10 in
-  let part = Pkg.Kmeans.create ~seed:3 ~k:6 ~attrs:[ "a"; "b" ] rel in
-  (match Pkg.Partition.check part rel with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  checkb "at most k groups" true (Pkg.Partition.num_groups part <= 6);
-  let part2 = Pkg.Kmeans.create ~seed:3 ~k:6 ~attrs:[ "a"; "b" ] rel in
-  checki "deterministic" (Pkg.Partition.num_groups part)
-    (Pkg.Partition.num_groups part2);
-  let chunked = Pkg.Kmeans.create ~seed:3 ~k:2 ~tau:9 ~attrs:[ "a"; "b" ] rel in
-  checkb "tau respected" true (Pkg.Partition.max_group_size chunked <= 9)
 
 (* ------------------------------------------------------------------ *)
 (* Direct                                                             *)
@@ -678,28 +664,6 @@ let partition_invariants_prop =
       let part = Pkg.Partition.create ~tau ~attrs:[ "a"; "b" ] rel in
       Pkg.Partition.check ~tau part rel = Ok ())
 
-(* The dynamic tree's cut also always satisfies the invariants. *)
-let quad_tree_cut_prop =
-  QCheck.Test.make ~count:50 ~name:"quad-tree cuts are valid partitions"
-    (QCheck.make
-       QCheck.Gen.(triple (int_range 1 400) (int_range 1 50) (int_range 0 999)))
-    (fun (n, leaf, seed) ->
-      let rng = Datagen.Prng.create (seed + 77) in
-      let rel =
-        R.of_rows schema
-          (List.init n (fun _ ->
-               [|
-                 V.Float (Datagen.Prng.uniform rng (-10.) 10.);
-                 V.Float (Datagen.Prng.uniform rng (-10.) 10.);
-                 V.Str "t";
-               |]))
-      in
-      let tree = Pkg.Quad_tree.build ~leaf_size:leaf ~attrs:[ "a"; "b" ] rel in
-      let part =
-        Pkg.Quad_tree.cut ~radius:(Pkg.Partition.Absolute 5.) tree rel
-      in
-      Pkg.Partition.check part rel = Ok ())
-
 (* ------------------------------------------------------------------ *)
 (* The paper suite under the gap stop                                 *)
 (* ------------------------------------------------------------------ *)
@@ -812,7 +776,6 @@ let () =
             test_partition_restrict_prefix;
           Alcotest.test_case "gamma" `Quick test_partition_gamma;
           Alcotest.test_case "errors" `Quick test_partition_errors;
-          Alcotest.test_case "kmeans" `Quick test_kmeans_partition;
           Alcotest.test_case "save/load" `Quick test_partition_save_load;
         ] );
       ( "direct",
@@ -867,6 +830,5 @@ let () =
           QCheck_alcotest.to_alcotest sr_always_feasible_prop;
           QCheck_alcotest.to_alcotest direct_matches_enumeration_prop;
           QCheck_alcotest.to_alcotest partition_invariants_prop;
-          QCheck_alcotest.to_alcotest quad_tree_cut_prop;
         ] );
     ]

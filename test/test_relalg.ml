@@ -252,24 +252,6 @@ let test_aggregates_nulls () =
   checkf "sum_or_zero" 0. (A.sum_or_zero V.Null)
 
 (* ------------------------------------------------------------------ *)
-(* Group_by                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_group_by () =
-  let r = small_rel () in
-  let groups =
-    Relalg.Group_by.by_key r (fun i _ -> i mod 2)
-  in
-  checki "two groups" 2 (List.length groups);
-  let g0 = List.nth groups 0 in
-  Alcotest.(check (array int)) "members" [| 0; 2 |] g0.Relalg.Group_by.members;
-  let centroid = Relalg.Group_by.centroid r [ "x"; "y" ] g0.Relalg.Group_by.members in
-  checkf "centroid x" 2. centroid.(0);
-  checkf "centroid y" 20. centroid.(1);
-  let radius = Relalg.Group_by.radius r [ "x"; "y" ] g0.Relalg.Group_by.members centroid in
-  checkf "radius" 10. radius
-
-(* ------------------------------------------------------------------ *)
 (* CSV                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -490,7 +472,6 @@ let () =
           Alcotest.test_case "plain and filtered" `Quick test_aggregates;
           Alcotest.test_case "null handling" `Quick test_aggregates_nulls;
         ] );
-      ( "group_by", [ Alcotest.test_case "by_key" `Quick test_group_by ] );
       ( "csv",
         [
           Alcotest.test_case "round-trip" `Quick test_csv_roundtrip;

@@ -624,6 +624,40 @@ let test_progressive_stage_infeasible_typed () =
       checkb "typed infeasible" true (r.E.status = E.Infeasible);
       checkb "terminates promptly" true (Unix.gettimeofday () -. t0 < 30.))
 
+(* A leaf refine dead end hands the leaf partitioning to flat
+   SketchRefine. A COUNT = 1 query puts its one representative in one
+   leaf group, so a one-shot infeasible on the first ILP after the
+   descent's level solves (that group's refine query) leaves Algorithm
+   2 no other ordering. The flat ladder opens with its own sketch, a
+   stage the descent never tags. *)
+let test_progressive_refine_dead_end () =
+  let hier = galaxy_hier () in
+  let spec =
+    compile galaxy_rel
+      "SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0 SUCH THAT COUNT(P.*) = 1 \
+       MAXIMIZE SUM(P.petro_rad)"
+  in
+  let _, stats = Pkg.Progressive.run spec galaxy_rel hier in
+  let stages = ref [] in
+  E.set_observer (Some (fun stage _ -> stages := stage :: !stages));
+  let r, _ =
+    Fun.protect
+      ~finally:(fun () -> E.set_observer None)
+      (fun () ->
+        with_faults
+          (Printf.sprintf "ilp=%d:infeasible" (List.length stats + 1))
+          (fun () -> Pkg.Progressive.run spec galaxy_rel hier))
+  in
+  let observed = List.rev !stages in
+  checkb "descent, then the refine the fault sank" true
+    (List.filteri (fun i _ -> i <= List.length stats) observed
+    = List.init (List.length stats) (fun _ -> E.Progressive) @ [ E.Refine ]);
+  checkb "reached SketchRefine's sketch" true (List.mem E.Sketch observed);
+  match (r.E.status, r.E.package) with
+  | (E.Optimal | E.Feasible _), Some p ->
+    checkb "package feasible" true (Pkg.Package.feasible spec p)
+  | status, _ -> Alcotest.failf "expected a package, got %a" E.pp_status status
+
 let test_progressive_deadline_zero () =
   let hier = galaxy_hier () in
   let spec = galaxy_spec galaxy_rel in
@@ -765,6 +799,8 @@ let () =
             test_progressive_stage_infeasible_typed;
           Alcotest.test_case "deadline zero" `Quick
             test_progressive_deadline_zero;
+          Alcotest.test_case "leaf refine dead end reaches SketchRefine"
+            `Quick test_progressive_refine_dead_end;
         ] );
       ( "stochastic",
         [

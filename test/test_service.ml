@@ -91,6 +91,13 @@ let essence = function
     | Error e -> `Bad e)
   | Pr.Resp_err (code, msg) -> `Err (Pr.code_name code, msg)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: concurrency, caches, appends                           *)
 (* ------------------------------------------------------------------ *)
@@ -194,6 +201,66 @@ let test_basis_cache_stream () =
     true
     (attempts > 0 && float_of_int hits > 0.8 *. float_of_int attempts)
 
+(* A progressive server serves exactly what [Pkg.Progressive.run]
+   answers on the hierarchy the server builds (same attrs, leaf tau and
+   Theorem-3 radius), and its STATS carry the per-level descent
+   telemetry. 400 rows at tau 8 give a 3-level hierarchy. *)
+let test_progressive_matches_run () =
+  let attrs = [ "redshift"; "petro_rad" ] and tau = 8 in
+  let cfg =
+    {
+      (base_cfg ()) with
+      Srv.method_ = Srv.Progressive;
+      attrs;
+      tau = Some tau;
+      result_cache = 0;
+      plan_cache = 0;
+    }
+  in
+  let schema = Relalg.Relation.schema galaxy in
+  let levels = ref 0 in
+  let expected q =
+    let spec = Paql.Translate.compile_exn schema (Paql.Parser.parse_exn q) in
+    let radius =
+      Pkg.Partition.theorem_radius (Paql.Translate.objective_sense spec)
+    in
+    let hier = Pkg.Hierarchy.build ~radius ~leaf_tau:tau ~attrs galaxy in
+    levels := max !levels (Pkg.Hierarchy.num_levels hier);
+    essence
+      (Service.Front.response_of_report
+         (fst (Pkg.Progressive.run spec galaxy hier)))
+  in
+  let qs =
+    "SELECT PACKAGE(G) AS P FROM Galaxy G SUCH THAT COUNT(P.*) = 2 AND \
+     SUM(P.redshift) <= 1.5 MINIMIZE SUM(P.petro_rad)"
+    :: List.filteri (fun i _ -> i < 4) distinct_queries
+  in
+  with_server cfg galaxy (fun t ->
+      with_client t (fun c ->
+          List.iteri
+            (fun i q ->
+              let served = essence (Cl.query c q) in
+              checkb (Printf.sprintf "query %d served as run" i) true
+                (served = expected q);
+              if i = 0 then
+                checkb "the first query is a package" true
+                  (match served with `Ok _ -> true | _ -> false))
+            qs;
+          checkb "at least two levels" true (!levels >= 2);
+          match Cl.stats c with
+          | Pr.Resp_ok body ->
+            for l = 0 to !levels - 1 do
+              List.iter
+                (fun entry ->
+                  checkb (entry ^ " in STATS") true (contains ~sub:entry body))
+                [
+                  Printf.sprintf "stage progressive_level%d count" l;
+                  Printf.sprintf "gauge progressive_level%d_groups" l;
+                  Printf.sprintf "gauge progressive_level%d_active" l;
+                ]
+            done
+          | Pr.Resp_err (_, msg) -> Alcotest.fail msg))
+
 (* The result cache keeps a gap-stopped answer: a gap within
    [Eval.rel_gap] is what every search is asked to prove, so the answer
    is a function of the query and the table. A node-limited answer with
@@ -279,13 +346,6 @@ let ok_body what = function
   | Pr.Resp_ok body -> body
   | Pr.Resp_err (code, msg) ->
     Alcotest.failf "%s: %s %s" what (Pr.code_name code) msg
-
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
 
 (* Both write acks, byte for byte up to the fingerprint. *)
 let test_write_ack_prefixes () =
@@ -835,6 +895,8 @@ let () =
             test_cache_hits_skip_solver;
           Alcotest.test_case "basis cache warm-starts a stream" `Quick
             test_basis_cache_stream;
+          Alcotest.test_case "progressive server equals Progressive.run" `Quick
+            test_progressive_matches_run;
           Alcotest.test_case "result cache keeps gap stops only" `Quick
             test_cache_keeps_gap_stops;
           Alcotest.test_case "append invalidates cached results" `Quick

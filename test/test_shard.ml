@@ -123,16 +123,17 @@ let coord_cfg () =
     ship_every = 0.02;
   }
 
-let with_fleet name ~shards ~replicas ?(cfg = coord_cfg ()) f =
+let with_fleet name ~shards ~replicas ?(cfg = coord_cfg ()) ?(base = galaxy)
+    ?(extra_args = fleet_args) f =
   let fleet =
     Ch.start_fleet ~exe:server_exe
       ~dir:(Filename.concat tmp_dir name)
-      ~base:galaxy ~shards ~replicas ~extra_args:fleet_args ()
+      ~base ~shards ~replicas ~extra_args ()
   in
   Fun.protect
     ~finally:(fun () -> Ch.stop_fleet fleet)
     (fun () ->
-      let t = Co.start cfg (Ch.fleet_specs fleet) galaxy in
+      let t = Co.start cfg (Ch.fleet_specs fleet) base in
       Fun.protect ~finally:(fun () -> Co.stop t) (fun () -> f fleet t))
 
 let with_faults spec f =
@@ -196,6 +197,54 @@ let test_failover_equivalence () =
       checkb "failover counted" true (counter t "shard_failovers" >= 1);
       check_ok_reference "again (routed around the corpse)" q_min
         (essence (Co.eval t q_min)))
+
+(* A progressive fleet runs [Pkg.Progressive]'s descent over its
+   scatter-derived caps, so it answers what a progressive server
+   answers: the same runners-up, per-level widening and warm leaf
+   sketch. 200 rows at tau 10 give a 3-level hierarchy. *)
+let test_progressive_equivalence () =
+  let base = Datagen.Galaxy.generate ~seed:5 200 in
+  let attrs = [ "redshift"; "petro_rad" ] and tau = 10 in
+  let server_cfg =
+    {
+      (Srv.default_config ()) with
+      Srv.method_ = Srv.Progressive;
+      attrs;
+      tau = Some tau;
+      workers = 2;
+      queue = 16;
+      result_cache = 0;
+      plan_cache = 0;
+      log_every = 0.;
+    }
+  in
+  let single =
+    let t = Srv.start server_cfg base in
+    Fun.protect
+      ~finally:(fun () -> Srv.stop t)
+      (fun () ->
+        let c = Cl.connect ~host:"127.0.0.1" ~port:(Srv.port t) () in
+        Fun.protect
+          ~finally:(fun () -> try Cl.close c with _ -> ())
+          (fun () -> List.map (fun q -> essence (Cl.query c q)) queries))
+  in
+  let cfg =
+    { (coord_cfg ()) with Co.method_ = `Progressive; attrs; tau = Some tau }
+  in
+  with_fleet "progressive" ~shards:2 ~replicas:0 ~cfg ~base
+    ~extra_args:
+      [ "--attrs"; String.concat "," attrs; "--tau"; string_of_int tau;
+        "--method"; "progressive" ]
+    (fun _fleet t ->
+      List.iter2
+        (fun q reference ->
+          let e = essence (Co.eval t q) in
+          checkb "matches single-node progressive" true (e = reference);
+          checkb "reference is a package" true
+            (match e with `Ok _ -> true | _ -> false))
+        queries single;
+      checkb "descended at least two levels" true
+        (gauge t "progressive_level1_groups" > 0))
 
 let test_breaker_trip_probe_close () =
   let port = free_port () in
@@ -638,6 +687,8 @@ let () =
         [
           Alcotest.test_case "scatter/gather equals single-node" `Quick
             test_equivalence;
+          Alcotest.test_case "progressive scatter/gather equals single-node"
+            `Quick test_progressive_equivalence;
           Alcotest.test_case "failover to replica is byte-identical" `Quick
             test_failover_equivalence;
           Alcotest.test_case "breaker trips, probes, closes" `Quick
