@@ -14,6 +14,7 @@ type stats = {
   simplex_iterations : int;
   elapsed : float;
   stopped : stop_reason option;
+  columns : int;
 }
 
 let pp_stop_reason ppf = function
@@ -46,11 +47,11 @@ let solution_of = function
 
 let pp_result ppf = function
   | Optimal (s, st) ->
-    Format.fprintf ppf "optimal obj=%g (nodes=%d, %.3fs)" s.obj st.nodes
-      st.elapsed
+    Format.fprintf ppf "optimal obj=%g (nodes=%d, columns=%d, %.3fs)" s.obj
+      st.nodes st.columns st.elapsed
   | Feasible (s, st, gap) ->
-    Format.fprintf ppf "feasible obj=%g gap=%a (nodes=%d, %.3fs)" s.obj pp_gap
-      gap st.nodes st.elapsed
+    Format.fprintf ppf "feasible obj=%g gap=%a (nodes=%d, columns=%d, %.3fs)"
+      s.obj pp_gap gap st.nodes st.columns st.elapsed
   | Infeasible st -> Format.fprintf ppf "infeasible (nodes=%d)" st.nodes
   | Unbounded st -> Format.fprintf ppf "unbounded (nodes=%d)" st.nodes
   | Limit st ->
@@ -61,11 +62,11 @@ let pp_result ppf = function
     Format.fprintf ppf "%a reached with no incumbent (nodes=%d, %.3fs)" reason
       st.stopped st.nodes st.elapsed
 
-(* A node is a set of bound overrides relative to the root problem,
-   plus the LP bound of its parent (used for best-first ordering) and
-   the parent's optimal basis: the child differs by one tightened
-   bound, so that basis is dual-feasible for the child LP and the dual
-   simplex restarts from it in a handful of pivots. *)
+(* A node is a set of bound overrides relative to the search's current
+   frame (below), plus the LP bound of its parent (used for best-first
+   ordering) and the parent's optimal basis: the child differs by one
+   tightened bound, so that basis is dual-feasible for the child LP and
+   the dual simplex restarts from it in a handful of pivots. *)
 type node = {
   overrides : (int * float * float) list;
   bound : float;
@@ -126,6 +127,13 @@ module Heap = struct
     done;
     top
 
+  (* Keep the nodes [f] maps to [Some], re-pushed in slot order. *)
+  let filter_map h f =
+    let old = Array.sub h.data 0 h.size in
+    Array.fill h.data 0 h.size vacant;
+    h.size <- 0;
+    Array.iter (fun node -> Option.iter (push h) (f node)) old
+
   (* Best (lowest) bound among open nodes, for gap reporting. *)
   let best_bound h = if h.size = 0 then None else Some h.data.(0).bound
 end
@@ -140,6 +148,116 @@ let int_tol = 1e-6
    such [x], and [Float.round] returns them unchanged, [-0.] included. *)
 let[@inline] round x =
   if Float.of_int (Float.to_int x) = x then x else Float.round x
+
+(* The ILP a search runs on: the original problem until the first
+   compaction, afterwards its free columns only, with the fixed
+   columns' row activity folded into the row bounds and their objective
+   into [offset] (in the problem's own sense). [cols] maps each column
+   to its original index, ascending; the root frame's map is the
+   identity, left unbuilt ([||]) until the first fixing. [base_lo] /
+   [base_hi] are the root bounds, tightened in place as columns are
+   fixed between compactions; [cur_lo] / [cur_hi] carry a node's
+   overrides during its LP, and [rounded] is the rounding heuristic's
+   buffer. *)
+type frame = {
+  fp : Problem.t;
+  cols : int array;
+  offset : float;
+  ws : Simplex.Workspace.t;
+  base_lo : float array;
+  base_hi : float array;
+  cur_lo : float array;
+  cur_hi : float array;
+  rounded : float array;
+}
+
+let make_frame ~cols ~offset (fp : Problem.t) =
+  let base_lo = Array.map (fun v -> v.Problem.lo) fp.Problem.vars in
+  let base_hi = Array.map (fun v -> v.Problem.hi) fp.Problem.vars in
+  {
+    fp;
+    cols;
+    offset;
+    ws = Simplex.Workspace.create fp;
+    base_lo;
+    base_hi;
+    cur_lo = Array.copy base_lo;
+    cur_hi = Array.copy base_hi;
+    rounded = Array.make (Problem.nvars fp) 0.;
+  }
+
+(* The frame over the original columns [cols] of [p], every other
+   column held at its value in [fixed]. It is built from [p] itself, so
+   successive compactions do not compound the rounding of the folds. *)
+let compacted_frame (p : Problem.t) ~fixed ~cols =
+  let index = Array.make (Problem.nvars p) (-1) in
+  Array.iteri (fun k j -> index.(j) <- k) cols;
+  let offset = ref 0. in
+  Array.iteri
+    (fun j (v : Problem.var) ->
+      if index.(j) < 0 then offset := !offset +. (v.Problem.obj *. fixed.(j)))
+    p.Problem.vars;
+  let rows =
+    Array.map
+      (fun (r : Problem.row) ->
+        let act = ref 0. in
+        let coeffs =
+          List.filter_map
+            (fun (j, a) ->
+              if index.(j) >= 0 then Some (index.(j), a)
+              else begin
+                act := !act +. (a *. fixed.(j));
+                None
+              end)
+            r.Problem.coeffs
+        in
+        {
+          r with
+          Problem.coeffs;
+          rlo = r.Problem.rlo -. !act;
+          rhi = r.Problem.rhi -. !act;
+        })
+      p.Problem.rows
+  in
+  let vars = Array.map (fun j -> p.Problem.vars.(j)) cols in
+  make_frame ~cols ~offset:!offset { p with Problem.vars; rows }
+
+(* What a reduced cost [d] on a column resting on [side] with bound
+   span [span] can hide from the root bound: nothing when its sign is
+   the optimal one, [|d| * span] when the dual tolerance let the wrong
+   sign through. *)
+let slop_of side d span =
+  match side with
+  | `Lower when d < 0. -> -.d *. span
+  | `Upper when d > 0. -> d *. span
+  | `Free when d <> 0. -> infinity
+  | _ -> 0.
+
+(* The slop of a root with basis [b], structural reduced costs [d] and
+   row duals [y] (a slack's reduced cost is its row's dual): the most
+   the whole root point can hide from its bound. *)
+let root_slop (p : Problem.t) b d y =
+  let n = Problem.nvars p in
+  let slop = ref 0. in
+  Array.iteri
+    (fun j (v : Problem.var) ->
+      slop :=
+        !slop
+        +. slop_of
+             (Simplex.Basis.resting b j)
+             d.(j)
+             (v.Problem.hi -. v.Problem.lo))
+    p.Problem.vars;
+  Array.iteri
+    (fun i (r : Problem.row) ->
+      slop :=
+        !slop
+        +. slop_of
+             (Simplex.Basis.resting b (n + i))
+             y.(i)
+             (r.Problem.rhi -. r.Problem.rlo))
+    p.Problem.rows;
+  !slop
 
 let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     (p : Problem.t) =
@@ -159,48 +277,47 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     if Unix.gettimeofday () -. start > limits.max_seconds then note Stop_time
     else note Stop_iterations
   in
+  let n = Problem.nvars p in
+  (* Every LP of the search shares the frame's rows and objective and
+     differs only in bounds: one simplex workspace per frame, re-solved
+     in place at every node. *)
+  let fr = ref (make_frame ~cols:[||] ~offset:0. p) in
   let stats () =
     {
       nodes = !nodes;
       simplex_iterations = !lp_iters;
       elapsed = Unix.gettimeofday () -. start;
       stopped = !stop;
+      columns = Problem.nvars !fr.fp;
     }
   in
-  let base_lo = Array.map (fun v -> v.Problem.lo) p.Problem.vars in
-  let base_hi = Array.map (fun v -> v.Problem.hi) p.Problem.vars in
-  let cur_lo = Array.copy base_lo and cur_hi = Array.copy base_hi in
-  let with_overrides overrides f =
-    List.iter
-      (fun (j, lo, hi) ->
-        cur_lo.(j) <- Float.max cur_lo.(j) lo;
-        cur_hi.(j) <- Float.min cur_hi.(j) hi)
-      overrides;
-    let r = f () in
-    List.iter
-      (fun (j, _, _) ->
-        cur_lo.(j) <- base_lo.(j);
-        cur_hi.(j) <- base_hi.(j))
-      overrides;
-    r
-  in
-  (* Every LP of the search shares the problem's rows and objective and
-     differs only in bounds: one simplex workspace, re-solved in place
-     at every node. *)
-  let ws = Simplex.Workspace.create p in
   let solve_lp ?basis overrides =
+    let fr = !fr in
     let iter_budget = limits.max_simplex_iters - !lp_iters in
     if iter_budget <= 0 then begin
       note Stop_iterations;
       Simplex.Iter_limit
     end
-    else
-      with_overrides overrides (fun () ->
-          let max_iters = min (Simplex.default_max_iters p) iter_budget in
-          Simplex.Workspace.resolve ?basis ~max_iters ~deadline
-            ~iterations:lp_iters ~lo:cur_lo ~hi:cur_hi ws)
+    else begin
+      List.iter
+        (fun (j, lo, hi) ->
+          fr.cur_lo.(j) <- Float.max fr.cur_lo.(j) lo;
+          fr.cur_hi.(j) <- Float.min fr.cur_hi.(j) hi)
+        overrides;
+      let max_iters = min (Simplex.default_max_iters fr.fp) iter_budget in
+      let r =
+        Simplex.Workspace.resolve ?basis ~max_iters ~deadline
+          ~iterations:lp_iters ~lo:fr.cur_lo ~hi:fr.cur_hi fr.ws
+      in
+      List.iter
+        (fun (j, _, _) ->
+          fr.cur_lo.(j) <- fr.base_lo.(j);
+          fr.cur_hi.(j) <- fr.base_hi.(j))
+        overrides;
+      r
+    end
   in
-  let incumbent = ref None in
+  let incumbent = ref None and improved = ref false in
   let incumbent_internal () =
     match !incumbent with
     | None -> infinity
@@ -228,62 +345,194 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
       true
     end
   in
+  (* The value each fixed original column is held at; [nan] while the
+     column is free. Built at the first fixing. *)
+  let fixed = ref [||] in
+  (* [x] is a point of the current frame. After a compaction it is
+     expanded to full length, and it counts only if the original problem
+     accepts it. *)
   let try_incumbent x =
-    let obj = Problem.objective p x in
-    let internal = sense_sign *. obj in
-    if internal < incumbent_internal () -. 1e-9 then
-      incumbent := Some { x = Array.copy x; obj }
+    let fr = !fr in
+    let full =
+      if fr.fp == p then x
+      else begin
+        let full = Array.copy !fixed in
+        Array.iteri (fun k j -> full.(j) <- x.(k)) fr.cols;
+        full
+      end
+    in
+    let obj = Problem.objective p full in
+    if
+      sense_sign *. obj < incumbent_internal () -. 1e-9
+      && (full == x || Problem.feasible ~tol:1e-6 p full)
+    then begin
+      incumbent := Some { x = (if full == x then Array.copy x else full); obj };
+      improved := true
+    end
   in
-  let n = Problem.nvars p in
   (* The variable to branch on at an LP point: the most fractional
      integer variable, or None when the point is integral. The same
      pass rounds every integer variable to the nearest integer inside
      its bounds, into one buffer reused at every node; a fractional
      point's rounding becomes an incumbent when it happens to be
      feasible (the nearest-rounding heuristic). *)
-  let rounded = Array.make n 0. in
   let branching_var x =
+    let fr = !fr in
+    let vars = fr.fp.Problem.vars and rounded = fr.rounded in
     let best = ref (-1) and best_frac = ref 0. in
-    for j = 0 to n - 1 do
+    for j = 0 to Array.length vars - 1 do
       let xj = x.(j) in
-      if p.Problem.vars.(j).Problem.integer then begin
+      if vars.(j).Problem.integer then begin
         let r = round xj in
         let f = Float.abs (xj -. r) in
         if f > int_tol && f > !best_frac then begin
           best := j;
           best_frac := f
         end;
-        rounded.(j) <- Float.min base_hi.(j) (Float.max base_lo.(j) r)
+        rounded.(j) <- Float.min fr.base_hi.(j) (Float.max fr.base_lo.(j) r)
       end
       else rounded.(j) <- xj
     done;
     if !best < 0 then None
     else begin
-      if Problem.feasible ~tol:1e-6 p rounded then try_incumbent rounded;
+      if Problem.feasible ~tol:1e-6 fr.fp rounded then try_incumbent rounded;
       Some !best
     end
   in
   let heap = Heap.create () in
+  (* Reduced-cost fixing (see DESIGN.md). [root] holds the root LP's
+     row duals, basis and bound once the root is fractional; [root_rc]
+     its structural reduced costs and their slop, computed at the first
+     incumbent. [fixed_here] counts the current frame's columns fixed in
+     place since its compaction. *)
+  let root = ref None and root_rc = ref None and fixed_here = ref 0 in
+  (* A node whose overrides exclude a column's in-place fixed value
+     holds nothing better than the incumbent. *)
+  let excluded overrides =
+    !fixed_here > 0
+    &&
+    let fr = !fr in
+    List.exists
+      (fun (j, lo, hi) ->
+        Float.max fr.base_lo.(j) lo > Float.min fr.base_hi.(j) hi)
+      overrides
+  in
+  (* Rebuild the ILP over the current frame's free columns, and move
+     every open node to it: overrides on kept columns are re-indexed,
+     a node whose override excludes a fixed column's value goes, and
+     each basis snapshot is restricted to the kept columns (falling
+     back to a cold solve when a fixed column was basic). *)
+  let compact () =
+    let old = !fr in
+    let keep =
+      Array.of_seq
+        (Seq.filter
+           (fun k -> Float.is_nan !fixed.(old.cols.(k)))
+           (Seq.init (Array.length old.cols) Fun.id))
+    in
+    let pos = Array.make (Array.length old.cols) (-1) in
+    Array.iteri (fun i k -> pos.(k) <- i) keep;
+    let cols = Array.map (fun k -> old.cols.(k)) keep in
+    fr := compacted_frame p ~fixed:!fixed ~cols;
+    fixed_here := 0;
+    let rec remap acc = function
+      | [] -> Some (List.rev acc)
+      | (k, lo, hi) :: rest ->
+        if pos.(k) >= 0 then remap ((pos.(k), lo, hi) :: acc) rest
+        else
+          let v = !fixed.(old.cols.(k)) in
+          if v < lo || v > hi then None else remap acc rest
+    in
+    Heap.filter_map heap (fun node ->
+        match remap [] node.overrides with
+        | None -> None
+        | Some overrides ->
+          Some
+            {
+              node with
+              overrides;
+              nbasis =
+                Option.bind node.nbasis (fun b ->
+                    Simplex.Basis.restrict b ~keep);
+            })
+  in
+  (* Run on the first incumbent and on each improvement: fix every
+     integer column the root reduced costs prove cannot move off its
+     root bound without losing to the incumbent, exactly (no gap
+     slack), and compact once half of the frame is fixed. *)
+  let fix () =
+    improved := false;
+    match (!root, !incumbent) with
+    | Some (y, b, root_bound), Some s ->
+      let d, slop =
+        match !root_rc with
+        | Some rc -> rc
+        | None ->
+          (* the first incumbent precedes any compaction, so the frame
+             is still the root's: its workspace computes the reduced
+             costs, and its column map is the identity *)
+          fr := { !fr with cols = Array.init n Fun.id };
+          fixed := Array.make n Float.nan;
+          let d = Simplex.Workspace.reduced_costs !fr.ws ~duals:y in
+          let rc = (d, root_slop p b d y) in
+          root_rc := Some rc;
+          rc
+      in
+      (* every point that moves a column off its root bound costs at
+         least [gain] more than the root *)
+      let inc = sense_sign *. s.obj in
+      let proves gain = root_bound +. gain -. slop >= inc -. 1e-9 in
+      let fr = !fr in
+      Array.iteri
+        (fun k j ->
+          let v = p.Problem.vars.(j) in
+          if v.Problem.integer && Float.is_nan !fixed.(j) then begin
+            let at =
+              match Simplex.Basis.resting b j with
+              | `Lower when d.(j) > 0. && proves d.(j) -> v.Problem.lo
+              | `Upper when d.(j) < 0. && proves (-.d.(j)) -> v.Problem.hi
+              | _ -> Float.nan
+            in
+            if Float.is_integer at then begin
+              !fixed.(j) <- at;
+              fr.base_lo.(k) <- at;
+              fr.base_hi.(k) <- at;
+              fr.cur_lo.(k) <- at;
+              fr.cur_hi.(k) <- at;
+              incr fixed_here
+            end
+          end)
+        fr.cols;
+      if !fixed_here > 0 && 2 * !fixed_here >= Array.length fr.cols then
+        compact ()
+    | _ -> ()
+  in
   match solve_lp ?basis:warm_start [] with
   | Simplex.Infeasible -> Infeasible (stats ())
   | Simplex.Unbounded -> Unbounded (stats ())
   | Simplex.Iter_limit ->
     classify_iter_limit ();
     Limit (stats ())
-  | Simplex.Optimal root ->
+  | Simplex.Optimal root_lp ->
     (match basis_out with
-    | Some out -> out := root.Simplex.basis
+    | Some out -> out := root_lp.Simplex.basis
     | None -> ());
-    let root_bound = sense_sign *. root.Simplex.obj in
-    (match branching_var root.Simplex.x with
-    | None -> Optimal ({ x = root.Simplex.x; obj = root.Simplex.obj }, stats ())
+    let root_bound = sense_sign *. root_lp.Simplex.obj in
+    (match branching_var root_lp.Simplex.x with
+    | None ->
+      Optimal ({ x = root_lp.Simplex.x; obj = root_lp.Simplex.obj }, stats ())
     | Some _ ->
+      (match root_lp.Simplex.basis with
+      | Some b -> root := Some (Simplex.Workspace.duals !fr.ws, b, root_bound)
+      | None -> ());
       Heap.push heap
-        { overrides = []; bound = root_bound; nbasis = root.Simplex.basis };
+        { overrides = []; bound = root_bound; nbasis = root_lp.Simplex.basis };
       let best_open = ref root_bound in
       let limit_hit = ref false in
       while (not (Heap.is_empty heap)) && not !limit_hit do
-        if !nodes >= limits.max_nodes then begin
+        if !improved then fix ();
+        if Heap.is_empty heap then ()
+        else if !nodes >= limits.max_nodes then begin
           note Stop_nodes;
           limit_hit := true
         end
@@ -298,7 +547,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
             | Some b -> Float.min node.bound b
             | None -> node.bound);
           (* prune against the incumbent (with the MIP-gap slack) *)
-          if not (pruned node.bound) then begin
+          if not (pruned node.bound || excluded node.overrides) then begin
             incr nodes;
             match solve_lp ?basis:node.nbasis node.overrides with
             | Simplex.Infeasible -> ()
@@ -310,7 +559,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
                  except through numerical trouble; treat as a dead end *)
               ()
             | Simplex.Optimal lp ->
-              let bound = sense_sign *. lp.Simplex.obj in
+              let bound = sense_sign *. (lp.Simplex.obj +. !fr.offset) in
               if not (pruned bound) then begin
                 match branching_var lp.Simplex.x with
                 | None -> try_incumbent lp.Simplex.x

@@ -43,6 +43,9 @@ type stats = {
   elapsed : float;       (** seconds *)
   stopped : stop_reason option;
       (** [None] when the search ran to natural completion *)
+  columns : int;
+      (** columns of the ILP the search ended on: the problem's own
+          count, or fewer once reduced-cost fixing compacted it *)
 }
 
 type result =

@@ -29,6 +29,43 @@ module Basis = struct
      through its rejection branch. *)
   let corrupt b =
     if b.bm = 0 then b else { b with rows = Array.make b.bm b.rows.(0) }
+
+  let resting b j =
+    match Bytes.get b.vstat j with
+    | '\000' -> `Basic
+    | '\001' -> `Lower
+    | '\002' -> `Upper
+    | _ -> `Free
+
+  (* The snapshot over the structural columns [keep] (ascending) and
+     every slack. The kept and slack codes must still hold all [bm]
+     basic columns. Every basis row names a basic column, so a kept
+     one, found in [keep] by bisection, or a slack, shifted. *)
+  let restrict b ~keep =
+    let n' = Array.length keep and m = b.bm in
+    let vstat = Bytes.create (n' + m) in
+    let nbasic = ref 0 in
+    let put k c =
+      if c = '\000' then incr nbasic;
+      Bytes.set vstat k c
+    in
+    Array.iteri (fun k j -> put k (Bytes.get b.vstat j)) keep;
+    for i = 0 to m - 1 do
+      put (n' + i) (Bytes.get b.vstat (b.bn + i))
+    done;
+    let index j =
+      if j >= b.bn then n' + j - b.bn
+      else begin
+        let lo = ref 0 and hi = ref n' in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if keep.(mid) < j then lo := mid + 1 else hi := mid
+        done;
+        !lo
+      end
+    in
+    if !nbasic <> m then None
+    else Some { bn = n'; bm = m; vstat; rows = Array.map index b.rows }
 end
 
 type solution = {
@@ -1212,4 +1249,16 @@ module Workspace = struct
     Array.blit lo 0 st.lo 0 n;
     Array.blit hi 0 st.hi 0 n;
     run st ?basis ?max_iters ?tol ?deadline ?iterations ()
+
+  let duals st =
+    compute_duals st;
+    Array.sub st.y 0 st.m
+
+  let reduced_costs st ~duals =
+    Array.init st.n (fun j ->
+        let d = ref st.obj.(j) in
+        for k = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+          d := !d -. (duals.(st.crow.(k)) *. st.cval.(k))
+        done;
+        !d)
 end

@@ -36,6 +36,17 @@ module Basis : sig
   (** Fault-injection helper: returns a structurally valid but singular
       basis, which {!resolve} must reject into a cold solve. *)
   val corrupt : t -> t
+
+  (** [resting b j] is where column [j] (structural, or slack [n + i] of
+      row [i]) sits in [b]: basic, or nonbasic on its lower bound, its
+      upper bound, or free at zero. *)
+  val resting : t -> int -> [ `Basic | `Lower | `Upper | `Free ]
+
+  (** [restrict b ~keep] is [b] over the structural columns [keep]
+      (strictly ascending indices) and every slack, for the problem
+      that drops the other structural columns and keeps the rows.
+      [None] when a dropped column is basic in [b]. *)
+  val restrict : t -> keep:int array -> t option
 end
 
 type solution = {
@@ -117,6 +128,17 @@ module Workspace : sig
     hi:float array ->
     t ->
     result
+
+  (** [duals ws] is the row duals [y = c_B B^-1] of the basis the last
+      re-solve ended on, in the internal minimizing sense (the
+      objective negated for a maximization); meaningful right after an
+      [Optimal] re-solve. One float per row. *)
+  val duals : t -> float array
+
+  (** [reduced_costs ws ~duals] is [c_j - duals . A_j] for every
+      structural column [j], in the same sense as {!duals}. A slack
+      column's reduced cost is its row's dual. *)
+  val reduced_costs : t -> duals:float array -> float array
 end
 
 val pp_result : Format.formatter -> result -> unit

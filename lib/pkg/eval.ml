@@ -91,6 +91,12 @@ let bump c result =
   c.simplex_iterations <-
     c.simplex_iterations + stats.Ilp.Branch_bound.simplex_iterations
 
+let absorb c (from : counters) =
+  c.ilp_calls <- c.ilp_calls + from.ilp_calls;
+  c.nodes <- c.nodes + from.nodes;
+  c.simplex_iterations <- c.simplex_iterations + from.simplex_iterations;
+  c.backtracks <- c.backtracks + from.backtracks
+
 type report = {
   status : status;
   package : Package.t option;

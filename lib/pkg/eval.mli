@@ -106,6 +106,10 @@ val fresh_counters : unit -> counters
 (** Accumulate a branch-and-bound run into the counters. *)
 val bump : counters -> Ilp.Branch_bound.result -> unit
 
+(** [absorb c from] adds every counter of [from] into [c]: the work of
+    a nested evaluation that hands its answer up. *)
+val absorb : counters -> counters -> unit
+
 type report = {
   status : status;
   package : Package.t option;

@@ -475,12 +475,13 @@ let repl_lag () =
     (fun acc -> function Repl_lag n -> max acc n | _ -> acc)
     0 (Atomic.get installed)
 
-let zero_stats stopped =
+let zero_stats problem stopped =
   {
     Ilp.Branch_bound.nodes = 0;
     simplex_iterations = 0;
     elapsed = 0.;
     stopped;
+    columns = Lp.Problem.nvars problem;
   }
 
 let solve ?limits ?deadline ?warm ?basis_out ~stage ?group problem =
@@ -510,9 +511,11 @@ let solve ?limits ?deadline ?warm ?basis_out ~stage ?group problem =
       | None -> Printf.sprintf "%s ILP" (Eval.stage_name stage)
     in
     raise (Injected (Printf.sprintf "injected crash at call %d (%s)" call where))
-  | Some Force_infeasible -> Ilp.Branch_bound.Infeasible (zero_stats None)
+  | Some Force_infeasible ->
+    Ilp.Branch_bound.Infeasible (zero_stats problem None)
   | Some Force_limit ->
-    Ilp.Branch_bound.Limit (zero_stats (Some Ilp.Branch_bound.Stop_nodes))
+    Ilp.Branch_bound.Limit
+      (zero_stats problem (Some Ilp.Branch_bound.Stop_nodes))
   | None -> (
     match deadline with
     | None -> branch_and_bound limits
@@ -521,7 +524,8 @@ let solve ?limits ?deadline ?warm ?basis_out ~stage ?group problem =
       if remaining <= 0. then
         (* budget already spent: report a time-stopped limit without
            touching the solver *)
-        Ilp.Branch_bound.Limit (zero_stats (Some Ilp.Branch_bound.Stop_time))
+        Ilp.Branch_bound.Limit
+          (zero_stats problem (Some Ilp.Branch_bound.Stop_time))
       else
         let limits =
           {

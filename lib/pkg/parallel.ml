@@ -22,14 +22,7 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
     else begin
       let options = { options with Sketch_refine.max_seconds = remaining } in
       let r = Sketch_refine.run ~options spec rel partition in
-      counters.Eval.ilp_calls <-
-        counters.Eval.ilp_calls + r.Eval.counters.Eval.ilp_calls;
-      counters.Eval.nodes <- counters.Eval.nodes + r.Eval.counters.Eval.nodes;
-      counters.Eval.simplex_iterations <-
-        counters.Eval.simplex_iterations
-        + r.Eval.counters.Eval.simplex_iterations;
-      counters.Eval.backtracks <-
-        counters.Eval.backtracks + r.Eval.counters.Eval.backtracks;
+      Eval.absorb counters r.Eval.counters;
       finish r.Eval.status r.Eval.package r.Eval.objective
     end
   in

@@ -299,7 +299,8 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
       | Refine.Refine_failed f -> finish (Eval.Failed f) None None
       | Refine.Refine_infeasible ->
         (* Dead end: hand the leaf partitioning to flat SketchRefine,
-           whose ladder starts with the full-width sketch and refine *)
+           whose ladder starts with the full-width sketch and refine;
+           its answer carries the descent's work and time too *)
         if Unix.gettimeofday () > deadline then
           finish Eval.Infeasible None None
         else begin
@@ -312,7 +313,9 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
               max_seconds = deadline -. Unix.gettimeofday ();
             }
           in
-          (Sketch_refine.run ~options spec rel ctx.Sketch.part, d.levels)
+          let r = Sketch_refine.run ~options spec rel ctx.Sketch.part in
+          Eval.absorb counters r.Eval.counters;
+          finish r.Eval.status r.Eval.package r.Eval.objective
         end
     with e ->
       let msg =

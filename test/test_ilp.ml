@@ -300,6 +300,188 @@ let prop_bb_solution_feasible =
       | B.Infeasible _ | B.Limit _ -> true
       | B.Unbounded _ -> false)
 
+(* Reduced-cost fixing and compaction against enumeration. Each
+   column is an integer in [0, 2] or [0, 3] (REPEAT 1 or 2) with a cost
+   of either sign in units, tens or hundreds, so the root LP rests
+   columns on both bounds and an incumbent lets the search fix many of
+   them. The rows are a weighted cardinality equality and one or two
+   ranged rows with one-decimal coefficients, equalities when their
+   width is 0; all hold at a planted integer point, so most cases are
+   feasible, and a ranged row's bounds sit off the lattice of
+   activities, so a root pressed against one is fractional. Both
+   senses are drawn. *)
+let fixing_ilp_gen =
+  QCheck.Gen.(
+    int_range 6 12 >>= fun n ->
+    bool >>= fun maximize ->
+    list_size (return n)
+      (int_range 2 3 >>= fun hi ->
+       int_range 0 hi >>= fun planted ->
+       int_range 1 2 >>= fun weight ->
+       map2 ( * ) (int_range (-9) 9) (oneofl [ 1; 10; 100 ])
+       >>= fun cost -> return (hi, planted, weight, cost))
+    >>= fun cols ->
+    list_size
+      (frequency [ (3, return 1); (1, return 2) ])
+      (triple (list_size (return n) (int_range (-30) 60)) (int_range 0 60)
+         (frequency
+            [
+              (1, return 0); (3, return 60); (3, return 120); (2, return 240);
+            ]))
+    >>= fun ranged -> return (maximize, cols, ranged))
+
+let fixing_ilp (maximize, cols, ranged) =
+  let vars =
+    List.map
+      (fun (hi, _, _, c) ->
+        P.var ~integer:true ~lo:0. ~hi:(float_of_int hi) (float_of_int c))
+      cols
+  in
+  let planted = List.map (fun (_, x, _, _) -> x) cols in
+  (* coefficients and bounds in units of [1 / scale]; [shave] widens
+     the range by a fraction of a unit on each side *)
+  let row ~scale ~shave coeffs ~below ~above =
+    let act = List.fold_left2 (fun acc a x -> acc + (a * x)) 0 coeffs planted in
+    let f k = float_of_int k /. scale in
+    P.row
+      (List.mapi (fun j a -> (j, f a)) coeffs)
+      ~lo:(f (act - below) -. (shave /. scale))
+      ~hi:(f (act + above) +. (shave /. scale))
+  in
+  let rows =
+    row ~scale:1. ~shave:0.
+      (List.map (fun (_, _, w, _) -> w) cols)
+      ~below:0 ~above:0
+    :: List.map
+         (fun (coeffs, below, width) ->
+           let below = min below width in
+           row ~scale:10.
+             ~shave:(if width = 0 then 0. else 0.37)
+             coeffs ~below ~above:(width - below))
+         ranged
+  in
+  P.make ~sense:(if maximize then P.Maximize else P.Minimize) ~vars ~rows
+
+(* The exact optimum by depth-first enumeration of every integer point,
+   cutting a branch only when some row can no longer reach its range or
+   no completion can match the best point found so far. *)
+let enumerate p =
+  let n = P.nvars p in
+  let coeff = Array.map (fun _ -> Array.make n 0.) p.P.rows in
+  Array.iteri
+    (fun i r -> List.iter (fun (j, a) -> coeff.(i).(j) <- a) r.P.coeffs)
+    p.P.rows;
+  (* least and greatest activity of each row over the columns [j, n) *)
+  let reach f =
+    Array.map
+      (fun a ->
+        let s = Array.make (n + 1) 0. in
+        for j = n - 1 downto 0 do
+          let v = p.P.vars.(j) in
+          s.(j) <- s.(j + 1) +. f (a.(j) *. v.P.lo) (a.(j) *. v.P.hi)
+        done;
+        s)
+      coeff
+  in
+  let least = reach Float.min and most = reach Float.max in
+  let sign = match p.P.sense with P.Maximize -> 1. | P.Minimize -> -1. in
+  (* the most each suffix of columns can add to [sign * objective] *)
+  let gain = Array.make (n + 1) 0. in
+  for j = n - 1 downto 0 do
+    let v = p.P.vars.(j) in
+    gain.(j) <-
+      gain.(j + 1)
+      +. Float.max (sign *. v.P.obj *. v.P.lo) (sign *. v.P.obj *. v.P.hi)
+  done;
+  let x = Array.make n 0. and act = Array.make (P.nrows p) 0. in
+  let best = ref None and partial = ref 0. in
+  let rec go j =
+    let alive =
+      ref
+        (match !best with
+        | Some b -> !partial +. gain.(j) >= (sign *. b) -. 1e-6
+        | None -> true)
+    in
+    Array.iteri
+      (fun i r ->
+        if
+          act.(i) +. least.(i).(j) > r.P.rhi +. 1e-9
+          || act.(i) +. most.(i).(j) < r.P.rlo -. 1e-9
+        then alive := false)
+      p.P.rows;
+    if !alive then
+      if j = n then begin
+        let obj = P.objective p x in
+        match !best with
+        | Some b when sign *. b >= sign *. obj -> ()
+        | _ -> best := Some obj
+      end
+      else begin
+        let v = p.P.vars.(j) in
+        for k = int_of_float v.P.lo to int_of_float v.P.hi do
+          x.(j) <- float_of_int k;
+          Array.iteri (fun i a -> act.(i) <- act.(i) +. (a.(j) *. x.(j))) coeff;
+          partial := !partial +. (sign *. v.P.obj *. x.(j));
+          go (j + 1);
+          partial := !partial -. (sign *. v.P.obj *. x.(j));
+          Array.iteri (fun i a -> act.(i) <- act.(i) -. (a.(j) *. x.(j))) coeff
+        done;
+        x.(j) <- 0.
+      end
+  in
+  go 0;
+  !best
+
+(* Fixing runs only in a search, so the ILPs whose root LP is already
+   integral are checked for exactness but not counted towards
+   compaction. [root_shape p] is whether the root LP point is
+   fractional, and whether it rests a column on an upper bound above
+   1 (a REPEAT bound). *)
+let root_shape p =
+  match Lp.Simplex.solve p with
+  | Lp.Simplex.Optimal s ->
+    let x = s.Lp.Simplex.x in
+    ( Array.exists (fun v -> Float.abs (v -. Float.round v) > 1e-6) x,
+      Array.exists2
+        (fun v (var : P.var) -> var.P.hi >= 2. && v = var.P.hi)
+        x p.P.vars )
+  | _ -> (false, false)
+
+(* One case is a batch of 100 ILPs: every one must match enumeration,
+   some root must rest a column on its REPEAT bound, and at least a
+   third of the ILPs whose root LP is fractional must end on a
+   compacted ILP. *)
+let prop_fixing_matches_enumeration =
+  QCheck.Test.make ~count:6
+    ~name:"fixing and compaction match exhaustive enumeration"
+    (QCheck.make QCheck.Gen.(list_size (return 100) fixing_ilp_gen))
+    (fun batch ->
+      let searched = ref 0 and compacted = ref 0 and at_upper = ref 0 in
+      List.iter
+        (fun input ->
+          let p = fixing_ilp input in
+          let r = B.solve p in
+          (match (enumerate p, r) with
+          | Some opt, B.Optimal (s, _)
+            when Float.abs (opt -. s.B.obj) < 1e-6 && P.feasible p s.B.x ->
+            ()
+          | None, B.Infeasible _ -> ()
+          | opt, r ->
+            QCheck.Test.fail_reportf "enumeration %s, search %a@.%a"
+              (match opt with Some o -> string_of_float o | None -> "none")
+              B.pp_result r P.pp p);
+          let fractional, upper = root_shape p in
+          if upper then incr at_upper;
+          if fractional then begin
+            incr searched;
+            if (B.stats_of r).B.columns < P.nvars p then incr compacted
+          end)
+        batch;
+      (!at_upper > 0 || QCheck.Test.fail_report "no root at a REPEAT bound")
+      && (3 * !compacted >= !searched
+         || QCheck.Test.fail_reportf "%d of %d searches compacted" !compacted
+              !searched))
+
 let () =
   Alcotest.run "ilp"
     [
@@ -332,5 +514,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_bb_rel_gap_within_tolerance;
           QCheck_alcotest.to_alcotest prop_bb_zero_gap_is_exact;
           QCheck_alcotest.to_alcotest prop_bb_solution_feasible;
+          QCheck_alcotest.to_alcotest prop_fixing_matches_enumeration;
         ] );
     ]

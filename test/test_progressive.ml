@@ -98,61 +98,80 @@ let hierarchy_refinement_prop =
       && Array.for_all2 (fun a b -> a >= b) (Array.sub taus 0 (levels - 1))
            (Array.sub taus 1 (levels - 1)))
 
-(* DLV vs quad-tree at equal group budget on the knob-concentrated
-   attributes (rowc, exp_ab — a power map piles the mass near the low
-   end). Per-instance strict dominance is false — equal-width cells
-   sometimes win by isolating tail outliers into near-empty cells — so
-   the comparison is batched over a small tau grid per instance: the
-   batch never loses by more than 1.5x (qcheck, any seed) and wins
-   outright in aggregate (the deterministic case below). *)
+(* DLV vs Partition.create's k-d split at equal group budget on the
+   knob-concentrated attributes (rowc, exp_ab — a power map piles the
+   mass near the low end). Per-instance dominance is false: the k-d
+   split cuts at the centroid and so isolates tail outliers into small
+   groups, while DLV's slices are equal-size, and over 10,300 random
+   instances DLV's cost reached 1.59x the k-d split's (1.54x at
+   [QCHECK_SEED=549687791], n = 736). The comparison is therefore
+   batched over a small tau grid and asserted only in aggregate over
+   fixed seeds (the deterministic case below); the qcheck property
+   states the bound DLV does guarantee. *)
 let concentrated_attrs = [ [ "rowc" ]; [ "exp_ab" ] ]
 let budget_taus = [ 8; 16; 32 ]
 
 (* Sum of variance costs over the (attrs, tau) grid for one relation,
-   giving DLV the same group budget the quad-tree spent. *)
+   giving DLV the same group budget the k-d split spent. *)
 let variance_batch rel =
   let n = R.cardinality rel in
-  let sum_d = ref 0. and sum_q = ref 0. in
+  let sum_d = ref 0. and sum_k = ref 0. in
   List.iter
     (fun attrs ->
       let cols = P.numeric_columns rel attrs in
       List.iter
         (fun tau ->
-          let qt = P.create ~tau ~attrs rel in
-          let gq = P.num_groups qt in
-          let budget_tau = max 1 ((n + gq - 1) / gq) in
+          let kd = P.create ~tau ~attrs rel in
+          let gk = P.num_groups kd in
+          let budget_tau = max 1 ((n + gk - 1) / gk) in
           let dlv = Pkg.Dlv.create ~tau:budget_tau ~attrs rel in
-          sum_q := !sum_q +. Pkg.Dlv.variance_cost cols qt;
+          sum_k := !sum_k +. Pkg.Dlv.variance_cost cols kd;
           sum_d := !sum_d +. Pkg.Dlv.variance_cost cols dlv)
         budget_taus)
     concentrated_attrs;
-  (!sum_d, !sum_q)
+  (!sum_d, !sum_k)
 
-let dlv_variance_bounded_prop =
+(* On one attribute DLV's groups are disjoint runs of the sorted
+   values, of at most [g] members each. A run of range [r] has variance
+   at most [r^2 / 4], and the runs' ranges sum to at most the
+   attribute's range [R], so the member-weighted cost, normalized by
+   [R^2], is at most [g / (4 n)] whatever the distribution. *)
+let dlv_equal_slice_bound_prop =
   QCheck.Test.make ~count:25
-    ~name:"DLV variance within 1.5x of quad-tree on concentrated data"
+    ~name:"DLV variance within the equal-slice bound on concentrated data"
     (QCheck.make QCheck.Gen.(pair (int_range 150 800) (int_range 0 999)))
     (fun (n, seed) ->
       let rel = skewed ~seed:(seed + 2000) n in
-      let vd, vq = variance_batch rel in
-      if vd > (vq *. 1.5) +. 1e-9 then
-        QCheck.Test.fail_reportf "DLV %.6f > 1.5 * quad-tree %.6f (n=%d)" vd
-          vq n;
+      List.iter
+        (fun attrs ->
+          let cols = P.numeric_columns rel attrs in
+          List.iter
+            (fun tau ->
+              let dlv = Pkg.Dlv.create ~tau ~attrs rel in
+              let g = P.max_group_size dlv in
+              let cost = Pkg.Dlv.variance_cost cols dlv in
+              let bound = float_of_int g /. (4. *. float_of_int n) in
+              if cost > bound +. 1e-12 then
+                QCheck.Test.fail_reportf
+                  "%s tau=%d: DLV %.6f > %d / (4 * %d) = %.6f"
+                  (String.concat "," attrs) tau cost g n bound)
+            budget_taus)
+        concentrated_attrs;
       true)
 
 let test_dlv_variance_wins_aggregate () =
-  let sum_d = ref 0. and sum_q = ref 0. in
+  let sum_d = ref 0. and sum_k = ref 0. in
   for seed = 0 to 19 do
     let rel = skewed ~seed:(seed + 100) (150 + (seed * 137)) in
-    let vd, vq = variance_batch rel in
+    let vd, vk = variance_batch rel in
     sum_d := !sum_d +. vd;
-    sum_q := !sum_q +. vq
+    sum_k := !sum_k +. vk
   done;
   (* observed ratio ~0.72; assert a comfortable strict win *)
   checkb
-    (Printf.sprintf "aggregate DLV %.6f < 0.9 * quad-tree %.6f" !sum_d !sum_q)
+    (Printf.sprintf "aggregate DLV %.6f < 0.9 * k-d split %.6f" !sum_d !sum_k)
     true
-    (!sum_d < 0.9 *. !sum_q)
+    (!sum_d < 0.9 *. !sum_k)
 
 (* ------------------------------------------------------------------ *)
 (* Progressive vs SketchRefine                                        *)
@@ -417,7 +436,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest hierarchy_invariants_prop;
           QCheck_alcotest.to_alcotest hierarchy_refinement_prop;
-          QCheck_alcotest.to_alcotest dlv_variance_bounded_prop;
+          QCheck_alcotest.to_alcotest dlv_equal_slice_bound_prop;
           Alcotest.test_case "DLV variance wins in aggregate" `Quick
             test_dlv_variance_wins_aggregate;
         ] );

@@ -14,6 +14,7 @@ module B = Ilp.Branch_bound
 module E = Pkg.Eval
 
 let checkb = Alcotest.check Alcotest.bool
+let checki = Alcotest.check Alcotest.int
 
 let with_faults spec f =
   (match Pkg.Faults.parse spec with
@@ -629,7 +630,9 @@ let test_progressive_stage_infeasible_typed () =
    leaf group, so a one-shot infeasible on the first ILP after the
    descent's level solves (that group's refine query) leaves Algorithm
    2 no other ordering. The flat ladder opens with its own sketch, a
-   stage the descent never tags. *)
+   stage the descent never tags. The answer's report counts the whole
+   run: every ILP (the level sketches, the sunk refine and SketchRefine's
+   own, six in all) and a wall time from the descent's start. *)
 let test_progressive_refine_dead_end () =
   let hier = galaxy_hier () in
   let spec =
@@ -638,8 +641,20 @@ let test_progressive_refine_dead_end () =
        MAXIMIZE SUM(P.petro_rad)"
   in
   let _, stats = Pkg.Progressive.run spec galaxy_rel hier in
+  let flat =
+    Pkg.Sketch_refine.run
+      ~options:
+        {
+          Pkg.Sketch_refine.default_options with
+          limits = Pkg.Progressive.default_options.Pkg.Progressive.limits;
+        }
+      spec galaxy_rel (Pkg.Hierarchy.leaf hier)
+  in
+  (* each stage with the time its observation came in *)
   let stages = ref [] in
-  E.set_observer (Some (fun stage _ -> stages := stage :: !stages));
+  E.set_observer
+    (Some
+       (fun stage dt -> stages := (stage, Unix.gettimeofday (), dt) :: !stages));
   let r, _ =
     Fun.protect
       ~finally:(fun () -> E.set_observer None)
@@ -648,11 +663,23 @@ let test_progressive_refine_dead_end () =
           (Printf.sprintf "ilp=%d:infeasible" (List.length stats + 1))
           (fun () -> Pkg.Progressive.run spec galaxy_rel hier))
   in
-  let observed = List.rev !stages in
+  let timed = List.rev !stages in
+  let observed = List.map (fun (stage, _, _) -> stage) timed in
   checkb "descent, then the refine the fault sank" true
     (List.filteri (fun i _ -> i <= List.length stats) observed
     = List.init (List.length stats) (fun _ -> E.Progressive) @ [ E.Refine ]);
   checkb "reached SketchRefine's sketch" true (List.mem E.Sketch observed);
+  checki "every ILP counted"
+    (List.length stats + 1 + flat.E.counters.E.ilp_calls)
+    r.E.counters.E.ilp_calls;
+  checki "six ILPs" 6 r.E.counters.E.ilp_calls;
+  (match (timed, List.rev timed) with
+  | (_, first_end, first_dt) :: _, (_, last_end, _) :: _ ->
+    let span = last_end -. (first_end -. first_dt) in
+    if r.E.wall_time < span then
+      Alcotest.failf "wall time %.6fs misses the descent (stages span %.6fs)"
+        r.E.wall_time span
+  | _ -> Alcotest.fail "no stage observed");
   match (r.E.status, r.E.package) with
   | (E.Optimal | E.Feasible _), Some p ->
     checkb "package feasible" true (Pkg.Package.feasible spec p)

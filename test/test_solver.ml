@@ -416,19 +416,72 @@ let check_trajectory p ~iterations ~primal ~dual ~cold ~warm ~obj_bits =
       "objective bits" obj_bits (Int64.bits_of_float s.B.obj)
   | r -> Alcotest.failf "expected a node-limited incumbent, got %a" B.pp_result r
 
-(* Recorded before the simplex workspace existed. *)
+(* Recorded when reduced-cost fixing and compaction came in; the search
+   ends on 51 of 2,000 columns. *)
 let test_golden_trajectory () =
-  check_trajectory (galaxy_q7 ()) ~iterations:713 ~primal:271 ~dual:442
-    ~cold:2 ~warm:199 ~obj_bits:4643813136073241003L
+  check_trajectory (galaxy_q7 ()) ~iterations:721 ~primal:293 ~dual:428
+    ~cold:3 ~warm:198 ~obj_bits:4643813136073241003L
 
-(* Recorded before node statuses became immediate and basis snapshots
-   became bytes. *)
+(* Recorded when reduced-cost fixing and compaction came in. *)
 let test_wide_trajectory () =
   let p = tpch_q1 () in
   checki "columns" 3000 (P.nvars p);
   checki "rows" 2 (P.nrows p);
-  check_trajectory p ~iterations:654 ~primal:292 ~dual:362 ~cold:1 ~warm:200
+  check_trajectory p ~iterations:635 ~primal:292 ~dual:343 ~cold:1 ~warm:200
     ~obj_bits:4682041704611480996L
+
+(* The 14 Direct ILPs of the paper suite at its budget (1,000 nodes,
+   the 1e-4 relative gap) keep the objective bits the search found
+   before reduced-cost fixing and compaction, and the two that run to
+   the node budget end on a few columns. *)
+let suite_objective_bits =
+  [
+    ("galaxy", "Q1", 4641000943822911798L);
+    ("galaxy", "Q2", 4602324215083085666L);
+    ("galaxy", "Q3", 4642998456862560109L);
+    ("galaxy", "Q4", 4603773781639212165L);
+    ("galaxy", "Q5", 4637978749548554667L);
+    ("galaxy", "Q6", 4641826504413673860L);
+    ("galaxy", "Q7", 4643813136073241003L);
+    ("tpch", "Q1", 4682041704611480996L);
+    ("tpch", "Q2", 4633210606594937499L);
+    ("tpch", "Q3", 4684123632757082442L);
+    ("tpch", "Q4", 4705822823900214731L);
+    ("tpch", "Q5", 4677050841001957519L);
+    ("tpch", "Q6", 4686057113249513299L);
+    ("tpch", "Q7", 4622945017495814144L);
+  ]
+
+let test_suite_direct_pinned () =
+  let g = Datagen.Galaxy.generate ~seed:1 2000 in
+  let t = Datagen.Tpch.generate ~seed:2 3000 in
+  let limits =
+    { B.default_limits with max_nodes = 1000; max_seconds = 3600. }
+  in
+  List.iter
+    (fun (ds, name, bits) ->
+      let p =
+        if ds = "galaxy" then
+          direct_problem ~dataset:`Galaxy g (Datagen.Workload.galaxy_queries g)
+            name
+        else
+          direct_problem ~dataset:`Tpch t (Datagen.Workload.tpch_queries t) name
+      in
+      let r = B.solve ~limits ~rel_gap:Pkg.Eval.rel_gap p in
+      let what = ds ^ " " ^ name in
+      (match B.solution_of r with
+      | Some s ->
+        Alcotest.(check int64) (what ^ " objective bits") bits
+          (Int64.bits_of_float s.B.obj)
+      | None -> Alcotest.failf "%s: %a" what B.pp_result r);
+      if ds = "galaxy" && (name = "Q7" || name = "Q2") then begin
+        let st = B.stats_of r in
+        checki (what ^ " nodes") 1000 st.B.nodes;
+        if st.B.columns > 100 then
+          Alcotest.failf "%s ends on %d columns (at most 100)" what
+            st.B.columns
+      end)
+    suite_objective_bits
 
 (* A node's warm re-solve allocates its solution vector and its basis
    snapshot (one byte per column) and nothing else per column: no boxed
@@ -538,6 +591,8 @@ let () =
             test_wide_trajectory;
           Alcotest.test_case "node allocation budget" `Quick
             test_node_allocation_budget;
+          Alcotest.test_case "paper-suite Direct objectives pinned" `Quick
+            test_suite_direct_pinned;
         ] );
       ( "determinism",
         [
