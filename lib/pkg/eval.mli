@@ -1,5 +1,6 @@
 (** Shared result types, failure taxonomy and counters for the package
-    evaluation methods (DIRECT, SKETCHREFINE, parallel refinement). *)
+    evaluation methods (DIRECT, the SketchRefine family — flat,
+    parallel and progressive, one driver — and stochastic). *)
 
 (** The relative MIP gap every package ILP stops at: [1e-4], CPLEX's
     default, under which the paper ran every ILP (Section 5). A search
@@ -16,7 +17,7 @@ type stage =
   | Repair      (** Phase-3 repair of a parallel run (Section 4.5) *)
   | Direct      (** the single DIRECT ILP *)
   | Parallel    (** a Phase-1 parallel refine worker *)
-  | Fallback    (** between ladder rungs / the sequential fallback *)
+  | Fallback    (** between rungs of the Section 4.4 ladder *)
   | Progressive (** a per-level sketch of the coarse-to-fine descent *)
   | Scenario    (** stochastic scenario generation *)
   | Summary     (** a summary-ILP solve of the SummarySearch loop *)
@@ -77,7 +78,13 @@ type degradation = {
 
 type status =
   | Optimal
-      (** every ILP subproblem was solved to proven optimality *)
+      (** DIRECT (and the stochastic driver): the package ILP was solved
+          to proven optimality. The SketchRefine family means less:
+          every sketch and refine ILP the answer rests on returned a
+          solution, and a solution that stopped at {!rel_gap} or at a
+          solver limit (node, pivot or time budget) with an incumbent
+          counts. It is not a proof of the query's optimum either,
+          which SketchRefine approximates (Theorem 3). *)
   | Feasible of float
       (** a solver limit was hit, or a search stopped at {!rel_gap};
           the payload is the proven relative optimality gap *)

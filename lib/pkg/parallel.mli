@@ -3,36 +3,42 @@
     concurrently makes only local decisions, so combined results can be
     infeasible and need repair.
 
-    Strategy (optimistic parallel refine):
+    Strategy (optimistic parallel refine), as a seeded
+    {!Sketch_refine.drive}:
     + the sketch runs as usual;
     + every group holding representatives is refined {e in parallel}
-      (one ILP per group, fanned out over OCaml 5 domains), each
-      against the {e initial} sketch package — i.e. every other group
-      is assumed to contribute its representative aggregates;
+      (one cold ILP per group, striped over OCaml 5 domains by
+      {!Relalg.Scan.stripe}), each against the {e initial} sketch
+      package — i.e. every other group is assumed to contribute its
+      representative aggregates;
     + a sequential validation pass merges the parallel answers in
       order, accepting a group's answer only if it still combines
       feasibly with everything merged so far (plus representatives for
       the rest);
     + rejected groups — the paper's predicted infeasibilities — are
-      re-refined sequentially by Algorithm 2 from the merged state;
-    + if even that fails, the whole evaluation falls back to plain
-      {!Sketch_refine.run} with its fallback ladder.
+      repaired by Algorithm 2 from the merged state (the driver's first
+      rung, stage [Repair]);
+    + if the repair fails too, the driver refines from the same sketch
+      as flat SketchRefine does and then climbs the Section 4.4 ladder.
+      An infeasible sketch goes straight to the ladder. Neither solves
+      the sketch again: a run whose sketch is infeasible solves exactly
+      the ILPs flat SketchRefine solves.
 
     The result is always a feasible package (or a principled
     infeasible/failed report), never a torn merge.
 
     Resilience: every ILP, Phase-1 workers' included, clamps its time
-    limit to the global deadline (see
-    {!Sketch_refine.options.max_seconds}); a worker body never
-    lets an exception escape — a crash (including an injected
-    [worker=W:crash] fault) marks the worker's stripe of groups
-    [`Failed] and they are repaired in Phase 3; all domains are joined
-    even when one fails; and the sequential fallback receives only the
-    remaining wall budget, not a fresh one. *)
+    limit to the run's one deadline (see
+    {!Sketch_refine.options.max_seconds}); a worker never lets an
+    exception escape — a crash (including an injected [worker=W:crash]
+    fault) marks the rest of the worker's stripe [`Failed] and those
+    groups are repaired; and every domain is joined before the run
+    goes on. *)
 
 (** [run ?options ?domains spec rel partition] — [domains] caps the
     worker count (default [Domain.recommended_domain_count ()],
-    at most the number of groups to refine). *)
+    at most the number of groups to refine). Packages are the same for
+    any [domains]. *)
 val run :
   ?options:Sketch_refine.options ->
   ?domains:int ->

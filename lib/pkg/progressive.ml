@@ -4,17 +4,12 @@
    The coarsest level's sketch ILP is tiny and cheap. Its solution
    names the groups that matter; only their children (plus a slice of
    "near-binding" runners-up, to hedge against the coarse reps lying)
-   get variables at the next level. The leaf level's sketch is then
-   refined into original tuples exactly as SketchRefine does. Tight
+   get variables at the next level. The leaf level's sketch seeds the
+   SketchRefine driver, which refines it into original tuples. Tight
    constraints that a flat, coarse sketch cannot express (group means
    smooth away the tail tuples the query needs) become reachable
    because the descent buys fine leaves only where the solution lives.
-
-   Resilience: one absolute deadline covers the whole descent (every
-   ILP clamps to the remaining budget via [Faults.solve]); a failed or
-   injected level solve widens that level to all groups and retries
-   once, surfacing as a typed [Degraded] answer; anything unrecoverable
-   is a typed [Failed] report, never an exception. *)
+   The degradation ladder is documented in the interface. *)
 
 let src = Logs.Src.create "pkgq.progressive" ~doc:"Progressive evaluation"
 
@@ -112,16 +107,17 @@ let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
   (* Solve one level, widening to the full level once if the restricted
      solve fails or comes back infeasible. [pristine] is the cap array
      as the caller built it (the caps in [ctx] are zeroed in place to
-     shade groups out). Returns [`Counts rep_counts | `Infeasible |
-     `Failed f]. *)
+     shade groups out). The level's one telemetry entry describes its
+     last solve. *)
   let solve_level ~level ctx ~pristine ~restricted =
     let t0 = Unix.gettimeofday () in
-    let record ~widened ~counts =
+    let record ~widened r =
       let groups = ref 0 and active = ref 0 in
       Array.iter (fun c -> if c > 0. then incr groups) ctx.Sketch.caps;
-      (match counts with
-      | Some rc -> Array.iter (fun c -> if c > 0.5 then incr active) rc
-      | None -> ());
+      (match r with
+      | Sketch.Sketched rc ->
+        Array.iter (fun c -> if c > 0.5 then incr active) rc
+      | Sketch.Sketch_infeasible | Sketch.Sketch_failed _ -> ());
       stats :=
         {
           ls_level = level;
@@ -130,10 +126,12 @@ let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
           ls_seconds = Unix.gettimeofday () -. t0;
           ls_widened = widened;
         }
-        :: !stats
+        :: !stats;
+      r
     in
-    let widen () =
-      Array.blit pristine 0 ctx.Sketch.caps 0 (Array.length pristine)
+    let widened () =
+      Array.blit pristine 0 ctx.Sketch.caps 0 (Array.length pristine);
+      record ~widened:true (sketch_level ~level ctx)
     in
     (match restricted with
     | None -> ()
@@ -147,53 +145,28 @@ let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
       | Some allowed -> Array.exists (fun g -> not g) allowed
     in
     match sketch_level ~level ctx with
-    | Sketch.Sketched rc ->
-      record ~widened:false ~counts:(Some rc);
-      `Counts rc
-    | Sketch.Sketch_infeasible when narrowed -> (
+    | Sketch.Sketch_infeasible when narrowed ->
       (* the shading was too aggressive for this query: retry over the
          whole level before concluding anything *)
-      widen ();
       Log.info (fun k -> k "level %d infeasible when shaded; widening" level);
-      match sketch_level ~level ctx with
-      | Sketch.Sketched rc ->
-        record ~widened:true ~counts:(Some rc);
-        `Counts rc
-      | Sketch.Sketch_infeasible ->
-        record ~widened:true ~counts:None;
-        `Infeasible
-      | Sketch.Sketch_failed f ->
-        record ~widened:true ~counts:None;
-        `Failed f)
-    | Sketch.Sketch_infeasible ->
-      record ~widened:false ~counts:None;
-      `Infeasible
+      widened ()
     | Sketch.Sketch_failed f when f.Eval.kind <> Eval.Deadline_exceeded -> (
       (* a failed restricted solve (injected fault, node budget) is
          retried once over the full level: slower but sturdier. The
          answer is then flagged degraded — the descent lost its
          shading at this level. *)
-      widen ();
       Log.info (fun k ->
           k "level %d sketch failed (%a); retrying widened" level
             Eval.pp_failure f);
-      match sketch_level ~level ctx with
-      | Sketch.Sketched rc ->
+      match widened () with
+      | Sketch.Sketched _ as r ->
         degraded :=
           Format.asprintf "level %d sketch failed (%a), solved widened" level
             Eval.pp_failure f
           :: !degraded;
-        record ~widened:true ~counts:(Some rc);
-        `Counts rc
-      | Sketch.Sketch_infeasible ->
-        record ~widened:true ~counts:None;
-        `Infeasible
-      | Sketch.Sketch_failed f' ->
-        record ~widened:true ~counts:None;
-        `Failed f')
-    | Sketch.Sketch_failed f ->
-      record ~widened:false ~counts:None;
-      `Failed f
+        r
+      | r -> r)
+    | r -> record ~widened:false r
   in
   (* [restricted]: the groups of level [l] that get variables; None =
      all groups *)
@@ -204,19 +177,21 @@ let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
       let ctx = level_ctx l in
       let pristine = Array.copy ctx.Sketch.caps in
       match solve_level ~level:l ctx ~pristine ~restricted with
-      | `Failed f -> Failed f
-      | `Infeasible when l = nlevels - 1 ->
-        (* infeasible over the full leaf level: the same verdict flat
-           SketchRefine's plain sketch would reach *)
+      | Sketch.Sketch_failed f -> Failed f
+      | Sketch.Sketch_infeasible when l = nlevels - 1 ->
+        (* infeasible over the full leaf level: flat SketchRefine's
+           plain sketch over the leaf partitioning, which [run] takes
+           on to the Section 4.4 ladder *)
         Infeasible
-      | `Infeasible ->
+      | Sketch.Sketch_infeasible ->
         (* means at this granularity cannot express the query; descend
            unshaded — finer reps may still manage *)
         Log.info (fun k ->
             k "level %d infeasible at full width; descending unshaded" l);
         level (l + 1) None
-      | `Counts rep_counts when l = nlevels - 1 -> Sketched (ctx, rep_counts)
-      | `Counts rep_counts ->
+      | Sketch.Sketched rep_counts when l = nlevels - 1 ->
+        Sketched (ctx, rep_counts)
+      | Sketch.Sketched rep_counts ->
         (* choose who descends: the active groups plus the most
            objective-attractive runners-up *)
         let active = Array.map (fun c -> c > 0.5) rep_counts in
@@ -255,72 +230,46 @@ let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
       (Failed (Eval.failure ~stage:Eval.Progressive (Eval.Solver_error msg)))
 
 let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
-  let start = Unix.gettimeofday () in
-  let deadline = start +. options.max_seconds in
-  let counters = Eval.fresh_counters () in
-  let d =
-    descend ~limits:options.limits ~keep:options.keep ~deadline
-      ~level_ctx:(fun l -> Sketch.make_ctx spec rel (Hierarchy.level hier l))
-      hier counters
-  in
-  let finish status package objective =
-    ( Eval.report ~status ~package ~objective
-        ~wall_time:(Unix.gettimeofday () -. start)
-        ~counters,
-      d.levels )
-  in
-  match d.outcome with
-  | Failed f -> finish (Eval.Failed f) None None
-  | Infeasible -> finish Eval.Infeasible None None
-  | Sketched (ctx, rep_counts) -> (
-    (* leaf: refine the sketch into original tuples *)
-    let m = Partition.num_groups ctx.Sketch.part in
-    try
-      match
-        Eval.observe_stage Eval.Refine (fun () ->
-            Refine.run ~deadline
-              ~solve:
-                (Refine.local ~limits:options.limits ~deadline
-                   ~bases:(Array.make m None) ctx counters)
-              ctx counters ~rep_counts ~refined:(Array.make m None))
-      with
-      | Refine.Refined p ->
-        let status =
-          if d.degraded = [] then Eval.Optimal
-          else
-            Eval.Degraded
-              {
-                Eval.stale_groups = [];
-                omitted_groups = [];
-                detail = String.concat "; " d.degraded;
-              }
-        in
-        finish status (Some p) (Some (Package.objective spec p))
-      | Refine.Refine_failed f -> finish (Eval.Failed f) None None
-      | Refine.Refine_infeasible ->
-        (* Dead end: hand the leaf partitioning to flat SketchRefine,
-           whose ladder starts with the full-width sketch and refine;
-           its answer carries the descent's work and time too *)
-        if Unix.gettimeofday () > deadline then
-          finish Eval.Infeasible None None
-        else begin
-          Log.info (fun k ->
-              k "leaf refine dead end; flat fallback over %d groups" m);
-          let options =
+  let levels = ref [] in
+  let seed ~deadline counters =
+    let d =
+      descend ~limits:options.limits ~keep:options.keep ~deadline
+        ~level_ctx:(fun l -> Sketch.make_ctx spec rel (Hierarchy.level hier l))
+        hier counters
+    in
+    levels := d.levels;
+    (* past the descent the run is flat SketchRefine over the leaf
+       partitioning, its first rung the refine of the shaded leaf
+       sketch *)
+    let full = lazy (Sketch.make_ctx spec rel (Hierarchy.leaf hier)) in
+    let plain sketch = { Sketch_refine.full; sketch = Some sketch; first = None } in
+    match d.outcome with
+    | Failed f -> plain (Sketch.Sketch_failed f)
+    | Infeasible -> plain Sketch.Sketch_infeasible
+    | Sketched (ctx, rep_counts) ->
+      let status =
+        if d.degraded = [] then Eval.Optimal
+        else
+          Eval.Degraded
             {
-              Sketch_refine.default_options with
-              limits = options.limits;
-              max_seconds = deadline -. Unix.gettimeofday ();
+              Eval.stale_groups = [];
+              omitted_groups = [];
+              detail = String.concat "; " d.degraded;
             }
-          in
-          let r = Sketch_refine.run ~options spec rel ctx.Sketch.part in
-          Eval.absorb counters r.Eval.counters;
-          finish r.Eval.status r.Eval.package r.Eval.objective
-        end
-    with e ->
-      let msg =
-        match e with Faults.Injected msg -> msg | e -> Printexc.to_string e
       in
-      finish
-        (Eval.failed ~stage:Eval.Progressive (Eval.Solver_error msg))
-        None None)
+      let refined = Array.make (Partition.num_groups ctx.Sketch.part) None in
+      {
+        full;
+        sketch = None;
+        first = Some { ctx; rep_counts; refined; stage = Eval.Refine; status };
+      }
+  in
+  let options =
+    {
+      Sketch_refine.default_options with
+      limits = options.limits;
+      max_seconds = options.max_seconds;
+    }
+  in
+  let report = Sketch_refine.drive ~options seed in
+  (report, !levels)

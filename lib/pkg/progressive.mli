@@ -17,9 +17,13 @@
       retries widened and flags the answer [Degraded];
     - a full-width non-leaf infeasibility descends unshaded (finer
       representatives may still express the query);
-    - a leaf refine dead end hands the leaf partitioning to flat
-      {!Sketch_refine.run}, whose ladder starts with the full-width
-      sketch and refine;
+    - past the descent, {!run} is {!Sketch_refine.drive} over the leaf
+      partitioning, seeded with the descent's leaf sketch. A leaf
+      refine dead end goes on with the full-width sketch, its refine
+      and the Section 4.4 ladder; a full-width leaf sketch that is
+      infeasible goes straight to the ladder. Either way the run then
+      does what {!Sketch_refine.run} does on {!Hierarchy.leaf}
+      (arXiv:2307.02860 treats SketchRefine as the one-level case);
     - everything else is a typed [Failed] report — never an exception,
       never a hang. *)
 
@@ -34,8 +38,8 @@ type options = {
 
 val default_options : options
 
-(** One descent step's telemetry (one entry per level solve; a widened
-    retry records a second entry for the same level). *)
+(** One descent step's telemetry: one entry per level, describing its
+    last solve (the widened retry, if there was one). *)
 type level_stat = {
   ls_level : int;
   ls_groups : int;    (** groups that had variables *)
@@ -49,7 +53,10 @@ type level_stat = {
     level that stopped it. *)
 type outcome =
   | Sketched of Sketch.ctx * float array
-  | Infeasible  (** infeasible over the full leaf level *)
+  | Infeasible
+      (** the full-width leaf sketch is infeasible. This is not the
+          query's verdict: a false infeasibility of the sketch is what
+          the Section 4.4 ladder, which {!run} climbs next, is for. *)
   | Failed of Eval.failure
 
 type descent = {
@@ -78,9 +85,13 @@ val descend :
   Eval.counters ->
   descent
 
-(** [run ?options spec rel hier] evaluates the query coarse-to-fine.
-    {!descend} with {!Sketch.make_ctx} contexts, then the leaf refine
-    on this node. Returns the report plus per-level stats (coarsest
+(** [run ?options spec rel hier] evaluates the query coarse-to-fine:
+    {!descend} with {!Sketch.make_ctx} contexts as the seed of
+    {!Sketch_refine.drive} (its [fallbacks] the default
+    [[Hybrid_sketch]]), so one deadline, one set of counters and one
+    report cover the descent, the leaf refine and any ladder rung. A
+    package refined from a descent that noted a degradation is
+    [Degraded]. Returns the report plus per-level stats (coarsest
     first).
     Deterministic: identical hierarchies and options yield identical
     packages for any [PKGQ_SCAN_WORKERS] / [PKGQ_PRICE_WORKERS]. *)

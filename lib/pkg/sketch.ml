@@ -54,8 +54,7 @@ let group_counts ctx x ~groups =
   Array.iteri (fun k gid -> counts.(gid) <- x.(k)) groups;
   counts
 
-let run ?limits ?deadline ?warm ?basis_out ?(stage = Eval.Sketch) ctx counters
-    =
+let problem ctx =
   let m = Partition.num_groups ctx.part in
   (* Only groups with a nonzero cap get a variable. *)
   let groups =
@@ -67,13 +66,15 @@ let run ?limits ?deadline ?warm ?basis_out ?(stage = Eval.Sketch) ctx counters
      and the group caps as variable bounds. The WHERE clause is not
      re-applied to representatives: filtering already happened on the
      original tuples, via the caps. *)
-  let reps = ctx.part.Partition.reps in
-  let problem =
+  ( groups,
     Paql.Translate.to_problem
       ~var_hi:(fun k -> ctx.caps.(groups.(k)))
       { ctx.spec with Paql.Translate.where = None }
-      reps ~candidates:groups
-  in
+      ctx.part.Partition.reps ~candidates:groups )
+
+let run ?limits ?deadline ?warm ?basis_out ?(stage = Eval.Sketch) ctx counters
+    =
+  let groups, problem = problem ctx in
   let result = Faults.solve ?limits ?deadline ?warm ?basis_out ~stage problem in
   Eval.bump counters result;
   match result with

@@ -29,6 +29,11 @@ type result =
   | Sketch_infeasible
   | Sketch_failed of Eval.failure
 
+(** [problem ctx] is the sketch query [Q[R~]] as an ILP whose variable
+    [k] counts the representative of group [groups.(k)]: only groups
+    with a nonzero cap get one. *)
+val problem : ctx -> int array * Lp.Problem.t
+
 (** [run ?limits ?deadline ?warm ?basis_out ?stage ctx counters] solves
     the sketch query [Q[R~]] through {!Faults.solve}; [deadline] clamps
     the ILP's time budget to the remaining global budget. [warm] seeds

@@ -93,18 +93,7 @@ let hybrid_sketch ?limits ?deadline (ctx : Sketch.ctx) counters j =
 (* Partitioning attributes implicated by an IIS of the sketch ILP
    (Section 4.4.3). *)
 let iis_attrs (ctx : Sketch.ctx) =
-  let m = Partition.num_groups ctx.Sketch.part in
-  let groups =
-    Array.of_list
-      (List.filter (fun g -> ctx.Sketch.caps.(g) > 0.) (List.init m Fun.id))
-  in
-  let problem =
-    Paql.Translate.to_problem
-      ~var_hi:(fun k -> ctx.Sketch.caps.(groups.(k)))
-      { ctx.Sketch.spec with Paql.Translate.where = None }
-      ctx.Sketch.part.Partition.reps ~candidates:groups
-  in
-  match Ilp.Iis.rows problem with
+  match Ilp.Iis.rows (snd (Sketch.problem ctx)) with
   | None -> []
   | Some rows ->
     let constraints = Array.of_list ctx.Sketch.spec.Paql.Translate.constraints in
@@ -130,7 +119,21 @@ let merge_groups (part : Partition.t) rel =
   in
   Partition.of_groups ~attrs:part.Partition.attrs rel (pair sets)
 
-let run ?(options = default_options) spec rel partition =
+type rung = {
+  ctx : Sketch.ctx;
+  rep_counts : float array;
+  refined : (int * int) list option array;
+  stage : Eval.stage;
+  status : Eval.status;
+}
+
+type seed = {
+  full : Sketch.ctx Lazy.t;
+  sketch : Sketch.result option;
+  first : rung option;
+}
+
+let drive ?(options = default_options) seed =
   let start = Unix.gettimeofday () in
   (* Every ILP derives its time limit from the remaining global
      budget, so no single solve can overrun it. *)
@@ -142,10 +145,29 @@ let run ?(options = default_options) spec rel partition =
       ~counters
   in
   let out_of_time () = Unix.gettimeofday () > deadline in
-  (* One sketch+refine attempt over a given partitioning. [on_infeasible]
-     receives the context so fallbacks can inspect it. *)
-  let rec attempt part ~fallbacks =
-    let ctx = Sketch.make_ctx spec rel part in
+  (* Algorithm 2 from a sketch state; [on_infeasible] is the rest of
+     the ladder. *)
+  let refine_from ?(stage = Eval.Refine) ~bases (ctx : Sketch.ctx)
+      ~rep_counts ~refined ~status ~on_infeasible =
+    match
+      Eval.observe_stage stage (fun () ->
+          Refine.run ~deadline ~stage
+            ~solve:
+              (Refine.local ~limits:options.limits ~deadline ~stage ~bases ctx
+                 counters)
+            ctx counters ~rep_counts ~refined)
+    with
+    | Refine.Refined p ->
+      finish status (Some p) (Some (Package.objective ctx.Sketch.spec p))
+    | Refine.Refine_infeasible -> on_infeasible ()
+    | Refine.Refine_failed f -> finish (Eval.Failed f) None None
+  in
+  (* One attempt over a partitioning: its sketch ([sketch] when the
+     caller already solved it), the refine from that sketch, then the
+     fallback ladder. *)
+  let rec attempt ?sketch (ctx : Sketch.ctx) ~fallbacks =
+    let spec = ctx.Sketch.spec and rel = ctx.Sketch.rel in
+    let part = ctx.Sketch.part in
     let m = Partition.num_groups part in
     Log.debug (fun k -> k "attempt: %d groups, fallbacks=%d" m
                   (List.length fallbacks));
@@ -154,19 +176,6 @@ let run ?(options = default_options) spec rel partition =
        group re-solved on a later rung warm-starts from its last
        optimal basis. A new attempt re-partitions, so bases reset. *)
     let bases = Array.make m None in
-    let refine_from ~rep_counts ~refined ~on_infeasible =
-      match
-        Eval.observe_stage Eval.Refine (fun () ->
-            Refine.run ~deadline
-              ~solve:(Refine.local ~limits:options.limits ~deadline ~bases ctx
-                        counters)
-              ctx counters ~rep_counts ~refined)
-      with
-      | Refine.Refined p ->
-        finish Eval.Optimal (Some p) (Some (Package.objective spec p))
-      | Refine.Refine_infeasible -> on_infeasible ()
-      | Refine.Refine_failed f -> finish (Eval.Failed f) None None
-    in
     let rec try_hybrid j ~on_exhausted =
       if j >= m then on_exhausted ()
       else if out_of_time () then
@@ -181,8 +190,8 @@ let run ?(options = default_options) spec rel partition =
           let refined = Array.make m None in
           refined.(j) <- Some entries;
           rep_counts.(j) <- 0.;
-          refine_from ~rep_counts ~refined ~on_infeasible:(fun () ->
-              try_hybrid (j + 1) ~on_exhausted)
+          refine_from ~bases ctx ~rep_counts ~refined ~status:Eval.Optimal
+            ~on_infeasible:(fun () -> try_hybrid (j + 1) ~on_exhausted)
         | None -> try_hybrid (j + 1) ~on_exhausted
     in
     (* Fallback ladder: each strategy either produces a report or
@@ -212,7 +221,7 @@ let run ?(options = default_options) spec rel partition =
             let coarser = Partition.create ~tau ~attrs:remaining rel in
             (* retry once with the projected partitioning; do not
                re-enter Drop_attributes *)
-            attempt coarser ~fallbacks:rest
+            attempt (Sketch.make_ctx spec rel coarser) ~fallbacks:rest
           end)
       | Merge_groups :: rest ->
         Log.info (fun k -> k "falling back: merging %d groups pairwise" m);
@@ -221,22 +230,47 @@ let run ?(options = default_options) spec rel partition =
           (* halve the group count and retry, keeping Merge_groups in
              the ladder: the recursion bottoms out at one group, where
              the hybrid/refine query is the original problem *)
-          attempt (merge_groups part rel) ~fallbacks:(Hybrid_sketch :: Merge_groups :: rest)
+          attempt
+            (Sketch.make_ctx spec rel (merge_groups part rel))
+            ~fallbacks:(Hybrid_sketch :: Merge_groups :: rest)
     in
-    match
-      Eval.observe_stage Eval.Sketch (fun () ->
-          Sketch.run ~limits:options.limits ~deadline ctx counters)
-    with
+    let sketch =
+      match sketch with
+      | Some s -> s
+      | None ->
+        Eval.observe_stage Eval.Sketch (fun () ->
+            Sketch.run ~limits:options.limits ~deadline ctx counters)
+    in
+    match sketch with
     | Sketch.Sketched rep_counts ->
-      refine_from ~rep_counts ~refined:(Array.make m None)
-        ~on_infeasible:(fun () -> fallback_chain fallbacks)
+      refine_from ~bases ctx ~rep_counts ~refined:(Array.make m None)
+        ~status:Eval.Optimal ~on_infeasible:(fun () ->
+          fallback_chain fallbacks)
     | Sketch.Sketch_failed f -> finish (Eval.Failed f) None None
     | Sketch.Sketch_infeasible ->
       Log.info (fun k -> k "sketch query infeasible");
       fallback_chain fallbacks
   in
+  let first_attempt { full; sketch; first } =
+    let plain () = attempt ?sketch (Lazy.force full) ~fallbacks:options.fallbacks in
+    match first with
+    | None -> plain ()
+    | Some r ->
+      (* the caller's rung refines on cold bases of its own *)
+      let bases = Array.make (Partition.num_groups r.ctx.Sketch.part) None in
+      refine_from ~stage:r.stage ~bases r.ctx ~rep_counts:r.rep_counts
+        ~refined:r.refined ~status:r.status ~on_infeasible:plain
+  in
   (* The resilience contract: a report, never an exception. *)
-  try attempt partition ~fallbacks:options.fallbacks with
+  try first_attempt (seed ~deadline counters) with
   | Faults.Injected msg ->
     finish (Eval.failed (Eval.Solver_error msg)) None None
   | e -> finish (Eval.failed (Eval.Solver_error (Printexc.to_string e))) None None
+
+let run ?options spec rel partition =
+  drive ?options (fun ~deadline:_ _ ->
+      {
+        full = lazy (Sketch.make_ctx spec rel partition);
+        sketch = None;
+        first = None;
+      })

@@ -45,3 +45,42 @@ val run :
   Relalg.Relation.t ->
   Partition.t ->
   Eval.report
+
+(** {1 The driver}
+
+    {!run}, {!Parallel.run} and {!Progressive.run} are one driver: an
+    attempt is a sketch, the refine from it, then the ladder over the
+    same partitioning, under one deadline, one set of counters and one
+    report. The variants seed its first rung. *)
+
+(** A refine a caller has set up, tried first on cold bases:
+    Progressive's refine of its shaded leaf sketch, Parallel's Phase-3
+    repair of its merged state. [stage] tags its ILPs and failures;
+    [status] labels a package it refines. *)
+type rung = {
+  ctx : Sketch.ctx;
+  rep_counts : float array;
+  refined : (int * int) list option array;
+  stage : Eval.stage;
+  status : Eval.status;
+}
+
+(** [first], then the refine from [full]'s plain sketch, then the
+    ladder over [full]'s partitioning. [sketch] is that plain sketch
+    when the caller already solved it ([Sketch_infeasible] goes
+    straight to the ladder); [None] solves it. [full] is forced only if
+    the attempt gets that far. *)
+type seed = {
+  full : Sketch.ctx Lazy.t;
+  sketch : Sketch.result option;
+  first : rung option;
+}
+
+(** [drive ?options seed] runs [seed ~deadline counters] with the run's
+    absolute deadline and counters, then the attempt it describes; the
+    report covers the seed's work and time too. Never raises: an
+    exception, the seed's included, becomes a [Failed] report. *)
+val drive :
+  ?options:options ->
+  (deadline:float -> Eval.counters -> seed) ->
+  Eval.report

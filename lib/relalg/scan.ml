@@ -8,31 +8,34 @@ let default_workers () =
 
 let chunk_size () = env_int "PKGQ_SCAN_CHUNK" 16384
 
+let stripe ~workers n f =
+  let w = max 1 (min workers n) in
+  if w = 1 then Array.init n (f 0)
+  else begin
+    let results = Array.make n None in
+    let body k () =
+      let i = ref k in
+      while !i < n do
+        results.(!i) <- Some (f k !i);
+        i := !i + w
+      done
+    in
+    let handles = List.init w (fun k -> Domain.spawn (body k)) in
+    (* join every domain before re-raising, so none outlives the call
+       still writing [results] *)
+    let error = ref None in
+    List.iter
+      (fun h -> try Domain.join h with e -> if !error = None then error := Some e)
+      handles;
+    Option.iter raise !error;
+    Array.map (function Some r -> r | None -> assert false) results
+  end
+
 let run_chunks ~workers n f =
   let csize = chunk_size () in
   let nchunks = (n + csize - 1) / csize in
-  let bounds ci = (ci * csize, min n ((ci + 1) * csize)) in
-  if nchunks = 0 then [||]
-  else if workers <= 1 || nchunks = 1 then
-    Array.init nchunks (fun ci ->
-        let lo, hi = bounds ci in
-        f ci lo hi)
-  else begin
-    let w = min workers nchunks in
-    let results = Array.make nchunks None in
-    let spawn k =
-      Domain.spawn (fun () ->
-          let ci = ref k in
-          while !ci < nchunks do
-            let lo, hi = bounds !ci in
-            results.(!ci) <- Some (f !ci lo hi);
-            ci := !ci + w
-          done)
-    in
-    let handles = List.init w spawn in
-    List.iter Domain.join handles;
-    Array.map (function Some r -> r | None -> assert false) results
-  end
+  stripe ~workers nchunks (fun _ ci ->
+      f ci (ci * csize) (min n ((ci + 1) * csize)))
 
 (* Per-row predicate evaluator: vectorized when possible, interpreted
    otherwise. Forces column materialization on the calling domain. *)

@@ -1,7 +1,7 @@
 (** Chunked (optionally parallel) scans over a relation.
 
     The row space is cut into fixed-size chunks; workers stripe over
-    chunks ([Domain.spawn], the same idiom as the parallel refiner) and
+    chunks ({!stripe}, which the parallel refiner's Phase 1 shares) and
     per-chunk results are merged in chunk order, so the result is
     bitwise identical for {e any} worker count — including the
     sequential [workers = 1] path. Chunk size is a constant (overridable
@@ -17,6 +17,13 @@ val default_workers : unit -> int
 
 (** Chunk size in rows ([PKGQ_SCAN_CHUNK], default 16384). *)
 val chunk_size : unit -> int
+
+(** [stripe ~workers n f] evaluates [f w i] for every [i] in
+    [\[0, n)] and returns the results in index order. Item [i] runs on
+    worker [w = i mod k], [k = max 1 (min workers n)]: one domain per
+    worker, or the calling domain alone when [k = 1]. Every domain is
+    joined before the first exception a worker raised is re-raised. *)
+val stripe : workers:int -> int -> (int -> int -> 'a) -> 'a array
 
 (** [run_chunks ~workers n f] evaluates [f ci lo hi] for every chunk
     [ci] covering [\[lo, hi)] of [\[0, n)] and returns the per-chunk

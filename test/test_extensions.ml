@@ -118,16 +118,47 @@ let test_no_fallbacks_reports_infeasible () =
 (* Parallel SketchRefine                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_parallel_feasible () =
+(* With an infeasible plain sketch Parallel has nothing to refine in
+   parallel: on one domain or two it climbs the ladder flat
+   SketchRefine climbs, with the same ILPs and the same answer. Checks
+   that when the plain sketch is infeasible, and says whether it
+   was. *)
+let parallel_matches_flat spec rel part =
+  match
+    Pkg.Sketch.run (Pkg.Sketch.make_ctx spec rel part)
+      (Pkg.Eval.fresh_counters ())
+  with
+  | Pkg.Sketch.Sketched _ | Pkg.Sketch.Sketch_failed _ -> false
+  | Pkg.Sketch.Sketch_infeasible ->
+    let flat = Pkg.Sketch_refine.run spec rel part in
+    let entries (r : Pkg.Eval.report) =
+      Option.map Pkg.Package.entries r.Pkg.Eval.package
+    in
+    List.iter
+      (fun domains ->
+        let par = Pkg.Parallel.run ~domains spec rel part in
+        checki
+          (Printf.sprintf "ILP calls on %d domain(s)" domains)
+          flat.Pkg.Eval.counters.Pkg.Eval.ilp_calls
+          par.Pkg.Eval.counters.Pkg.Eval.ilp_calls;
+        checkb
+          (Printf.sprintf "same package on %d domain(s)" domains)
+          true
+          (entries flat = entries par))
+      [ 1; 2 ];
+    true
+
+let parallel_rel =
   let rng = Datagen.Prng.create 55 in
-  let rel =
-    R.of_rows qt_schema
-      (List.init 500 (fun _ ->
-           [|
-             V.Float (Datagen.Prng.uniform rng 0. 50.);
-             V.Float (Datagen.Prng.uniform rng 0. 100.);
-           |]))
-  in
+  R.of_rows qt_schema
+    (List.init 500 (fun _ ->
+         [|
+           V.Float (Datagen.Prng.uniform rng 0. 50.);
+           V.Float (Datagen.Prng.uniform rng 0. 100.);
+         |]))
+
+let test_parallel_feasible () =
+  let rel = parallel_rel in
   let q =
     "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 0 SUCH THAT COUNT(P.*) = 8 AND \
      SUM(P.a) <= 150 MAXIMIZE SUM(P.b)"
@@ -150,16 +181,37 @@ let test_parallel_repair_path () =
     Paql.Translate.compile_exn qt_schema (Paql.Parser.parse_exn tricky_query)
   in
   let part = Pkg.Partition.create ~tau:2 ~attrs:[ "a" ] tricky_rel in
-  let par =
-    Pkg.Parallel.run
-      ~options:
-        { Pkg.Sketch_refine.default_options with
-          fallbacks = [ Pkg.Sketch_refine.Merge_groups ] }
-      spec tricky_rel part
+  let options =
+    { Pkg.Sketch_refine.default_options with
+      fallbacks = [ Pkg.Sketch_refine.Merge_groups ] }
   in
+  let par = Pkg.Parallel.run ~options spec tricky_rel part in
   match par.Pkg.Eval.package with
   | Some p -> checkb "repair path feasible" true (Pkg.Package.feasible spec p)
   | None -> Alcotest.fail "parallel repair should reach the answer"
+
+(* The razor-thin window of test_pkg's "hybrid sketch rescues": no
+   combination of centroids hits it, so the plain sketch is infeasible
+   and the hybrid sketch finds the package. *)
+let test_parallel_hybrid_rescue () =
+  let rel =
+    R.of_rows qt_schema
+      (List.map
+         (fun (a, b) -> [| V.Float a; V.Float b |])
+         [ (0.0, 1.); (0.2, 2.); (0.4, 3.); (0.6, 4.);
+           (100.0, 1.); (100.2, 2.); (100.4, 3.); (100.6, 4.) ])
+  in
+  let spec =
+    Paql.Translate.compile_exn qt_schema
+      (Paql.Parser.parse_exn
+         "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 0 SUCH THAT COUNT(P.*) = 1 \
+          AND SUM(P.a) BETWEEN 100.55 AND 100.65 MAXIMIZE SUM(P.b)")
+  in
+  let part = Pkg.Partition.create ~tau:4 ~attrs:[ "a" ] rel in
+  checkb "plain sketch infeasible" true (parallel_matches_flat spec rel part);
+  match (Pkg.Parallel.run ~domains:2 spec rel part).Pkg.Eval.package with
+  | Some p -> checkb "hybrid package feasible" true (Pkg.Package.feasible spec p)
+  | None -> Alcotest.fail "the hybrid sketch should rescue parallel"
 
 let test_parallel_infeasible () =
   let spec =
@@ -169,9 +221,15 @@ let test_parallel_infeasible () =
           AND SUM(P.a) >= 100000")
   in
   let part = Pkg.Partition.create ~tau:2 ~attrs:[ "a" ] tricky_rel in
+  checkb "plain sketch infeasible" true
+    (parallel_matches_flat spec tricky_rel part);
   checkb "infeasible detected" true
     ((Pkg.Parallel.run spec tricky_rel part).Pkg.Eval.status
-    = Pkg.Eval.Infeasible)
+    = Pkg.Eval.Infeasible);
+  (* the same on 500 rows in ten groups: every hybrid sketch is tried *)
+  let part = Pkg.Partition.create ~tau:50 ~attrs:[ "a"; "b" ] parallel_rel in
+  checkb "plain sketch infeasible on 500 rows" true
+    (parallel_matches_flat spec parallel_rel part)
 
 (* ------------------------------------------------------------------ *)
 (* Odds and ends                                                      *)
@@ -307,6 +365,8 @@ let () =
         [
           Alcotest.test_case "feasible results" `Quick test_parallel_feasible;
           Alcotest.test_case "repair path" `Quick test_parallel_repair_path;
+          Alcotest.test_case "hybrid sketch rescues" `Quick
+            test_parallel_hybrid_rescue;
           Alcotest.test_case "infeasible query" `Quick
             test_parallel_infeasible;
         ] );

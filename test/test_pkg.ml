@@ -755,6 +755,68 @@ let test_suite_direct_bounds () =
     datasets;
   checkb "the gap stops some DIRECT search" true (!gap_stops <> [])
 
+(* Q1-Q7 of Galaxy (600 rows, seed 1) and TPC-H (600 rows, seed 2)
+   through every SketchRefine driver: flat, parallel on one and on two
+   domains, and progressive, each ILP under the suite's 1,000-node
+   budget. The digest covers each answer's status, objective bits and
+   package rows, so a change to any driver's search, seed or ladder
+   that moves one answer shows here; the failure message lists every
+   answer for the diff. *)
+let family_golden = "9357ca4dcdff86fdcb3ed15157a70ccf"
+
+let test_suite_family_golden () =
+  let limits = { Ilp.Branch_bound.default_limits with max_nodes = 1000 } in
+  let sr_options = { Pkg.Sketch_refine.default_options with limits } in
+  let lines = Buffer.create 8192 in
+  let record cell (r : Pkg.Eval.report) =
+    Buffer.add_string lines
+      (Format.asprintf "%s %a %s" cell Pkg.Eval.pp_status r.Pkg.Eval.status
+         (match r.Pkg.Eval.objective with
+         | Some o -> Printf.sprintf "%h" o
+         | None -> "-"));
+    Option.iter
+      (fun p ->
+        List.iter
+          (fun (row, c) -> Buffer.add_string lines (Printf.sprintf " %d:%d" row c))
+          (Pkg.Package.entries p))
+      r.Pkg.Eval.package;
+    Buffer.add_char lines '\n'
+  in
+  List.iter
+    (fun (dataset, kind, rel, queries) ->
+      let defs = queries rel in
+      let wattrs = Datagen.Workload.workload_attrs defs in
+      List.iter
+        (fun (def : Datagen.Workload.def) ->
+          let cell = dataset ^ "/" ^ def.Datagen.Workload.name in
+          let qrel = Datagen.Workload.query_relation ~dataset:kind rel def in
+          let spec = Datagen.Workload.compile qrel def in
+          let tau = max 1 (R.cardinality qrel / 10) in
+          let part = Pkg.Partition.create ~tau ~attrs:wattrs qrel in
+          let hier = Pkg.Hierarchy.build ~attrs:wattrs qrel in
+          record (cell ^ "/sketchrefine")
+            (Pkg.Sketch_refine.run ~options:sr_options spec qrel part);
+          List.iter
+            (fun domains ->
+              record
+                (Printf.sprintf "%s/parallel%d" cell domains)
+                (Pkg.Parallel.run ~options:sr_options ~domains spec qrel part))
+            [ 1; 2 ];
+          record (cell ^ "/progressive")
+            (fst
+               (Pkg.Progressive.run
+                  ~options:{ Pkg.Progressive.default_options with limits }
+                  spec qrel hier)))
+        defs)
+    [ ("galaxy", `Galaxy, Datagen.Galaxy.generate ~seed:1 600,
+       Datagen.Workload.galaxy_queries);
+      ("tpch", `Tpch, Datagen.Tpch.generate ~seed:2 600,
+       Datagen.Workload.tpch_queries) ];
+  let digest = Digest.to_hex (Digest.string (Buffer.contents lines)) in
+  if digest <> family_golden then
+    Alcotest.failf "family digest %s, expected %s; answers:\n%s" digest
+      family_golden (Buffer.contents lines)
+
 let () =
   Alcotest.run "pkg"
     [
@@ -793,6 +855,8 @@ let () =
         [
           Alcotest.test_case "no method beats DIRECT's bound" `Quick
             test_suite_direct_bounds;
+          Alcotest.test_case "SketchRefine family golden digest" `Quick
+            test_suite_family_golden;
         ] );
       ( "naive_sql",
         [

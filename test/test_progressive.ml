@@ -178,25 +178,48 @@ let test_dlv_variance_wins_aggregate () =
 (* ------------------------------------------------------------------ *)
 
 (* A one-level hierarchy collapses the descent to exactly flat
-   SketchRefine's sketch-then-refine: same partitioning, same package. *)
+   SketchRefine: same partitioning, same status, same package. Two
+   inputs: a Galaxy query whose sketch refines at once, and the
+   razor-thin window of test_pkg's "hybrid sketch rescues", whose plain
+   sketch is infeasible, so only the Section 4.4 ladder finds its
+   package. *)
 let test_one_level_equals_sketchrefine () =
+  let same name spec rel hier =
+    checki (name ^ ": one level") 1 (H.num_levels hier);
+    let prog, stats = Pkg.Progressive.run spec rel hier in
+    let flat = Pkg.Sketch_refine.run spec rel (H.leaf hier) in
+    (match (prog.E.status, flat.E.status) with
+    | E.Optimal, E.Optimal -> ()
+    | a, b ->
+      Alcotest.failf "%s: statuses differ: progressive %a, flat %a" name
+        E.pp_status a E.pp_status b);
+    (match (prog.E.package, flat.E.package) with
+    | Some p, Some q ->
+      checkb (name ^ ": identical package") true
+        (package_rows p = package_rows q)
+    | _ -> Alcotest.failf "%s: missing package" name);
+    checki (name ^ ": one stat entry") 1 (List.length stats)
+  in
   let rel = skewed ~seed:5 600 in
-  let spec = galaxy_query rel 1.2 in
-  let tau = 40 in
-  let hier = H.build ~levels:1 ~leaf_tau:tau ~attrs:hier_attrs rel in
-  checki "one level" 1 (H.num_levels hier);
-  let prog, stats = Pkg.Progressive.run spec rel hier in
-  let flat = Pkg.Sketch_refine.run spec rel (H.leaf hier) in
-  (match (prog.E.status, flat.E.status) with
-  | E.Optimal, E.Optimal -> ()
-  | a, b ->
-    Alcotest.failf "statuses differ: progressive %a, flat %a" E.pp_status a
-      E.pp_status b);
-  (match (prog.E.package, flat.E.package) with
-  | Some p, Some q ->
-    checkb "identical package" true (package_rows p = package_rows q)
-  | _ -> Alcotest.fail "missing package");
-  checki "one stat entry" 1 (List.length stats)
+  same "galaxy" (galaxy_query rel 1.2) rel
+    (H.build ~levels:1 ~leaf_tau:40 ~attrs:hier_attrs rel);
+  let schema =
+    S.make [ { S.name = "a"; ty = V.TFloat }; { S.name = "b"; ty = V.TFloat } ]
+  in
+  let rel =
+    R.of_rows schema
+      (List.map
+         (fun (a, b) -> [| V.Float a; V.Float b |])
+         [ (0.0, 1.); (0.2, 2.); (0.4, 3.); (0.6, 4.);
+           (100.0, 1.); (100.2, 2.); (100.4, 3.); (100.6, 4.) ])
+  in
+  let part = P.create ~tau:4 ~attrs:[ "a" ] rel in
+  same "hybrid rescue"
+    (compile rel
+       "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 0 SUCH THAT COUNT(P.*) = 1 \
+        AND SUM(P.a) BETWEEN 100.55 AND 100.65 MAXIMIZE SUM(P.b)")
+    rel
+    { H.attrs = [ "a" ]; levels = [| part |] }
 
 (* Multi-level descent on a feasible query: a typed solved answer whose
    package satisfies every constraint, never worse than useless — and

@@ -469,8 +469,9 @@ let test_all_workers_crash_contained () =
   let part = Pkg.Partition.create ~tau:100 ~attrs:[ "redshift" ] rel in
   with_faults "worker=0:crash; worker=1:crash" (fun () ->
       let r = Pkg.Parallel.run ~domains:2 spec rel part in
-      (* everything lands in Phase-3 repair / sequential fallback; any
-         terminal report without an escaped exception is the contract *)
+      (* everything lands in the Phase-3 repair and the driver's later
+         rungs; any terminal report without an escaped exception is the
+         contract *)
       match r.E.status with
       | E.Optimal | E.Feasible _ | E.Infeasible | E.Failed _ | E.Degraded _ ->
         ())
@@ -530,8 +531,8 @@ let test_deadline_overshoot_bounded () =
         part)
 
 let test_sequential_fallback_keeps_budget () =
-  (* crash every worker so Parallel falls back to Sketch_refine; the
-     fallback must inherit only the remaining budget *)
+  (* crash every worker so the run goes through the repair and the
+     driver's later rungs; they share the run's one deadline *)
   let rel = Lazy.force big_galaxy in
   let spec = galaxy_spec rel in
   let part = Pkg.Partition.create ~tau:600 ~attrs:[ "redshift" ] rel in
@@ -616,20 +617,32 @@ let test_progressive_level_fault_degrades () =
 let test_progressive_stage_infeasible_typed () =
   let hier = galaxy_hier () in
   let spec = galaxy_spec galaxy_rel in
-  with_faults "stage=progressive:infeasible" (fun () ->
-      (* every descent sketch forced infeasible: the driver descends
-         unshaded level by level and reports the leaf's verdict —
-         typed Infeasible, not a loop and not an exception *)
+  with_faults "stage=progressive:infeasible; stage=hybrid:infeasible"
+    (fun () ->
+      (* every descent sketch and every hybrid sketch forced
+         infeasible: the driver descends unshaded level by level, climbs
+         the ladder over the leaf and reports typed Infeasible, not a
+         loop and not an exception *)
       let t0 = Unix.gettimeofday () in
       let r, _ = Pkg.Progressive.run spec galaxy_rel hier in
       checkb "typed infeasible" true (r.E.status = E.Infeasible);
-      checkb "terminates promptly" true (Unix.gettimeofday () -. t0 < 30.))
+      checkb "terminates promptly" true (Unix.gettimeofday () -. t0 < 30.));
+  with_faults "stage=progressive:infeasible" (fun () ->
+      (* the descent alone forced infeasible: an infeasible leaf sketch
+         is no verdict, and the ladder's hybrid sketch finds a package *)
+      let r, _ = Pkg.Progressive.run spec galaxy_rel hier in
+      match (r.E.status, r.E.package) with
+      | (E.Optimal | E.Feasible _), Some p ->
+        checkb "ladder package feasible" true (Pkg.Package.feasible spec p)
+      | status, _ ->
+        Alcotest.failf "the ladder should rescue the leaf, got %a" E.pp_status
+          status)
 
-(* A leaf refine dead end hands the leaf partitioning to flat
-   SketchRefine. A COUNT = 1 query puts its one representative in one
+(* A leaf refine dead end goes on as flat SketchRefine over the leaf
+   partitioning. A COUNT = 1 query puts its one representative in one
    leaf group, so a one-shot infeasible on the first ILP after the
    descent's level solves (that group's refine query) leaves Algorithm
-   2 no other ordering. The flat ladder opens with its own sketch, a
+   2 no other ordering. The run goes on with the full-width sketch, a
    stage the descent never tags. The answer's report counts the whole
    run: every ILP (the level sketches, the sunk refine and SketchRefine's
    own, six in all) and a wall time from the descent's start. *)
