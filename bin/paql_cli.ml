@@ -280,7 +280,10 @@ let run_inner connect retries connect_timeout data query_text query_file
           | Some cat, Some fp ->
             let key = { Store.Catalog.fingerprint = fp; attrs; tau; radius;
                         level = None } in
-            let p, status = Store.Catalog.lookup_or_build cat key ~build in
+            let p, status =
+              Store.Catalog.lookup_or_build cat key
+                ~rows:(Relalg.Relation.cardinality rel) ~build
+            in
             if verbose then
               Format.printf "Partition catalog %s (%s): %d groups in %.3fs@."
                 (match status with `Hit -> "hit" | `Built -> "miss, built")

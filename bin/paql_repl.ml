@@ -230,7 +230,8 @@ let meta st line =
           { Store.Catalog.fingerprint = fingerprint_of st; attrs; tau; radius;
             level = None }
         in
-        Store.Catalog.lookup_or_build cat key ~build
+        Store.Catalog.lookup_or_build cat key
+          ~rows:(Relalg.Relation.cardinality st.rel) ~build
       | None -> (build (), `Built)
     with
     | part, status ->

@@ -141,264 +141,3 @@ let write path p =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string p))
-
-(* ------------------------------------------------------------------ *)
-(* Reader                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type row_kind = KN | KL | KG | KE
-
-type pending_row = {
-  kind : row_kind;
-  mutable coeffs : (int * float) list;  (* variable index, coefficient *)
-  mutable rhs : float;
-  mutable range : float option;
-}
-
-type pending_var = {
-  mutable obj : float;
-  mutable lo : float;
-  mutable hi : float;
-  mutable lo_set : bool;
-  mutable hi_set : bool;
-  mutable integer : bool;
-  pvname : string;
-}
-
-let of_string s =
-  let fail msg = invalid_arg ("Mps.of_string: " ^ msg) in
-  let lines =
-    String.split_on_char '\n' s
-    |> List.map (fun l ->
-           match String.index_opt l '\r' with
-           | Some i -> String.sub l 0 i
-           | None -> l)
-    |> List.filter (fun l ->
-           let t = String.trim l in
-           t <> "" && t.[0] <> '*')
-  in
-  let sense = ref Problem.Minimize in
-  let rows : (string, pending_row) Hashtbl.t = Hashtbl.create 16 in
-  let row_order = ref [] in
-  let vars : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let var_list = ref [] (* reversed pending_var list *) in
-  let nvars = ref 0 in
-  let obj_row = ref None in
-  let var_index name =
-    match Hashtbl.find_opt vars name with
-    | Some j -> j
-    | None ->
-      let j = !nvars in
-      Hashtbl.add vars name j;
-      var_list :=
-        { obj = 0.; lo = 0.; hi = infinity; lo_set = false; hi_set = false;
-          integer = false; pvname = name }
-        :: !var_list;
-      incr nvars;
-      j
-  in
-  let nth_var j = List.nth !var_list (!nvars - 1 - j) in
-  let section = ref "" in
-  let in_int = ref false in
-  let float_of tok =
-    match float_of_string_opt tok with
-    | Some f -> f
-    | None -> fail ("bad number " ^ tok)
-  in
-  List.iter
-    (fun l ->
-      let is_header = l.[0] <> ' ' && l.[0] <> '\t' in
-      let toks =
-        String.split_on_char ' ' (String.map (fun c -> if c = '\t' then ' ' else c) l)
-        |> List.filter (fun t -> t <> "")
-      in
-      if is_header then begin
-        match toks with
-        | "NAME" :: _ -> section := "NAME"
-        | [ "OBJSENSE" ] -> section := "OBJSENSE"
-        | "OBJSENSE" :: dir :: _ ->
-          section := "OBJSENSE";
-          sense :=
-            (match String.uppercase_ascii dir with
-            | "MAX" | "MAXIMIZE" -> Problem.Maximize
-            | _ -> Problem.Minimize)
-        | [ "ROWS" ] -> section := "ROWS"
-        | [ "COLUMNS" ] -> section := "COLUMNS"
-        | [ "RHS" ] -> section := "RHS"
-        | [ "RANGES" ] -> section := "RANGES"
-        | [ "BOUNDS" ] -> section := "BOUNDS"
-        | [ "ENDATA" ] -> section := "ENDATA"
-        | t :: _ -> fail ("unknown section " ^ t)
-        | [] -> ()
-      end
-      else
-        match !section with
-        | "OBJSENSE" -> (
-          match toks with
-          | [ dir ] ->
-            sense :=
-              (match String.uppercase_ascii dir with
-              | "MAX" | "MAXIMIZE" -> Problem.Maximize
-              | _ -> Problem.Minimize)
-          | _ -> fail "bad OBJSENSE")
-        | "ROWS" -> (
-          match toks with
-          | [ kind; name ] ->
-            let kind =
-              match String.uppercase_ascii kind with
-              | "N" -> KN
-              | "L" -> KL
-              | "G" -> KG
-              | "E" -> KE
-              | k -> fail ("unknown row kind " ^ k)
-            in
-            if kind = KN then begin
-              if !obj_row = None then obj_row := Some name
-            end
-            else begin
-              Hashtbl.add rows name
-                { kind; coeffs = []; rhs = 0.; range = None };
-              row_order := name :: !row_order
-            end
-          | _ -> fail "bad ROWS line")
-        | "COLUMNS" ->
-          if List.exists (fun t -> t = "'MARKER'") toks then begin
-            if List.exists (fun t -> t = "'INTORG'") toks then in_int := true
-            else if List.exists (fun t -> t = "'INTEND'") toks then
-              in_int := false
-          end
-          else begin
-            (* col row val [row val] *)
-            match toks with
-            | col :: rest ->
-              let j = var_index col in
-              let v = nth_var j in
-              if !in_int then v.integer <- true;
-              let rec pairs = function
-                | rname :: value :: more ->
-                  let f = float_of value in
-                  (if Some rname = !obj_row then v.obj <- v.obj +. f
-                   else
-                     match Hashtbl.find_opt rows rname with
-                     | Some r -> r.coeffs <- (j, f) :: r.coeffs
-                     | None -> fail ("unknown row " ^ rname));
-                  pairs more
-                | [] -> ()
-                | _ -> fail "odd COLUMNS entries"
-              in
-              pairs rest
-            | [] -> ()
-          end
-        | "RHS" -> (
-          match toks with
-          | _rhsname :: rest ->
-            let rec pairs = function
-              | rname :: value :: more ->
-                (match Hashtbl.find_opt rows rname with
-                | Some r -> r.rhs <- float_of value
-                | None -> if Some rname <> !obj_row then fail ("unknown row " ^ rname));
-                pairs more
-              | [] -> ()
-              | _ -> fail "odd RHS entries"
-            in
-            pairs rest
-          | [] -> ())
-        | "RANGES" -> (
-          match toks with
-          | _name :: rest ->
-            let rec pairs = function
-              | rname :: value :: more ->
-                (match Hashtbl.find_opt rows rname with
-                | Some r -> r.range <- Some (float_of value)
-                | None -> fail ("unknown row " ^ rname));
-                pairs more
-              | [] -> ()
-              | _ -> fail "odd RANGES entries"
-            in
-            pairs rest
-          | [] -> ())
-        | "BOUNDS" -> (
-          match toks with
-          | kind :: _bnd :: col :: rest -> (
-            let j = var_index col in
-            let v = nth_var j in
-            let value () =
-              match rest with
-              | value :: _ -> float_of value
-              | [] -> fail "missing bound value"
-            in
-            match String.uppercase_ascii kind with
-            | "UP" ->
-              v.hi <- value ();
-              v.hi_set <- true
-            | "LO" ->
-              v.lo <- value ();
-              v.lo_set <- true
-            | "FX" ->
-              let f = value () in
-              v.lo <- f;
-              v.hi <- f;
-              v.lo_set <- true;
-              v.hi_set <- true
-            | "FR" ->
-              v.lo <- neg_infinity;
-              v.hi <- infinity;
-              v.lo_set <- true;
-              v.hi_set <- true
-            | "MI" ->
-              v.lo <- neg_infinity;
-              v.lo_set <- true
-            | "PL" ->
-              v.hi <- infinity;
-              v.hi_set <- true
-            | "BV" ->
-              v.integer <- true;
-              v.lo <- 0.;
-              v.hi <- 1.;
-              v.lo_set <- true;
-              v.hi_set <- true
-            | k -> fail ("unknown bound kind " ^ k))
-          | _ -> fail "bad BOUNDS line")
-        | "NAME" | "ENDATA" -> ()
-        | s -> fail ("data outside a known section: " ^ s))
-    lines;
-  (* classic MPS: an integer column with no explicit upper bound
-     defaults to [0, 1]; we honour that for third-party files (our own
-     writer always sets bounds) *)
-  let vars =
-    List.rev_map
-      (fun (v : pending_var) ->
-        let hi = if v.integer && not v.hi_set then 1. else v.hi in
-        Problem.var ~name:v.pvname ~integer:v.integer ~lo:v.lo ~hi v.obj)
-      !var_list
-  in
-  let rows =
-    List.rev_map
-      (fun name ->
-        let r = Hashtbl.find rows name in
-        let lo, hi =
-          match r.kind with
-          | KE -> (
-            match r.range with
-            | None -> r.rhs, r.rhs
-            | Some rng -> r.rhs, r.rhs +. Float.abs rng)
-          | KL -> (
-            match r.range with
-            | None -> neg_infinity, r.rhs
-            | Some rng -> r.rhs -. Float.abs rng, r.rhs)
-          | KG -> (
-            match r.range with
-            | None -> r.rhs, infinity
-            | Some rng -> r.rhs, r.rhs +. Float.abs rng)
-          | KN -> neg_infinity, infinity
-        in
-        Problem.row ~name (List.rev r.coeffs) ~lo ~hi)
-      !row_order
-  in
-  Problem.make ~sense:!sense ~vars ~rows
-
-let read path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))

@@ -1,6 +1,6 @@
-(** MPS file input/output — the industry-standard LP/ILP exchange
-    format (what one would feed to or dump from CPLEX). Supports the
-    free-format subset needed for package ILPs:
+(** MPS output — the industry-standard LP/ILP exchange format (what
+    one would feed to CPLEX). Writes the free-format subset needed for
+    package ILPs:
 
     - [OBJSENSE] (MIN/MAX extension),
     - [ROWS] with N/L/G/E kinds,
@@ -10,7 +10,7 @@
 
     Bounds are always written explicitly for every variable, so the
     classic "integer columns default to an upper bound of 1" ambiguity
-    never arises. Round-trip is exact up to float printing ([%.17g]). *)
+    never arises. Numbers print as [%.17g], so they read back exactly. *)
 
 (** [to_string p] renders the problem as MPS. Variables are named
     after [vname] when set (sanitized, uniquified), else [x<i>];
@@ -18,9 +18,3 @@
 val to_string : Problem.t -> string
 
 val write : string -> Problem.t -> unit
-
-(** [of_string s] parses an MPS document.
-    @raise Invalid_argument on malformed input. *)
-val of_string : string -> Problem.t
-
-val read : string -> Problem.t

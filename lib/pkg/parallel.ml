@@ -85,12 +85,10 @@ let run ?(options = Sketch_refine.default_options) ?domains spec rel partition
         Eval.observe_stage Eval.Sketch (fun () ->
             Sketch.run ~limits ~deadline ctx counters)
       in
-      {
-        Sketch_refine.full = Lazy.from_val ctx;
-        sketch = Some sketch;
-        first =
-          (match sketch with
-          | Sketch.Sketched rep_counts ->
-            Some (merged ~limits ~deadline ?domains ctx counters rep_counts)
-          | Sketch.Sketch_infeasible | Sketch.Sketch_failed _ -> None);
-      })
+      let first =
+        match sketch with
+        | Sketch.Sketched rep_counts ->
+          Some (merged ~limits ~deadline ?domains ctx counters rep_counts)
+        | Sketch.Sketch_infeasible | Sketch.Sketch_failed _ -> None
+      in
+      Sketch_refine.seed ~sketch ?first (Lazy.from_val ctx))

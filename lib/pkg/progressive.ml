@@ -64,7 +64,7 @@ let runners_up (ctx : Sketch.ctx) ~eligible ~active ~n =
   end
 
 type outcome =
-  | Sketched of Sketch.ctx * float array
+  | Sketched of { ctx : Sketch.ctx; rep_counts : float array; shaded : bool }
   | Infeasible
   | Failed of Eval.failure
 
@@ -190,7 +190,8 @@ let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
             k "level %d infeasible at full width; descending unshaded" l);
         level (l + 1) None
       | Sketch.Sketched rep_counts when l = nlevels - 1 ->
-        Sketched (ctx, rep_counts)
+        let shaded = Array.exists2 ( <> ) pristine ctx.Sketch.caps in
+        Sketched { ctx; rep_counts; shaded }
       | Sketch.Sketched rep_counts ->
         (* choose who descends: the active groups plus the most
            objective-attractive runners-up *)
@@ -229,9 +230,35 @@ let descend ?limits ?(keep = default_options.keep) ~deadline ~level_ctx
     finish
       (Failed (Eval.failure ~stage:Eval.Progressive (Eval.Solver_error msg)))
 
+let seed ?tuples d ~full =
+  let plain sketch = Sketch_refine.seed ?tuples ~sketch full in
+  match d.outcome with
+  | Failed f -> plain (Sketch.Sketch_failed f)
+  | Infeasible -> plain Sketch.Sketch_infeasible
+  | Sketched { ctx; rep_counts; shaded } ->
+    let status =
+      if d.degraded = [] then Eval.Optimal
+      else
+        Eval.Degraded
+          {
+            Eval.stale_groups = [];
+            omitted_groups = [];
+            detail = String.concat "; " d.degraded;
+          }
+    in
+    if shaded then
+      let refined = Array.make (Partition.num_groups ctx.Sketch.part) None in
+      Sketch_refine.seed ?tuples
+        ~first:{ ctx; rep_counts; refined; stage = Eval.Refine; status }
+        full
+    else
+      (* solved full width: the leaf sketch is the plain sketch *)
+      Sketch_refine.seed ?tuples ~sketch:(Sketch.Sketched rep_counts) ~status
+        (Lazy.from_val ctx)
+
 let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
   let levels = ref [] in
-  let seed ~deadline counters =
+  let seeded ~deadline counters =
     let d =
       descend ~limits:options.limits ~keep:options.keep ~deadline
         ~level_ctx:(fun l -> Sketch.make_ctx spec rel (Hierarchy.level hier l))
@@ -239,30 +266,8 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
     in
     levels := d.levels;
     (* past the descent the run is flat SketchRefine over the leaf
-       partitioning, its first rung the refine of the shaded leaf
-       sketch *)
-    let full = lazy (Sketch.make_ctx spec rel (Hierarchy.leaf hier)) in
-    let plain sketch = { Sketch_refine.full; sketch = Some sketch; first = None } in
-    match d.outcome with
-    | Failed f -> plain (Sketch.Sketch_failed f)
-    | Infeasible -> plain Sketch.Sketch_infeasible
-    | Sketched (ctx, rep_counts) ->
-      let status =
-        if d.degraded = [] then Eval.Optimal
-        else
-          Eval.Degraded
-            {
-              Eval.stale_groups = [];
-              omitted_groups = [];
-              detail = String.concat "; " d.degraded;
-            }
-      in
-      let refined = Array.make (Partition.num_groups ctx.Sketch.part) None in
-      {
-        full;
-        sketch = None;
-        first = Some { ctx; rep_counts; refined; stage = Eval.Refine; status };
-      }
+       partitioning *)
+    seed d ~full:(lazy (Sketch.make_ctx spec rel (Hierarchy.leaf hier)))
   in
   let options =
     {
@@ -271,5 +276,5 @@ let run ?(options = default_options) spec rel (hier : Hierarchy.t) =
       max_seconds = options.max_seconds;
     }
   in
-  let report = Sketch_refine.drive ~options seed in
+  let report = Sketch_refine.drive ~options seeded in
   (report, !levels)

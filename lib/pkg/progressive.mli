@@ -18,12 +18,13 @@
     - a full-width non-leaf infeasibility descends unshaded (finer
       representatives may still express the query);
     - past the descent, {!run} is {!Sketch_refine.drive} over the leaf
-      partitioning, seeded with the descent's leaf sketch. A leaf
-      refine dead end goes on with the full-width sketch, its refine
-      and the Section 4.4 ladder; a full-width leaf sketch that is
-      infeasible goes straight to the ladder. Either way the run then
-      does what {!Sketch_refine.run} does on {!Hierarchy.leaf}
-      (arXiv:2307.02860 treats SketchRefine as the one-level case);
+      partitioning, seeded with the descent's leaf sketch ({!seed}). A
+      shaded leaf's refine dead end goes on with the full-width sketch,
+      its refine and the Section 4.4 ladder; a leaf sketch solved full
+      width is the plain sketch, so its dead end, or its infeasibility,
+      goes straight to the ladder. Either way the run then does what
+      {!Sketch_refine.run} does on {!Hierarchy.leaf} (arXiv:2307.02860
+      treats SketchRefine as the one-level case);
     - everything else is a typed [Failed] report — never an exception,
       never a hang. *)
 
@@ -52,7 +53,13 @@ type level_stat = {
     descended cone) with its sketch solution, or the verdict of the
     level that stopped it. *)
 type outcome =
-  | Sketched of Sketch.ctx * float array
+  | Sketched of {
+      ctx : Sketch.ctx;
+      rep_counts : float array;
+      shaded : bool;
+          (** some group of the leaf lost its variable to the shading;
+              [false] means the leaf sketch was solved full width *)
+    }
   | Infeasible
       (** the full-width leaf sketch is infeasible. This is not the
           query's verdict: a false infeasibility of the sketch is what
@@ -84,6 +91,21 @@ val descend :
   Hierarchy.t ->
   Eval.counters ->
   descent
+
+(** [seed ?tuples d ~full] is the {!Sketch_refine.drive} seed that
+    goes on from descent [d] over the leaf partitioning, whose
+    full-width context is [full] ([tuples] as in
+    {!Sketch_refine.seed}). A shaded leaf sketch seeds a first rung; a
+    leaf sketch solved full width is the plain sketch, refined and
+    laddered over its own context with the same bases; [Infeasible]
+    and [Failed] are the plain sketch's verdict. A package refined from
+    the leaf sketch of a descent that noted a degradation is
+    [Degraded]. *)
+val seed :
+  ?tuples:Sketch.ctx Lazy.t ->
+  descent ->
+  full:Sketch.ctx Lazy.t ->
+  Sketch_refine.seed
 
 (** [run ?options spec rel hier] evaluates the query coarse-to-fine:
     {!descend} with {!Sketch.make_ctx} contexts as the seed of

@@ -3,8 +3,10 @@ type result =
   | Refine_infeasible
   | Refine_failed of Eval.failure
 
-type answer =
+type solved =
   [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
+
+type answer = [ solved | `Unreachable ]
 
 type solver = int -> float array -> answer
 
@@ -110,14 +112,14 @@ let run ?deadline ?(max_backtracks = 256) ?(stage = Eval.Refine) ~solve ctx
   let exception Deadline in
   let exception Solver_failure of Eval.failure in
   let exception Budget_exhausted in
-  let budget = counters.Eval.backtracks + max_backtracks in
+  let exception Unreachable of int in
   let refine_group j =
     (match deadline with
     | Some d when Unix.gettimeofday () > d -> raise Deadline
     | _ -> ());
     solve j (offsets ctx ~rep_counts ~refined j)
   in
-  let rec refine_level ~at_root todo =
+  let rec refine_level ~budget ~at_root todo =
     match todo with
     | [] -> Ok ()
     | _ ->
@@ -131,6 +133,7 @@ let run ?deadline ?(max_backtracks = 256) ?(stage = Eval.Refine) ~solve ctx
         queue := rest;
         match refine_group j with
         | `Failed f -> raise (Solver_failure f)
+        | `Unreachable -> raise (Unreachable j)
         | `Infeasible ->
           counters.Eval.backtracks <- counters.Eval.backtracks + 1;
           if counters.Eval.backtracks > budget then raise Budget_exhausted;
@@ -140,14 +143,21 @@ let run ?deadline ?(max_backtracks = 256) ?(stage = Eval.Refine) ~solve ctx
           let saved_rep = rep_counts.(j) in
           refined.(j) <- Some entries;
           rep_counts.(j) <- 0.;
+          let undo () =
+            refined.(j) <- None;
+            rep_counts.(j) <- saved_rep
+          in
           let child_todo = List.filter (fun g -> g <> j) todo in
-          match refine_level ~at_root:false child_todo with
+          match refine_level ~budget ~at_root:false child_todo with
           | Ok () -> result := Some (Ok ())
+          | exception (Unreachable _ as e) ->
+            (* leave the state as the search found it *)
+            undo ();
+            raise e
           | Error f ->
             (* undo the speculative refinement and greedily prioritize
                the groups that could not be refined below *)
-            refined.(j) <- None;
-            rep_counts.(j) <- saved_rep;
+            undo ();
             failed := f @ !failed;
             let prioritized, others =
               List.partition (fun g -> List.mem g f) !queue
@@ -158,21 +168,30 @@ let run ?deadline ?(max_backtracks = 256) ?(stage = Eval.Refine) ~solve ctx
   in
   (* Refine biggest representative multiplicities first: they constrain
      the remaining groups the most. (The initial order is arbitrary per
-     the paper; this deterministic choice keeps runs reproducible.) *)
-  let todo =
-    List.filter
-      (fun j -> refined.(j) = None && rep_counts.(j) > 0.)
-      (List.init (Partition.num_groups ctx.Sketch.part) Fun.id)
-    |> List.sort (fun a b -> compare rep_counts.(b) rep_counts.(a))
-  in
-  match refine_level ~at_root:true todo with
-  | Ok () ->
-    let entries =
-      Array.to_list refined
-      |> List.concat_map (function Some e -> e | None -> [])
+     the paper; this deterministic choice keeps runs reproducible.) An
+     unreachable group is dropped from the package and the search
+     starts over without it: at most one restart per group. *)
+  let rec search () =
+    let budget = counters.Eval.backtracks + max_backtracks in
+    let todo =
+      List.filter
+        (fun j -> refined.(j) = None && rep_counts.(j) > 0.)
+        (List.init (Partition.num_groups ctx.Sketch.part) Fun.id)
+      |> List.sort (fun a b -> compare rep_counts.(b) rep_counts.(a))
     in
-    Refined (Package.make ctx.Sketch.rel entries)
-  | Error _ | (exception Budget_exhausted) -> Refine_infeasible
-  | exception Deadline ->
-    Refine_failed (Eval.failure ~stage Eval.Deadline_exceeded)
-  | exception Solver_failure f -> Refine_failed f
+    match refine_level ~budget ~at_root:true todo with
+    | Ok () ->
+      let entries =
+        Array.to_list refined
+        |> List.concat_map (function Some e -> e | None -> [])
+      in
+      Refined (Package.make ctx.Sketch.rel entries)
+    | Error _ | (exception Budget_exhausted) -> Refine_infeasible
+    | exception Deadline ->
+      Refine_failed (Eval.failure ~stage Eval.Deadline_exceeded)
+    | exception Solver_failure f -> Refine_failed f
+    | exception Unreachable j ->
+      rep_counts.(j) <- 0.;
+      search ()
+  in
+  search ()

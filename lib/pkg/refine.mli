@@ -16,11 +16,16 @@ type result =
       (** greedy backtracking exhausted every ordering *)
   | Refine_failed of Eval.failure  (** solver limit or deadline *)
 
-(** One refine query's outcome: the group's chosen original tuples as
+(** A refine query solved: the group's chosen original tuples as
     [(row, count)] entries in candidate order, infeasibility, or a
     typed failure. *)
-type answer =
+type solved =
   [ `Feasible of (int * int) list | `Infeasible | `Failed of Eval.failure ]
+
+(** One refine query's outcome: solved, or [`Unreachable] when the
+    group's solver cannot be reached at all (a shard and its replica
+    down), so the group must be left out of the package. *)
+type answer = [ solved | `Unreachable ]
 
 (** [solve j offsets] answers the refine query Q[Gj] given [offsets],
     the per-constraint aggregates of the rest of the package. *)
@@ -35,7 +40,7 @@ type solver = int -> float array -> answer
     partition group) carries each group's last optimal root basis
     across calls: a group re-solved after backtracking — same candidate
     columns, shifted offsets — warm-starts from it. Without [bases]
-    every solve is cold. *)
+    every solve is cold. It is never [`Unreachable]. *)
 val local :
   ?limits:Ilp.Branch_bound.limits ->
   ?deadline:float ->
@@ -43,7 +48,9 @@ val local :
   ?bases:Lp.Simplex.Basis.t option array ->
   Sketch.ctx ->
   Eval.counters ->
-  solver
+  int ->
+  float array ->
+  [> solved ]
 
 (** [run ?deadline ?max_backtracks ?stage ~solve ctx counters
     ~rep_counts ~refined] completes the sketch package described by
@@ -57,7 +64,10 @@ val local :
     [counters.backtracks]; more than [max_backtracks] of them (default
     256, greedy backtracking is worst-case factorial) yields
     [Refine_infeasible] so the caller can fall back to the hybrid
-    sketch. An exception raised by [solve] propagates unchanged. *)
+    sketch. An [`Unreachable] group is left out: the search starts
+    over from the state it was given, with that group's
+    representatives zeroed (at most one restart per group). An
+    exception raised by [solve] propagates unchanged. *)
 val run :
   ?deadline:float ->
   ?max_backtracks:int ->

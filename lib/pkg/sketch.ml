@@ -8,6 +8,24 @@ type ctx = {
   coeff_reps : (int -> float) array;
 }
 
+let coeffs spec r =
+  Array.of_list
+    (List.map
+       (fun (c : Paql.Translate.compiled_constraint) ->
+         c.Paql.Translate.coeff_rows r)
+       spec.Paql.Translate.constraints)
+
+let light_ctx spec rel (part : Partition.t) ~caps =
+  {
+    spec;
+    rel;
+    part;
+    cand = Array.make (Array.length caps) [||];
+    caps;
+    coeff_rel = coeffs spec rel;
+    coeff_reps = coeffs spec part.Partition.reps;
+  }
+
 let make_ctx spec rel (part : Partition.t) =
   let keep =
     match spec.Paql.Translate.where with
@@ -24,15 +42,8 @@ let make_ctx spec rel (part : Partition.t) =
         Array.of_list (List.filter keep (Array.to_list g.Partition.members)))
       part.Partition.groups
   in
-  let coeff_of r =
-    Array.of_list
-      (List.map
-         (fun (c : Paql.Translate.compiled_constraint) ->
-           c.Paql.Translate.coeff_rows r)
-         spec.Paql.Translate.constraints)
-  in
-  let coeff_rel = coeff_of rel in
-  let coeff_reps = coeff_of part.Partition.reps in
+  let coeff_rel = coeffs spec rel in
+  let coeff_reps = coeffs spec part.Partition.reps in
   let caps =
     Array.map
       (fun c ->

@@ -23,6 +23,17 @@ type ctx = {
 val make_ctx :
   Paql.Translate.spec -> Relalg.Relation.t -> Partition.t -> ctx
 
+(** [light_ctx spec rel part ~caps] is a context with the given caps
+    and no candidate rows: enough for the sketch ILP and the refine's
+    offsets, not for a query over original tuples. The shard
+    coordinator's, whose caps come from its SKETCH scatter. *)
+val light_ctx :
+  Paql.Translate.spec ->
+  Relalg.Relation.t ->
+  Partition.t ->
+  caps:float array ->
+  ctx
+
 type result =
   | Sketched of float array
       (** per-group multiplicity of each representative *)

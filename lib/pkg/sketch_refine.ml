@@ -129,11 +129,23 @@ type rung = {
 
 type seed = {
   full : Sketch.ctx Lazy.t;
+  tuples : Sketch.ctx Lazy.t;
   sketch : Sketch.result option;
+  status : Eval.status;
   first : rung option;
 }
 
-let drive ?(options = default_options) seed =
+let seed ?tuples ?sketch ?(status = Eval.Optimal) ?first full =
+  { full; tuples = Option.value tuples ~default:full; sketch; status; first }
+
+type refiner =
+  stage:Eval.stage ->
+  bases:Lp.Simplex.Basis.t option array ->
+  Sketch.ctx ->
+  Eval.counters ->
+  Refine.solver
+
+let drive ?(options = default_options) ?refine seed =
   let start = Unix.gettimeofday () in
   (* Every ILP derives its time limit from the remaining global
      budget, so no single solve can overrun it. *)
@@ -145,16 +157,17 @@ let drive ?(options = default_options) seed =
       ~counters
   in
   let out_of_time () = Unix.gettimeofday () > deadline in
-  (* Algorithm 2 from a sketch state; [on_infeasible] is the rest of
-     the ladder. *)
-  let refine_from ?(stage = Eval.Refine) ~bases (ctx : Sketch.ctx)
-      ~rep_counts ~refined ~status ~on_infeasible =
+  let local ~stage ~bases ctx counters =
+    Refine.local ~limits:options.limits ~deadline ~stage ~bases ctx counters
+  in
+  (* Algorithm 2 from a sketch state, its group queries answered by
+     [solver]; [on_infeasible] is the rest of the ladder. *)
+  let refine_from ?(stage = Eval.Refine) ~(solver : refiner) ~bases
+      (ctx : Sketch.ctx) ~rep_counts ~refined ~status ~on_infeasible =
     match
       Eval.observe_stage stage (fun () ->
           Refine.run ~deadline ~stage
-            ~solve:
-              (Refine.local ~limits:options.limits ~deadline ~stage ~bases ctx
-                 counters)
+            ~solve:(solver ~stage ~bases ctx counters)
             ctx counters ~rep_counts ~refined)
     with
     | Refine.Refined p ->
@@ -164,8 +177,10 @@ let drive ?(options = default_options) seed =
   in
   (* One attempt over a partitioning: its sketch ([sketch] when the
      caller already solved it), the refine from that sketch, then the
-     fallback ladder. *)
-  let rec attempt ?sketch (ctx : Sketch.ctx) ~fallbacks =
+     fallback ladder. [tuples] is [ctx] with candidate rows, which the
+     hybrid sketch reads; [solver] answers the group queries. *)
+  let rec attempt ?sketch ?(status = Eval.Optimal) ~solver ~tuples
+      (ctx : Sketch.ctx) ~fallbacks =
     let spec = ctx.Sketch.spec and rel = ctx.Sketch.rel in
     let part = ctx.Sketch.part in
     let m = Partition.num_groups part in
@@ -176,6 +191,10 @@ let drive ?(options = default_options) seed =
        group re-solved on a later rung warm-starts from its last
        optimal basis. A new attempt re-partitions, so bases reset. *)
     let bases = Array.make m None in
+    (* a new partitioning has no owner but this process *)
+    let repartitioned ctx ~fallbacks =
+      attempt ~solver:local ~tuples:(Lazy.from_val ctx) ctx ~fallbacks
+    in
     let rec try_hybrid j ~on_exhausted =
       if j >= m then on_exhausted ()
       else if out_of_time () then
@@ -184,13 +203,15 @@ let drive ?(options = default_options) seed =
       else
         match
           Eval.observe_stage Eval.Hybrid (fun () ->
-              hybrid_sketch ~limits:options.limits ~deadline ctx counters j)
+              hybrid_sketch ~limits:options.limits ~deadline
+                (Lazy.force tuples) counters j)
         with
         | Some (entries, rep_counts) ->
           let refined = Array.make m None in
           refined.(j) <- Some entries;
           rep_counts.(j) <- 0.;
-          refine_from ~bases ctx ~rep_counts ~refined ~status:Eval.Optimal
+          refine_from ~solver ~bases ctx ~rep_counts ~refined
+            ~status:Eval.Optimal
             ~on_infeasible:(fun () -> try_hybrid (j + 1) ~on_exhausted)
         | None -> try_hybrid (j + 1) ~on_exhausted
     in
@@ -221,7 +242,7 @@ let drive ?(options = default_options) seed =
             let coarser = Partition.create ~tau ~attrs:remaining rel in
             (* retry once with the projected partitioning; do not
                re-enter Drop_attributes *)
-            attempt (Sketch.make_ctx spec rel coarser) ~fallbacks:rest
+            repartitioned (Sketch.make_ctx spec rel coarser) ~fallbacks:rest
           end)
       | Merge_groups :: rest ->
         Log.info (fun k -> k "falling back: merging %d groups pairwise" m);
@@ -230,7 +251,7 @@ let drive ?(options = default_options) seed =
           (* halve the group count and retry, keeping Merge_groups in
              the ladder: the recursion bottoms out at one group, where
              the hybrid/refine query is the original problem *)
-          attempt
+          repartitioned
             (Sketch.make_ctx spec rel (merge_groups part rel))
             ~fallbacks:(Hybrid_sketch :: Merge_groups :: rest)
     in
@@ -243,22 +264,25 @@ let drive ?(options = default_options) seed =
     in
     match sketch with
     | Sketch.Sketched rep_counts ->
-      refine_from ~bases ctx ~rep_counts ~refined:(Array.make m None)
-        ~status:Eval.Optimal ~on_infeasible:(fun () ->
-          fallback_chain fallbacks)
+      refine_from ~solver ~bases ctx ~rep_counts ~refined:(Array.make m None)
+        ~status ~on_infeasible:(fun () -> fallback_chain fallbacks)
     | Sketch.Sketch_failed f -> finish (Eval.Failed f) None None
     | Sketch.Sketch_infeasible ->
       Log.info (fun k -> k "sketch query infeasible");
       fallback_chain fallbacks
   in
-  let first_attempt { full; sketch; first } =
-    let plain () = attempt ?sketch (Lazy.force full) ~fallbacks:options.fallbacks in
+  let solver = Option.value refine ~default:local in
+  let first_attempt { full; tuples; sketch; status; first } =
+    let plain () =
+      attempt ?sketch ~status ~solver ~tuples (Lazy.force full)
+        ~fallbacks:options.fallbacks
+    in
     match first with
     | None -> plain ()
     | Some r ->
       (* the caller's rung refines on cold bases of its own *)
       let bases = Array.make (Partition.num_groups r.ctx.Sketch.part) None in
-      refine_from ~stage:r.stage ~bases r.ctx ~rep_counts:r.rep_counts
+      refine_from ~stage:r.stage ~solver ~bases r.ctx ~rep_counts:r.rep_counts
         ~refined:r.refined ~status:r.status ~on_infeasible:plain
   in
   (* The resilience contract: a report, never an exception. *)
@@ -269,8 +293,4 @@ let drive ?(options = default_options) seed =
 
 let run ?options spec rel partition =
   drive ?options (fun ~deadline:_ _ ->
-      {
-        full = lazy (Sketch.make_ctx spec rel partition);
-        sketch = None;
-        first = None;
-      })
+      seed (lazy (Sketch.make_ctx spec rel partition)))

@@ -48,10 +48,12 @@ val run :
 
 (** {1 The driver}
 
-    {!run}, {!Parallel.run} and {!Progressive.run} are one driver: an
-    attempt is a sketch, the refine from it, then the ladder over the
-    same partitioning, under one deadline, one set of counters and one
-    report. The variants seed its first rung. *)
+    {!run}, {!Parallel.run}, {!Progressive.run} and the shard
+    coordinator are one driver: an attempt is a sketch, the refine from
+    it, then the ladder over the same partitioning, under one deadline,
+    one set of counters and one report. The variants seed its first
+    rung, and the coordinator supplies the solver of its group
+    queries. *)
 
 (** A refine a caller has set up, tried first on cold bases:
     Progressive's refine of its shaded leaf sketch, Parallel's Phase-3
@@ -65,22 +67,48 @@ type rung = {
   status : Eval.status;
 }
 
-(** [first], then the refine from [full]'s plain sketch, then the
-    ladder over [full]'s partitioning. [sketch] is that plain sketch
-    when the caller already solved it ([Sketch_infeasible] goes
-    straight to the ladder); [None] solves it. [full] is forced only if
-    the attempt gets that far. *)
-type seed = {
-  full : Sketch.ctx Lazy.t;
-  sketch : Sketch.result option;
-  first : rung option;
-}
+(** Where an attempt starts. *)
+type seed
 
-(** [drive ?options seed] runs [seed ~deadline counters] with the run's
-    absolute deadline and counters, then the attempt it describes; the
-    report covers the seed's work and time too. Never raises: an
-    exception, the seed's included, becomes a [Failed] report. *)
+(** [seed ?tuples ?sketch ?status ?first full]: [first], then the
+    refine from [full]'s plain sketch, then the ladder over [full]'s
+    partitioning. [sketch] is that plain sketch when the caller already
+    solved it ([Sketch_infeasible] goes straight to the ladder); [None]
+    solves it. [status] (default [Optimal]) labels a package refined
+    from it. [tuples] (default [full]) is [full] with candidate rows,
+    which the hybrid sketch reads; a coordinator, whose [full] has
+    none, builds it from its own copy of the table. [full] and [tuples]
+    are forced only if the attempt gets that far. *)
+val seed :
+  ?tuples:Sketch.ctx Lazy.t ->
+  ?sketch:Sketch.result ->
+  ?status:Eval.status ->
+  ?first:rung ->
+  Sketch.ctx Lazy.t ->
+  seed
+
+(** The group-query solver of one refine rung, given the rung's stage,
+    its per-group warm-start slots and its context. *)
+type refiner =
+  stage:Eval.stage ->
+  bases:Lp.Simplex.Basis.t option array ->
+  Sketch.ctx ->
+  Eval.counters ->
+  Refine.solver
+
+(** [drive ?options ?refine seed] runs [seed ~deadline counters] with
+    the run's absolute deadline and counters, then the attempt it
+    describes; the report covers the seed's work and time too.
+    [refine] solves the group queries of every refine over the seed's
+    partitioning (default: {!Refine.local} under the run's limits and
+    deadline, warm from the rung's bases); a rung that re-partitions
+    ([Drop_attributes], [Merge_groups]) always refines with
+    {!Refine.local}. A group [refine] answers [`Unreachable] is left
+    out of that refine ({!Refine.run}); the caller keeps its own record
+    of it. Never raises: an exception, the seed's included, becomes a
+    [Failed] report. *)
 val drive :
   ?options:options ->
+  ?refine:refiner ->
   (deadline:float -> Eval.counters -> seed) ->
   Eval.report

@@ -935,14 +935,12 @@ let layout_for t rel fp spec =
 (* Remote refine                                                      *)
 (* ------------------------------------------------------------------ *)
 
-exception Omit of int * string
-
 (* The coordinator's [Pkg.Refine.solver]: group [j]'s refine query is
    solved on its owning shard (hedged, with failover to the replica),
-   given the offsets [Pkg.Refine.run] computed. Unreachability raises
-   [Omit], which passes through the search untouched so the driver can
-   restart without the group. *)
-let rpc_refine t ~layout ~deadline ~stale query counters j offsets =
+   given the offsets [Pkg.Refine.run] computed. A group whose shard and
+   replica are both unreachable goes to [omit] and is answered
+   [`Unreachable]: the search starts over without it. *)
+let rpc_refine t ~layout ~deadline ~stale ~omit query counters j offsets =
   let remaining = deadline -. Unix.gettimeofday () in
   let budget_ms = max 1 (int_of_float (remaining *. 1000.)) in
   let body = Protocol.render_refine ~gid:j ~budget_ms ~offsets ~query in
@@ -950,11 +948,11 @@ let rpc_refine t ~layout ~deadline ~stale query counters j offsets =
   let timeout = Float.max 0.05 remaining in
   match hedged_refine t ~layout ~timeout shard (Protocol.Refine body) with
   | exception Shard_down (k, msg) ->
-    raise
-      (Omit
-         ( j,
-           Printf.sprintf "group %d: shard %d and replica unreachable (%s)" j
-             k msg ))
+    Metrics.incr t.metrics "shard_omitted_groups";
+    omit [ j ]
+      (Printf.sprintf "group %d: shard %d and replica unreachable (%s)" j k
+         msg);
+    `Unreachable
   | reply, was_stale -> (
     if was_stale && not (List.mem j !stale) then stale := j :: !stale;
     counters.Pkg.Eval.ilp_calls <- counters.Pkg.Eval.ilp_calls + 1;
@@ -970,6 +968,8 @@ let rpc_refine t ~layout ~deadline ~stale query counters j offsets =
 (* Query evaluation                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* A query is [Pkg.Sketch_refine.drive] seeded by the SKETCH scatter,
+   its group queries answered by [rpc_refine]. *)
 let eval_query t ~deadline query =
   let rel, fp = Mutex.protect t.state_mu (fun () -> (t.rel, t.fp)) in
   let qfp = Paql.Fingerprint.of_query query in
@@ -979,28 +979,14 @@ let eval_query t ~deadline query =
     let layout = layout_for t rel fp spec in
     let part = layout.l_part in
     let m = Pkg.Partition.num_groups part in
-    let start = Unix.gettimeofday () in
-    let counters = Pkg.Eval.fresh_counters () in
     let stale = ref [] in
     let omitted = ref [] in
     let details = ref [] in
-    let finish status package objective =
-      Pkg.Eval.report ~status ~package ~objective
-        ~wall_time:(Unix.gettimeofday () -. start)
-        ~counters
-    in
-    (* degradation dominates a nominal status, failure dominates both;
-       [descent] notes a progressive level solved widened after failing,
-       which degrades a refined package as it does on a single node *)
-    let degrade ?(descent = []) status =
-      if !stale = [] && !omitted = [] && descent = [] then status
-      else
-        Pkg.Eval.Degraded
-          {
-            Pkg.Eval.stale_groups = List.sort_uniq compare !stale;
-            omitted_groups = List.sort_uniq compare !omitted;
-            detail = String.concat "; " (List.rev !details @ descent);
-          }
+    let omit gids detail =
+      Log.warn (fun k -> k "%s" detail);
+      Mutex.protect t.state_mu (fun () ->
+          omitted := gids @ !omitted;
+          details := detail :: !details)
     in
     let scatter_timeout () =
       Float.max 0.05
@@ -1010,83 +996,61 @@ let eval_query t ~deadline query =
        shard, in parallel. An unreachable shard (and replica) zeroes
        its groups' caps: they are omitted from the package rather than
        sinking the query. *)
-    let caps = Array.make m 0. in
-    let active =
+    let scatter caps =
+      let sketch_one shard =
+        match
+          shard_exchange t ~layout ~timeout:(scatter_timeout ()) shard
+            (Protocol.Sketch query)
+        with
+        | body, was_stale ->
+          let counts = Protocol.parse_counts body in
+          Mutex.protect t.state_mu (fun () ->
+              List.iter
+                (fun (gid, n) ->
+                  caps.(gid) <-
+                    (if n = 0 then 0.
+                     else float_of_int n *. spec.Paql.Translate.max_count);
+                  if was_stale && not (List.mem gid !stale) then
+                    stale := gid :: !stale)
+                counts)
+        | exception e ->
+          omit
+            (List.map fst layout.l_groups.(shard.s_idx))
+            (Printf.sprintf "shard %d unreachable at sketch (%s)" shard.s_idx
+               (Printexc.to_string e))
+      in
       Array.to_list t.shards
       |> List.filter (fun s -> layout.l_groups.(s.s_idx) <> [])
+      |> List.map (fun s -> Thread.create sketch_one s)
+      |> List.iter Thread.join
     in
-    let sketch_one shard =
-      match
-        shard_exchange t ~layout ~timeout:(scatter_timeout ()) shard
-          (Protocol.Sketch query)
-      with
-      | body, was_stale ->
-        let counts = Protocol.parse_counts body in
-        Mutex.protect t.state_mu (fun () ->
-            List.iter
-              (fun (gid, n) ->
-                caps.(gid) <-
-                  (if n = 0 then 0.
-                   else float_of_int n *. spec.Paql.Translate.max_count);
-                if was_stale && not (List.mem gid !stale) then
-                  stale := gid :: !stale)
-              counts)
-      | exception e ->
-        let gids = List.map fst layout.l_groups.(shard.s_idx) in
-        Mutex.protect t.state_mu (fun () ->
-            omitted := gids @ !omitted;
-            details :=
-              Printf.sprintf "shard %d unreachable at sketch (%s)"
-                shard.s_idx (Printexc.to_string e)
-              :: !details)
-    in
-    let threads = List.map (fun s -> Thread.create sketch_one s) active in
-    List.iter Thread.join threads;
-    (* The light context: candidate arrays stay empty (refines run on
-       the shards), but the caps, representative relation and
-       row-coefficient accessors feed the local sketch ILP and the
-       offset aggregation — identical inputs to a single node's. *)
-    let coeff_of r =
-      Array.of_list
-        (List.map
-           (fun (c : Paql.Translate.compiled_constraint) ->
-             c.Paql.Translate.coeff_rows r)
-           spec.Paql.Translate.constraints)
-    in
-    let ctx =
-      {
-        Pkg.Sketch.spec;
-        rel;
-        part;
-        cand = Array.make m [||];
-        caps;
-        coeff_rel = coeff_of rel;
-        coeff_reps = coeff_of part.Pkg.Partition.reps;
-      }
-    in
-    let limits =
-      {
-        t.cfg.limits with
-        Ilp.Branch_bound.max_seconds =
-          Float.min t.cfg.limits.Ilp.Branch_bound.max_seconds
-            (Float.max 0.01 (deadline -. Unix.gettimeofday ()));
-      }
-    in
-    (* A progressive fleet runs the same descent as a progressive
-       server, over light contexts: the leaf caps come from the
-       scatter, and a coarse group's cap is the sum of the caps of the
-       leaf groups inside it (so shard omissions propagate up; the caps
-       are whole multiples of [max_count], so the sum is exact in any
-       order). A flat fleet sketches the leaf once. *)
-    let sketch_result, descent_notes =
+    let seed ~deadline counters =
+      let caps = Array.make m 0. in
+      scatter caps;
+      (* The light context: no candidate rows (refines run on the
+         shards), but the caps, representative relation and
+         row-coefficient accessors feed the local sketch ILP and the
+         offset aggregation — identical inputs to a single node's. *)
+      let ctx = Pkg.Sketch.light_ctx spec rel part ~caps in
+      (* The hybrid sketch reads candidate rows from the coordinator's
+         own copy of the table; the scatter's caps keep omitted groups
+         at 0. Built only if the ladder gets that far. *)
+      let tuples =
+        lazy { (Pkg.Sketch.make_ctx spec rel part) with Pkg.Sketch.caps }
+      in
       match layout.l_hier with
-      | None ->
-        ( Pkg.Eval.observe_stage Pkg.Eval.Sketch (fun () ->
-              Pkg.Sketch.run ~limits ~deadline ctx counters),
-          [] )
+      | None -> Pkg.Sketch_refine.seed ~tuples (Lazy.from_val ctx)
       | Some hier ->
+        (* A progressive fleet runs the same descent as a progressive
+           server, over light contexts: the leaf caps come from the
+           scatter, and a coarse group's cap is the sum of the caps of
+           the leaf groups inside it (so shard omissions propagate up;
+           the caps are whole multiples of [max_count], so the sum is
+           exact in any order). The descent shades a copy of the leaf
+           caps, so [ctx] stays full width. *)
         let level_ctx l =
-          if l = Pkg.Hierarchy.num_levels hier - 1 then ctx
+          if l = Pkg.Hierarchy.num_levels hier - 1 then
+            { ctx with Pkg.Sketch.caps = Array.copy caps }
           else
             let coarse = Pkg.Hierarchy.level hier l in
             let caps_l = Array.make (Pkg.Partition.num_groups coarse) 0. in
@@ -1096,81 +1060,55 @@ let eval_query t ~deadline query =
                 let p = up.(leaf.Pkg.Partition.members.(0)) in
                 caps_l.(p) <- caps_l.(p) +. caps.(g))
               part.Pkg.Partition.groups;
-            {
-              ctx with
-              Pkg.Sketch.part = coarse;
-              cand = Array.make (Array.length caps_l) [||];
-              caps = caps_l;
-              coeff_reps = coeff_of coarse.Pkg.Partition.reps;
-            }
+            Pkg.Sketch.light_ctx spec rel coarse ~caps:caps_l
         in
         let d =
-          Pkg.Progressive.descend ~limits ~deadline ~level_ctx hier counters
+          Pkg.Progressive.descend ~limits:t.cfg.limits ~deadline ~level_ctx
+            hier counters
         in
         Front.record_level_stats t.metrics d.Pkg.Progressive.levels;
-        ( (match d.Pkg.Progressive.outcome with
-          | Pkg.Progressive.Sketched (_, rc) -> Pkg.Sketch.Sketched rc
-          | Pkg.Progressive.Infeasible -> Pkg.Sketch.Sketch_infeasible
-          | Pkg.Progressive.Failed f -> Pkg.Sketch.Sketch_failed f),
-          d.Pkg.Progressive.degraded )
+        Pkg.Progressive.seed ~tuples d ~full:(Lazy.from_val ctx)
+    in
+    let options =
+      {
+        Pkg.Sketch_refine.default_options with
+        limits = t.cfg.limits;
+        max_seconds = deadline -. Unix.gettimeofday ();
+      }
     in
     let report =
-      match sketch_result with
-      | Pkg.Sketch.Sketch_failed f -> finish (Pkg.Eval.Failed f) None None
-      | Pkg.Sketch.Sketch_infeasible ->
-        (* no distributed hybrid-sketch fallback: with every group
-           reachable this is a genuine [infeasible]; with omissions it
-           degrades, because the missing caps may be what sank it *)
-        (match degrade Pkg.Eval.Infeasible with
-        | Pkg.Eval.Degraded d ->
-          finish
-            (Pkg.Eval.Degraded
-               { d with Pkg.Eval.detail = d.Pkg.Eval.detail
-                        ^ "; sketch infeasible over remaining groups" })
-            None None
-        | status -> finish status None None)
-      | Pkg.Sketch.Sketched rep_counts0 -> (
-        (* The refine driver restarts from the sketch solution when a
-           group becomes unreachable mid-refine: the group is omitted
-           (zero representatives, no entries) and the sequential search
-           re-runs without it. Bounded by the group count. *)
-        let rec drive () =
-          let rep_counts = Array.copy rep_counts0 in
-          List.iter (fun g -> rep_counts.(g) <- 0.) !omitted;
-          stale := List.filter (fun g -> not (List.mem g !omitted)) !stale;
-          match
-            Pkg.Eval.observe_stage Pkg.Eval.Refine (fun () ->
-                Pkg.Refine.run ~deadline
-                  ~solve:(rpc_refine t ~layout ~deadline ~stale query counters)
-                  ctx counters ~rep_counts ~refined:(Array.make m None))
-          with
-          | Pkg.Refine.Refined p ->
-            finish (degrade ~descent:descent_notes Pkg.Eval.Optimal) (Some p)
-              (Some (Pkg.Package.objective spec p))
-          | Pkg.Refine.Refine_infeasible -> (
-            match degrade Pkg.Eval.Infeasible with
-            | Pkg.Eval.Degraded d ->
-              finish
-                (Pkg.Eval.Degraded
-                   { d with Pkg.Eval.detail = d.Pkg.Eval.detail
-                            ^ "; refine infeasible over remaining groups" })
-                None None
-            | status -> finish status None None)
-          | Pkg.Refine.Refine_failed f -> finish (Pkg.Eval.Failed f) None None
-          | exception Omit (j, msg) ->
-            Metrics.incr t.metrics "shard_omitted_groups";
-            Log.warn (fun k -> k "%s" msg);
-            omitted := j :: !omitted;
-            details := msg :: !details;
-            drive ()
-        in
-        try drive ()
-        with e ->
-          finish
-            (Pkg.Eval.failed (Pkg.Eval.Solver_error (Printexc.to_string e)))
-            None None)
+      Pkg.Sketch_refine.drive ~options
+        ~refine:(fun ~stage:_ ~bases:_ _ctx counters ->
+          rpc_refine t ~layout ~deadline ~stale ~omit query counters)
+        seed
     in
-    Front.response_of_report report
+    (* A stale or omitted group degrades any answer but a failure, an
+       infeasible one included: the missing groups may be what sank
+       it. *)
+    let omitted = List.sort_uniq compare !omitted in
+    let stale =
+      List.sort_uniq compare !stale
+      |> List.filter (fun g -> not (List.mem g omitted))
+    in
+    let status =
+      match report.Pkg.Eval.status with
+      | Pkg.Eval.Failed _ as s -> s
+      | s when stale = [] && omitted = [] -> s
+      | s ->
+        let cause =
+          match s with
+          | Pkg.Eval.Degraded d -> [ d.Pkg.Eval.detail ]
+          | Pkg.Eval.Infeasible -> [ "infeasible over the remaining groups" ]
+          | _ -> []
+        in
+        Pkg.Eval.Degraded
+          {
+            Pkg.Eval.stale_groups = stale;
+            omitted_groups = omitted;
+            detail = String.concat "; " (List.rev !details @ cause);
+          }
+    in
+    Front.response_of_report { report with Pkg.Eval.status }
 
 (* ------------------------------------------------------------------ *)
 (* Writes                                                             *)

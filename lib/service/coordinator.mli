@@ -18,18 +18,17 @@
     {2 Per-query flow}
 
     plan locally -> SKETCH scatter (per-group WHERE-filtered candidate
-    counts -> sketch ILP caps) -> solve the sketch ILP locally over the
-    representative relation -> mirror the sequential greedy-backtracking
-    refine loop (Algorithm 2), with each group's refine ILP dispatched
-    to its owning shard as a REFINE RPC carrying the partial package's
-    constraint-bound offsets as hex floats (bit-identical on both
-    sides). Shards solve refine ILPs {e cold} (no warm-start), so a
-    failover or hedged duplicate computes the identical answer on the
-    primary or its replica — and a fully healthy run is byte-identical
-    to a single [pkgq_server --method sketchrefine] for queries that
-    need no fallback ladder. The distributed path has no hybrid-sketch
-    fallback: a refine-infeasible query answers [infeasible] where a
-    single node might still find a package (documented limitation).
+    counts -> sketch ILP caps) -> {!Pkg.Sketch_refine.drive}, as on a
+    single node: the sketch ILP (or the progressive descent) solved
+    locally over the representative relation, the sequential
+    greedy-backtracking refine (Algorithm 2) with each group's refine
+    ILP dispatched to its owning shard as a REFINE RPC carrying the
+    partial package's constraint-bound offsets as hex floats
+    (bit-identical on both sides), and the Section 4.4 ladder, whose
+    hybrid sketch reads candidate rows from the coordinator's own copy
+    of the table. Shards solve refine ILPs {e cold} (no warm-start), so
+    a failover or hedged duplicate computes the identical answer on the
+    primary or its replica.
 
     {2 Robustness}
 

@@ -210,7 +210,9 @@ let partition_for t snap ast spec =
                        { Store.Catalog.fingerprint = snap.fp; attrs; tau; radius;
                          level = None }
                      in
-                     fst (Store.Catalog.lookup_or_build cat key ~build)
+                     fst
+                       (Store.Catalog.lookup_or_build cat key
+                          ~rows:(Relalg.Relation.cardinality snap.rel) ~build)
                    | None -> build ())
              in
              Hashtbl.replace snap.parts id

@@ -196,10 +196,21 @@ type decoded = {
   reps_image : string;
 }
 
+(* A planted count gets past the checksum of a re-sealed file, so every
+   count is checked against the bytes left before anything is allocated
+   for it: an attribute is at least its 4-byte name length, a group at
+   least its member count, centroid and radius, a member 4 bytes. *)
 let decode_part ~version r =
+  let count what ~min_bytes =
+    let n = Wire.get_i32 r in
+    if n < 0 then Wire.error "negative %s %d" what n;
+    if n > Wire.remaining r / min_bytes then
+      Wire.error "%s %d exceeds the %d body bytes left" what n
+        (Wire.remaining r);
+    n
+  in
   let fingerprint = Wire.get_str r in
-  let n_attrs = Wire.get_i32 r in
-  if n_attrs < 0 then Wire.error "negative attribute count %d" n_attrs;
+  let n_attrs = count "attribute count" ~min_bytes:4 in
   let attrs = List.init n_attrs (fun _ -> Wire.get_str r) in
   let tau = Wire.get_i64 r in
   let radius = decode_radius r in
@@ -211,14 +222,13 @@ let decode_part ~version r =
       | 1 -> Some (Wire.get_i32 r)
       | tag -> Wire.error "bad level tag %d" tag
   in
-  let n_rows = Wire.get_i32 r in
-  if n_rows < 0 then Wire.error "negative row count %d" n_rows;
-  let n_groups = Wire.get_i32 r in
-  if n_groups < 0 then Wire.error "negative group count %d" n_groups;
+  let n_rows = count "row count" ~min_bytes:4 in
+  let n_groups = count "group count" ~min_bytes:(12 + (8 * n_attrs)) in
+  let total = ref 0 in
   let dgroups =
     Array.init n_groups (fun _ ->
-        let m = Wire.get_i32 r in
-        if m < 0 then Wire.error "negative member count %d" m;
+        let m = count "member count" ~min_bytes:4 in
+        total := !total + m;
         let members =
           Array.init m (fun _ ->
               let id = Wire.get_i32 r in
@@ -230,6 +240,9 @@ let decode_part ~version r =
         let radius = Wire.get_f64 r in
         { P.members; centroid; radius })
   in
+  (* every row is in exactly one group *)
+  if !total <> n_rows then
+    Wire.error "row count %d is not the member total %d" n_rows !total;
   let reps_image = Wire.get_str r in
   {
     dkey = { fingerprint; attrs; tau; radius; level };
@@ -238,7 +251,9 @@ let decode_part ~version r =
     reps_image;
   }
 
-let to_partition d =
+let to_partition ~rows d =
+  if d.n_rows <> rows then
+    Wire.error "entry partitions %d rows, the table has %d" d.n_rows rows;
   let reps = Segment.of_string d.reps_image in
   if Relalg.Relation.cardinality reps <> Array.length d.dgroups then
     Wire.error "representative count %d does not match group count %d"
@@ -265,7 +280,7 @@ let read_part path =
   in
   decode_part ~version (Wire.verify ~magic:part_magic ~version s)
 
-let find t key =
+let find t key ~rows =
   let read path =
     if not (Sys.file_exists path) then None
     else begin
@@ -273,7 +288,7 @@ let find t key =
       if not (key_matches ~stored:d.dkey ~wanted:key) then
         Wire.error "catalog entry %s was stored under a different key (%s)"
           (Filename.basename path) (key_string d.dkey);
-      Some (to_partition d)
+      Some (to_partition ~rows d)
     end
   in
   match read (part_path t key) with
@@ -291,8 +306,8 @@ let store t key p =
   Wire.write_file (part_path t key) ~magic:part_magic ~version:part_version
     (encode_part key p)
 
-let lookup_or_build t key ~build =
-  match find t key with
+let lookup_or_build t key ~rows ~build =
+  match find t key ~rows with
   | Some p -> (p, `Hit)
   | None ->
     let p = build () in
@@ -322,7 +337,7 @@ let lookup_or_build_hierarchy t ~fingerprint ?(radius = Pkg.Partition.No_radius)
     let rec probe l acc =
       if l < 0 then Some acc
       else
-        match find t (key_of l) with
+        match find t (key_of l) ~rows:n with
         | Some p -> probe (l - 1) (p :: acc)
         | None -> None
     in

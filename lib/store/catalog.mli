@@ -82,20 +82,22 @@ val radius_string : Pkg.Partition.radius_spec -> string
 (** Human-readable canonical form of a key (what {!key_id} hashes). *)
 val key_string : key -> string
 
-(** [find t key] is the stored partitioning, or [None] when absent.
-    Key comparison ignores attribute order; flat keys also consult the
-    pre-v2 order-sensitive id so old catalogs stay warm.
-    @raise Segment.Error when the entry exists but is corrupt or was
-    stored under a different key (hash collision / tampering). *)
-val find : t -> key -> Pkg.Partition.t option
+(** [find t key ~rows] is the stored partitioning, or [None] when
+    absent. [rows] is the cardinality of the table [key.fingerprint]
+    names. Key comparison ignores attribute order; flat keys also
+    consult the pre-v2 order-sensitive id so old catalogs stay warm.
+    @raise Segment.Error when the entry exists but is corrupt, was
+    stored under a different key (hash collision / tampering), or
+    partitions other than [rows] rows. *)
+val find : t -> key -> rows:int -> Pkg.Partition.t option
 
 val store : t -> key -> Pkg.Partition.t -> unit
 
-(** [lookup_or_build t key ~build] returns [(p, `Hit)] from the
+(** [lookup_or_build t key ~rows ~build] ([rows] as in {!find}) returns [(p, `Hit)] from the
     catalog when present — zero partitioning work — and otherwise
     builds, stores and returns [(build (), `Built)]. *)
 val lookup_or_build :
-  t -> key -> build:(unit -> Pkg.Partition.t) ->
+  t -> key -> rows:int -> build:(unit -> Pkg.Partition.t) ->
   Pkg.Partition.t * [ `Hit | `Built ]
 
 (** [lookup_or_build_hierarchy t ~fingerprint ?radius ?levels ?leaf_tau

@@ -235,25 +235,6 @@ let test_parallel_infeasible () =
 (* Odds and ends                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_mps_error_paths () =
-  let bad docs =
-    List.iter
-      (fun doc ->
-        checkb "rejected" true
-          (try
-             ignore (Lp.Mps.of_string doc);
-             false
-           with Invalid_argument _ -> true))
-      docs
-  in
-  bad
-    [
-      "ROWS\n Z  c0\nENDATA\n";            (* unknown row kind *)
-      "ROWS\n N  OBJ\nCOLUMNS\n    x  nosuchrow  1\nENDATA\n";
-      "ROWS\n N  OBJ\nBOUNDS\n QQ BND x 1\nENDATA\n";
-      "WHATSECTION\nENDATA\n";
-    ]
-
 let test_theorem_radius_cut () =
   (* a Theorem-radius partitioning's groups all satisfy the epsilon
      condition (away-from-zero data so the bound is real); only the
@@ -292,17 +273,6 @@ let test_csv_bad_arity () =
        ignore (Relalg.Csv.of_string "");
        false
      with Relalg.Csv.Error (1, _) -> true)
-
-let test_mps_objsense_default_min () =
-  let doc =
-    "NAME T\nROWS\n N  OBJ\n G  c0\nCOLUMNS\n    x  OBJ  1\n    x  c0  \
-     1\nRHS\n    RHS  c0  2\nBOUNDS\n UP BND  x  9\nENDATA\n"
-  in
-  let p = Lp.Mps.of_string doc in
-  checkb "defaults to minimize" true (p.P.sense = P.Minimize);
-  match Lp.Simplex.solve p with
-  | Lp.Simplex.Optimal s -> checkf "min at the row bound" 2. s.Lp.Simplex.obj
-  | _ -> Alcotest.fail "should solve"
 
 let test_refine_deadline () =
   (* an already-expired deadline must surface as a clean failure *)
@@ -372,12 +342,9 @@ let () =
         ] );
       ( "odds-and-ends",
         [
-          Alcotest.test_case "mps error paths" `Quick test_mps_error_paths;
           Alcotest.test_case "eval printers" `Quick test_eval_pretty_printers;
           Alcotest.test_case "theorem radius cut" `Quick test_theorem_radius_cut;
           Alcotest.test_case "csv bad arity" `Quick test_csv_bad_arity;
-          Alcotest.test_case "mps objsense default" `Quick
-            test_mps_objsense_default_min;
           Alcotest.test_case "refine deadline" `Quick test_refine_deadline;
         ] );
       ( "fallbacks",

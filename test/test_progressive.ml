@@ -178,26 +178,28 @@ let test_dlv_variance_wins_aggregate () =
 (* ------------------------------------------------------------------ *)
 
 (* A one-level hierarchy collapses the descent to exactly flat
-   SketchRefine: same partitioning, same status, same package. Two
-   inputs: a Galaxy query whose sketch refines at once, and the
+   SketchRefine: same partitioning, same status, same package, same
+   ILPs. Three inputs: a Galaxy query whose sketch refines at once; the
    razor-thin window of test_pkg's "hybrid sketch rescues", whose plain
    sketch is infeasible, so only the Section 4.4 ladder finds its
-   package. *)
+   package; and test_extensions' two-group window, whose refine dead
+   end the ladder cannot rescue either (its leaf sketch is the plain
+   sketch, so the run must not solve and refine it twice). *)
 let test_one_level_equals_sketchrefine () =
-  let same name spec rel hier =
+  let same ?(status = E.Optimal) name spec rel hier =
     checki (name ^ ": one level") 1 (H.num_levels hier);
     let prog, stats = Pkg.Progressive.run spec rel hier in
     let flat = Pkg.Sketch_refine.run spec rel (H.leaf hier) in
-    (match (prog.E.status, flat.E.status) with
-    | E.Optimal, E.Optimal -> ()
-    | a, b ->
-      Alcotest.failf "%s: statuses differ: progressive %a, flat %a" name
-        E.pp_status a E.pp_status b);
-    (match (prog.E.package, flat.E.package) with
-    | Some p, Some q ->
-      checkb (name ^ ": identical package") true
-        (package_rows p = package_rows q)
-    | _ -> Alcotest.failf "%s: missing package" name);
+    if prog.E.status <> status || flat.E.status <> status then
+      Alcotest.failf "%s: statuses: progressive %a, flat %a, expected %a" name
+        E.pp_status prog.E.status E.pp_status flat.E.status E.pp_status status;
+    checkb (name ^ ": identical package") true
+      (Option.map package_rows prog.E.package
+      = Option.map package_rows flat.E.package);
+    checkb (name ^ ": a package iff optimal") true
+      (Option.is_some prog.E.package = (status = E.Optimal));
+    checki (name ^ ": same ILP calls") flat.E.counters.E.ilp_calls
+      prog.E.counters.E.ilp_calls;
     checki (name ^ ": one stat entry") 1 (List.length stats)
   in
   let rel = skewed ~seed:5 600 in
@@ -206,18 +208,27 @@ let test_one_level_equals_sketchrefine () =
   let schema =
     S.make [ { S.name = "a"; ty = V.TFloat }; { S.name = "b"; ty = V.TFloat } ]
   in
+  let of_pairs pairs =
+    R.of_rows schema (List.map (fun (a, b) -> [| V.Float a; V.Float b |]) pairs)
+  in
   let rel =
-    R.of_rows schema
-      (List.map
-         (fun (a, b) -> [| V.Float a; V.Float b |])
-         [ (0.0, 1.); (0.2, 2.); (0.4, 3.); (0.6, 4.);
-           (100.0, 1.); (100.2, 2.); (100.4, 3.); (100.6, 4.) ])
+    of_pairs
+      [ (0.0, 1.); (0.2, 2.); (0.4, 3.); (0.6, 4.);
+        (100.0, 1.); (100.2, 2.); (100.4, 3.); (100.6, 4.) ]
   in
   let part = P.create ~tau:4 ~attrs:[ "a" ] rel in
   same "hybrid rescue"
     (compile rel
        "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 0 SUCH THAT COUNT(P.*) = 1 \
         AND SUM(P.a) BETWEEN 100.55 AND 100.65 MAXIMIZE SUM(P.b)")
+    rel
+    { H.attrs = [ "a" ]; levels = [| part |] };
+  let rel = of_pairs [ (0.0, 1.); (10.0, 2.); (100.0, 3.); (110.0, 4.) ] in
+  let part = P.create ~tau:2 ~attrs:[ "a" ] rel in
+  same ~status:E.Infeasible "refine dead end"
+    (compile rel
+       "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 0 SUCH THAT COUNT(P.*) = 2 \
+        AND SUM(P.a) BETWEEN 109.5 AND 110.5 MAXIMIZE SUM(P.b)")
     rel
     { H.attrs = [ "a" ]; levels = [| part |] }
 
@@ -333,12 +344,12 @@ let test_catalog_attrs_order () =
     (Store.Catalog.key_id (key attrs))
     (Store.Catalog.key_id (key permuted));
   let _, o1 = Store.Catalog.lookup_or_build cat (key attrs)
-      ~build:(build attrs) in
+      ~rows:(R.cardinality rel) ~build:(build attrs) in
   checkb "first is a build" true (o1 = `Built);
   (* the regression: a permuted attribute list used to produce a fresh
      key id and silently repartition the table *)
   let p2, o2 = Store.Catalog.lookup_or_build cat (key permuted)
-      ~build:(build permuted) in
+      ~rows:(R.cardinality rel) ~build:(build permuted) in
   checkb "permuted order hits" true (o2 = `Hit);
   checki "exactly one build" 1 !builds;
   checkb "hit is a valid partition" true
@@ -392,7 +403,7 @@ let test_catalog_v1_compat () =
   in
   checkb "canonical id differs from v1 id" true
     (Store.Catalog.key_id key <> legacy_id);
-  (match Store.Catalog.find cat key with
+  (match Store.Catalog.find cat key ~rows:(R.cardinality rel) with
   | Some q ->
     checki "groups survive" (P.num_groups p) (P.num_groups q);
     checkb "membership survives" true (q.P.gid_of_row = p.P.gid_of_row);
@@ -401,7 +412,9 @@ let test_catalog_v1_compat () =
   (* a hierarchy (level-carrying) key must NOT fall back to flat v1
      entries: levels are distinct partitionings *)
   checkb "level key does not alias v1" true
-    (Store.Catalog.find cat { key with Store.Catalog.level = Some 0 } = None)
+    (Store.Catalog.find cat { key with Store.Catalog.level = Some 0 }
+       ~rows:(R.cardinality rel)
+    = None)
 
 (* Per-level persistence: second resolve does zero partitioning work,
    and coarser levels are shared across differing radii (only the leaf

@@ -436,11 +436,12 @@ let test_write_path_golden () =
   let maintained fp =
     Store.Catalog.entries catalog
     |> List.filter_map (fun (e : Store.Catalog.entry) ->
-           if e.entry_key.fingerprint = fp then Some e.entry_key else None)
-    |> List.sort_uniq (fun a b ->
+           if e.entry_key.fingerprint = fp then Some (e.entry_key, e.rows)
+           else None)
+    |> List.sort_uniq (fun (a, _) (b, _) ->
            compare (Store.Catalog.key_string a) (Store.Catalog.key_string b))
-    |> List.map (fun key ->
-           match Store.Catalog.find catalog key with
+    |> List.map (fun (key, rows) ->
+           match Store.Catalog.find catalog key ~rows with
            | Some p -> (key, p)
            | None -> Alcotest.fail "listed entry not found")
   in

@@ -246,6 +246,79 @@ let test_progressive_equivalence () =
       checkb "descended at least two levels" true
         (gauge t "progressive_level1_groups" > 0))
 
+(* The razor-thin window of test_pkg's "hybrid sketch rescues": no
+   combination of centroids hits it, so the plain sketch is infeasible
+   and only the Section 4.4 ladder's hybrid sketch finds the package. A
+   fleet climbs the ladder a single node climbs: flat, and progressive
+   over a one-level hierarchy, it answers what [pkgq_server] answers. *)
+let test_fleet_ladder () =
+  let schema =
+    Relalg.Schema.make
+      [
+        { Relalg.Schema.name = "a"; ty = Relalg.Value.TFloat };
+        { Relalg.Schema.name = "b"; ty = Relalg.Value.TFloat };
+      ]
+  in
+  let base =
+    R.of_rows schema
+      (List.map
+         (fun (a, b) -> [| Relalg.Value.Float a; Relalg.Value.Float b |])
+         [ (0.0, 1.); (0.2, 2.); (0.4, 3.); (0.6, 4.);
+           (100.0, 1.); (100.2, 2.); (100.4, 3.); (100.6, 4.) ])
+  in
+  let q =
+    "SELECT PACKAGE(R) AS P FROM Rel R REPEAT 0 SUCH THAT COUNT(P.*) = 1 AND \
+     SUM(P.a) BETWEEN 100.55 AND 100.65 MAXIMIZE SUM(P.b)"
+  in
+  let attrs = [ "a" ] and tau = 4 in
+  let levels = Sys.getenv_opt Pkg.Hierarchy.levels_env in
+  Unix.putenv Pkg.Hierarchy.levels_env "1";
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv Pkg.Hierarchy.levels_env (Option.value levels ~default:""))
+  @@ fun () ->
+  List.iter
+    (fun (name, server_method, method_) ->
+      let single =
+        let t =
+          Srv.start
+            {
+              (Srv.default_config ()) with
+              Srv.method_ = server_method;
+              attrs;
+              tau = Some tau;
+              workers = 1;
+              queue = 4;
+              result_cache = 0;
+              plan_cache = 0;
+              log_every = 0.;
+            }
+            base
+        in
+        Fun.protect
+          ~finally:(fun () -> Srv.stop t)
+          (fun () ->
+            let c = Cl.connect ~host:"127.0.0.1" ~port:(Srv.port t) () in
+            Fun.protect
+              ~finally:(fun () -> try Cl.close c with _ -> ())
+              (fun () -> essence (Cl.query c q)))
+      in
+      checkb (name ^ ": the server's ladder finds the package") true
+        (match single with
+        | `Ok (status, _) -> contains status "optimal, obj=4"
+        | _ -> false);
+      let cfg = { (coord_cfg ()) with Co.method_; attrs; tau = Some tau } in
+      with_fleet ("ladder-" ^ name) ~shards:2 ~replicas:0 ~cfg ~base
+        ~extra_args:
+          [ "--attrs"; "a"; "--tau"; string_of_int tau; "--method"; name ]
+        (fun _fleet t ->
+          checkb (name ^ ": fleet equals pkgq_server") true
+            (essence (Co.eval t q) = single)))
+    [
+      ("sketchrefine", Srv.Sketch_refine, `Sketch_refine);
+      ("progressive", Srv.Progressive, `Progressive);
+    ]
+
 let test_breaker_trip_probe_close () =
   let port = free_port () in
   let spec =
@@ -689,6 +762,8 @@ let () =
             test_equivalence;
           Alcotest.test_case "progressive scatter/gather equals single-node"
             `Quick test_progressive_equivalence;
+          Alcotest.test_case "fleet climbs the fallback ladder" `Quick
+            test_fleet_ladder;
           Alcotest.test_case "failover to replica is byte-identical" `Quick
             test_failover_equivalence;
           Alcotest.test_case "breaker trips, probes, closes" `Quick

@@ -254,10 +254,72 @@ let test_corrupt_catalog_entry () =
   output_bytes oc b;
   close_out oc;
   expect_store_error "corrupt catalog entry" (fun () ->
-      Store.Catalog.find cat key);
+      Store.Catalog.find cat key ~rows:(R.cardinality rel));
   (* listing skips the corrupt entry instead of failing *)
   checki "corrupt entry skipped in listing" 0
     (List.length (Store.Catalog.entries cat))
+
+(* The same for a re-sealed catalog entry of a 300-row table: a planted
+   row or group count is refused typed before anything is allocated for
+   it, and so is an entry looked up for a table of another
+   cardinality. *)
+let test_planted_catalog_counts () =
+  let dir = tmp_path "planted-cat" in
+  let cat = Store.Catalog.open_dir dir in
+  let rel = Datagen.Galaxy.generate ~seed:4 300 in
+  let attrs = [ "ra" ] in
+  let key =
+    {
+      Store.Catalog.fingerprint = Store.Segment.fingerprint rel;
+      attrs;
+      tau = 50;
+      radius = P.No_radius;
+      level = None;
+    }
+  in
+  Store.Catalog.store cat key (P.create ~tau:50 ~attrs rel);
+  let path =
+    Filename.concat (Filename.concat dir "partitions")
+      (Store.Catalog.key_id key ^ ".part")
+  in
+  let image = In_channel.with_open_bin path In_channel.input_all in
+  let magic = String.sub image 0 8 in
+  let version = Option.get (Store.Wire.peek_version image) in
+  let body = String.sub image 12 (String.length image - 20) in
+  (* the body: fingerprint, attrs, tau, radius and level tags, then the
+     row count and the group count *)
+  let n_rows_at =
+    4 + String.length key.fingerprint + 4
+    + List.fold_left (fun n a -> n + 4 + String.length a) 0 attrs
+    + 8 + 1 + 1
+  in
+  List.iter
+    (fun (what, offset, counts) ->
+      List.iter
+        (fun count ->
+          let planted = Bytes.of_string body in
+          Bytes.set_int32_le planted offset (Int32.of_int count);
+          Store.Wire.write_file path ~magic ~version
+            (Buffer.of_seq (Bytes.to_seq planted));
+          let before = Gc.allocated_bytes () in
+          expect_store_error
+            (Printf.sprintf "planted %s %d" what count)
+            (fun () -> Store.Catalog.find cat key ~rows:300);
+          let allocated = Gc.allocated_bytes () -. before in
+          checkb
+            (Printf.sprintf "%s %d: %.0f bytes allocated, under 1 MiB" what
+               count allocated)
+            true (allocated < 1048576.))
+        counts)
+    [
+      ("row count", n_rows_at, [ 301; 1_000_000; 0x7fff_ffff ]);
+      ("group count", n_rows_at + 4, [ 1_000_000; 0x7fff_ffff ]);
+    ];
+  Store.Wire.write_file path ~magic ~version (Buffer.of_seq (String.to_seq body));
+  checkb "the entry as stored loads" true
+    (Store.Catalog.find cat key ~rows:300 <> None);
+  expect_store_error "entry for another cardinality" (fun () ->
+      Store.Catalog.find cat key ~rows:301)
 
 (* Injected store faults surface as the same typed error. *)
 let with_faults spec f =
@@ -388,17 +450,18 @@ let test_catalog_hit_no_rebuild () =
       level = None;
     }
   in
-  checkb "cold miss" true (Store.Catalog.find cat key = None);
+  let rows = R.cardinality rel in
+  checkb "cold miss" true (Store.Catalog.find cat key ~rows = None);
   let built = ref 0 in
   let p1, s1 =
-    Store.Catalog.lookup_or_build cat key ~build:(fun () ->
+    Store.Catalog.lookup_or_build cat key ~rows ~build:(fun () ->
         incr built;
         P.create ~tau ~attrs rel)
   in
   checkb "first call builds" true (s1 = `Built && !built = 1);
   (* warm path: the build thunk must never run *)
   let p2, s2 =
-    Store.Catalog.lookup_or_build cat key ~build:(fun () ->
+    Store.Catalog.lookup_or_build cat key ~rows ~build:(fun () ->
         Alcotest.fail "catalog hit must not rebuild")
   in
   checkb "second call hits" true (s2 = `Hit);
@@ -416,10 +479,10 @@ let test_catalog_hit_no_rebuild () =
   | Error m -> Alcotest.fail m);
   (* a different tau is a different key -> miss, not a wrong hit *)
   let other = { key with Store.Catalog.tau = tau + 1 } in
-  checkb "different tau misses" true (Store.Catalog.find cat other = None);
+  checkb "different tau misses" true (Store.Catalog.find cat other ~rows = None);
   let other = { key with Store.Catalog.fingerprint = "0000000000000000" } in
   checkb "different fingerprint misses" true
-    (Store.Catalog.find cat other = None);
+    (Store.Catalog.find cat other ~rows = None);
   (* the entry is listed with its key *)
   match Store.Catalog.entries cat with
   | [ e ] ->
@@ -652,7 +715,7 @@ let test_append_survives_cold_reload () =
   checkb "table bytes survive reload" true (rel_equal rel' reloaded);
   checks "fingerprint stable across processes" fp'
     (Store.Segment.fingerprint reloaded);
-  (match Store.Catalog.find cold (key fp') with
+  (match Store.Catalog.find cold (key fp') ~rows:(R.cardinality rel') with
   | None -> Alcotest.fail "maintained partitioning missing after reload"
   | Some q ->
     checkb "same assignment" true (q.P.gid_of_row = p'.P.gid_of_row);
@@ -662,7 +725,9 @@ let test_append_survives_cold_reload () =
     | Error m -> Alcotest.fail m));
   (* the pre-append entry is still there, under the old fingerprint *)
   checkb "old entry intact" true
-    (Store.Catalog.find cold (key (Store.Segment.fingerprint rel)) <> None)
+    (Store.Catalog.find cold (key (Store.Segment.fingerprint rel))
+       ~rows:(R.cardinality rel)
+    <> None)
 
 (* Publishes go through tempfile+fsync+rename: a finished store leaves
    no temp droppings, and leftovers from a crashed writer are swept on
@@ -710,7 +775,7 @@ let test_catalog_sweeps_stale_tmp () =
     stale;
   (* and the real entry still loads *)
   checkb "entry survives the sweep" true
-    (Store.Catalog.find cold key <> None)
+    (Store.Catalog.find cold key ~rows:(R.cardinality rel) <> None)
 
 (* ------------------------------------------------------------------ *)
 
@@ -730,6 +795,8 @@ let () =
         [
           Alcotest.test_case "corrupt segment" `Quick test_corrupt_segment;
           Alcotest.test_case "planted counts" `Quick test_planted_counts;
+          Alcotest.test_case "planted catalog counts" `Quick
+            test_planted_catalog_counts;
           Alcotest.test_case "corrupt catalog entry" `Quick
             test_corrupt_catalog_entry;
           Alcotest.test_case "injected store faults" `Quick
