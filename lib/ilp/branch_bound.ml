@@ -11,7 +11,7 @@ type stop_reason = Stop_nodes | Stop_time | Stop_iterations | Stop_gap
 
 type stats = {
   nodes : int;
-  simplex_iterations : int;
+  lp : Simplex.work;
   elapsed : float;
   stopped : stop_reason option;
   columns : int;
@@ -264,7 +264,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
   (* Internal objective is minimized: internal = sense_sign * external. *)
   let start = Unix.gettimeofday () in
   let deadline = start +. limits.max_seconds in
-  let nodes = ref 0 and lp_iters = ref 0 in
+  let nodes = ref 0 and work = Simplex.new_work () in
   let sense_sign =
     match p.Problem.sense with Problem.Minimize -> 1. | Problem.Maximize -> -1.
   in
@@ -285,7 +285,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
   let stats () =
     {
       nodes = !nodes;
-      simplex_iterations = !lp_iters;
+      lp = work;
       elapsed = Unix.gettimeofday () -. start;
       stopped = !stop;
       columns = Problem.nvars !fr.fp;
@@ -293,7 +293,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
   in
   let solve_lp ?basis overrides =
     let fr = !fr in
-    let iter_budget = limits.max_simplex_iters - !lp_iters in
+    let iter_budget = limits.max_simplex_iters - Simplex.iterations work in
     if iter_budget <= 0 then begin
       note Stop_iterations;
       Simplex.Iter_limit
@@ -306,8 +306,8 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
         overrides;
       let max_iters = min (Simplex.default_max_iters fr.fp) iter_budget in
       let r =
-        Simplex.Workspace.resolve ?basis ~max_iters ~deadline
-          ~iterations:lp_iters ~lo:fr.cur_lo ~hi:fr.cur_hi fr.ws
+        Simplex.Workspace.resolve ?basis ~max_iters ~deadline ~work
+          ~lo:fr.cur_lo ~hi:fr.cur_hi fr.ws
       in
       List.iter
         (fun (j, _, _) ->

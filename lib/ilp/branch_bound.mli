@@ -39,7 +39,10 @@ val pp_gap : Format.formatter -> float -> unit
 
 type stats = {
   nodes : int;
-  simplex_iterations : int;
+  lp : Lp.Simplex.work;
+      (** every simplex call of the search: its pivots
+          ({!Lp.Simplex.iterations} of them count against
+          [max_simplex_iters]) and its cold and warm runs *)
   elapsed : float;       (** seconds *)
   stopped : stop_reason option;
       (** [None] when the search ran to natural completion *)

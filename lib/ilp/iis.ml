@@ -1,10 +1,10 @@
 open Lp
 
-let is_infeasible p =
-  match Simplex.solve p with Simplex.Infeasible -> true | _ -> false
+let is_infeasible ?work p =
+  match Simplex.solve ?work p with Simplex.Infeasible -> true | _ -> false
 
-let rows (p : Problem.t) =
-  if not (is_infeasible p) then None
+let rows ?work (p : Problem.t) =
+  if not (is_infeasible ?work p) then None
   else begin
     let m = Problem.nrows p in
     let kept = Array.make m true in
@@ -16,7 +16,7 @@ let rows (p : Problem.t) =
     in
     for i = 0 to m - 1 do
       kept.(i) <- false;
-      if not (is_infeasible (restricted ())) then kept.(i) <- true
+      if not (is_infeasible ?work (restricted ())) then kept.(i) <- true
     done;
     let out = ref [] in
     for i = m - 1 downto 0 do

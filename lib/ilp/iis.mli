@@ -6,6 +6,7 @@
     The paper (Section 4.4) uses the solver's IIS facility to decide
     which partitioning attributes to drop on false infeasibility. *)
 
-(** [rows p] is the list of row indices forming an IIS of the LP
-    relaxation of [p], or [None] when [p] is feasible. *)
-val rows : Lp.Problem.t -> int list option
+(** [rows ?work p] is the list of row indices forming an IIS of the LP
+    relaxation of [p], or [None] when [p] is feasible. Its LPs are
+    charged to [work]. *)
+val rows : ?work:Lp.Simplex.work -> Lp.Problem.t -> int list option

@@ -88,48 +88,39 @@ let pp_result ppf = function
   | Iter_limit -> Format.pp_print_string ppf "iteration limit"
 
 (* ------------------------------------------------------------------ *)
-(* Global solver counters (process-wide, thread-safe).                 *)
+(* Work counts, charged to a record the caller owns.                   *)
 
-let c_pivots = Atomic.make 0
-let c_dual_pivots = Atomic.make 0
-let c_refactorizations = Atomic.make 0
-let c_cold_solves = Atomic.make 0
-let c_warm_attempts = Atomic.make 0
-let c_warm_hits = Atomic.make 0
-
-type counters = {
-  pivots : int;
-  dual_pivots : int;
-  refactorizations : int;
-  cold_solves : int;
-  warm_attempts : int;
-  warm_hits : int;
+type work = {
+  mutable pivots : int;
+  mutable dual_pivots : int;
+  mutable refactorizations : int;
+  mutable cold_solves : int;
+  mutable warm_attempts : int;
+  mutable warm_hits : int;
 }
 
-let counters () =
+let new_work () =
   {
-    pivots = Atomic.get c_pivots;
-    dual_pivots = Atomic.get c_dual_pivots;
-    refactorizations = Atomic.get c_refactorizations;
-    cold_solves = Atomic.get c_cold_solves;
-    warm_attempts = Atomic.get c_warm_attempts;
-    warm_hits = Atomic.get c_warm_hits;
+    pivots = 0;
+    dual_pivots = 0;
+    refactorizations = 0;
+    cold_solves = 0;
+    warm_attempts = 0;
+    warm_hits = 0;
   }
 
-let reset_counters () =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [
-      c_pivots;
-      c_dual_pivots;
-      c_refactorizations;
-      c_cold_solves;
-      c_warm_attempts;
-      c_warm_hits;
-    ]
+let add_work ~into w =
+  into.pivots <- into.pivots + w.pivots;
+  into.dual_pivots <- into.dual_pivots + w.dual_pivots;
+  into.refactorizations <- into.refactorizations + w.refactorizations;
+  into.cold_solves <- into.cold_solves + w.cold_solves;
+  into.warm_attempts <- into.warm_attempts + w.warm_attempts;
+  into.warm_hits <- into.warm_hits + w.warm_hits
+
+let iterations w = w.pivots + w.dual_pivots
 
 (* ------------------------------------------------------------------ *)
-(* Knobs: warm-start master switch and pricing worker count.           *)
+(* Warm-start master switch.                                           *)
 
 let truthy s =
   match String.lowercase_ascii (String.trim s) with
@@ -142,166 +133,6 @@ let warm_flag =
 
 let warm_enabled () = Atomic.get warm_flag
 let set_warm_enabled b = Atomic.set warm_flag b
-
-let workers_flag =
-  Atomic.make
-    (match Sys.getenv_opt "PKGQ_PRICE_WORKERS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> 1)
-    | None -> 1)
-
-let price_workers () = Atomic.get workers_flag
-
-(* Columns are priced in fixed-size chunks; the chunk size is
-   deliberately independent of the worker count (same idiom as
-   Relalg.Scan) and selection is a total order, so any execution
-   schedule returns the same entering column. *)
-let price_chunk = 4096
-
-(* Parallel pricing only pays for itself on wide problems: below this
-   many columns the scan is cheaper than a pool round-trip. *)
-let parallel_threshold = 8192
-
-(* ------------------------------------------------------------------ *)
-(* A small persistent worker pool for pricing scans. Workers idle on a
-   condition variable between solves; one solve at a time may hold the
-   pool (concurrent solves fall back to serial pricing, which returns
-   identical results). *)
-
-module Pool = struct
-  type t = {
-    mu : Mutex.t;
-    work : Condition.t;
-    idle : Condition.t;
-    mutable job : (int -> unit) option;
-    mutable gen : int;
-    mutable next : int;
-    mutable nchunks : int;
-    mutable pending : int;
-    mutable stop : bool;
-    mutable domains : unit Domain.t list;
-  }
-
-  (* Claim and run chunks until none remain. Called (and returns) with
-     [t.mu] held. *)
-  let rec drain t f =
-    if t.next < t.nchunks then begin
-      let i = t.next in
-      t.next <- t.next + 1;
-      Mutex.unlock t.mu;
-      f i;
-      Mutex.lock t.mu;
-      t.pending <- t.pending - 1;
-      if t.pending = 0 then Condition.broadcast t.idle;
-      drain t f
-    end
-
-  let worker t =
-    let seen = ref 0 in
-    Mutex.lock t.mu;
-    let rec loop () =
-      if t.stop then Mutex.unlock t.mu
-      else begin
-        (match t.job with
-        | Some f when t.gen <> !seen ->
-          seen := t.gen;
-          drain t f
-        | _ -> Condition.wait t.work t.mu);
-        loop ()
-      end
-    in
-    loop ()
-
-  let create size =
-    let t =
-      {
-        mu = Mutex.create ();
-        work = Condition.create ();
-        idle = Condition.create ();
-        job = None;
-        gen = 0;
-        next = 0;
-        nchunks = 0;
-        pending = 0;
-        stop = false;
-        domains = [];
-      }
-    in
-    t.domains <- List.init size (fun _ -> Domain.spawn (fun () -> worker t));
-    t
-
-  let run t nchunks f =
-    Mutex.lock t.mu;
-    t.job <- Some f;
-    t.gen <- t.gen + 1;
-    t.next <- 0;
-    t.nchunks <- nchunks;
-    t.pending <- nchunks;
-    Condition.broadcast t.work;
-    drain t f;
-    while t.pending > 0 do
-      Condition.wait t.idle t.mu
-    done;
-    t.job <- None;
-    Mutex.unlock t.mu
-
-  let shutdown t =
-    Mutex.lock t.mu;
-    t.stop <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mu;
-    List.iter Domain.join t.domains;
-    t.domains <- []
-end
-
-let pool_mu = Mutex.create ()
-let global_pool : Pool.t option ref = ref None
-let pool_busy = ref false
-
-let set_price_workers n =
-  let n = max 1 n in
-  let old =
-    Mutex.protect pool_mu (fun () ->
-        Atomic.set workers_flag n;
-        let p = !global_pool in
-        global_pool := None;
-        p)
-  in
-  match old with Some p -> Pool.shutdown p | None -> ()
-
-(* Borrow the shared pricing pool for the duration of one solve.
-   [f] receives [None] when the problem is too narrow, the knob is off,
-   or another solve already holds the pool. *)
-let with_pool ncols f =
-  let w = price_workers () in
-  if w <= 1 || ncols < parallel_threshold then f None
-  else begin
-    let p =
-      Mutex.protect pool_mu (fun () ->
-          if !pool_busy then None
-          else begin
-            let p =
-              match !global_pool with
-              | Some p -> p
-              | None ->
-                let p = Pool.create (w - 1) in
-                global_pool := Some p;
-                p
-            in
-            pool_busy := true;
-            Some p
-          end)
-    in
-    match p with
-    | None -> f None
-    | Some p ->
-      Fun.protect
-        ~finally:(fun () -> Mutex.protect pool_mu (fun () -> pool_busy := false))
-        (fun () -> f (Some p))
-  end
-
 
 (* ------------------------------------------------------------------ *)
 
@@ -333,6 +164,7 @@ type state = {
   y : float array; (* scratch: duals *)
   w : float array; (* scratch: B^-1 A_q *)
   mutable tol : float;
+  mutable work : work; (* the running call's counts *)
 }
 
 exception Singular_basis
@@ -340,7 +172,7 @@ exception Singular_basis
 (* Rebuild binv = B^-1 from scratch by Gauss-Jordan with partial
    pivoting. The basis matrix has the columns [basis.(i)]. *)
 let refactorize st =
-  Atomic.incr c_refactorizations;
+  st.work.refactorizations <- st.work.refactorizations + 1;
   let m = st.m in
   let b = Array.make_matrix m m 0. in
   for i = 0 to m - 1 do
@@ -421,21 +253,17 @@ let compute_duals st =
     st.y.(k) <- !acc
   done
 
-(* Dantzig pricing over one chunk of columns. Selection is the maximum
-   under the total order (|d| desc, column asc), so the global winner
-   is independent of how the column range is chunked — parallel and
-   serial pricing agree bit-for-bit at any worker count. With [~bland]
-   the scan stops at the first eligible column instead (Bland's rule:
-   index-minimal, hence trivially schedule-independent). Returns
-   (column, direction, score) with column = -1 when the chunk has no
-   eligible candidate. *)
-let price_range st ~bland ~jlo ~jhi =
+(* Dantzig pricing: the entering column of largest |d| (the first one
+   on ties) and its direction (+1. increase / -1. decrease), or None at
+   optimality. With [~bland] the scan stops at the first eligible
+   column instead (Bland's rule). *)
+let price st ~bland =
   let tol = st.tol in
   let status = st.status and lo = st.lo and hi = st.hi and cost = st.cost in
   let cstart = st.cstart and crow = st.crow and cval = st.cval and y = st.y in
   let best = ref (-1) and best_dir = ref 0. and best_score = ref tol in
-  let j = ref jlo in
-  while !j < jhi && not (bland && !best >= 0) do
+  let j = ref 0 in
+  while !j < st.ncols && not (bland && !best >= 0) do
     let j' = !j in
     let kind = status.(j') in
     if kind <> Basic && hi.(j') -. lo.(j') > tol then begin
@@ -463,33 +291,7 @@ let price_range st ~bland ~jlo ~jhi =
     end;
     incr j
   done;
-  (!best, !best_dir, !best_score)
-
-(* Price nonbasic columns; return the entering column and its direction
-   (+1. increase / -1. decrease), or None at optimality. Bland scans
-   are always serial. *)
-let price ?pool st ~bland =
-  match pool with
-  | Some p when not bland ->
-    let nchunks = (st.ncols + price_chunk - 1) / price_chunk in
-    let res = Array.make nchunks (-1, 0., 0.) in
-    Pool.run p nchunks (fun ci ->
-        let jlo = ci * price_chunk in
-        let jhi = min st.ncols (jlo + price_chunk) in
-        res.(ci) <- price_range st ~bland ~jlo ~jhi);
-    let best = ref (-1) and best_dir = ref 0. and best_score = ref st.tol in
-    Array.iter
-      (fun (j, dir, score) ->
-        if j >= 0 && score > !best_score then begin
-          best := j;
-          best_dir := dir;
-          best_score := score
-        end)
-      res;
-    if !best >= 0 then Some (!best, !best_dir) else None
-  | _ ->
-    let j, dir, _ = price_range st ~bland ~jlo:0 ~jhi:st.ncols in
-    if j >= 0 then Some (j, dir) else None
+  if !best >= 0 then Some (!best, !best_dir) else None
 
 (* w := B^-1 A_q *)
 let ftran st q =
@@ -588,7 +390,7 @@ type loop_outcome = L_optimal | L_unbounded | L_iter_limit
 (* Core iteration loop shared by both phases. The wall-clock deadline is
    polled every 128 iterations so a single LP solve cannot overshoot a
    propagated budget by more than a handful of pivots. *)
-let iterate ?pool st ~max_iters ?deadline iters_ref =
+let iterate st ~max_iters ?deadline iters_ref =
   let degen = ref 0 in
   let bland = ref false in
   let since_refactor = ref 0 in
@@ -603,14 +405,14 @@ let iterate ?pool st ~max_iters ?deadline iters_ref =
       outcome := Some L_iter_limit
     else begin
       incr iters_ref;
-      Atomic.incr c_pivots;
+      st.work.pivots <- st.work.pivots + 1;
       if !since_refactor >= 100 then begin
         refactorize st;
         recompute_basics st;
         since_refactor := 0
       end;
       compute_duals st;
-      match price ?pool st ~bland:!bland with
+      match price st ~bland:!bland with
       | None -> outcome := Some L_optimal
       | Some (q, dir) -> (
         ftran st q;
@@ -661,14 +463,12 @@ let iterate ?pool st ~max_iters ?deadline iters_ref =
 (* Dual simplex: drives a primal-infeasible but (near) dual-feasible
    basis back to primal feasibility after bounds changed under it.      *)
 
-(* Dual ratio test over one chunk of columns for leaving row [rho]
-   (row r of B^-1). [upward] is true when the leaving basic variable
-   must increase (it sits below its lower bound). Selection is the
-   minimum under the total order (|d|/|alpha| asc, |alpha| desc,
-   column asc) — chunk-independent, like primal pricing. Returns
-   (column, direction, ratio, |alpha|, |d|), column = -1 when the
-   chunk has no eligible candidate. *)
-let dual_range st rho ~upward ~jlo ~jhi =
+(* Dual ratio test for leaving row [rho] (row r of B^-1). [upward] is
+   true when the leaving basic variable must increase (it sits below its
+   lower bound). The entering column has the least |d|/|alpha|, then
+   the largest |alpha|, then the least index. Returns (column,
+   direction, |d|), or None when no column is eligible. *)
+let dual_select st rho ~upward =
   let tol = st.tol in
   let status = st.status and lo = st.lo and hi = st.hi and cost = st.cost in
   let cstart = st.cstart and crow = st.crow and cval = st.cval and y = st.y in
@@ -677,7 +477,7 @@ let dual_range st rho ~upward ~jlo ~jhi =
   and bratio = ref infinity
   and babs = ref 0.
   and babsd = ref 0. in
-  for j = jlo to jhi - 1 do
+  for j = 0 to st.ncols - 1 do
     let kind = status.(j) in
     if kind <> Basic && hi.(j) -. lo.(j) > tol then begin
       (* alpha_j = rho.A_j and the reduced cost d_j = c_j - y.A_j, in
@@ -712,11 +512,7 @@ let dual_range st rho ~upward ~jlo ~jhi =
         let aabs = Float.abs alpha in
         let dabs = Float.abs !d in
         let ratio = dabs /. aabs in
-        if
-          ratio < !bratio
-          || (ratio = !bratio
-             && (aabs > !babs || (aabs = !babs && j < !bj)))
-        then begin
+        if ratio < !bratio || (ratio = !bratio && aabs > !babs) then begin
           bj := j;
           bdir := dir;
           bratio := ratio;
@@ -726,43 +522,7 @@ let dual_range st rho ~upward ~jlo ~jhi =
       end
     end
   done;
-  (!bj, !bdir, !bratio, !babs, !babsd)
-
-(* Entering-column selection for the dual pivot; same chunk-merge
-   discipline as [price]. *)
-let dual_select ?pool st rho ~upward =
-  match pool with
-  | Some p ->
-    let nchunks = (st.ncols + price_chunk - 1) / price_chunk in
-    let res = Array.make nchunks (-1, 0., infinity, 0., 0.) in
-    Pool.run p nchunks (fun ci ->
-        let jlo = ci * price_chunk in
-        let jhi = min st.ncols (jlo + price_chunk) in
-        res.(ci) <- dual_range st rho ~upward ~jlo ~jhi);
-    let bj = ref (-1)
-    and bdir = ref 0.
-    and bratio = ref infinity
-    and babs = ref 0.
-    and babsd = ref 0. in
-    Array.iter
-      (fun (j, dir, ratio, aabs, dabs) ->
-        if
-          j >= 0
-          && (ratio < !bratio
-             || (ratio = !bratio
-                && (aabs > !babs || (aabs = !babs && j < !bj))))
-        then begin
-          bj := j;
-          bdir := dir;
-          bratio := ratio;
-          babs := aabs;
-          babsd := dabs
-        end)
-      res;
-    if !bj >= 0 then Some (!bj, !bdir, !babsd) else None
-  | None ->
-    let j, dir, _, _, dabs = dual_range st rho ~upward ~jlo:0 ~jhi:st.ncols in
-    if j >= 0 then Some (j, dir, dabs) else None
+  if !bj >= 0 then Some (!bj, !bdir, !babsd) else None
 
 type dual_outcome = D_feasible | D_infeasible | D_stalled | D_iter_limit
 
@@ -770,7 +530,7 @@ type dual_outcome = D_feasible | D_infeasible | D_stalled | D_iter_limit
    variable until the point is primal feasible. [D_infeasible] and
    [D_stalled] are advisory — callers confirm with a cold solve rather
    than trusting a warm-start certificate. *)
-let dual_iterate ?pool st ~max_iters ?deadline iters_ref =
+let dual_iterate st ~max_iters ?deadline iters_ref =
   let since_refactor = ref 0 in
   let stall = ref 0 in
   let outcome = ref None in
@@ -803,7 +563,7 @@ let dual_iterate ?pool st ~max_iters ?deadline iters_ref =
       outcome := Some D_iter_limit
     else begin
       incr iters_ref;
-      Atomic.incr c_dual_pivots;
+      st.work.dual_pivots <- st.work.dual_pivots + 1;
       if !since_refactor >= 100 then begin
         refactorize st;
         recompute_basics st;
@@ -811,7 +571,7 @@ let dual_iterate ?pool st ~max_iters ?deadline iters_ref =
       end;
       compute_duals st;
       let rho = st.binv.(!r) in
-      match dual_select ?pool st rho ~upward:!upward with
+      match dual_select st rho ~upward:!upward with
       | None -> outcome := Some D_infeasible
       | Some (q, dir, dabs) ->
         ftran st q;
@@ -932,6 +692,7 @@ let build ~who (p : Problem.t) =
     y = Array.make mm 0.;
     w = Array.make mm 0.;
     tol = 1e-7;
+    work = new_work ();
   }
 
 (* Export the final basis for reuse by a later [resolve]. Declined when
@@ -977,7 +738,7 @@ let load_costs st =
    array it reads is (re)initialised here, so it runs on a fresh state
    and after any earlier solve on the same one alike. *)
 let cold_run st ~max_iters ?deadline iters =
-  Atomic.incr c_cold_solves;
+  st.work.cold_solves <- st.work.cold_solves + 1;
   let n = st.n and m = st.m and tol = st.tol in
   let lo = st.lo and hi = st.hi and status = st.status and xval = st.xval in
   load_costs st;
@@ -1053,54 +814,52 @@ let cold_run st ~max_iters ?deadline iters =
     done;
     if !unbounded then Unbounded else optimal st iters
   end
-  else
-    with_pool ncols @@ fun pool ->
-    begin
-      refactorize st;
-      (* Phase 1: minimize the sum of artificials. *)
-      let result =
-        if !nart > 0 then begin
-          (* phase-1 objective: artificials only *)
-          Array.fill st.cost 0 n 0.;
-          for z = n + m to ncols - 1 do
-            st.cost.(z) <- 1.
-          done;
-          match iterate ?pool st ~max_iters ?deadline iters with
-          | L_iter_limit -> Some Iter_limit
-          | L_unbounded ->
-            (* phase-1 objective is bounded below by zero *)
-            Some Infeasible
-          | L_optimal ->
-            if current_cost st > Float.max 1e-7 (tol *. 10.) then
-              Some Infeasible
-            else begin
-              (* pin artificials at zero and restore true costs *)
-              Array.blit st.obj 0 st.cost 0 n;
-              for z = n + m to ncols - 1 do
-                st.cost.(z) <- 0.;
-                st.hi.(z) <- 0.;
-                if st.status.(z) <> Basic then begin
-                  st.status.(z) <- At_lower;
-                  st.xval.(z) <- 0.
-                end
-              done;
-              None
-            end
-        end
-        else None
-      in
-      match result with
-      | Some r -> r
-      | None -> (
-        (* Phase 2 with the real costs. *)
-        match iterate ?pool st ~max_iters ?deadline iters with
-        | L_iter_limit -> Iter_limit
-        | L_unbounded -> Unbounded
+  else begin
+    refactorize st;
+    (* Phase 1: minimize the sum of artificials. *)
+    let result =
+      if !nart > 0 then begin
+        (* phase-1 objective: artificials only *)
+        Array.fill st.cost 0 n 0.;
+        for z = n + m to ncols - 1 do
+          st.cost.(z) <- 1.
+        done;
+        match iterate st ~max_iters ?deadline iters with
+        | L_iter_limit -> Some Iter_limit
+        | L_unbounded ->
+          (* phase-1 objective is bounded below by zero *)
+          Some Infeasible
         | L_optimal ->
-          refactorize st;
-          recompute_basics st;
-          optimal st iters)
-    end
+          if current_cost st > Float.max 1e-7 (tol *. 10.) then
+            Some Infeasible
+          else begin
+            (* pin artificials at zero and restore true costs *)
+            Array.blit st.obj 0 st.cost 0 n;
+            for z = n + m to ncols - 1 do
+              st.cost.(z) <- 0.;
+              st.hi.(z) <- 0.;
+              if st.status.(z) <> Basic then begin
+                st.status.(z) <- At_lower;
+                st.xval.(z) <- 0.
+              end
+            done;
+            None
+          end
+      end
+      else None
+    in
+    match result with
+    | Some r -> r
+    | None -> (
+      (* Phase 2 with the real costs. *)
+      match iterate st ~max_iters ?deadline iters with
+      | L_iter_limit -> Iter_limit
+      | L_unbounded -> Unbounded
+      | L_optimal ->
+        refactorize st;
+        recompute_basics st;
+        optimal st iters)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Warm restart from a saved basis.                                    *)
@@ -1175,21 +934,20 @@ let warm_run st b ~max_iters ?deadline iters =
     install_basis st b;
     refactorize st;
     recompute_basics st;
-    with_pool st.ncols @@ fun pool ->
-    match dual_iterate ?pool st ~max_iters ?deadline iters with
+    match dual_iterate st ~max_iters ?deadline iters with
     | D_infeasible | D_stalled ->
       (* never certify infeasibility (or give up) from a warm start:
          confirm with a cold solve *)
       None
     | D_iter_limit -> Some Iter_limit
     | D_feasible -> (
-      match iterate ?pool st ~max_iters ?deadline iters with
+      match iterate st ~max_iters ?deadline iters with
       | L_iter_limit -> Some Iter_limit
       | L_unbounded -> None
       | L_optimal ->
         refactorize st;
         recompute_basics st;
-        Atomic.incr c_warm_hits;
+        st.work.warm_hits <- st.work.warm_hits + 1;
         Some (optimal st iters))
   with
   | r -> r
@@ -1197,9 +955,11 @@ let warm_run st b ~max_iters ?deadline iters =
 
 (* Solve under the bounds loaded in [st]: warm from [basis] when one is
    given and warm starts are on, cold otherwise or when the warm attempt
-   fails. [iterations] is charged on every non-exceptional exit. *)
-let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?iterations () =
+   fails. Every count lands in [work] as it happens. *)
+let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?(work = new_work ())
+    () =
   st.tol <- tol;
+  st.work <- work;
   let max_iters =
     match max_iters with Some k -> k | None -> default_max_iters st.prob
   in
@@ -1207,7 +967,7 @@ let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?iterations () =
   let result =
     match basis with
     | Some b when warm_enabled () -> (
-      Atomic.incr c_warm_attempts;
+      st.work.warm_attempts <- st.work.warm_attempts + 1;
       match warm_run st b ~max_iters ?deadline iters with
       | Some r -> r
       | None ->
@@ -1221,23 +981,22 @@ let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?iterations () =
         r)
     | _ -> cold_run st ~max_iters ?deadline iters
   in
-  (match iterations with Some acc -> acc := !acc + !iters | None -> ());
   result
 
-let solve ?max_iters ?tol ?deadline ?iterations p =
-  run (build ~who:"Simplex.solve" p) ?max_iters ?tol ?deadline ?iterations ()
+let solve ?max_iters ?tol ?deadline ?work p =
+  run (build ~who:"Simplex.solve" p) ?max_iters ?tol ?deadline ?work ()
 
-let resolve ?basis ?max_iters ?tol ?deadline ?iterations p =
+let resolve ?basis ?max_iters ?tol ?deadline ?work p =
   run
     (build ~who:"Simplex.resolve" p)
-    ?basis ?max_iters ?tol ?deadline ?iterations ()
+    ?basis ?max_iters ?tol ?deadline ?work ()
 
 module Workspace = struct
   type t = state
 
   let create p = build ~who:"Simplex.Workspace.create" p
 
-  let resolve ?basis ?max_iters ?tol ?deadline ?iterations ~lo ~hi st =
+  let resolve ?basis ?max_iters ?tol ?deadline ?work ~lo ~hi st =
     let n = st.n in
     if Array.length lo <> n || Array.length hi <> n then
       invalid_arg "Simplex.Workspace.resolve: bounds do not match the columns";
@@ -1248,7 +1007,7 @@ module Workspace = struct
     done;
     Array.blit lo 0 st.lo 0 n;
     Array.blit hi 0 st.hi 0 n;
-    run st ?basis ?max_iters ?tol ?deadline ?iterations ()
+    run st ?basis ?max_iters ?tol ?deadline ?work ()
 
   let duals st =
     compute_duals st;

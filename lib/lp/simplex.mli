@@ -21,13 +21,14 @@
     cold {!solve}, so a stale basis can cost time but never change an
     answer.
 
-    {2 Parallel pricing}
+    {2 Pricing}
 
-    When [PKGQ_PRICE_WORKERS > 1] (or {!set_price_workers}) and the
-    problem is wide enough, the reduced-cost scan is striped over a
-    persistent domain pool in fixed-size chunks. Candidate selection is
-    a total order ((|d|) desc, column asc — and the dual analogue), so
-    the chosen pivot is bit-identical at any worker count. *)
+    One serial scan over the columns per pivot: Dantzig's largest
+    [|d|], first column on ties, and the dual ratio test's least
+    [|d| / |alpha|], then largest [|alpha|], then first column. The
+    solver keeps no process-wide state beyond the {!warm_enabled}
+    switch: what a call did is counted in a {!work} record its caller
+    owns. *)
 
 (** A saved simplex basis over the structural + slack columns. *)
 module Basis : sig
@@ -67,33 +68,57 @@ type result =
 (** Default pivot budget for a problem: [20_000 + 4 * (nvars + nrows)]. *)
 val default_max_iters : Problem.t -> int
 
-(** [solve ?max_iters ?tol ?deadline ?iterations p] solves the LP
-    relaxation of [p] (integrality flags are ignored). [tol] is the
-    feasibility/dual tolerance (default [1e-7]). [deadline] is an
-    absolute wall-clock time ([Unix.gettimeofday] scale) polled every
-    128 pivots; crossing it returns [Iter_limit]. [iterations], when
-    given, is incremented by the number of pivots performed on {e
-    every} exit path — including [Infeasible], [Unbounded] and
-    [Iter_limit], which carry no solution record of their own. *)
+(** {2 Work counts}
+
+    What simplex calls did, added up in a record the caller owns and
+    hands to each call it wants counted. *)
+
+type work = {
+  mutable pivots : int;  (** primal pivots (both phases) *)
+  mutable dual_pivots : int;
+  mutable refactorizations : int;
+  mutable cold_solves : int;  (** cold runs, including warm fallbacks *)
+  mutable warm_attempts : int;  (** calls that had a basis to start from *)
+  mutable warm_hits : int;  (** warm attempts that finished without falling cold *)
+}
+
+(** A record of zero counts. *)
+val new_work : unit -> work
+
+(** [add_work ~into w] adds every count of [w] into [into]. *)
+val add_work : into:work -> work -> unit
+
+(** [iterations w] is [w.pivots + w.dual_pivots]: the pivots that count
+    against a [max_iters] budget. *)
+val iterations : work -> int
+
+(** [solve ?max_iters ?tol ?deadline ?work p] solves the LP relaxation
+    of [p] (integrality flags are ignored). [tol] is the feasibility/dual
+    tolerance (default [1e-7]). [deadline] is an absolute wall-clock
+    time ([Unix.gettimeofday] scale) polled every 128 pivots; crossing
+    it returns [Iter_limit]. [work], when given, is charged with the
+    call's pivots, refactorizations and cold or warm runs on {e every}
+    exit path — including [Infeasible], [Unbounded] and [Iter_limit],
+    which carry no solution record of their own. *)
 val solve :
   ?max_iters:int ->
   ?tol:float ->
   ?deadline:float ->
-  ?iterations:int ref ->
+  ?work:work ->
   Problem.t ->
   result
 
 (** [resolve ?basis ...] is {!solve} that warm-starts from [basis] when
     one is given (and warm starts are enabled). Same budget semantics
-    as {!solve}; dual pivots count against the same [max_iters] /
-    [iterations] budget, and pivots burned by a rejected warm attempt
-    are charged before the internal cold fallback runs. *)
+    as {!solve}; dual pivots count against the same [max_iters]
+    budget, and pivots burned by a rejected warm attempt are charged
+    before the internal cold fallback runs. *)
 val resolve :
   ?basis:Basis.t ->
   ?max_iters:int ->
   ?tol:float ->
   ?deadline:float ->
-  ?iterations:int ref ->
+  ?work:work ->
   Problem.t ->
   result
 
@@ -123,7 +148,7 @@ module Workspace : sig
     ?max_iters:int ->
     ?tol:float ->
     ?deadline:float ->
-    ?iterations:int ref ->
+    ?work:work ->
     lo:float array ->
     hi:float array ->
     t ->
@@ -143,33 +168,10 @@ end
 
 val pp_result : Format.formatter -> result -> unit
 
-(** {2 Knobs} *)
+(** {2 Warm-start switch} *)
 
 (** Master switch for warm starts (env [PKGQ_WARM], default on). With
     warm starts off, {!resolve} ignores its basis and solves cold. *)
 val warm_enabled : unit -> bool
 
 val set_warm_enabled : bool -> unit
-
-(** Pricing worker count (env [PKGQ_PRICE_WORKERS], default 1).
-    {!set_price_workers} tears down and re-sizes the shared pricing
-    pool; call it only between solves. *)
-val price_workers : unit -> int
-
-val set_price_workers : int -> unit
-
-(** {2 Counters}
-
-    Process-wide, monotonic, thread-safe. *)
-
-type counters = {
-  pivots : int;  (** primal pivots (both phases) *)
-  dual_pivots : int;
-  refactorizations : int;
-  cold_solves : int;  (** [solve] entries, including warm fallbacks *)
-  warm_attempts : int;  (** [resolve] entries that had a usable basis *)
-  warm_hits : int;  (** warm attempts that finished without falling cold *)
-}
-
-val counters : unit -> counters
-val reset_counters : unit -> unit

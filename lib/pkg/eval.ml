@@ -79,23 +79,32 @@ type counters = {
   mutable nodes : int;
   mutable simplex_iterations : int;
   mutable backtracks : int;
+  lp : Lp.Simplex.work;
 }
 
 let fresh_counters () =
-  { ilp_calls = 0; nodes = 0; simplex_iterations = 0; backtracks = 0 }
+  {
+    ilp_calls = 0;
+    nodes = 0;
+    simplex_iterations = 0;
+    backtracks = 0;
+    lp = Lp.Simplex.new_work ();
+  }
 
 let bump c result =
   let stats = Ilp.Branch_bound.stats_of result in
   c.ilp_calls <- c.ilp_calls + 1;
   c.nodes <- c.nodes + stats.Ilp.Branch_bound.nodes;
   c.simplex_iterations <-
-    c.simplex_iterations + stats.Ilp.Branch_bound.simplex_iterations
+    c.simplex_iterations + Lp.Simplex.iterations stats.Ilp.Branch_bound.lp;
+  Lp.Simplex.add_work ~into:c.lp stats.Ilp.Branch_bound.lp
 
 let absorb c (from : counters) =
   c.ilp_calls <- c.ilp_calls + from.ilp_calls;
   c.nodes <- c.nodes + from.nodes;
   c.simplex_iterations <- c.simplex_iterations + from.simplex_iterations;
-  c.backtracks <- c.backtracks + from.backtracks
+  c.backtracks <- c.backtracks + from.backtracks;
+  Lp.Simplex.add_work ~into:c.lp from.lp
 
 type report = {
   status : status;

@@ -105,7 +105,12 @@ type counters = {
   mutable ilp_calls : int;
   mutable nodes : int;
   mutable simplex_iterations : int;
+      (** pivots of the branch-and-bound searches *)
   mutable backtracks : int;
+  lp : Lp.Simplex.work;
+      (** every simplex call of the evaluation, the searches' and the
+          IIS probes' alike: pivots, refactorizations, cold and warm
+          runs *)
 }
 
 val fresh_counters : unit -> counters

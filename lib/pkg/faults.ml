@@ -478,7 +478,7 @@ let repl_lag () =
 let zero_stats problem stopped =
   {
     Ilp.Branch_bound.nodes = 0;
-    simplex_iterations = 0;
+    lp = Lp.Simplex.new_work ();
     elapsed = 0.;
     stopped;
     columns = Lp.Problem.nvars problem;

@@ -116,7 +116,7 @@ val seed :
     [Degraded]. Returns the report plus per-level stats (coarsest
     first).
     Deterministic: identical hierarchies and options yield identical
-    packages for any [PKGQ_SCAN_WORKERS] / [PKGQ_PRICE_WORKERS]. *)
+    packages for any [PKGQ_SCAN_WORKERS]. *)
 val run :
   ?options:options ->
   Paql.Translate.spec ->

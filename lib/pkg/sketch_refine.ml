@@ -92,8 +92,8 @@ let hybrid_sketch ?limits ?deadline (ctx : Sketch.ctx) counters j =
 
 (* Partitioning attributes implicated by an IIS of the sketch ILP
    (Section 4.4.3). *)
-let iis_attrs (ctx : Sketch.ctx) =
-  match Ilp.Iis.rows (snd (Sketch.problem ctx)) with
+let iis_attrs (ctx : Sketch.ctx) (counters : Eval.counters) =
+  match Ilp.Iis.rows ~work:counters.Eval.lp (snd (Sketch.problem ctx)) with
   | None -> []
   | Some rows ->
     let constraints = Array.of_list ctx.Sketch.spec.Paql.Translate.constraints in
@@ -227,7 +227,7 @@ let drive ?(options = default_options) ?refine seed =
         try_hybrid 0 ~on_exhausted:(fun () -> fallback_chain rest)
       | Drop_attributes :: rest -> (
         Log.info (fun k -> k "falling back: IIS-guided attribute dropping");
-        match iis_attrs ctx with
+        match iis_attrs ctx counters with
         | [] -> fallback_chain rest
         | bad ->
           let remaining =

@@ -50,6 +50,11 @@ let get t name =
 let set_gauge t name v =
   Mutex.protect t.mu (fun () -> cell t.gauges name := v)
 
+let add_gauge t name v =
+  Mutex.protect t.mu (fun () ->
+      let r = cell t.gauges name in
+      r := !r + v)
+
 let get_gauge t name =
   Mutex.protect t.mu (fun () ->
       match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0)

@@ -24,6 +24,9 @@ val get : t -> string -> int
 
 val set_gauge : t -> string -> int -> unit
 
+(** [add_gauge t name v] adds [v] to the gauge, as one update. *)
+val add_gauge : t -> string -> int -> unit
+
 val get_gauge : t -> string -> int
 
 (** {1 Latency histograms}

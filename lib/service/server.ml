@@ -294,19 +294,21 @@ let cacheable (r : Pkg.Eval.report) =
   | Pkg.Eval.Feasible gap -> gap <= Pkg.Eval.rel_gap
   | Pkg.Eval.Failed _ | Pkg.Eval.Degraded _ -> false
 
-(* The STATS verb reports the process-wide simplex counters as gauges:
-   they are cumulative totals read from [Lp.Simplex.counters], so a
-   re-sync after every solve is idempotent under concurrency (no
-   delta-accounting to double count). *)
-let sync_solver_gauges metrics =
-  let c = Lp.Simplex.counters () in
-  Metrics.set_gauge metrics "solver_pivots" c.Lp.Simplex.pivots;
-  Metrics.set_gauge metrics "solver_dual_pivots" c.Lp.Simplex.dual_pivots;
-  Metrics.set_gauge metrics "solver_refactorizations"
-    c.Lp.Simplex.refactorizations;
-  Metrics.set_gauge metrics "solver_cold_solves" c.Lp.Simplex.cold_solves;
-  Metrics.set_gauge metrics "solver_warm_attempts" c.Lp.Simplex.warm_attempts;
-  Metrics.set_gauge metrics "solver_warm_hits" c.Lp.Simplex.warm_hits
+(* The STATS verb reports this server's simplex work as gauges: each
+   solved request and shard REFINE adds the counts of its own
+   evaluation, so they total this server's work alone. *)
+let add_solver_work metrics (counters : Pkg.Eval.counters) =
+  let w = counters.Pkg.Eval.lp in
+  List.iter
+    (fun (name, v) -> Metrics.add_gauge metrics name v)
+    [
+      ("solver_pivots", w.Lp.Simplex.pivots);
+      ("solver_dual_pivots", w.Lp.Simplex.dual_pivots);
+      ("solver_refactorizations", w.Lp.Simplex.refactorizations);
+      ("solver_cold_solves", w.Lp.Simplex.cold_solves);
+      ("solver_warm_attempts", w.Lp.Simplex.warm_attempts);
+      ("solver_warm_hits", w.Lp.Simplex.warm_hits);
+    ]
 
 let eval_query t ~deadline query =
   let snap = Mutex.protect t.state_mu (fun () -> t.state) in
@@ -428,7 +430,7 @@ let eval_query t ~deadline query =
         match run () with
         | Error resp -> resp
         | Ok report ->
-          sync_solver_gauges t.metrics;
+          add_solver_work t.metrics report.Pkg.Eval.counters;
           let resp = Front.response_of_report report in
           if cacheable report then Cache.add t.result_cache rkey resp;
           resp
@@ -917,11 +919,12 @@ let handle_refine t body =
                     Float.min t.cfg.limits.Ilp.Branch_bound.max_seconds budget;
                 }
               in
+              let counters = Pkg.Eval.fresh_counters () in
               let result =
                 match
                   Metrics.time t.metrics "shard_refine" (fun () ->
-                      Pkg.Refine.local ~limits ~deadline ctx
-                        (Pkg.Eval.fresh_counters ()) gid offsets)
+                      Pkg.Refine.local ~limits ~deadline ctx counters gid
+                        offsets)
                 with
                 | `Feasible entries -> Protocol.Refine_feasible entries
                 | `Infeasible -> Protocol.Refine_infeasible
@@ -934,7 +937,7 @@ let handle_refine t body =
                   Protocol.Refine_failed
                     ("solver exception: " ^ Printexc.to_string e)
               in
-              sync_solver_gauges t.metrics;
+              add_solver_work t.metrics counters;
               Protocol.Resp_ok (Protocol.render_refine_result result)
             end)
 

@@ -313,7 +313,7 @@ let test_eval_pretty_printers () =
     (to_s Ilp.Branch_bound.pp_result
        (Ilp.Branch_bound.Feasible
           ( { Ilp.Branch_bound.x = [||]; obj = 2. },
-            { Ilp.Branch_bound.nodes = 3; simplex_iterations = 0;
+            { Ilp.Branch_bound.nodes = 3; lp = Lp.Simplex.new_work ();
               elapsed = 0.; stopped = Some Ilp.Branch_bound.Stop_gap;
               columns = 4 },
             1.5e-5 )));

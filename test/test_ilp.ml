@@ -268,7 +268,7 @@ let prop_bb_zero_gap_is_exact =
       let a = B.solve p and b = B.solve ~rel_gap:0. p in
       let same_stats (x : B.stats) (y : B.stats) =
         x.B.nodes = y.B.nodes
-        && x.B.simplex_iterations = y.B.simplex_iterations
+        && x.B.lp = y.B.lp
         && x.B.stopped = y.B.stopped
       in
       let same_sol (x : B.sol) (y : B.sol) =

@@ -281,24 +281,21 @@ let test_progressive_solves_feasible () =
 (* Determinism across worker counts                                   *)
 (* ------------------------------------------------------------------ *)
 
-let with_workers ~chunk ~scan ~price f =
-  let old_price = Lp.Simplex.price_workers () in
+let with_workers ~chunk ~scan f =
   Unix.putenv "PKGQ_SCAN_CHUNK" chunk;
   Unix.putenv "PKGQ_SCAN_WORKERS" (string_of_int scan);
-  Lp.Simplex.set_price_workers price;
   Fun.protect
     ~finally:(fun () ->
       Unix.putenv "PKGQ_SCAN_CHUNK" "";
-      Unix.putenv "PKGQ_SCAN_WORKERS" "";
-      Lp.Simplex.set_price_workers old_price)
+      Unix.putenv "PKGQ_SCAN_WORKERS" "")
     f
 
 (* [chunk] "" is the default 16,384-row chunk (one chunk for 700 rows);
    "7" cuts the rows into many chunks so DLV's member statistics take
    the parallel path. *)
 let test_determinism_across_workers () =
-  let run ~chunk ~scan ~price =
-    with_workers ~chunk ~scan ~price (fun () ->
+  let run ~chunk ~scan =
+    with_workers ~chunk ~scan (fun () ->
         let rel = skewed ~seed:9 700 in
         let spec = galaxy_query rel 1.2 in
         let hier = H.build ~levels:3 ~leaf_tau:10 ~attrs:hier_attrs rel in
@@ -309,15 +306,14 @@ let test_determinism_across_workers () =
   in
   List.iter
     (fun chunk ->
-      let base = run ~chunk ~scan:1 ~price:1 in
+      let base = run ~chunk ~scan:1 in
       List.iter
-        (fun (scan, price) ->
+        (fun scan ->
           checkb
-            (Printf.sprintf "chunk=%S scan=%d price=%d bitwise identical" chunk
-               scan price)
+            (Printf.sprintf "chunk=%S scan=%d bitwise identical" chunk scan)
             true
-            (run ~chunk ~scan ~price = base))
-        [ (3, 1); (8, 1); (1, 3); (4, 2) ])
+            (run ~chunk ~scan = base))
+        [ 3; 8; 4 ])
     [ ""; "7" ]
 
 (* ------------------------------------------------------------------ *)

@@ -221,11 +221,11 @@ let test_simplex_iter_budget () =
   (match Lp.Simplex.solve ~max_iters:1 p with
   | Lp.Simplex.Iter_limit -> ()
   | r -> Alcotest.failf "expected Iter_limit, got %a" Lp.Simplex.pp_result r);
-  let iters = ref 0 in
-  (match Lp.Simplex.solve ~iterations:iters p with
+  let work = Lp.Simplex.new_work () in
+  (match Lp.Simplex.solve ~work p with
   | Lp.Simplex.Optimal _ -> ()
   | r -> Alcotest.failf "expected Optimal, got %a" Lp.Simplex.pp_result r);
-  checkb "pivot count recorded" true (!iters > 0)
+  checkb "pivot count recorded" true (Lp.Simplex.iterations work > 0)
 
 let test_stop_reason_recorded () =
   (* LP optimum 2.5 is fractional, so the search must branch *)

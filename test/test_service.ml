@@ -156,50 +156,98 @@ let test_cache_hits_skip_solver () =
             (Service.Metrics.get (Srv.metrics t) "result_hits"
              >= List.length queries)))
 
+(* One Direct query whose numeric bound moves with [i]: every member
+   shares one structure fingerprint. *)
+let direct_stream n =
+  let mu =
+    Relalg.Value.to_float
+      (Relalg.Aggregate.over galaxy (Relalg.Aggregate.Avg "redshift"))
+  in
+  List.init n (fun i ->
+      Printf.sprintf
+        "SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0 SUCH THAT COUNT(P.*) \
+         = 8 AND SUM(P.redshift) <= %.6f MAXIMIZE SUM(P.petro_rad)"
+        (8. *. mu *. (1.2 +. (0.02 *. float_of_int i))))
+
+let direct_cfg () =
+  { (base_cfg ()) with Srv.workers = 1; result_cache = 0; method_ = Srv.Direct }
+
+let gauge body name =
+  let prefix = "gauge " ^ name ^ " " in
+  match
+    List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' body)
+  with
+  | Some line ->
+    let k = String.length prefix in
+    int_of_string (String.sub line k (String.length line - k))
+  | None -> Alcotest.failf "no gauge %s in STATS" name
+
 (* The basis cache: with the result cache off every request reaches the
    solver, and a stream of one Direct query with a tweaked numeric bound
    shares one structure fingerprint, so every request after the first
    finds the previous optimal root basis and warm-starts from it. *)
 let test_basis_cache_stream () =
   let n = 12 in
-  let mu =
-    Relalg.Value.to_float
-      (Relalg.Aggregate.over galaxy (Relalg.Aggregate.Avg "redshift"))
-  in
-  let stream =
-    List.init n (fun i ->
-        Printf.sprintf
-          "SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0 SUCH THAT COUNT(P.*) \
-           = 8 AND SUM(P.redshift) <= %.6f MAXIMIZE SUM(P.petro_rad)"
-          (8. *. mu *. (1.2 +. (0.02 *. float_of_int i))))
-  in
-  let cfg =
-    {
-      (base_cfg ()) with
-      Srv.workers = 1;
-      result_cache = 0;
-      method_ = Srv.Direct;
-    }
-  in
-  let c0 = Lp.Simplex.counters () in
-  with_server cfg galaxy (fun t ->
+  with_server (direct_cfg ()) galaxy (fun t ->
       with_client t (fun c ->
           List.iteri
             (fun i q ->
               checkb (Printf.sprintf "query %d answered" i) true
                 (match essence (Cl.query c q) with `Ok _ -> true | _ -> false))
-            stream);
+            (direct_stream n));
       let m = Srv.metrics t in
       checki "every request solved" n (Srv.solve_count t);
       checkb "basis hits >= N - 1" true
-        (Service.Metrics.get m "basis_hits" >= n - 1));
-  let c1 = Lp.Simplex.counters () in
-  let attempts = c1.Lp.Simplex.warm_attempts - c0.Lp.Simplex.warm_attempts in
-  let hits = c1.Lp.Simplex.warm_hits - c0.Lp.Simplex.warm_hits in
-  checkb
-    (Printf.sprintf "warm hits/attempts > 0.8 (%d/%d)" hits attempts)
-    true
-    (attempts > 0 && float_of_int hits > 0.8 *. float_of_int attempts)
+        (Service.Metrics.get m "basis_hits" >= n - 1);
+      let attempts = Service.Metrics.get_gauge m "solver_warm_attempts" in
+      let hits = Service.Metrics.get_gauge m "solver_warm_hits" in
+      checkb
+        (Printf.sprintf "warm hits/attempts > 0.8 (%d/%d)" hits attempts)
+        true
+        (attempts > 0 && float_of_int hits > 0.8 *. float_of_int attempts))
+
+(* Solver gauges belong to one server: of two in-process servers, A
+   answers a stream of Direct queries and B one, and B's STATS count
+   exactly the simplex work of B's own evaluation. *)
+let test_solver_gauges_per_server () =
+  let cfg = direct_cfg () in
+  let stream = direct_stream 6 in
+  (* branches, so its nodes warm-start *)
+  let q =
+    "SELECT PACKAGE(G) AS P FROM Galaxy G REPEAT 0 SUCH THAT COUNT(P.*) = 8 \
+     AND SUM(P.redshift) <= 1.0 AND SUM(P.u) >= 150 MAXIMIZE \
+     SUM(P.petro_rad)"
+  in
+  let spec =
+    Paql.Translate.compile_exn
+      (Relalg.Relation.schema galaxy)
+      (Paql.Parser.parse_exn q)
+  in
+  let own =
+    (Pkg.Direct.run ~limits:cfg.Srv.limits spec galaxy).Pkg.Eval.counters
+      .Pkg.Eval.lp
+  in
+  checkb "the query pivots and warm-starts" true
+    (own.Lp.Simplex.pivots > 0 && own.Lp.Simplex.warm_attempts > 0);
+  let stats t =
+    with_client t (fun c ->
+        match Cl.stats c with
+        | Pr.Resp_ok body -> body
+        | _ -> Alcotest.fail "STATS failed")
+  in
+  with_server cfg galaxy (fun a ->
+      with_server cfg galaxy (fun b ->
+          with_client a (fun c ->
+              List.iter (fun q -> ignore (Cl.query c q)) stream);
+          with_client b (fun c ->
+              checkb "B answered" true
+                (match essence (Cl.query c q) with `Ok _ -> true | _ -> false));
+          checkb "A pivoted" true (gauge (stats a) "solver_pivots" > 0);
+          let body = stats b in
+          checki "B's solver_pivots" own.Lp.Simplex.pivots
+            (gauge body "solver_pivots");
+          checki "B's solver_warm_attempts" own.Lp.Simplex.warm_attempts
+            (gauge body "solver_warm_attempts")))
 
 (* A progressive server serves exactly what [Pkg.Progressive.run]
    answers on the hierarchy the server builds (same attrs, leaf tau and
@@ -896,6 +944,8 @@ let () =
             test_cache_hits_skip_solver;
           Alcotest.test_case "basis cache warm-starts a stream" `Quick
             test_basis_cache_stream;
+          Alcotest.test_case "solver gauges count one server" `Quick
+            test_solver_gauges_per_server;
           Alcotest.test_case "progressive server equals Progressive.run" `Quick
             test_progressive_matches_run;
           Alcotest.test_case "result cache keeps gap stops only" `Quick

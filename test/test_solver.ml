@@ -3,9 +3,8 @@
    problem — a stale, corrupt, or merely unhelpful basis may cost time
    but never change an answer. Exercised here with qcheck-random LPs
    under random bound perturbations, branch-and-bound searches with and
-   without basis reuse, a deliberately corrupted basis, and the
-   parallel-pricing determinism matrix (1 worker vs N must be
-   bit-identical). *)
+   without basis reuse, and a deliberately corrupted basis. Work counts
+   are read from the record each call is handed. *)
 
 module P = Lp.Problem
 module S = Lp.Simplex
@@ -146,10 +145,9 @@ let test_bb_basis_roundtrip () =
   let basis_out = ref None in
   let r1 = B.solve ~basis_out p in
   checkb "first search saved a root basis" true (!basis_out <> None);
-  let c0 = S.counters () in
   let r2 = B.solve ?warm_start:!basis_out p in
-  let c1 = S.counters () in
-  checkb "warm attempts grew" true (c1.S.warm_attempts > c0.S.warm_attempts);
+  checkb "warm attempts counted" true
+    ((B.stats_of r2).B.lp.S.warm_attempts > 0);
   match (r1, r2) with
   | B.Optimal (s1, _), B.Optimal (s2, _) ->
     Alcotest.check (Alcotest.float 1e-6) "objectives equal" s1.B.obj s2.B.obj
@@ -184,17 +182,14 @@ let test_corrupt_basis_falls_cold () =
       | Some b -> S.Basis.corrupt b
       | None -> Alcotest.fail "no basis exported"
     in
-    let c0 = S.counters () in
-    match S.resolve ~basis:b p with
+    let work = S.new_work () in
+    match S.resolve ~basis:b ~work p with
     | S.Optimal sol' ->
-      let c1 = S.counters () in
       Alcotest.check (Alcotest.float 1e-6) "objective preserved" sol.S.obj
         sol'.S.obj;
-      checki "counted as an attempt" (c0.S.warm_attempts + 1)
-        c1.S.warm_attempts;
-      checki "not counted as a hit" c0.S.warm_hits c1.S.warm_hits;
-      checkb "fell back to a cold solve" true
-        (c1.S.cold_solves > c0.S.cold_solves)
+      checki "counted as an attempt" 1 work.S.warm_attempts;
+      checki "not counted as a hit" 0 work.S.warm_hits;
+      checki "fell back to a cold solve" 1 work.S.cold_solves
     | r -> Alcotest.failf "corrupt-basis resolve: %a" S.pp_result r)
   | r -> Alcotest.failf "seed solve: %a" S.pp_result r
 
@@ -208,11 +203,10 @@ let test_warm_disabled_is_cold () =
   match S.solve p with
   | S.Optimal sol ->
     S.set_warm_enabled false;
-    let c0 = S.counters () in
-    let r = S.resolve ?basis:sol.S.basis p in
-    let c1 = S.counters () in
+    let work = S.new_work () in
+    let r = S.resolve ?basis:sol.S.basis ~work p in
     S.set_warm_enabled true;
-    checki "no warm attempt" c0.S.warm_attempts c1.S.warm_attempts;
+    checki "no warm attempt" 0 work.S.warm_attempts;
     (match r with
     | S.Optimal sol' ->
       Alcotest.check (Alcotest.float 1e-9) "same objective" sol.S.obj
@@ -263,14 +257,14 @@ let test_warm_ladder () =
   let was_warm = S.warm_enabled () in
   S.set_warm_enabled true;
   Fun.protect ~finally:(fun () -> S.set_warm_enabled was_warm) @@ fun () ->
-  let c0 = S.counters () in
+  let work = S.new_work () in
   ignore
     (List.fold_left
       (fun (p, (sol : S.solution)) i ->
         let p = pin_most_selected p sol.S.x in
         let warm =
           optimal (Printf.sprintf "warm rung %d" i)
-            (S.resolve ?basis:sol.S.basis p)
+            (S.resolve ?basis:sol.S.basis ~work p)
         in
         let cold = optimal (Printf.sprintf "cold rung %d" i) (S.solve p) in
         checkb
@@ -281,8 +275,7 @@ let test_warm_ladder () =
         (p, warm))
       (root, optimal "root" (S.solve root))
       (List.init rungs Fun.id));
-  let c1 = S.counters () in
-  checki "every rung re-solved warm" rungs (c1.S.warm_hits - c0.S.warm_hits)
+  checki "every rung re-solved warm" rungs work.S.warm_hits
 
 (* ------------------------------------------------------------------ *)
 (* Workspace reuse                                                    *)
@@ -300,9 +293,12 @@ let gen_step =
 
 let bits x = Array.map Int64.bits_of_float x
 
-let same_result name (a, ia) (b, ib) =
+let same_result name (a, (wa : S.work)) (b, (wb : S.work)) =
   let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) name in
-  if ia <> ib then fail "iterations %d (workspace) <> %d (fresh)" ia ib
+  if S.iterations wa <> S.iterations wb then
+    fail "iterations %d (workspace) <> %d (fresh)" (S.iterations wa)
+      (S.iterations wb)
+  else if wa <> wb then fail "work counts differ"
   else
     match (a, b) with
     | S.Optimal x, S.Optimal y ->
@@ -357,18 +353,18 @@ let workspace_reuse_prop =
             | `Corrupt -> Option.map S.Basis.corrupt !prev
             | `Foreign -> foreign
           in
-          let iw = ref 0 and ifr = ref 0 in
-          let w = S.Workspace.resolve ?basis ~iterations:iw ~lo ~hi ws in
+          let iw = S.new_work () and ifr = S.new_work () in
+          let w = S.Workspace.resolve ?basis ~work:iw ~lo ~hi ws in
           let vars =
             Array.mapi (fun j v -> { v with P.lo = lo.(j); hi = hi.(j) }) p.P.vars
           in
-          let f = S.resolve ?basis ~iterations:ifr { p with P.vars } in
+          let f = S.resolve ?basis ~work:ifr { p with P.vars } in
           (match w with
           | S.Optimal s ->
             prev := s.S.basis;
             if !root = None then root := s.S.basis
           | _ -> ());
-          same_result "reuse step" (w, !iw) (f, !ifr))
+          same_result "reuse step" (w, iw) (f, ifr))
         steps)
 
 (* ------------------------------------------------------------------ *)
@@ -400,16 +396,15 @@ let node_budget = { B.default_limits with max_nodes = 200; max_seconds = 3600. }
    recorded constants; a change that alters any pivot choice, however
    slightly, moves them. *)
 let check_trajectory p ~iterations ~primal ~dual ~cold ~warm ~obj_bits =
-  let c0 = S.counters () in
   let r = B.solve ~limits:node_budget p in
-  let c1 = S.counters () in
   let st = B.stats_of r in
+  let lp = st.B.lp in
   checki "nodes" 200 st.B.nodes;
-  checki "simplex iterations" iterations st.B.simplex_iterations;
-  checki "primal pivots" primal (c1.S.pivots - c0.S.pivots);
-  checki "dual pivots" dual (c1.S.dual_pivots - c0.S.dual_pivots);
-  checki "cold solves" cold (c1.S.cold_solves - c0.S.cold_solves);
-  checki "warm hits" warm (c1.S.warm_hits - c0.S.warm_hits);
+  checki "simplex iterations" iterations (S.iterations lp);
+  checki "primal pivots" primal lp.S.pivots;
+  checki "dual pivots" dual lp.S.dual_pivots;
+  checki "cold solves" cold lp.S.cold_solves;
+  checki "warm hits" warm lp.S.warm_hits;
   match r with
   | B.Feasible (s, _, _) ->
     Alcotest.(check int64)
@@ -504,68 +499,6 @@ let test_node_allocation_budget () =
   if per > 3. then
     Alcotest.failf "%.2f words per column per node (budget 3)" per
 
-(* ------------------------------------------------------------------ *)
-(* Parallel pricing determinism                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Large enough to cross the parallel-pricing threshold (8192 columns),
-   so the multi-worker path really runs. *)
-let big_lp () =
-  let rng = Datagen.Prng.create 17 in
-  let n = 9_000 in
-  let vars =
-    List.init n (fun _ -> P.var ~hi:1. (Datagen.Prng.uniform rng 1. 10.))
-  in
-  let count_row = P.row (List.init n (fun j -> (j, 1.))) ~lo:80. ~hi:80. in
-  let res_rows =
-    List.init 3 (fun _ ->
-        P.row
-          (List.init n (fun j -> (j, Datagen.Prng.uniform rng 0. 5.)))
-          ~lo:neg_infinity ~hi:450.)
-  in
-  P.make ~sense:P.Maximize ~vars ~rows:(count_row :: res_rows)
-
-let test_parallel_pricing_deterministic () =
-  let p = big_lp () in
-  let solve_with w =
-    S.set_price_workers w;
-    Fun.protect
-      ~finally:(fun () -> S.set_price_workers 1)
-      (fun () ->
-        match S.solve p with
-        | S.Optimal sol -> sol
-        | r -> Alcotest.failf "workers=%d: %a" w S.pp_result r)
-  in
-  let s1 = solve_with 1 in
-  let s4 = solve_with 4 in
-  checki "same pivot count" s1.S.iterations s4.S.iterations;
-  checkb "objective bit-identical" true
-    (Int64.bits_of_float s1.S.obj = Int64.bits_of_float s4.S.obj);
-  checkb "solution vector bit-identical" true (bits s1.S.x = bits s4.S.x)
-
-let test_parallel_warm_deterministic () =
-  let p = big_lp () in
-  let root =
-    match S.solve p with
-    | S.Optimal sol -> sol
-    | r -> Alcotest.failf "root: %a" S.pp_result r
-  in
-  (* pin the most-selected column, then warm re-solve at 1 vs 4 workers *)
-  let p' = pin_most_selected p root.S.x in
-  let resolve_with w =
-    S.set_price_workers w;
-    Fun.protect
-      ~finally:(fun () -> S.set_price_workers 1)
-      (fun () ->
-        match S.resolve ?basis:root.S.basis p' with
-        | S.Optimal sol -> sol
-        | r -> Alcotest.failf "warm workers=%d: %a" w S.pp_result r)
-  in
-  let s1 = resolve_with 1 in
-  let s4 = resolve_with 4 in
-  checki "same pivot count" s1.S.iterations s4.S.iterations;
-  checkb "warm solution bit-identical" true (bits s1.S.x = bits s4.S.x)
-
 let () =
   Alcotest.run "solver"
     [
@@ -593,12 +526,5 @@ let () =
             test_node_allocation_budget;
           Alcotest.test_case "paper-suite Direct objectives pinned" `Quick
             test_suite_direct_pinned;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "cold pricing 1 vs 4 workers" `Quick
-            test_parallel_pricing_deterministic;
-          Alcotest.test_case "warm pricing 1 vs 4 workers" `Quick
-            test_parallel_warm_deterministic;
         ] );
     ]

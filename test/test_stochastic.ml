@@ -310,23 +310,17 @@ let test_naive_needs_finite_repeat () =
 (* Determinism across worker counts                                   *)
 (* ------------------------------------------------------------------ *)
 
-let with_workers ~scan ~price f =
-  let old_price = Lp.Simplex.price_workers () in
+let with_workers ~scan f =
   Unix.putenv "PKGQ_SCAN_WORKERS" (string_of_int scan);
-  Lp.Simplex.set_price_workers price;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "PKGQ_SCAN_WORKERS" "";
-      Lp.Simplex.set_price_workers old_price)
-    f
+  Fun.protect ~finally:(fun () -> Unix.putenv "PKGQ_SCAN_WORKERS" "") f
 
 let test_determinism_across_workers () =
   let spec = compile galaxy q_feasible in
   let specs =
     match Sc.parse_specs "u:0.4" with Ok s -> s | Error e -> Alcotest.fail e
   in
-  let run ~scan ~price =
-    with_workers ~scan ~price (fun () ->
+  let run ~scan =
+    with_workers ~scan (fun () ->
         let matrix =
           Option.get
             (Sc.deltas (Sc.generate_exn ~seed:42 ~scenarios:8 specs galaxy) "u")
@@ -338,14 +332,14 @@ let test_determinism_across_workers () =
            Int64.bits_of_float stats.St.st_validated)
         | _ -> Alcotest.fail "no package")
   in
-  let base = run ~scan:1 ~price:1 in
+  let base = run ~scan:1 in
   List.iter
-    (fun (scan, price) ->
+    (fun scan ->
       checkb
-        (Printf.sprintf "scan=%d price=%d bitwise identical" scan price)
+        (Printf.sprintf "scan=%d bitwise identical" scan)
         true
-        (run ~scan ~price = base))
-    [ (4, 1); (1, 3); (8, 2) ]
+        (run ~scan = base))
+    [ 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload round-trip                                                *)
