@@ -1,5 +1,5 @@
 (* paql: run PaQL package queries against CSV data from the command
-   line, with DIRECT or SKETCHREFINE evaluation.
+   line, locally or against a pkgq_server (--connect).
 
    Examples:
      paql --data recipes.csv --query-file q.paql
@@ -16,20 +16,17 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-type method_ = Direct | Sketch_refine | Progressive | Stochastic
-
-(* Distinct exit codes so scripts can tell failure modes apart:
-   1 infeasible, 2 no package (solver failure), 3 data/IO error,
-   4 PaQL parse error, 5 analysis/translation error, 6 usage error,
-   124 command-line error. *)
-let exit_data_error = 3
-let exit_parse_error = 4
-let exit_analysis_error = 5
-let exit_usage_error = 6
-
+(* Exit codes: a failure that has a wire code exits with
+   [Service.Protocol.exit_code] (1 infeasible, 2 no package, 3 data/IO,
+   4 parse, 5 analysis, ...), locally as with --connect; 6 is a usage
+   error, 124 a command-line error. *)
 let die code msg =
   prerr_endline ("paql: " ^ msg);
   exit code
+
+let fail code msg = die (Service.Protocol.exit_code code) msg
+let usage msg = die 6 msg
+let data_error msg = fail Service.Protocol.Data_error msg
 
 (* Remote mode: ship the query to a pkgq_server and relay its answer.
    The OK body carries the package as CSV, so --out writes exactly the
@@ -39,38 +36,36 @@ let run_remote endpoint retries connect_timeout query out =
   let host, port =
     match Service.Client.parse_endpoint endpoint with
     | Ok hp -> hp
-    | Error msg -> die exit_usage_error ("--connect: " ^ msg)
+    | Error msg -> usage ("--connect: " ^ msg)
   in
   let client =
     try Service.Client.connect ~retries ?connect_timeout ~host ~port () with
     | Unix.Unix_error (e, _, _) ->
-      die exit_data_error
+      data_error
         (Printf.sprintf "connect %s: %s" endpoint (Unix.error_message e))
     | Service.Client.Gave_up { attempts; last } ->
-      die exit_data_error
+      data_error
         (Printf.sprintf "connect %s: gave up after %d attempts (%s)" endpoint
            attempts (Printexc.to_string last))
     | Service.Client.Timed_out { seconds; _ } ->
-      die exit_data_error
+      data_error
         (Printf.sprintf "connect %s: timed out after %.3fs" endpoint seconds)
-    | Failure msg -> die exit_data_error msg
+    | Failure msg -> data_error msg
   in
   Fun.protect
     ~finally:(fun () -> Service.Client.close client)
     (fun () ->
       match Service.Client.query client query with
       | exception Service.Protocol.Protocol_error msg ->
-        die exit_data_error ("remote: " ^ msg)
+        data_error ("remote: " ^ msg)
       | exception Service.Client.Gave_up { attempts; last } ->
-        die exit_data_error
+        data_error
           (Printf.sprintf "remote: gave up after %d attempts (%s)" attempts
              (Printexc.to_string last))
-      | Service.Protocol.Resp_err (code, msg) ->
-        prerr_endline ("paql: remote: " ^ msg);
-        exit (Service.Protocol.exit_code code)
+      | Service.Protocol.Resp_err (code, msg) -> fail code ("remote: " ^ msg)
       | Service.Protocol.Resp_ok body -> (
         match Service.Protocol.parse_result body with
-        | Error msg -> die exit_data_error ("remote: " ^ msg)
+        | Error msg -> data_error ("remote: " ^ msg)
         | Ok (status, wall, csv) -> (
           Format.printf "%s, %.3fs (remote)@." status wall;
           match out with
@@ -82,17 +77,19 @@ let run_remote endpoint retries connect_timeout query out =
             Format.printf "package written to %s@." path
           | None -> print_string csv)))
 
+let fail_with = function
+  | Service.Protocol.Resp_err (code, msg) -> fail code msg
+  | Service.Protocol.Resp_ok _ -> assert false
+
 let run_inner connect retries connect_timeout data query_text query_file
     method_ tau attrs epsilon max_seconds max_nodes faults out verbose explain
-    mps_out partition_file save_partition parallel store_dir no_store =
+    mps_out partition_file save_partition store_dir no_store =
   let query =
     match query_text, query_file with
     | Some q, None -> q
     | None, Some f -> read_file f
-    | Some _, Some _ ->
-      die exit_usage_error "pass either --query or --query-file, not both"
-    | None, None ->
-      die exit_usage_error "a query is required (--query or --query-file)"
+    | Some _, Some _ -> usage "pass either --query or --query-file, not both"
+    | None, None -> usage "a query is required (--query or --query-file)"
   in
   match connect with
   | Some endpoint -> run_remote endpoint retries connect_timeout query out
@@ -100,7 +97,7 @@ let run_inner connect retries connect_timeout data query_text query_file
   let data =
     match data with
     | Some d -> d
-    | None -> die exit_usage_error "--data is required (unless --connect)"
+    | None -> usage "--data is required (unless --connect)"
   in
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -111,35 +108,30 @@ let run_inner connect retries connect_timeout data query_text query_file
   | Some s -> (
     match Pkg.Faults.parse s with
     | Ok spec -> Pkg.Faults.install spec
-    | Error msg -> die exit_usage_error ("--faults: " ^ msg)));
-  let catalog =
-    if no_store then None
-    else
-      match store_dir with
-      | Some d -> Some (Store.Catalog.open_dir d)
-      | None -> Store.Catalog.from_env ()
-  in
-  let rel, fingerprint =
-    match catalog with
+    | Error msg -> usage ("--faults: " ^ msg)));
+  (* the store, with the loaded table's fingerprint *)
+  let rel, catalog =
+    match
+      if no_store then None
+      else
+        match store_dir with
+        | Some d -> Some (Store.Catalog.open_dir d)
+        | None -> Store.Catalog.from_env ()
+    with
     | Some cat ->
       let rel, fp = Store.Catalog.load_table cat data in
-      (rel, Some fp)
+      (rel, Some (cat, fp))
     | None ->
       if Filename.check_suffix data ".seg" then (Store.Segment.read data, None)
       else (Relalg.Csv.read data, None)
   in
-  let schema = Relalg.Relation.schema rel in
-  let ast =
-    match Paql.Parser.parse query with
-    | Ok ast -> ast
-    | Error msg -> die exit_parse_error ("parse error: " ^ msg)
-  in
-  (match Paql.Analyze.check schema ast with
-  | Ok () -> ()
-  | Error errs -> die exit_analysis_error (String.concat "\n" errs));
-  let spec =
-    try Paql.Translate.compile_exn schema ast
-    with Failure msg -> die exit_analysis_error msg
+  let ((ast, spec) as planned) =
+    match
+      Service.Front.compile (Service.Metrics.create ())
+        (Relalg.Relation.schema rel) query
+    with
+    | Ok planned -> planned
+    | Error resp -> fail_with resp
   in
   if verbose then
     Format.printf "Parsed query:@.%a@.@." Paql.Pretty.pp_query ast;
@@ -155,162 +147,87 @@ let run_inner connect retries connect_timeout data query_text query_file
     Format.printf "ILP written to %s (%d vars, %d rows)@." path
       (Lp.Problem.nvars problem) (Lp.Problem.nrows problem)
   | None -> ());
+  let groups p = Pkg.Partition.num_groups p in
+  (* a flat partitioning comes from --partition-file, else the store
+     or a fresh build; --save-partition keeps it *)
+  let flat l =
+    let t0 = Unix.gettimeofday () in
+    let part =
+      match partition_file with
+      | Some path ->
+        let p = Pkg.Partition.load path rel in
+        if verbose then
+          Format.printf "Loaded partitioning: %d groups@." (groups p);
+        p
+      | None ->
+        let p, status = Service.Engine.partition ?catalog l rel in
+        if verbose then begin
+          match catalog with
+          | Some (_, fp) ->
+            Format.printf "Partition catalog %s (%s): %d groups in %.3fs@."
+              (match status with `Hit -> "hit" | `Built -> "miss, built")
+              (Store.Catalog.key_id (Service.Engine.catalog_key fp l))
+              (groups p)
+              (Unix.gettimeofday () -. t0)
+          | None ->
+            Format.printf "Partitioned %d tuples into %d groups in %.3fs@."
+              (Relalg.Relation.cardinality rel)
+              (groups p)
+              (Unix.gettimeofday () -. t0)
+        end;
+        p
+    in
+    Option.iter
+      (fun path ->
+        Pkg.Partition.save path part;
+        if verbose then Format.printf "Partitioning saved to %s@." path)
+      save_partition;
+    part
+  in
+  let hier l =
+    let t0 = Unix.gettimeofday () in
+    let h, status = Service.Engine.hierarchy ?catalog l rel in
+    if verbose then
+      Format.printf "Hierarchy %s: %d levels (%s groups) in %.3fs@."
+        (match status with `Hit -> "catalog hit" | `Built -> "built")
+        (Pkg.Hierarchy.num_levels h)
+        (String.concat "/"
+           (Array.to_list
+              (Array.map
+                 (fun p -> string_of_int (groups p))
+                 h.Pkg.Hierarchy.levels)))
+        (Unix.gettimeofday () -. t0);
+    h
+  in
   let limits =
     { Ilp.Branch_bound.default_limits with max_nodes; max_seconds }
   in
-  (* shared by sketchrefine and progressive *)
-  let partition_attrs () =
-    match attrs with
-    | [] ->
-      (* default: the query's own numeric attributes *)
-      let qattrs = Paql.Ast.all_attrs ast in
-      let numeric =
-        List.filter
-          (fun a ->
-            match Relalg.Schema.index_of_opt schema a with
-            | Some i -> (
-              match (Relalg.Schema.attr_at schema i).Relalg.Schema.ty with
-              | Relalg.Value.TInt | Relalg.Value.TFloat -> true
-              | Relalg.Value.TStr | Relalg.Value.TBool -> false)
-            | None -> false)
-          qattrs
-      in
-      if numeric = [] then
-        die exit_usage_error
-          "partitioning needs numeric attributes (--attrs)";
-      numeric
-    | attrs -> attrs
+  let { Service.Engine.report; levels; scenarios } =
+    match
+      Service.Engine.run ~limits ~seconds:max_seconds
+        { Service.Engine.method_; attrs; tau; epsilon }
+        { Service.Engine.flat; hier } rel planned
+    with
+    | Ok outcome -> outcome
+    | Error resp -> fail_with resp
   in
-  let radius =
-    Pkg.Partition.theorem_radius ?epsilon (Paql.Translate.objective_sense spec)
-  in
-  let report =
-    (* Stochastic queries always route to the stochastic driver — the
-       deterministic methods would silently ignore WITH PROBABILITY
-       constraints. [--method stochastic] on a deterministic query
-       delegates to DIRECT inside the driver. *)
-    if Paql.Translate.is_stochastic spec || method_ = Stochastic then begin
-      let options =
-        { (Pkg.Stochastic.default_options ()) with limits; max_seconds }
-      in
-      let report, stats = Pkg.Stochastic.run ~options spec rel in
-      if verbose && stats.Pkg.Stochastic.st_scenarios > 0 then
-        Format.printf
-          "stochastic: %d scenario(s) (+%d held out), %d summarie(s), %d \
-           round(s), validated probability %.3f@."
-          stats.Pkg.Stochastic.st_scenarios stats.Pkg.Stochastic.st_validation
-          stats.Pkg.Stochastic.st_summaries stats.Pkg.Stochastic.st_rounds
-          stats.Pkg.Stochastic.st_validated;
-      report
-    end
-    else
-    match method_ with
-    | Stochastic -> assert false (* handled above *)
-    | Direct -> Pkg.Direct.run ~limits spec rel
-    | Progressive ->
-      let attrs = partition_attrs () in
-      let t0 = Unix.gettimeofday () in
-      (* --tau overrides the leaf threshold (PKGQ_DLV_LEAF / card/100
-         default); level count comes from PKGQ_HIER_LEVELS *)
-      let hier_result =
-        match catalog, fingerprint with
-        | Some cat, Some fp ->
-          Ok
-            (Store.Catalog.lookup_or_build_hierarchy cat ~fingerprint:fp
-               ~radius ?leaf_tau:tau ~attrs rel)
-        | _ -> (
-          try Ok (Pkg.Hierarchy.build ~radius ?leaf_tau:tau ~attrs rel, `Built)
-          with Pkg.Faults.Injected msg -> Error msg)
-      in
-      (match hier_result with
-      | Error msg ->
-        Pkg.Eval.report
-          ~status:
-            (Pkg.Eval.failed ~stage:Pkg.Eval.Progressive
-               (Pkg.Eval.Solver_error msg))
-          ~package:None ~objective:None
-          ~wall_time:(Unix.gettimeofday () -. t0)
-          ~counters:(Pkg.Eval.fresh_counters ())
-      | Ok (hier, status) ->
-        if verbose then
-          Format.printf "Hierarchy %s: %d levels (%s groups) in %.3fs@."
-            (match status with `Hit -> "catalog hit" | `Built -> "built")
-            (Pkg.Hierarchy.num_levels hier)
-            (String.concat "/"
-               (Array.to_list
-                  (Array.map
-                     (fun p -> string_of_int (Pkg.Partition.num_groups p))
-                     hier.Pkg.Hierarchy.levels)))
-            (Unix.gettimeofday () -. t0);
-        let options =
-          { Pkg.Progressive.default_options with limits; max_seconds }
-        in
-        let report, level_stats = Pkg.Progressive.run ~options spec rel hier in
-        if verbose then
-          List.iter
-            (fun s ->
-              Format.printf
-                "level %d: %d groups with variables, %d active, %.3fs%s@."
-                s.Pkg.Progressive.ls_level s.Pkg.Progressive.ls_groups
-                s.Pkg.Progressive.ls_active s.Pkg.Progressive.ls_seconds
-                (if s.Pkg.Progressive.ls_widened then " (widened)" else ""))
-            level_stats;
-        report)
-    | Sketch_refine ->
-      let attrs = partition_attrs () in
-      let tau =
-        match tau with
-        | Some t -> t
-        | None -> Pkg.Partition.default_tau rel
-      in
-      let persisted =
-        Option.map (fun path -> Pkg.Partition.load path rel) partition_file
-      in
-      let t0 = Unix.gettimeofday () in
-      let build () = Pkg.Partition.create ~radius ~tau ~attrs rel in
-      let part =
-        match persisted with
-        | Some p ->
-          if verbose then
-            Format.printf "Loaded partitioning: %d groups@."
-              (Pkg.Partition.num_groups p);
-          p
-        | None -> (
-          match catalog, fingerprint with
-          | Some cat, Some fp ->
-            let key = { Store.Catalog.fingerprint = fp; attrs; tau; radius;
-                        level = None } in
-            let p, status =
-              Store.Catalog.lookup_or_build cat key
-                ~rows:(Relalg.Relation.cardinality rel) ~build
-            in
-            if verbose then
-              Format.printf "Partition catalog %s (%s): %d groups in %.3fs@."
-                (match status with `Hit -> "hit" | `Built -> "miss, built")
-                (Store.Catalog.key_id key)
-                (Pkg.Partition.num_groups p)
-                (Unix.gettimeofday () -. t0);
-            p
-          | _ ->
-            let p = build () in
-            if verbose then
-              Format.printf "Partitioned %d tuples into %d groups in %.3fs@."
-                (Relalg.Relation.cardinality rel)
-                (Pkg.Partition.num_groups p)
-                (Unix.gettimeofday () -. t0);
-            p)
-      in
-      Option.iter
-        (fun path ->
-          Pkg.Partition.save path part;
-          if verbose then Format.printf "Partitioning saved to %s@." path)
-        save_partition;
-      let options =
-        { Pkg.Sketch_refine.default_options with limits; max_seconds }
-      in
-      if parallel then Pkg.Parallel.run ~options spec rel part
-      else Pkg.Sketch_refine.run ~options spec rel part
-  in
+  if verbose then begin
+    Option.iter
+      (fun (st : Pkg.Stochastic.stats) ->
+        if st.st_scenarios > 0 then
+          Format.printf
+            "stochastic: %d scenario(s) (+%d held out), %d summarie(s), %d \
+             round(s), validated probability %.3f@."
+            st.st_scenarios st.st_validation st.st_summaries st.st_rounds
+            st.st_validated)
+      scenarios;
+    List.iter
+      (fun (s : Pkg.Progressive.level_stat) ->
+        Format.printf "level %d: %d groups with variables, %d active, %.3fs%s@."
+          s.ls_level s.ls_groups s.ls_active s.ls_seconds
+          (if s.ls_widened then " (widened)" else ""))
+      levels
+  end;
   Format.printf "%a@." Pkg.Eval.pp_report report;
   match report.Pkg.Eval.package with
   | None -> if report.Pkg.Eval.status = Pkg.Eval.Infeasible then exit 1 else exit 2
@@ -329,23 +246,18 @@ let run_inner connect retries connect_timeout data query_text query_file
    assigned here, inside the term body. *)
 let run connect retries connect_timeout data query_text query_file method_
     tau attrs epsilon max_seconds max_nodes faults out verbose explain mps_out
-    partition_file save_partition parallel store_dir no_store =
+    partition_file save_partition store_dir no_store =
   match
     run_inner connect retries connect_timeout data query_text query_file
       method_ tau attrs epsilon max_seconds max_nodes faults out verbose
-      explain mps_out partition_file save_partition parallel store_dir no_store
+      explain mps_out partition_file save_partition store_dir no_store
   with
   | () -> ()
   | exception Relalg.Csv.Error (line, msg) ->
-    die exit_data_error (Printf.sprintf "csv error at line %d: %s" line msg)
-  | exception Store.Segment.Error msg ->
-    die exit_data_error ("store: " ^ msg)
-  | exception Sys_error msg -> die exit_data_error msg
-  | exception Paql.Lexer.Lex_error (msg, pos) ->
-    die exit_parse_error (Printf.sprintf "lex error at offset %d: %s" pos msg)
-  | exception Paql.Parser.Parse_error (msg, pos) ->
-    die exit_parse_error (Printf.sprintf "parse error at offset %d: %s" pos msg)
-  | exception Failure msg -> die exit_usage_error msg
+    data_error (Printf.sprintf "csv error at line %d: %s" line msg)
+  | exception Store.Segment.Error msg -> data_error ("store: " ^ msg)
+  | exception Sys_error msg -> data_error msg
+  | exception Failure msg -> usage msg
 
 let connect =
   Arg.(
@@ -401,16 +313,13 @@ let query_file =
     & info [ "query-file"; "f" ] ~docv:"FILE" ~doc:"File holding the PaQL query.")
 
 let method_ =
-  let method_conv =
-    Arg.enum
-      [ ("direct", Direct); ("sketchrefine", Sketch_refine);
-        ("progressive", Progressive); ("stochastic", Stochastic) ]
-  in
   Arg.(
-    value & opt method_conv Direct
+    value
+    & opt (enum Service.Engine.methods) Service.Engine.Direct
     & info [ "method"; "m" ] ~docv:"METHOD"
         ~doc:
           "Evaluation method: $(b,direct), $(b,sketchrefine), \
+           $(b,parallel) (sketchrefine with parallel refinement), \
            $(b,progressive) (coarse-to-fine shading over a DLV hierarchy; \
            $(b,--tau) sets the leaf threshold, levels come from \
            $(b,PKGQ_HIER_LEVELS)), or $(b,stochastic) (SummarySearch over \
@@ -491,20 +400,14 @@ let partition_file =
     & info [ "partition-file" ] ~docv:"FILE"
         ~doc:
           "Reuse a partitioning saved with $(b,--save-partition) instead of \
-           partitioning at query time (sketchrefine only).")
+           partitioning at query time (sketchrefine and parallel).")
 
 let save_partition =
   Arg.(
     value
     & opt (some string) None
     & info [ "save-partition" ] ~docv:"FILE"
-        ~doc:"Persist the partitioning for reuse (sketchrefine only).")
-
-let parallel =
-  Arg.(
-    value & flag
-    & info [ "parallel" ]
-        ~doc:"Use the parallel refinement driver (sketchrefine only).")
+        ~doc:"Persist the partitioning for reuse (sketchrefine and parallel).")
 
 let store_dir =
   Arg.(
@@ -530,8 +433,8 @@ let cmd =
       $ query_file
       $ method_ $ tau
       $ attrs $ epsilon $ max_seconds $ max_nodes $ faults $ out $ verbose
-      $ explain $ mps_out $ partition_file $ save_partition $ parallel
-      $ store_dir $ no_store)
+      $ explain $ mps_out $ partition_file $ save_partition $ store_dir
+      $ no_store)
   in
   Cmd.v (Cmd.info "paql" ~doc) term
 

@@ -12,33 +12,40 @@
 type state = {
   mutable rel : Relalg.Relation.t;
   mutable part : Pkg.Partition.t option;
-  mutable hier : (string list * Pkg.Hierarchy.t) option;
-      (* progressive-shading hierarchy, cached per attribute set *)
-  mutable method_ : [ `Direct | `Sketch_refine | `Progressive | `Stochastic ];
+  mutable hier : (Service.Engine.layout * Pkg.Hierarchy.t) option;
+      (* progressive-shading hierarchy, cached per layout *)
+  mutable method_ : Service.Engine.method_;
   mutable limits : Ilp.Branch_bound.limits;
   mutable show_package : bool;
   mutable store : Store.Catalog.t option;
   mutable fingerprint : string option;
 }
 
-let fingerprint_of st =
-  match st.fingerprint with
-  | Some fp -> fp
-  | None ->
-    let fp = Store.Segment.fingerprint st.rel in
-    st.fingerprint <- Some fp;
-    fp
+(* the store, with the table's fingerprint (computed on first use) *)
+let catalog st =
+  Option.map
+    (fun cat ->
+      match st.fingerprint with
+      | Some fp -> (cat, fp)
+      | None ->
+        let fp = Store.Segment.fingerprint st.rel in
+        st.fingerprint <- Some fp;
+        (cat, fp))
+    st.store
 
 let help_text =
   {|Meta commands:
   \help                         this message
   \schema                       show the relation's schema and size
-  \method direct|sketchrefine|progressive|stochastic
+  \method direct|sketchrefine|parallel|progressive|stochastic
                                 choose the evaluation method (queries with
                                 WITH PROBABILITY / EXPECTED always use the
                                 stochastic driver)
   \partition a,b,... [tau=N] [epsilon=E min|max]
-                                build an offline partitioning
+                                build an offline partitioning; its
+                                attributes are then every method's
+                                partitioning attributes (without one, a
+                                query's numeric attributes)
   \load FILE                    load a saved partitioning
   \save FILE                    save the current partitioning
   \limits nodes=N seconds=S     per-ILP solver budget
@@ -59,126 +66,67 @@ let print_package st spec p =
     (Pkg.Package.cardinality p)
     (Pkg.Package.objective spec p)
 
+let print_error = function
+  | Service.Protocol.Resp_err (_, msg) ->
+    List.iter (Format.printf "error: %s@.") (String.split_on_char '\n' msg)
+  | Service.Protocol.Resp_ok _ -> assert false
+
 let run_query st text =
-  let schema = Relalg.Relation.schema st.rel in
-  match Paql.Parser.parse text with
-  | Error msg -> Format.printf "error: %s@." msg
-  | Ok ast -> (
-    match Paql.Analyze.check schema ast with
-    | Error errs ->
-      List.iter (fun e -> Format.printf "error: %s@." e) errs
-    | Ok () ->
-      match Paql.Translate.compile_exn schema ast with
-      | exception Failure msg -> Format.printf "error: %s@." msg
-      | spec ->
-      let numeric_attrs () =
-        List.filter
-          (fun a ->
-            match Relalg.Schema.index_of_opt schema a with
-            | Some i -> (
-              match (Relalg.Schema.attr_at schema i).Relalg.Schema.ty with
-              | Relalg.Value.TInt | Relalg.Value.TFloat -> true
-              | _ -> false)
-            | None -> false)
-          (Paql.Ast.all_attrs ast)
+  let flat l =
+    match st.part with
+    | Some part -> part
+    | None ->
+      Format.printf
+        "note: no partitioning yet — building one on the query's \
+         attributes (see \\partition)@.";
+      let part =
+        fst (Service.Engine.partition ?catalog:(catalog st) l st.rel)
       in
-      let stochastic () =
-        let options =
-          { (Pkg.Stochastic.default_options ()) with limits = st.limits }
-        in
-        let report, stats = Pkg.Stochastic.run ~options spec st.rel in
-        if stats.Pkg.Stochastic.st_scenarios > 0 then
-          Format.printf
-            "stochastic: %d scenario(s) (+%d held out), %d summarie(s), %d \
-             round(s), validated probability %.3f@."
-            stats.Pkg.Stochastic.st_scenarios
-            stats.Pkg.Stochastic.st_validation
-            stats.Pkg.Stochastic.st_summaries stats.Pkg.Stochastic.st_rounds
-            stats.Pkg.Stochastic.st_validated;
-        report
-      in
-      let report =
-        if Paql.Translate.is_stochastic spec then stochastic ()
-        else
-        match st.method_ with
-        | `Stochastic -> stochastic ()
-        | `Direct -> Pkg.Direct.run ~limits:st.limits spec st.rel
-        | `Progressive -> (
-          let attrs = numeric_attrs () in
-          if attrs = [] then begin
-            Format.printf "error: no numeric attributes to partition on@.";
-            Pkg.Direct.run ~limits:st.limits spec st.rel
-          end
-          else
-            let hier =
-              match st.hier with
-              | Some (cached, h) when cached = List.sort compare attrs ->
-                Ok h
-              | _ -> (
-                try
-                  let h =
-                    match st.store with
-                    | Some cat ->
-                      fst
-                        (Store.Catalog.lookup_or_build_hierarchy cat
-                           ~fingerprint:(fingerprint_of st) ~attrs st.rel)
-                    | None -> Pkg.Hierarchy.build ~attrs st.rel
-                  in
-                  st.hier <- Some (List.sort compare attrs, h);
-                  Format.printf "hierarchy: %s group(s) per level@."
-                    (String.concat "/"
-                       (Array.to_list
-                          (Array.map
-                             (fun p ->
-                               string_of_int (Pkg.Partition.num_groups p))
-                             h.Pkg.Hierarchy.levels)));
-                  Ok h
-                with Pkg.Faults.Injected msg -> Error msg)
-            in
-            match hier with
-            | Error msg ->
-              Pkg.Eval.report
-                ~status:
-                  (Pkg.Eval.failed ~stage:Pkg.Eval.Progressive
-                     (Pkg.Eval.Solver_error msg))
-                ~package:None ~objective:None ~wall_time:0.
-                ~counters:(Pkg.Eval.fresh_counters ())
-            | Ok hier ->
-              fst
-                (Pkg.Progressive.run
-                   ~options:
-                     { Pkg.Progressive.default_options with
-                       limits = st.limits
-                     }
-                   spec st.rel hier))
-        | `Sketch_refine -> (
-          match st.part with
-          | Some part ->
-            Pkg.Sketch_refine.run
-              ~options:
-                { Pkg.Sketch_refine.default_options with limits = st.limits }
-              spec st.rel part
-          | None ->
+      st.part <- Some part;
+      part
+  in
+  let hier l =
+    match st.hier with
+    | Some (cached, h) when cached = l -> h
+    | _ ->
+      let h = fst (Service.Engine.hierarchy ?catalog:(catalog st) l st.rel) in
+      st.hier <- Some (l, h);
+      Format.printf "hierarchy: %s group(s) per level@."
+        (String.concat "/"
+           (Array.to_list
+              (Array.map
+                 (fun p -> string_of_int (Pkg.Partition.num_groups p))
+                 h.Pkg.Hierarchy.levels)));
+      h
+  in
+  let settings =
+    { Service.Engine.method_ = st.method_;
+      attrs =
+        Option.fold ~none:[] ~some:(fun p -> p.Pkg.Partition.attrs) st.part;
+      tau = None; epsilon = None }
+  in
+  match
+    Service.Front.compile (Service.Metrics.create ())
+      (Relalg.Relation.schema st.rel) text
+  with
+  | Error resp -> print_error resp
+  | Ok ((_, spec) as planned) -> (
+    match
+      Service.Engine.run ~limits:st.limits
+        ~seconds:st.limits.Ilp.Branch_bound.max_seconds settings
+        { Service.Engine.flat; hier } st.rel planned
+    with
+    | Error resp -> print_error resp
+    | Ok { Service.Engine.report; scenarios; _ } ->
+      Option.iter
+        (fun (s : Pkg.Stochastic.stats) ->
+          if s.st_scenarios > 0 then
             Format.printf
-              "note: no partitioning yet — building one on the query's \
-               attributes (see \\partition)@.";
-            let attrs = numeric_attrs () in
-            if attrs = [] then begin
-              Format.printf "error: no numeric attributes to partition on@.";
-              Pkg.Direct.run ~limits:st.limits spec st.rel
-            end
-            else begin
-              let part =
-                Pkg.Partition.create ~tau:(Pkg.Partition.default_tau st.rel)
-                  ~attrs st.rel
-              in
-              st.part <- Some part;
-              Pkg.Sketch_refine.run
-                ~options:
-                  { Pkg.Sketch_refine.default_options with limits = st.limits }
-                spec st.rel part
-            end)
-      in
+              "stochastic: %d scenario(s) (+%d held out), %d summarie(s), %d \
+               round(s), validated probability %.3f@."
+              s.st_scenarios s.st_validation s.st_summaries s.st_rounds
+              s.st_validated)
+        scenarios;
       Format.printf "%a@." Pkg.Eval.pp_report report;
       Option.iter (print_package st spec) report.Pkg.Eval.package)
 
@@ -204,36 +152,21 @@ let meta st line =
     Format.printf "%a — %d tuple(s)@." Relalg.Schema.pp
       (Relalg.Relation.schema st.rel)
       (Relalg.Relation.cardinality st.rel)
-  | [ "\\method"; "direct" ] -> st.method_ <- `Direct
-  | [ "\\method"; "sketchrefine" ] -> st.method_ <- `Sketch_refine
-  | [ "\\method"; "progressive" ] -> st.method_ <- `Progressive
-  | [ "\\method"; "stochastic" ] -> st.method_ <- `Stochastic
+  | [ "\\method"; name ] when List.mem_assoc name Service.Engine.methods ->
+    st.method_ <- List.assoc name Service.Engine.methods
   | "\\partition" :: attrs_word :: rest -> (
     let attrs = String.split_on_char ',' attrs_word in
     let kvs = parse_kv rest in
-    let tau =
-      match List.assoc_opt "tau" kvs with
-      | Some v -> int_of_string v
-      | None -> Pkg.Partition.default_tau st.rel
-    in
-    let radius =
-      Pkg.Partition.theorem_radius
+    let l =
+      Service.Engine.derive ~hierarchy:false
+        ?tau:(Option.map int_of_string (List.assoc_opt "tau" kvs))
         ?epsilon:(Option.map float_of_string (List.assoc_opt "epsilon" kvs))
+        ~attrs
         (if List.mem "min" rest then Lp.Problem.Minimize
          else Lp.Problem.Maximize)
+        st.rel
     in
-    let build () = Pkg.Partition.create ~radius ~tau ~attrs st.rel in
-    match
-      match st.store with
-      | Some cat ->
-        let key =
-          { Store.Catalog.fingerprint = fingerprint_of st; attrs; tau; radius;
-            level = None }
-        in
-        Store.Catalog.lookup_or_build cat key
-          ~rows:(Relalg.Relation.cardinality st.rel) ~build
-      | None -> (build (), `Built)
-    with
+    match Service.Engine.partition ?catalog:(catalog st) l st.rel with
     | part, status ->
       st.part <- Some part;
       Format.printf "%s: %d group(s)@."
@@ -501,7 +434,7 @@ let () =
         rel;
         part = None;
         hier = None;
-        method_ = `Direct;
+        method_ = Service.Engine.Direct;
         limits = Ilp.Branch_bound.default_limits;
         show_package = true;
         store;

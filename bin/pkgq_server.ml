@@ -59,13 +59,7 @@ let run_inner data host port workers queue result_cache method_ tau attrs
         (match result_cache with
         | Some c -> max 0 c
         | None -> defaults.result_cache);
-      method_ =
-        (match method_ with
-        | `Direct -> Service.Server.Direct
-        | `Sketch_refine -> Service.Server.Sketch_refine
-        | `Parallel -> Service.Server.Parallel_refine
-        | `Progressive -> Service.Server.Progressive
-        | `Stochastic -> Service.Server.Stochastic);
+      method_;
       tau;
       attrs;
       epsilon;
@@ -163,14 +157,9 @@ let result_cache =
            $(b,PKGQ_RESULT_CACHE) or 256).")
 
 let method_ =
-  let method_conv =
-    Arg.enum
-      [ ("direct", `Direct); ("sketchrefine", `Sketch_refine);
-        ("parallel", `Parallel); ("progressive", `Progressive);
-        ("stochastic", `Stochastic) ]
-  in
   Arg.(
-    value & opt method_conv `Direct
+    value
+    & opt (enum Service.Engine.methods) Service.Engine.Direct
     & info [ "method"; "m" ] ~docv:"METHOD"
         ~doc:
           "Evaluation method: $(b,direct), $(b,sketchrefine), \

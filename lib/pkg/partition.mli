@@ -24,8 +24,9 @@ type radius_spec =
           gamma = epsilon (maximize) or epsilon/(1+epsilon) (minimize) *)
 
 (** The partitioning parameters every entry point derives the same
-    way. A coordinator and its shards each re-derive a partitioning
-    from these, and must agree bit for bit. *)
+    way: [Service.Engine.derive] is the one caller of both. A
+    coordinator and its shards each re-derive a partitioning from
+    these, and must agree bit for bit. *)
 
 (** [theorem_radius ?epsilon sense] is the Theorem 3 radius condition
     for approximation parameter [epsilon] under the query's objective

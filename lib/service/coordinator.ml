@@ -853,31 +853,22 @@ let plan t rel qfp query =
       Ok p
     | Error _ as e -> e)
 
-(* The partitioning parameters come from the same [Pkg.Partition]
-   derivations the server's [partition_for] uses (tau default,
-   Theorem-3 radius from epsilon and the objective sense): every shard
-   re-derives the identical partition from its own copy of the same
-   config and data, which is what the ASSIGN divergence check
-   enforces. *)
+(* The partitioning parameters come from [Engine.derive], as on every
+   server (tau default, Theorem-3 radius from epsilon and the objective
+   sense): every shard re-derives the identical partition from its own
+   copy of the same config and data, which is what the ASSIGN
+   divergence check enforces. *)
 let layout_for t rel fp spec =
-  let attrs = t.cfg.attrs in
   let progressive = t.cfg.method_ = `Progressive in
-  let tau =
-    match t.cfg.tau with
-    | Some tau -> tau
-    | None ->
-      if progressive then Pkg.Hierarchy.default_leaf_tau rel
-      else Pkg.Partition.default_tau rel
-  in
-  let radius =
-    Pkg.Partition.theorem_radius ?epsilon:t.cfg.epsilon
-      (Paql.Translate.objective_sense spec)
+  let l =
+    Engine.derive ~hierarchy:progressive ?tau:t.cfg.tau ?epsilon:t.cfg.epsilon
+      ~attrs:t.cfg.attrs (Paql.Translate.objective_sense spec) rel
   in
   let key =
     Printf.sprintf "%s|%s|%d|%s@%s"
       (if progressive then "prog" else "flat")
-      (String.concat "," attrs) tau
-      (Store.Catalog.radius_string radius)
+      (String.concat "," l.attrs) l.tau
+      (Store.Catalog.radius_string l.radius)
       fp
   in
   Mutex.protect t.state_mu (fun () ->
@@ -892,7 +883,7 @@ let layout_for t rel fp spec =
           if progressive then
             Some
               (Metrics.time t.metrics "partition" (fun () ->
-                   Pkg.Hierarchy.build ~radius ?leaf_tau:t.cfg.tau ~attrs rel))
+                   fst (Engine.hierarchy l rel)))
           else None
         in
         let part =
@@ -900,7 +891,7 @@ let layout_for t rel fp spec =
           | Some h -> Pkg.Hierarchy.leaf h
           | None ->
             Metrics.time t.metrics "partition" (fun () ->
-                Pkg.Partition.create ~radius ~tau ~attrs rel)
+                fst (Engine.partition l rel))
         in
         let m = Pkg.Partition.num_groups part in
         let nshards = Array.length t.shards in

@@ -2,8 +2,6 @@ let src = Logs.Src.create "pkgq.server" ~doc:"package-query server"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type method_ = Direct | Sketch_refine | Parallel_refine | Progressive | Stochastic
-
 type config = {
   host : string;
   port : int;
@@ -12,7 +10,7 @@ type config = {
   result_cache : int;
   plan_cache : int;
   basis_cache : int;
-  method_ : method_;
+  method_ : Engine.method_;
   attrs : string list;
   tau : int option;
   epsilon : float option;
@@ -42,7 +40,7 @@ let default_config () =
     result_cache = cache_env "PKGQ_RESULT_CACHE" 256;
     plan_cache = 64;
     basis_cache = cache_env "PKGQ_BASIS_CACHE" 128;
-    method_ = Direct;
+    method_ = Engine.Direct;
     attrs = [];
     tau = None;
     epsilon = None;
@@ -58,23 +56,16 @@ let default_config () =
 (* State snapshots                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type part_entry = {
-  pe_attrs : string list;
-  pe_tau : int;
-  pe_radius : Pkg.Partition.radius_spec;
-  pe_part : Pkg.Partition.t;
-}
-
 (* One immutable view of the served table. Appends swap in a whole new
    snapshot under [state_mu]; a request holds on to the snapshot it
    started with, so it never sees a half-updated table. *)
 type snapshot = {
   rel : Relalg.Relation.t;
   fp : string;  (* content fingerprint *)
-  parts : (string, part_entry) Hashtbl.t;
-  (* progressive-shading hierarchies, same keying discipline as
-     [parts]; shared with the catalog (one entry per level) *)
-  hiers : (string, Pkg.Hierarchy.t) Hashtbl.t;
+  (* partitionings and progressive-shading hierarchies by layout;
+     shared with the catalog (hierarchies one entry per level) *)
+  parts : (Engine.layout, Pkg.Partition.t) Hashtbl.t;
+  hiers : (Engine.layout, Pkg.Hierarchy.t) Hashtbl.t;
   parts_mu : Mutex.t;
 }
 
@@ -156,117 +147,30 @@ let plan t snap qfp query =
     Result.iter (Cache.add t.plan_cache qfp) planned;
     planned
 
-let numeric_query_attrs schema ast =
-  List.filter
-    (fun a ->
-      match Relalg.Schema.index_of_opt schema a with
-      | Some i -> (
-        match (Relalg.Schema.attr_at schema i).Relalg.Schema.ty with
-        | Relalg.Value.TInt | Relalg.Value.TFloat -> true
-        | Relalg.Value.TStr | Relalg.Value.TBool -> false)
-      | None -> false)
-    (Paql.Ast.all_attrs ast)
+let settings t =
+  { Engine.method_ = t.cfg.method_; attrs = t.cfg.attrs; tau = t.cfg.tau;
+    epsilon = t.cfg.epsilon }
 
-(* Partitionings are shared per snapshot (and with the catalog, when
-   one is attached). Built under [parts_mu]: concurrent requests for
-   the same key wait for the one build instead of duplicating it. *)
-let partition_for t snap ast spec =
-  let schema = Relalg.Relation.schema snap.rel in
-  let attrs =
-    match t.cfg.attrs with [] -> numeric_query_attrs schema ast | attrs -> attrs
-  in
-  if attrs = [] then
-    Error
-      (Protocol.Resp_err
-         ( Protocol.Analysis_error,
-           "sketchrefine needs numeric partitioning attributes" ))
-  else begin
-    let tau =
-      match t.cfg.tau with
-      | Some tau -> tau
-      | None -> Pkg.Partition.default_tau snap.rel
-    in
-    let radius =
-      Pkg.Partition.theorem_radius ?epsilon:t.cfg.epsilon
-        (Paql.Translate.objective_sense spec)
-    in
-    let id =
-      Printf.sprintf "%s|%d|%s" (String.concat "," attrs) tau
-        (Store.Catalog.radius_string radius)
-    in
-    Ok
-      (Mutex.protect snap.parts_mu (fun () ->
-           match Hashtbl.find_opt snap.parts id with
-           | Some e -> e.pe_part
-           | None ->
-             let part =
-               Metrics.time t.metrics "partition" (fun () ->
-                   let build () =
-                     Pkg.Partition.create ~radius ~tau ~attrs snap.rel
-                   in
-                   match t.catalog with
-                   | Some cat ->
-                     let key =
-                       { Store.Catalog.fingerprint = snap.fp; attrs; tau; radius;
-                         level = None }
-                     in
-                     fst
-                       (Store.Catalog.lookup_or_build cat key
-                          ~rows:(Relalg.Relation.cardinality snap.rel) ~build)
-                   | None -> build ())
-             in
-             Hashtbl.replace snap.parts id
-               { pe_attrs = attrs; pe_tau = tau; pe_radius = radius;
-                 pe_part = part };
-             part))
-  end
-
-(* Progressive hierarchies follow the same sharing discipline as
-   [partition_for]: per-snapshot cache under [parts_mu], catalog-backed
-   (one entry per level) when a store is attached. The injected
-   [partition=build:fail] fault surfaces as a typed error response. *)
-let hierarchy_for t snap ast spec =
-  let schema = Relalg.Relation.schema snap.rel in
-  let attrs =
-    match t.cfg.attrs with [] -> numeric_query_attrs schema ast | attrs -> attrs
-  in
-  if attrs = [] then
-    Error
-      (Protocol.Resp_err
-         ( Protocol.Analysis_error,
-           "progressive needs numeric partitioning attributes" ))
-  else begin
-    let radius =
-      Pkg.Partition.theorem_radius ?epsilon:t.cfg.epsilon
-        (Paql.Translate.objective_sense spec)
-    in
-    let id =
-      Printf.sprintf "hier|%s|%s|%s" (String.concat "," attrs)
-        (match t.cfg.tau with Some tau -> string_of_int tau | None -> "-")
-        (Store.Catalog.radius_string radius)
-    in
+(* Where the server's partitionings live: per snapshot (and in the
+   catalog, when one is attached). Built under [parts_mu]: concurrent
+   requests for the same layout wait for the one build instead of
+   duplicating it. *)
+let source t snap =
+  let catalog = Option.map (fun cat -> (cat, snap.fp)) t.catalog in
+  let shared table build l =
     Mutex.protect snap.parts_mu (fun () ->
-        match Hashtbl.find_opt snap.hiers id with
-        | Some h -> Ok h
-        | None -> (
-          match
+        match Hashtbl.find_opt table l with
+        | Some v -> v
+        | None ->
+          let v =
             Metrics.time t.metrics "partition" (fun () ->
-                match t.catalog with
-                | Some cat ->
-                  fst
-                    (Store.Catalog.lookup_or_build_hierarchy cat
-                       ~fingerprint:snap.fp ~radius ?leaf_tau:t.cfg.tau ~attrs
-                       snap.rel)
-                | None ->
-                  Pkg.Hierarchy.build ~radius ?leaf_tau:t.cfg.tau ~attrs
-                    snap.rel)
-          with
-          | h ->
-            Hashtbl.replace snap.hiers id h;
-            Ok h
-          | exception Pkg.Faults.Injected msg ->
-            Error (Protocol.Resp_err (Protocol.Failed, msg))))
-  end
+                fst (build ?catalog l snap.rel))
+          in
+          Hashtbl.replace table l v;
+          v)
+  in
+  { Engine.flat = shared snap.parts Engine.partition;
+    hier = shared snap.hiers Engine.hierarchy }
 
 (* SummarySearch telemetry for STATS: how many scenarios the last
    stochastic evaluation drew, how finely it summarized, how many
@@ -322,18 +226,14 @@ let eval_query t ~deadline query =
      fingerprint, which append/delete invalidation matches on. *)
   match plan t snap qfp query with
   | Error resp -> resp
-  | Ok (ast, spec) -> (
-    let stochastic =
-      Paql.Translate.is_stochastic spec || t.cfg.method_ = Stochastic
-    in
-    let stoch_opts = if stochastic then Some (Pkg.Stochastic.default_options ()) else None in
+  | Ok ((_, spec) as planned) -> (
     let rkey =
-      match stoch_opts with
-      | Some o ->
+      if Engine.stochastic t.cfg.method_ spec then
+        let o = Pkg.Stochastic.default_options () in
         Printf.sprintf "%s#stoch:%d:%d:%d:%d@%s" qfp o.Pkg.Stochastic.scenarios
           o.Pkg.Stochastic.validation o.Pkg.Stochastic.summaries
           o.Pkg.Stochastic.seed snap.fp
-      | None -> qfp ^ "@" ^ snap.fp
+      else qfp ^ "@" ^ snap.fp
     in
     match Cache.find_opt t.result_cache rkey with
     | Some resp ->
@@ -354,82 +254,35 @@ let eval_query t ~deadline query =
               Float.min t.cfg.limits.Ilp.Branch_bound.max_seconds remaining;
           }
         in
-        let run () =
-          Metrics.incr t.metrics "solves";
-          Metrics.time t.metrics "solve" (fun () ->
-              match stoch_opts with
-              | Some o ->
-                (* WITH PROBABILITY / EXPECTED queries route to the
-                   SummarySearch driver whatever the configured method;
-                   --method stochastic also sends deterministic queries
-                   here (they delegate to DIRECT inside). *)
-                let options =
-                  { o with Pkg.Stochastic.limits; max_seconds = remaining }
-                in
-                let report, stats = Pkg.Stochastic.run ~options spec snap.rel in
-                record_stoch_stats t.metrics stats;
-                Ok report
-              | None ->
-              match t.cfg.method_ with
-              | Stochastic -> assert false (* stoch_opts is Some above *)
-              | Direct ->
-                (* Basis cache: keyed by the query's *structure*
-                   fingerprint (numeric literals abstracted) plus the
-                   table fingerprint. Parameter-tweaked variants of one
-                   query build ILPs over identical columns, so the
-                   optimal root basis of one warm-starts the next. *)
-                let bkey =
-                  Paql.Fingerprint.structure_of_query query ^ "@" ^ snap.fp
-                in
-                let warm_basis = Cache.find_opt t.basis_cache bkey in
-                Metrics.incr t.metrics
-                  (match warm_basis with
-                  | Some _ -> "basis_hits"
-                  | None -> "basis_misses");
-                let basis_out = ref None in
-                let report =
-                  Pkg.Direct.run ~limits ?warm_basis ~basis_out spec snap.rel
-                in
-                (match !basis_out with
-                | Some b -> Cache.add t.basis_cache bkey b
-                | None -> ());
-                Ok report
-              | Progressive -> (
-                match hierarchy_for t snap ast spec with
-                | Error resp -> Error resp
-                | Ok hier ->
-                  let options =
-                    {
-                      Pkg.Progressive.default_options with
-                      limits;
-                      max_seconds = remaining;
-                    }
-                  in
-                  let report, stats =
-                    Pkg.Progressive.run ~options spec snap.rel hier
-                  in
-                  Front.record_level_stats t.metrics stats;
-                  Ok report)
-              | Sketch_refine | Parallel_refine -> (
-                match partition_for t snap ast spec with
-                | Error resp -> Error resp
-                | Ok part ->
-                  let options =
-                    {
-                      Pkg.Sketch_refine.default_options with
-                      limits;
-                      max_seconds = remaining;
-                    }
-                  in
-                  Ok
-                    (match t.cfg.method_ with
-                    | Parallel_refine ->
-                      Pkg.Parallel.run ~options spec snap.rel part
-                    | _ -> Pkg.Sketch_refine.run ~options spec snap.rel part)))
+        (* Basis cache: keyed by the query's *structure* fingerprint
+           (numeric literals abstracted) plus the table fingerprint.
+           Parameter-tweaked variants of one query build ILPs over
+           identical columns, so the optimal root basis of one
+           warm-starts the next DIRECT solve. *)
+        let bkey =
+          lazy (Paql.Fingerprint.structure_of_query query ^ "@" ^ snap.fp)
         in
-        match run () with
+        let warm =
+          {
+            Engine.find =
+              (fun () ->
+                let b = Cache.find_opt t.basis_cache (Lazy.force bkey) in
+                Metrics.incr t.metrics
+                  (if Option.is_some b then "basis_hits" else "basis_misses");
+                b);
+            keep = (fun b -> Cache.add t.basis_cache (Lazy.force bkey) b);
+          }
+        in
+        Metrics.incr t.metrics "solves";
+        match
+          Metrics.time t.metrics "solve" (fun () ->
+              Engine.run ~warm ~limits ~seconds:remaining (settings t)
+                (source t snap) snap.rel planned)
+        with
         | Error resp -> resp
-        | Ok report ->
+        | Ok { Engine.report; levels; scenarios } ->
+          Option.iter (record_stoch_stats t.metrics) scenarios;
+          Front.record_level_stats t.metrics levels;
           add_solver_work t.metrics report.Pkg.Eval.counters;
           let resp = Front.response_of_report report in
           if cacheable report then Cache.add t.result_cache rkey resp;
@@ -586,11 +439,8 @@ let publish_locked t ~old_fp ~verb rel' parts =
   Option.iter
     (fun cat ->
       Hashtbl.iter
-        (fun _ e ->
-          Store.Catalog.store cat
-            { Store.Catalog.fingerprint = snap'.fp; attrs = e.pe_attrs;
-              tau = e.pe_tau; radius = e.pe_radius; level = None }
-            e.pe_part)
+        (fun l part ->
+          Store.Catalog.store cat (Engine.catalog_key snap'.fp l) part)
         parts)
     t.catalog;
   t.state <- snap';
@@ -631,23 +481,23 @@ let write_locked t ~epoch op =
     let maintain =
       match op with
       | Store.Wal.Append _ ->
-        fun e ->
-          Store.Maintain.append ~tau:e.pe_tau ~radius:e.pe_radius e.pe_part
-            rel'
+        fun (l : Engine.layout) part ->
+          Store.Maintain.append ~tau:l.tau ~radius:l.radius part rel'
       | Store.Wal.Delete ids ->
         let dead = Array.of_list ids in
-        fun e -> Store.Maintain.delete e.pe_part rel' dead
+        fun _ part -> Store.Maintain.delete part rel' dead
     in
     let parts = Hashtbl.create 4 in
     Metrics.time t.metrics "maintain" (fun () ->
         Mutex.protect snap.parts_mu (fun () ->
             Hashtbl.iter
-              (fun id e ->
-                let part', stats = maintain e in
+              (fun l part ->
+                let part', stats = maintain l part in
                 Log.info (fun k ->
-                    k "%s maintained %s: %a" verb id Store.Maintain.pp_stats
-                      stats);
-                Hashtbl.replace parts id { e with pe_part = part' })
+                    k "%s maintained %s: %a" verb
+                      (String.concat "," l.Engine.attrs)
+                      Store.Maintain.pp_stats stats);
+                Hashtbl.replace parts l part')
               snap.parts));
     let dropped =
       publish_locked t ~old_fp:snap.fp ~verb:(verb ^ "s") rel' parts
@@ -787,20 +637,21 @@ let shard_ctx t snap query =
   let qfp = Paql.Fingerprint.of_query query in
   match plan t snap qfp query with
   | Error resp -> Error resp
-  | Ok (ast, spec) -> (
+  | Ok ((_, spec) as planned) -> (
     (* a progressive shard derives the DLV hierarchy leaf — the same
        grouping a progressive coordinator deals out — so the ASSIGN
        divergence check passes iff both sides agree on method too *)
-    let part_result =
-      match t.cfg.method_ with
-      | Progressive -> (
-        match hierarchy_for t snap ast spec with
-        | Ok h -> Ok (Pkg.Hierarchy.leaf h)
-        | Error resp -> Error resp)
-      | Direct | Sketch_refine | Parallel_refine | Stochastic ->
-        partition_for t snap ast spec
-    in
-    match part_result with
+    let hierarchy = t.cfg.method_ = Engine.Progressive in
+    let source = source t snap in
+    match
+      Result.map
+        (fun l ->
+          if hierarchy then Pkg.Hierarchy.leaf (source.hier l)
+          else source.flat l)
+        (Engine.layout ~hierarchy (settings t) snap.rel planned)
+    with
+    | exception Pkg.Faults.Injected msg ->
+      Error (Protocol.Resp_err (Protocol.Failed, msg))
     | Error resp -> Error resp
     | Ok part -> (
       let key = qfp ^ "@" ^ snap.fp in

@@ -14,11 +14,11 @@
 
     - {b plan cache} — parse/analyze/compile once per query
       fingerprint ({!Paql.Fingerprint});
-    - {b partitions} — sketchrefine partitionings are kept per
-      (attrs, tau, radius) in memory (and in the {!Store.Catalog} when
-      one is attached), so they are built once and reused by every
-      request — the across-query reuse the billion-tuple follow-up
-      work gets its wins from;
+    - {b partitions} — partitionings and progressive hierarchies are
+      kept per {!Engine.layout} (attrs, tau, radius) in memory (and in
+      the {!Store.Catalog} when one is attached), so they are built
+      once and reused by every request — the across-query reuse the
+      billion-tuple follow-up work gets its wins from;
     - {b result cache} — keyed by (query fingerprint, table
       fingerprint): a repeated query against an unchanged table
       returns the rendered answer without touching the solver. Only
@@ -47,28 +47,6 @@
     fsync) and [maintain] (all partitionings) stages. A write of no
     rows changes nothing and is acked without a sequence number. *)
 
-type method_ =
-  | Direct
-  | Sketch_refine
-  | Parallel_refine
-  | Progressive
-      (** coarse-to-fine shading over a DLV hierarchy; hierarchies are
-          cached per snapshot and persisted per level in the catalog.
-          Per-level descent telemetry lands in STATS
-          ([progressive_level<l>*] gauges and histograms). *)
-  | Stochastic
-      (** SummarySearch over Monte-Carlo scenarios
-          ({!Pkg.Stochastic.run}); deterministic queries delegate to
-          DIRECT inside. Queries using [WITH PROBABILITY] or [EXPECTED]
-          route here {e whatever} the configured method. Telemetry
-          lands in STATS ([stoch_scenarios], [stoch_validation],
-          [stoch_summaries], [stoch_rounds], [stoch_validated_pm]
-          gauges plus [scenario]/[summary]/[validate] stage
-          histograms). Result-cache keys for stochastic queries embed
-          the scenario knobs (PKGQ_SCENARIOS / PKGQ_VALIDATE /
-          PKGQ_SUMMARIES and the seed), so re-tuning the environment
-          never replays a stale answer. *)
-
 type config = {
   host : string;
   port : int;          (** 0 picks an ephemeral port; see {!port} *)
@@ -77,7 +55,11 @@ type config = {
   result_cache : int;  (** result cache capacity; 0 disables *)
   plan_cache : int;    (** plan cache capacity; 0 disables *)
   basis_cache : int;   (** solver basis cache capacity; 0 disables *)
-  method_ : method_;
+  method_ : Engine.method_;
+      (** STATS carries progressive runs' [progressive_level<l>*] and
+          stochastic runs' [stoch_*] gauges. A stochastic query's
+          result-cache key embeds the scenario knobs (PKGQ_SCENARIOS /
+          PKGQ_VALIDATE / PKGQ_SUMMARIES and the seed). *)
   attrs : string list; (** partitioning attrs; [] = query's numeric attrs *)
   tau : int option;    (** [None] = 10% of the table *)
   epsilon : float option;

@@ -67,7 +67,7 @@ let start_front = function
     let attrs = [ "redshift" ] in
     let shard =
       Srv.start
-        { (base_cfg ()) with Srv.method_ = Srv.Sketch_refine; attrs }
+        { (base_cfg ()) with Srv.method_ = Service.Engine.Sketch_refine; attrs }
         galaxy
     in
     let spec =
@@ -170,7 +170,8 @@ let direct_stream n =
         (8. *. mu *. (1.2 +. (0.02 *. float_of_int i))))
 
 let direct_cfg () =
-  { (base_cfg ()) with Srv.workers = 1; result_cache = 0; method_ = Srv.Direct }
+  { (base_cfg ()) with
+    Srv.workers = 1; result_cache = 0; method_ = Service.Engine.Direct }
 
 let gauge body name =
   let prefix = "gauge " ^ name ^ " " in
@@ -258,7 +259,7 @@ let test_progressive_matches_run () =
   let cfg =
     {
       (base_cfg ()) with
-      Srv.method_ = Srv.Progressive;
+      Srv.method_ = Service.Engine.Progressive;
       attrs;
       tau = Some tau;
       result_cache = 0;
@@ -323,7 +324,7 @@ let test_cache_keeps_gap_stops () =
   let cfg =
     {
       (base_cfg ()) with
-      Srv.method_ = Srv.Direct;
+      Srv.method_ = Service.Engine.Direct;
       limits = { Ilp.Branch_bound.default_limits with max_nodes = 5 };
     }
   in
@@ -466,7 +467,7 @@ let test_write_path_golden () =
   let catalog = Store.Catalog.open_dir dir in
   let cfg =
     { (base_cfg ()) with
-      Srv.method_ = Srv.Sketch_refine; attrs = []; tau = Some 40 }
+      Srv.method_ = Service.Engine.Sketch_refine; attrs = []; tau = Some 40 }
   in
   let q body =
     "SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0 SUCH THAT " ^ body

@@ -74,7 +74,7 @@ let reference_essences =
     (let cfg =
        {
          (Srv.default_config ()) with
-         Srv.method_ = Srv.Sketch_refine;
+         Srv.method_ = Service.Engine.Sketch_refine;
          attrs;
          tau = Some tau;
          workers = 2;
@@ -208,7 +208,7 @@ let test_progressive_equivalence () =
   let server_cfg =
     {
       (Srv.default_config ()) with
-      Srv.method_ = Srv.Progressive;
+      Srv.method_ = Service.Engine.Progressive;
       attrs;
       tau = Some tau;
       workers = 2;
@@ -315,8 +315,8 @@ let test_fleet_ladder () =
           checkb (name ^ ": fleet equals pkgq_server") true
             (essence (Co.eval t q) = single)))
     [
-      ("sketchrefine", Srv.Sketch_refine, `Sketch_refine);
-      ("progressive", Srv.Progressive, `Progressive);
+      ("sketchrefine", Service.Engine.Sketch_refine, `Sketch_refine);
+      ("progressive", Service.Engine.Progressive, `Progressive);
     ]
 
 let test_breaker_trip_probe_close () =
@@ -751,6 +751,93 @@ let test_accept_survives_emfile () =
       (match net_errors with Some n -> n >= 1 | None -> false)
   | Pr.Resp_err (_, msg) -> Alcotest.fail msg
 
+(* One query path: [paql_cli] evaluating locally and [paql_cli
+   --connect] against a [pkgq_server] started with the same [--method]
+   must write byte-identical packages and exit alike, errors included.
+   A query with no numeric attribute to partition on is a typed
+   analysis error (exit 5) on both sides for every partitioning
+   method. *)
+let cli_exe =
+  Filename.concat (Filename.dirname server_exe) "paql_cli.exe"
+
+let run_cli args =
+  let out = Filename.concat tmp_dir "cli.out" in
+  let fd =
+    Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd; Unix.close null)
+      (fun () ->
+        Unix.create_process cli_exe (Array.of_list (cli_exe :: args))
+          Unix.stdin fd null)
+  in
+  let code =
+    match snd (Unix.waitpid [] pid) with Unix.WEXITED c -> c | _ -> -1
+  in
+  (code, In_channel.with_open_bin out In_channel.input_all)
+
+let test_cli_local_equals_remote () =
+  let dir = Filename.concat tmp_dir "cli" in
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  let rel = Datagen.Galaxy.generate ~seed:1 2000 in
+  let data = Filename.concat dir "galaxy.csv" in
+  Relalg.Csv.write data rel;
+  let q body =
+    "SELECT PACKAGE(G) AS P FROM galaxy G REPEAT 0 SUCH THAT " ^ body
+  in
+  (* method, Q1's objective, exit code of the no-numeric query *)
+  let methods =
+    [ ("direct", "193.18", 0); ("sketchrefine", "179.859", 5);
+      ("parallel", "178", 5); ("progressive", "128.515", 5);
+      ("stochastic", "193.18", 0) ]
+  in
+  List.iter
+    (fun (m, obj, no_numeric) ->
+      let queries =
+        [ ("Q1", (List.hd (Datagen.Workload.galaxy_queries rel)).paql, 0);
+          ("parse error", "SELECT PACKAGE(", 4);
+          ("infeasible", q "COUNT(P.*) = 2001 MAXIMIZE SUM(P.r)", 1);
+          ("no numeric attribute", q "COUNT(P.*) = 3", no_numeric) ]
+      in
+      let srv =
+        Ch.start_server ~exe:server_exe ~data
+          ~wal:(Filename.concat dir ("wal-" ^ m))
+          ~extra_args:[ "--method"; m ]
+          ~out_file:(Filename.concat dir (m ^ ".out")) ()
+      in
+      Fun.protect ~finally:(fun () -> Ch.stop_server srv) @@ fun () ->
+      List.iter
+        (fun (name, query, expect) ->
+          let what = m ^ ", " ^ name in
+          let csv side = Filename.concat dir (side ^ ".csv") in
+          List.iter
+            (fun side -> try Sys.remove (csv side) with Sys_error _ -> ())
+            [ "local"; "remote" ];
+          let local, out =
+            run_cli
+              [ "--no-store"; "--data"; data; "--query"; query; "-m"; m; "-o";
+                csv "local" ]
+          in
+          let remote, _ =
+            run_cli
+              [ "--connect"; Printf.sprintf "127.0.0.1:%d" srv.Ch.port;
+                "--query"; query; "-o"; csv "remote" ]
+          in
+          checki (what ^ ": local exit") expect local;
+          checki (what ^ ": --connect exit") local remote;
+          if name = "Q1" then
+            checkb (what ^ ": obj=" ^ obj) true
+              (String.starts_with ~prefix:("optimal, obj=" ^ obj ^ ",") out);
+          if local = 0 then
+            Alcotest.(check string)
+              (what ^ ": package bytes")
+              (In_channel.with_open_bin (csv "local") In_channel.input_all)
+              (In_channel.with_open_bin (csv "remote") In_channel.input_all))
+        queries)
+    methods
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -804,5 +891,7 @@ let () =
         [
           Alcotest.test_case "accept loop survives EMFILE" `Quick
             test_accept_survives_emfile;
+          Alcotest.test_case "paql_cli local equals --connect per method"
+            `Quick test_cli_local_equals_remote;
         ] );
     ]

@@ -472,7 +472,7 @@ let test_server_routes_and_caches () =
 
 let test_server_stochastic_method () =
   (* --method stochastic also accepts deterministic queries *)
-  let cfg = { (base_cfg ()) with Srv.method_ = Srv.Stochastic } in
+  let cfg = { (base_cfg ()) with Srv.method_ = Service.Engine.Stochastic } in
   with_server cfg galaxy (fun t ->
       with_client t (fun c ->
           match Cl.query c q_deterministic with
