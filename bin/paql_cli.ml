@@ -229,17 +229,21 @@ let run_inner connect retries connect_timeout data query_text query_file
       levels
   end;
   Format.printf "%a@." Pkg.Eval.pp_report report;
-  match report.Pkg.Eval.package with
-  | None -> if report.Pkg.Eval.status = Pkg.Eval.Infeasible then exit 1 else exit 2
-  | Some p ->
-    let materialized = Pkg.Package.materialize p in
-    (match out with
-    | Some path ->
-      Relalg.Csv.write path materialized;
-      Format.printf "package written to %s (%d rows)@." path
-        (Relalg.Relation.cardinality materialized)
-    | None ->
-      Format.printf "@.%a@." Relalg.Relation.pp materialized)
+  (* the answer a server gives this report: a degraded or failed run
+     exits with its code and writes no package, as with --connect *)
+  match Service.Front.response_of_report report with
+  | Service.Protocol.Resp_err _ as resp -> fail_with resp
+  | Service.Protocol.Resp_ok _ ->
+    Option.iter
+      (fun p ->
+        let materialized = Pkg.Package.materialize p in
+        match out with
+        | Some path ->
+          Relalg.Csv.write path materialized;
+          Format.printf "package written to %s (%d rows)@." path
+            (Relalg.Relation.cardinality materialized)
+        | None -> Format.printf "@.%a@." Relalg.Relation.pp materialized)
+      report.Pkg.Eval.package
 
 (* Cmdliner traps exceptions escaping the term (reporting them as an
    internal error, exit 124), so failure-mode exit codes must be

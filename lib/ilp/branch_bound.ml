@@ -15,6 +15,7 @@ type stats = {
   elapsed : float;
   stopped : stop_reason option;
   columns : int;
+  first_incumbent : int option;
 }
 
 let pp_stop_reason ppf = function
@@ -45,13 +46,18 @@ let solution_of = function
   | Optimal (s, _) | Feasible (s, _, _) -> Some s
   | Infeasible _ | Unbounded _ | Limit _ -> None
 
+let pp_first ppf = function
+  | Some k -> Format.fprintf ppf "first=%d" k
+  | None -> Format.pp_print_string ppf "first=none"
+
 let pp_result ppf = function
   | Optimal (s, st) ->
-    Format.fprintf ppf "optimal obj=%g (nodes=%d, columns=%d, %.3fs)" s.obj
-      st.nodes st.columns st.elapsed
+    Format.fprintf ppf "optimal obj=%g (nodes=%d, columns=%d, %a, %.3fs)" s.obj
+      st.nodes st.columns pp_first st.first_incumbent st.elapsed
   | Feasible (s, st, gap) ->
-    Format.fprintf ppf "feasible obj=%g gap=%a (nodes=%d, columns=%d, %.3fs)"
-      s.obj pp_gap gap st.nodes st.columns st.elapsed
+    Format.fprintf ppf
+      "feasible obj=%g gap=%a (nodes=%d, columns=%d, %a, %.3fs)" s.obj pp_gap
+      gap st.nodes st.columns pp_first st.first_incumbent st.elapsed
   | Infeasible st -> Format.fprintf ppf "infeasible (nodes=%d)" st.nodes
   | Unbounded st -> Format.fprintf ppf "unbounded (nodes=%d)" st.nodes
   | Limit st ->
@@ -186,10 +192,12 @@ let make_frame ~cols ~offset (fp : Problem.t) =
     rounded = Array.make (Problem.nvars fp) 0.;
   }
 
-(* The frame over the original columns [cols] of [p], every other
-   column held at its value in [fixed]. It is built from [p] itself, so
-   successive compactions do not compound the rounding of the folds. *)
-let compacted_frame (p : Problem.t) ~fixed ~cols =
+(* [p] over its original columns [cols], every other column held at
+   its value in [fixed]: the held columns' row activity folded into the
+   row bounds, and their objective returned as an offset (in [p]'s own
+   sense). It is built from [p] itself, so successive compactions do
+   not compound the rounding of the folds. *)
+let fold_fixed (p : Problem.t) ~fixed ~cols =
   let index = Array.make (Problem.nvars p) (-1) in
   Array.iteri (fun k j -> index.(j) <- k) cols;
   let offset = ref 0. in
@@ -220,7 +228,7 @@ let compacted_frame (p : Problem.t) ~fixed ~cols =
       p.Problem.rows
   in
   let vars = Array.map (fun j -> p.Problem.vars.(j)) cols in
-  make_frame ~cols ~offset:!offset { p with Problem.vars; rows }
+  ({ p with Problem.vars; rows }, !offset)
 
 (* What a reduced cost [d] on a column resting on [side] with bound
    span [span] can hide from the root bound: nothing when its sign is
@@ -259,12 +267,24 @@ let root_slop (p : Problem.t) b d y =
     p.Problem.rows;
   !slop
 
-let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
+(* The root restricted ILP (see DESIGN.md, "Root restricted ILP", for
+   the sweep that chose both): the root LP's support plus the
+   [restricted_extra] columns at a bound with the least root reduced
+   cost, searched under at most [restricted_nodes] of the ILP's own
+   nodes. *)
+let restricted_extra = 50
+let restricted_nodes = 300
+
+(* [root_ilp] is whether a fractional root runs the restricted ILP;
+   the restricted ILP's own search does not. *)
+let rec search ~root_ilp ~limits ~rel_gap ?warm_start ?basis_out
     (p : Problem.t) =
   (* Internal objective is minimized: internal = sense_sign * external. *)
   let start = Unix.gettimeofday () in
   let deadline = start +. limits.max_seconds in
   let nodes = ref 0 and work = Simplex.new_work () in
+  (* the node count when the first incumbent appeared *)
+  let first = ref None in
   let sense_sign =
     match p.Problem.sense with Problem.Minimize -> 1. | Problem.Maximize -> -1.
   in
@@ -289,6 +309,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
       elapsed = Unix.gettimeofday () -. start;
       stopped = !stop;
       columns = Problem.nvars !fr.fp;
+      first_incumbent = !first;
     }
   in
   let solve_lp ?basis overrides =
@@ -366,6 +387,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
       sense_sign *. obj < incumbent_internal () -. 1e-9
       && (full == x || Problem.feasible ~tol:1e-6 p full)
     then begin
+      if !incumbent = None then first := Some !nodes;
       incumbent := Some { x = (if full == x then Array.copy x else full); obj };
       improved := true
     end
@@ -402,9 +424,9 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
   let heap = Heap.create () in
   (* Reduced-cost fixing (see DESIGN.md). [root] holds the root LP's
      row duals, basis and bound once the root is fractional; [root_rc]
-     its structural reduced costs and their slop, computed at the first
-     incumbent. [fixed_here] counts the current frame's columns fixed in
-     place since its compaction. *)
+     its structural reduced costs and their slop, computed by the
+     restricted ILP or at the first incumbent. [fixed_here] counts the
+     current frame's columns fixed in place since its compaction. *)
   let root = ref None and root_rc = ref None and fixed_here = ref 0 in
   (* A node whose overrides exclude a column's in-place fixed value
      holds nothing better than the incumbent. *)
@@ -416,6 +438,18 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
       (fun (j, lo, hi) ->
         Float.max fr.base_lo.(j) lo > Float.min fr.base_hi.(j) hi)
       overrides
+  in
+  (* The root LP's structural reduced costs and their slop, computed
+     once, by the root frame's workspace: the first caller (the
+     restricted ILP or the first fixing) precedes any compaction. *)
+  let root_costs y b =
+    match !root_rc with
+    | Some rc -> rc
+    | None ->
+      let d = Simplex.Workspace.reduced_costs !fr.ws ~duals:y in
+      let rc = (d, root_slop p b d y) in
+      root_rc := Some rc;
+      rc
   in
   (* Rebuild the ILP over the current frame's free columns, and move
      every open node to it: overrides on kept columns are re-indexed,
@@ -433,7 +467,8 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     let pos = Array.make (Array.length old.cols) (-1) in
     Array.iteri (fun i k -> pos.(k) <- i) keep;
     let cols = Array.map (fun k -> old.cols.(k)) keep in
-    fr := compacted_frame p ~fixed:!fixed ~cols;
+    let fp, offset = fold_fixed p ~fixed:!fixed ~cols in
+    fr := make_frame ~cols ~offset fp;
     fixed_here := 0;
     let rec remap acc = function
       | [] -> Some (List.rev acc)
@@ -464,20 +499,13 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     improved := false;
     match (!root, !incumbent) with
     | Some (y, b, root_bound), Some s ->
-      let d, slop =
-        match !root_rc with
-        | Some rc -> rc
-        | None ->
-          (* the first incumbent precedes any compaction, so the frame
-             is still the root's: its workspace computes the reduced
-             costs, and its column map is the identity *)
-          fr := { !fr with cols = Array.init n Fun.id };
-          fixed := Array.make n Float.nan;
-          let d = Simplex.Workspace.reduced_costs !fr.ws ~duals:y in
-          let rc = (d, root_slop p b d y) in
-          root_rc := Some rc;
-          rc
-      in
+      let d, slop = root_costs y b in
+      if Array.length !fixed = 0 then begin
+        (* the first incumbent precedes any compaction, so the frame is
+           still the root's and its column map is the identity *)
+        fr := { !fr with cols = Array.init n Fun.id };
+        fixed := Array.make n Float.nan
+      end;
       (* every point that moves a column off its root bound costs at
          least [gain] more than the root *)
       let inc = sense_sign *. s.obj in
@@ -507,6 +535,70 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
         compact ()
     | _ -> ()
   in
+  (* The root restricted ILP (see DESIGN.md) over the columns the root
+     point [x] uses, the [restricted_extra] columns at a bound with the
+     least reduced cost, and every column fixed at a nonzero bound; each
+     other column is held at the bound it rests on. Its nodes, pivots
+     and time are this search's own, and its solution is an incumbent
+     like any other once the original problem accepts it. *)
+  let restricted_ilp x =
+    match !root with
+    | None -> ()
+    | Some (y, b, _) ->
+      let vars = p.Problem.vars in
+      let keep =
+        Array.mapi
+          (fun j (v : Problem.var) ->
+            Simplex.Basis.resting b j = `Basic
+            || x.(j) <> v.Problem.lo
+            || (v.Problem.lo = v.Problem.hi && v.Problem.lo <> 0.))
+          vars
+      in
+      (* the other columns that could leave the bound they rest on;
+         with no more of them than [restricted_extra], the restricted
+         ILP would be this one *)
+      let movable =
+        Array.of_seq
+          (Seq.filter
+             (fun j ->
+               (not keep.(j)) && vars.(j).Problem.lo < vars.(j).Problem.hi)
+             (Seq.init n Fun.id))
+      in
+      if Array.length movable > restricted_extra then begin
+        let d, _ = root_costs y b in
+        Array.stable_sort (fun i j -> Float.compare d.(i) d.(j)) movable;
+        for r = 0 to restricted_extra - 1 do
+          keep.(movable.(r)) <- true
+        done;
+        let cols =
+          Array.of_seq (Seq.filter (fun j -> keep.(j)) (Seq.init n Fun.id))
+        in
+        let held = Array.map (fun (v : Problem.var) -> v.Problem.lo) vars in
+        let sub_limits =
+          {
+            max_nodes = min restricted_nodes (limits.max_nodes - !nodes);
+            max_seconds = limits.max_seconds -. (Unix.gettimeofday () -. start);
+            max_simplex_iters =
+              limits.max_simplex_iters - Simplex.iterations work;
+          }
+        in
+        let r =
+          search ~root_ilp:false ~limits:sub_limits ~rel_gap
+            ?warm_start:(Simplex.Basis.restrict b ~keep:cols)
+            (fst (fold_fixed p ~fixed:held ~cols))
+        in
+        (match solution_of r with
+        | None -> ()
+        | Some s ->
+          Array.iteri (fun k j -> held.(j) <- s.x.(k)) cols;
+          if Problem.feasible ~tol:1e-6 p held then try_incumbent held);
+        (* charged after the install, which dates the incumbent to the
+           root *)
+        let st = stats_of r in
+        nodes := !nodes + st.nodes;
+        Simplex.add_work ~into:work st.lp
+      end
+  in
   match solve_lp ?basis:warm_start [] with
   | Simplex.Infeasible -> Infeasible (stats ())
   | Simplex.Unbounded -> Unbounded (stats ())
@@ -520,6 +612,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
     let root_bound = sense_sign *. root_lp.Simplex.obj in
     (match branching_var root_lp.Simplex.x with
     | None ->
+      first := Some 0;
       Optimal ({ x = root_lp.Simplex.x; obj = root_lp.Simplex.obj }, stats ())
     | Some _ ->
       (match root_lp.Simplex.basis with
@@ -527,6 +620,12 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
       | None -> ());
       Heap.push heap
         { overrides = []; bound = root_bound; nbasis = root_lp.Simplex.basis };
+      (* the restricted ILP runs unless the root's rounding gave an
+         incumbent that already compacted the ILP *)
+      if root_ilp then begin
+        if !improved then fix ();
+        if !fr.fp == p then restricted_ilp root_lp.Simplex.x
+      end;
       let best_open = ref root_bound in
       let limit_hit = ref false in
       while (not (Heap.is_empty heap)) && not !limit_hit do
@@ -615,3 +714,7 @@ let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
               { st with stopped = Some Stop_gap },
               Float.min rel_gap (gap_to gap_lb) )
         else Optimal (s, st)))
+
+let solve ?(limits = default_limits) ?(rel_gap = 0.) ?warm_start ?basis_out
+    p =
+  search ~root_ilp:true ~limits ~rel_gap ?warm_start ?basis_out p

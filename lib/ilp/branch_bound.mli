@@ -1,11 +1,15 @@
 (** Branch-and-bound integer linear programming on top of {!Lp.Simplex}.
 
     Best-first search on the LP relaxation bound, most-fractional
-    branching, a nearest-rounding heuristic for an initial incumbent,
-    and node/time limits mirroring the paper's CPLEX configuration
-    (1-hour cap, kill on resource exhaustion). A search that hits a
-    limit reports [Feasible] (with the optimality gap) when an
-    incumbent exists and [Limit] otherwise — the latter is what the
+    branching, and two heuristics for an early incumbent: nearest
+    rounding of each LP point, and, at a fractional root whose rounding
+    gives no incumbent that compacts the ILP, a small ILP restricted to
+    the root LP's support and the 50 at-bound columns of least reduced
+    cost, searched under at most 300 of the ILP's own nodes.
+    Reduced-cost fixing and compaction start at the first incumbent. Node/time limits mirror the paper's CPLEX
+    configuration (1-hour cap, kill on resource exhaustion). A search
+    that hits a limit reports [Feasible] (with the optimality gap) when
+    an incumbent exists and [Limit] otherwise — the latter is what the
     benchmarks treat as a Direct failure. A search that [rel_gap]
     stopped short of a proof reports [Feasible] too, with
     [stopped = Some Stop_gap]. *)
@@ -49,6 +53,11 @@ type stats = {
   columns : int;
       (** columns of the ILP the search ended on: the problem's own
           count, or fewer once reduced-cost fixing compacted it *)
+  first_incumbent : int option;
+      (** [nodes] when the first incumbent appeared: [Some 0] when the
+          root supplied it (an integral root LP, its rounding or its
+          restricted ILP, whose nodes count in [nodes] all the same);
+          [None] when the search found none *)
 }
 
 type result =

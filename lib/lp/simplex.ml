@@ -119,23 +119,6 @@ let add_work ~into w =
 
 let iterations w = w.pivots + w.dual_pivots
 
-(* ------------------------------------------------------------------ *)
-(* Warm-start master switch.                                           *)
-
-let truthy s =
-  match String.lowercase_ascii (String.trim s) with
-  | "0" | "off" | "false" | "no" -> false
-  | _ -> true
-
-let warm_flag =
-  Atomic.make
-    (match Sys.getenv_opt "PKGQ_WARM" with Some s -> truthy s | None -> true)
-
-let warm_enabled () = Atomic.get warm_flag
-let set_warm_enabled b = Atomic.set warm_flag b
-
-(* ------------------------------------------------------------------ *)
-
 (* Mutable solver state over the augmented column set:
    [0, n)           structural variables
    [n, n + m)       slacks (column -e_i, bounds = row range)
@@ -954,8 +937,7 @@ let warm_run st b ~max_iters ?deadline iters =
   | exception (Warm_reject | Singular_basis) -> None
 
 (* Solve under the bounds loaded in [st]: warm from [basis] when one is
-   given and warm starts are on, cold otherwise or when the warm attempt
-   fails. Every count lands in [work] as it happens. *)
+   given, cold otherwise or when the warm attempt fails. Every count lands in [work] as it happens. *)
 let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?(work = new_work ())
     () =
   st.tol <- tol;
@@ -966,7 +948,7 @@ let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?(work = new_work ())
   let iters = ref 0 in
   let result =
     match basis with
-    | Some b when warm_enabled () -> (
+    | Some b -> (
       st.work.warm_attempts <- st.work.warm_attempts + 1;
       match warm_run st b ~max_iters ?deadline iters with
       | Some r -> r
@@ -979,7 +961,7 @@ let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?(work = new_work ())
         in
         iters := !iters + !sub;
         r)
-    | _ -> cold_run st ~max_iters ?deadline iters
+    | None -> cold_run st ~max_iters ?deadline iters
   in
   result
 

@@ -26,8 +26,7 @@
     One serial scan over the columns per pivot: Dantzig's largest
     [|d|], first column on ties, and the dual ratio test's least
     [|d| / |alpha|], then largest [|alpha|], then first column. The
-    solver keeps no process-wide state beyond the {!warm_enabled}
-    switch: what a call did is counted in a {!work} record its caller
+    solver keeps no process-wide state: what a call did is counted in a {!work} record its caller
     owns. *)
 
 (** A saved simplex basis over the structural + slack columns. *)
@@ -109,10 +108,10 @@ val solve :
   result
 
 (** [resolve ?basis ...] is {!solve} that warm-starts from [basis] when
-    one is given (and warm starts are enabled). Same budget semantics
-    as {!solve}; dual pivots count against the same [max_iters]
-    budget, and pivots burned by a rejected warm attempt are charged
-    before the internal cold fallback runs. *)
+    one is given. Same budget semantics as {!solve}; dual pivots count
+    against the same [max_iters] budget, and pivots burned by a
+    rejected warm attempt are charged before the internal cold fallback
+    runs. *)
 val resolve :
   ?basis:Basis.t ->
   ?max_iters:int ->
@@ -167,11 +166,3 @@ module Workspace : sig
 end
 
 val pp_result : Format.formatter -> result -> unit
-
-(** {2 Warm-start switch} *)
-
-(** Master switch for warm starts (env [PKGQ_WARM], default on). With
-    warm starts off, {!resolve} ignores its basis and solves cold. *)
-val warm_enabled : unit -> bool
-
-val set_warm_enabled : bool -> unit

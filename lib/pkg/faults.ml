@@ -482,6 +482,7 @@ let zero_stats problem stopped =
     elapsed = 0.;
     stopped;
     columns = Lp.Problem.nvars problem;
+    first_incumbent = None;
   }
 
 let solve ?limits ?deadline ?warm ?basis_out ~stage ?group problem =

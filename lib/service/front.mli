@@ -17,10 +17,14 @@ val int_env : string -> int -> int
     concurrent requests never race to materialize the same column. *)
 val prewarm : Relalg.Relation.t -> unit
 
-(** The wire answer for an evaluation report: the rendered package for
-    [Optimal]/[Feasible]; [infeasible]/[degraded] with the status line
-    (["<status>, obj=<o>"]); a failure as [deadline], [rejected],
-    [fenced] or [failed] with the rendered failure. *)
+(** The answer every front end gives an evaluation report: the
+    rendered package for [Optimal]/[Feasible]; [infeasible]/[degraded]
+    with the status line (["<status>, obj=<o>"]); a failure as
+    [deadline], [rejected], [fenced] or [failed] with the rendered
+    failure. A degraded report is an error, not an answer: no fresh
+    package rides on it. [paql_cli] maps an error to
+    {!Protocol.exit_code} of its code (8 for [degraded]) whether it
+    evaluated locally or over [--connect]. *)
 val response_of_report : Pkg.Eval.report -> Protocol.response
 
 (** Per-level progressive descent telemetry for [STATS]: per level a

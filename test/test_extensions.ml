@@ -309,13 +309,13 @@ let test_eval_pretty_printers () =
     (to_s Ilp.Branch_bound.pp_gap 7e-7);
   Alcotest.(check string) "zero gap" "0.00%" (to_s Ilp.Branch_bound.pp_gap 0.);
   Alcotest.(check string) "solver result"
-    "feasible obj=2 gap=0.0015% (nodes=3, columns=4, 0.000s)"
+    "feasible obj=2 gap=0.0015% (nodes=3, columns=4, first=1, 0.000s)"
     (to_s Ilp.Branch_bound.pp_result
        (Ilp.Branch_bound.Feasible
           ( { Ilp.Branch_bound.x = [||]; obj = 2. },
             { Ilp.Branch_bound.nodes = 3; lp = Lp.Simplex.new_work ();
               elapsed = 0.; stopped = Some Ilp.Branch_bound.Stop_gap;
-              columns = 4 },
+              columns = 4; first_incumbent = Some 1 },
             1.5e-5 )));
   checkb "failed" true
     (to_s Pkg.Eval.pp_status

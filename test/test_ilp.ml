@@ -482,6 +482,158 @@ let prop_fixing_matches_enumeration =
          || QCheck.Test.fail_reportf "%d of %d searches compacted" !compacted
               !searched))
 
+(* The root restricted ILP against enumeration. Each ILP has 56 to 72
+   binary or REPEAT 1 columns with costs of either sign, an equality
+   on the number of tuples (2 or 3, the count of a planted package) and
+   one or two ranged rows with one-decimal coefficients around the
+   planted package's activity, shaved off the lattice as in
+   [fixing_ilp]. The root LP's support is a handful of columns, so the
+   restricted ILP keeps it and the 50 at-bound columns of least reduced
+   cost and holds the rest at zero: a strict subset. The count row
+   keeps enumeration to a few thousand points. *)
+let restricted_ilp_gen =
+  QCheck.Gen.(
+    int_range 54 64 >>= fun n ->
+    bool >>= fun maximize ->
+    list_size (return n)
+      (pair (frequency [ (3, return 1); (1, return 2) ]) (int_range (-99) 99))
+    >>= fun cols ->
+    list_size (int_range 2 3) (int_range 0 (n - 1)) >>= fun picks ->
+    list_size
+      (frequency [ (3, return 1); (1, return 2) ])
+      (pair (list_size (return n) (int_range (-30) 60)) (int_range 1 40))
+    >>= fun ranged -> return (maximize, cols, picks, ranged))
+
+let restricted_ilp (maximize, cols, picks, ranged) =
+  let cols = Array.of_list cols in
+  let planted = Array.make (Array.length cols) 0 in
+  List.iter
+    (fun j -> planted.(j) <- min (fst cols.(j)) (planted.(j) + 1))
+    picks;
+  let count = Array.fold_left ( + ) 0 planted in
+  let vars =
+    Array.to_list
+      (Array.map
+         (fun (hi, c) ->
+           P.var ~integer:true ~lo:0. ~hi:(float_of_int hi) (float_of_int c))
+         cols)
+  in
+  let rows =
+    P.row
+      (List.init (Array.length cols) (fun j -> (j, 1.)))
+      ~lo:(float_of_int count) ~hi:(float_of_int count)
+    :: List.map
+         (fun (coeffs, width) ->
+           let act =
+             List.fold_left ( + ) 0 (List.mapi (fun j a -> a * planted.(j)) coeffs)
+           in
+           let below = width / 2 in
+           P.row
+             (List.mapi (fun j a -> (j, float_of_int a /. 10.)) coeffs)
+             ~lo:((float_of_int (act - below) -. 0.37) /. 10.)
+             ~hi:((float_of_int (act + width - below) +. 0.37) /. 10.))
+         ranged
+  in
+  P.make ~sense:(if maximize then P.Maximize else P.Minimize) ~vars ~rows
+
+(* [restricted_runs p] is whether the root LP is fractional, and
+   whether the search must run the root restricted ILP on it: the
+   root's nearest rounding (the search's first heuristic) is infeasible,
+   and more than the restricted ILP's 50 extra columns rest at a bound
+   they could leave, so it keeps a strict subset. (It also runs when
+   the rounding's incumbent fixes too few columns to compact.) *)
+let restricted_runs p =
+  match Lp.Simplex.solve p with
+  | Lp.Simplex.Optimal s -> (
+    let x = s.Lp.Simplex.x in
+    let fractional =
+      Array.exists (fun v -> Float.abs (v -. Float.round v) > 1e-6) x
+    in
+    let rounded =
+      Array.mapi
+        (fun j v ->
+          let var = p.P.vars.(j) in
+          Float.min var.P.hi (Float.max var.P.lo (Float.round v)))
+        x
+    in
+    match s.Lp.Simplex.basis with
+    | Some b when fractional && not (P.feasible ~tol:1e-6 p rounded) ->
+      let movable = ref 0 in
+      Array.iteri
+        (fun j (var : P.var) ->
+          if
+            Lp.Simplex.Basis.resting b j <> `Basic
+            && x.(j) = var.P.lo
+            && var.P.lo < var.P.hi
+          then incr movable)
+        p.P.vars;
+      (true, !movable > 50)
+    | _ -> (fractional, false))
+  | _ -> (false, false)
+
+(* One case is a batch of 30 ILPs: every one must match enumeration,
+   and at least a third of those whose root LP is fractional must run
+   the restricted ILP. *)
+let prop_restricted_matches_enumeration =
+  QCheck.Test.make ~count:4
+    ~name:"root restricted ILP matches exhaustive enumeration"
+    (QCheck.make QCheck.Gen.(list_size (return 25) restricted_ilp_gen))
+    (fun batch ->
+      let searched = ref 0 and ran = ref 0 in
+      List.iter
+        (fun input ->
+          let p = restricted_ilp input in
+          let r = B.solve p in
+          (match (enumerate p, r) with
+          | Some opt, B.Optimal (s, _)
+            when Float.abs (opt -. s.B.obj) < 1e-6 && P.feasible p s.B.x ->
+            ()
+          | None, B.Infeasible _ -> ()
+          | opt, r ->
+            QCheck.Test.fail_reportf "enumeration %s, search %a@.%a"
+              (match opt with Some o -> string_of_float o | None -> "none")
+              B.pp_result r P.pp p);
+          let fractional, runs = restricted_runs p in
+          if fractional then incr searched;
+          if runs then incr ran)
+        batch;
+      3 * !ran >= !searched
+      || QCheck.Test.fail_reportf "%d of %d searches ran the restricted ILP"
+           !ran !searched)
+
+(* Galaxy Q2-like: choose 5 of 120 tuples whose weights must land in a
+   window 0.001 wide. Best-bound search without the restricted ILP
+   spends 186 nodes before its first incumbent, so 150 nodes found
+   none; the restricted ILP finds a package within them. *)
+let test_restricted_finds_package () =
+  let n = 120 in
+  let rng = Datagen.Prng.create 28 in
+  let c = Array.init n (fun _ -> Datagen.Prng.uniform rng 1. 10.) in
+  let a = Array.init n (fun _ -> Datagen.Prng.uniform rng 0. 1.) in
+  let target = ref 0. in
+  for j = 0 to 4 do
+    target := !target +. a.(j * 7 mod n)
+  done;
+  let p =
+    P.make ~sense:P.Maximize
+      ~vars:(List.init n (fun j -> P.var ~integer:true ~hi:1. c.(j)))
+      ~rows:
+        [
+          P.row (List.init n (fun j -> (j, 1.))) ~lo:5. ~hi:5.;
+          P.row
+            (List.init n (fun j -> (j, a.(j))))
+            ~lo:(!target -. 0.0005) ~hi:(!target +. 0.0005);
+        ]
+  in
+  let limits = { B.default_limits with max_nodes = 150 } in
+  match B.solve ~limits p with
+  | B.Feasible (s, st, _) ->
+    checkb "package feasible" true (P.feasible p s.B.x);
+    Alcotest.(check (option int)) "found at the root" (Some 0)
+      st.B.first_incumbent;
+    Alcotest.(check int) "nodes within the budget" 150 st.B.nodes
+  | r -> Alcotest.failf "expected a package, got %a" B.pp_result r
+
 let () =
   Alcotest.run "ilp"
     [
@@ -501,6 +653,8 @@ let () =
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "stats and accessors" `Quick
             test_stats_and_accessors;
+          Alcotest.test_case "restricted ILP finds a package" `Quick
+            test_restricted_finds_package;
         ] );
       ( "iis",
         [
@@ -515,5 +669,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_bb_zero_gap_is_exact;
           QCheck_alcotest.to_alcotest prop_bb_solution_feasible;
           QCheck_alcotest.to_alcotest prop_fixing_matches_enumeration;
+          QCheck_alcotest.to_alcotest prop_restricted_matches_enumeration;
         ] );
     ]

@@ -756,7 +756,8 @@ let test_accept_survives_emfile () =
    must write byte-identical packages and exit alike, errors included.
    A query with no numeric attribute to partition on is a typed
    analysis error (exit 5) on both sides for every partitioning
-   method. *)
+   method, and a degraded report is the typed [degraded] error (exit
+   8, no package). *)
 let cli_exe =
   Filename.concat (Filename.dirname server_exe) "paql_cli.exe"
 
@@ -793,50 +794,66 @@ let test_cli_local_equals_remote () =
       ("parallel", "178", 5); ("progressive", "128.515", 5);
       ("stochastic", "193.18", 0) ]
   in
+  let q1 = (List.hd (Datagen.Workload.galaxy_queries rel)).paql in
+  (* one server per method (and fault set), each query run locally and
+     through it *)
+  let against ?(faults = []) m queries check_q1 =
+    let flags = if faults = [] then [] else "--faults" :: faults in
+    let srv =
+      Ch.start_server ~exe:server_exe ~data
+        ~wal:(Filename.concat dir ("wal-" ^ m ^ String.concat "" faults))
+        ~extra_args:([ "--method"; m ] @ flags)
+        ~out_file:(Filename.concat dir (m ^ ".out")) ()
+    in
+    Fun.protect ~finally:(fun () -> Ch.stop_server srv) @@ fun () ->
+    List.iter
+      (fun (name, query, expect) ->
+        let what = m ^ ", " ^ name in
+        let csv side = Filename.concat dir (side ^ ".csv") in
+        List.iter
+          (fun side -> try Sys.remove (csv side) with Sys_error _ -> ())
+          [ "local"; "remote" ];
+        let local, out =
+          run_cli
+            ([ "--no-store"; "--data"; data; "--query"; query; "-m"; m; "-o";
+               csv "local" ]
+            @ flags)
+        in
+        let remote, _ =
+          run_cli
+            [ "--connect"; Printf.sprintf "127.0.0.1:%d" srv.Ch.port;
+              "--query"; query; "-o"; csv "remote" ]
+        in
+        checki (what ^ ": local exit") expect local;
+        checki (what ^ ": --connect exit") local remote;
+        if name = "Q1" then check_q1 what out;
+        if local = 0 then
+          Alcotest.(check string)
+            (what ^ ": package bytes")
+            (In_channel.with_open_bin (csv "local") In_channel.input_all)
+            (In_channel.with_open_bin (csv "remote") In_channel.input_all)
+        else
+          checkb (what ^ ": no package written") false
+            (Sys.file_exists (csv "local") || Sys.file_exists (csv "remote")))
+      queries
+  in
   List.iter
     (fun (m, obj, no_numeric) ->
-      let queries =
-        [ ("Q1", (List.hd (Datagen.Workload.galaxy_queries rel)).paql, 0);
+      against m
+        [ ("Q1", q1, 0);
           ("parse error", "SELECT PACKAGE(", 4);
           ("infeasible", q "COUNT(P.*) = 2001 MAXIMIZE SUM(P.r)", 1);
           ("no numeric attribute", q "COUNT(P.*) = 3", no_numeric) ]
-      in
-      let srv =
-        Ch.start_server ~exe:server_exe ~data
-          ~wal:(Filename.concat dir ("wal-" ^ m))
-          ~extra_args:[ "--method"; m ]
-          ~out_file:(Filename.concat dir (m ^ ".out")) ()
-      in
-      Fun.protect ~finally:(fun () -> Ch.stop_server srv) @@ fun () ->
-      List.iter
-        (fun (name, query, expect) ->
-          let what = m ^ ", " ^ name in
-          let csv side = Filename.concat dir (side ^ ".csv") in
-          List.iter
-            (fun side -> try Sys.remove (csv side) with Sys_error _ -> ())
-            [ "local"; "remote" ];
-          let local, out =
-            run_cli
-              [ "--no-store"; "--data"; data; "--query"; query; "-m"; m; "-o";
-                csv "local" ]
-          in
-          let remote, _ =
-            run_cli
-              [ "--connect"; Printf.sprintf "127.0.0.1:%d" srv.Ch.port;
-                "--query"; query; "-o"; csv "remote" ]
-          in
-          checki (what ^ ": local exit") expect local;
-          checki (what ^ ": --connect exit") local remote;
-          if name = "Q1" then
-            checkb (what ^ ": obj=" ^ obj) true
-              (String.starts_with ~prefix:("optimal, obj=" ^ obj ^ ",") out);
-          if local = 0 then
-            Alcotest.(check string)
-              (what ^ ": package bytes")
-              (In_channel.with_open_bin (csv "local") In_channel.input_all)
-              (In_channel.with_open_bin (csv "remote") In_channel.input_all))
-        queries)
-    methods
+        (fun what out ->
+          checkb (what ^ ": obj=" ^ obj) true
+            (String.starts_with ~prefix:("optimal, obj=" ^ obj ^ ",") out)))
+    methods;
+  (* a degraded run (the progressive descent's level 1 fails once and is
+     solved widened) is no answer on either side: exit 8, no package *)
+  against ~faults:[ "partition=level:1" ] "progressive" [ ("Q1", q1, 8) ]
+    (fun what out ->
+      checkb (what ^ ": degraded") true
+        (String.starts_with ~prefix:"degraded: " out))
 
 (* ------------------------------------------------------------------ *)
 
