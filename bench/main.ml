@@ -633,7 +633,7 @@ let stoch_bench ~scale () =
   let deadline_s = Float.max 10. (60. *. scale) in
   let opts scenarios =
     {
-      (Pkg.Stochastic.default_options ()) with
+      Pkg.Stochastic.default_options with
       Pkg.Stochastic.limits = bench_limits;
       max_seconds = deadline_s;
       scenarios;

@@ -83,7 +83,8 @@ let fail_with = function
 
 let run_inner connect retries connect_timeout data query_text query_file
     method_ tau attrs epsilon max_seconds max_nodes faults out verbose explain
-    mps_out partition_file save_partition store_dir no_store =
+    mps_out partition_file save_partition store_dir no_store levels stochastic
+    =
   let query =
     match query_text, query_file with
     | Some q, None -> q
@@ -112,11 +113,7 @@ let run_inner connect retries connect_timeout data query_text query_file
   (* the store, with the loaded table's fingerprint *)
   let rel, catalog =
     match
-      if no_store then None
-      else
-        match store_dir with
-        | Some d -> Some (Store.Catalog.open_dir d)
-        | None -> Store.Catalog.from_env ()
+      if no_store then None else Option.map Store.Catalog.open_dir store_dir
     with
     | Some cat ->
       let rel, fp = Store.Catalog.load_table cat data in
@@ -186,7 +183,7 @@ let run_inner connect retries connect_timeout data query_text query_file
   in
   let hier l =
     let t0 = Unix.gettimeofday () in
-    let h, status = Service.Engine.hierarchy ?catalog l rel in
+    let h, status = Service.Engine.hierarchy ?catalog ~levels l rel in
     if verbose then
       Format.printf "Hierarchy %s: %d levels (%s groups) in %.3fs@."
         (match status with `Hit -> "catalog hit" | `Built -> "built")
@@ -205,7 +202,7 @@ let run_inner connect retries connect_timeout data query_text query_file
   let { Service.Engine.report; levels; scenarios } =
     match
       Service.Engine.run ~limits ~seconds:max_seconds
-        { Service.Engine.method_; attrs; tau; epsilon }
+        { Service.Engine.method_; attrs; tau; epsilon; stochastic }
         { Service.Engine.flat; hier } rel planned
     with
     | Ok outcome -> outcome
@@ -250,11 +247,12 @@ let run_inner connect retries connect_timeout data query_text query_file
    assigned here, inside the term body. *)
 let run connect retries connect_timeout data query_text query_file method_
     tau attrs epsilon max_seconds max_nodes faults out verbose explain mps_out
-    partition_file save_partition store_dir no_store =
+    partition_file save_partition store_dir no_store levels stochastic =
   match
     run_inner connect retries connect_timeout data query_text query_file
       method_ tau attrs epsilon max_seconds max_nodes faults out verbose
-      explain mps_out partition_file save_partition store_dir no_store
+      explain mps_out partition_file save_partition store_dir no_store levels
+      stochastic
   with
   | () -> ()
   | exception Relalg.Csv.Error (line, msg) ->
@@ -327,7 +325,7 @@ let method_ =
            $(b,progressive) (coarse-to-fine shading over a DLV hierarchy; \
            $(b,--tau) sets the leaf threshold, levels come from \
            $(b,PKGQ_HIER_LEVELS)), or $(b,stochastic) (SummarySearch over \
-           Monte-Carlo scenarios; knobs $(b,PKGQ_SCENARIOS), \
+           Monte-Carlo scenarios; see $(b,PKGQ_SCENARIOS), \
            $(b,PKGQ_SUMMARIES), $(b,PKGQ_VALIDATE)). Queries with \
            $(b,WITH PROBABILITY) or $(b,EXPECTED) always use the \
            stochastic driver, whatever this flag says.")
@@ -370,9 +368,9 @@ let faults =
     value
     & opt (some string) None
     & info [ "faults" ] ~docv:"SPEC"
+        ~env:(Cmd.Env.info Knobs.faults_var)
         ~doc:
-          "Install deterministic fault-injection directives (same grammar \
-           as the PKGQ_FAULTS environment variable), e.g. \
+          "Install deterministic fault-injection directives, e.g. \
            $(b,'ilp=3:limit; stage=sketch:infeasible; worker=0:crash').")
 
 let out =
@@ -417,17 +415,17 @@ let store_dir =
   Arg.(
     value
     & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
+    & info [ "store" ] ~docv:"DIR" ~env:(Cmd.Env.info Knobs.store_var)
         ~doc:
           "Store directory: imported tables are cached as binary segments \
            and sketchrefine partitionings are persisted and reused across \
-           runs. Defaults to $(b,PKGQ_STORE_DIR) when set.")
+           runs.")
 
 let no_store =
   Arg.(
     value & flag
     & info [ "no-store" ]
-        ~doc:"Ignore the store (and $(b,PKGQ_STORE_DIR)) for this run.")
+        ~doc:"Ignore the store ($(b,--store)) for this run.")
 
 let cmd =
   let doc = "evaluate PaQL package queries over CSV data" in
@@ -438,9 +436,10 @@ let cmd =
       $ method_ $ tau
       $ attrs $ epsilon $ max_seconds $ max_nodes $ faults $ out $ verbose
       $ explain $ mps_out $ partition_file $ save_partition $ store_dir
-      $ no_store)
+      $ no_store $ Knobs.term Knobs.levels $ Knobs.term Knobs.stochastic)
   in
-  Cmd.v (Cmd.info "paql" ~doc) term
+  let envs = Knobs.(levels.envs @ stochastic.envs) in
+  Cmd.v (Cmd.info "paql" ~doc ~envs) term
 
 let () =
   match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 124

@@ -7,7 +7,11 @@
         ->   SUCH THAT COUNT of P = 3 AND SUM(P.kcal) BETWEEN 2.0 AND 2.5
         ->   MINIMIZE SUM(P.saturated_fat);
 
-   Statements end with ';'. Meta commands start with '\'. *)
+   Statements end with ';'. Meta commands start with '\'. The store
+   directory, fault directives, hierarchy levels and scenario counts
+   come from PKGQ_STORE_DIR, PKGQ_FAULTS, PKGQ_HIER_LEVELS and
+   PKGQ_SCENARIOS / PKGQ_VALIDATE / PKGQ_SUMMARIES, read once at
+   startup. *)
 
 type state = {
   mutable rel : Relalg.Relation.t;
@@ -19,6 +23,8 @@ type state = {
   mutable show_package : bool;
   mutable store : Store.Catalog.t option;
   mutable fingerprint : string option;
+  levels : int;
+  stochastic : Pkg.Stochastic.options;
 }
 
 (* the store, with the table's fingerprint (computed on first use) *)
@@ -89,7 +95,11 @@ let run_query st text =
     match st.hier with
     | Some (cached, h) when cached = l -> h
     | _ ->
-      let h = fst (Service.Engine.hierarchy ?catalog:(catalog st) l st.rel) in
+      let h =
+        fst
+          (Service.Engine.hierarchy ?catalog:(catalog st) ~levels:st.levels l
+             st.rel)
+      in
       st.hier <- Some (l, h);
       Format.printf "hierarchy: %s group(s) per level@."
         (String.concat "/"
@@ -103,7 +113,7 @@ let run_query st text =
     { Service.Engine.method_ = st.method_;
       attrs =
         Option.fold ~none:[] ~some:(fun p -> p.Pkg.Partition.attrs) st.part;
-      tau = None; epsilon = None }
+      tau = None; epsilon = None; stochastic = st.stochastic }
   in
   match
     Service.Front.compile (Service.Metrics.create ())
@@ -401,7 +411,26 @@ let () =
         Format.printf "connected to %s. \\help for commands.@." endpoint;
         remote_repl client))
   | [| _; path |] ->
-    let store = Store.Catalog.from_env () in
+    let knob k =
+      match k.Knobs.read () with
+      | Ok v -> v
+      | Error msg ->
+        Printf.eprintf "paql_repl: %s\n" msg;
+        exit 2
+    in
+    let var name =
+      knob (Knobs.env Cmdliner.Arg.(some string) name ~default:None)
+    in
+    let levels = knob Knobs.levels and stochastic = knob Knobs.stochastic in
+    Option.iter
+      (fun s ->
+        match Pkg.Faults.parse s with
+        | Ok spec -> Pkg.Faults.install spec
+        | Error msg ->
+          Printf.eprintf "paql_repl: %s: %s\n" Knobs.faults_var msg;
+          exit 2)
+      (var Knobs.faults_var);
+    let store = Option.map Store.Catalog.open_dir (var Knobs.store_var) in
     let rel, fingerprint =
       match
         match store with
@@ -439,6 +468,8 @@ let () =
         show_package = true;
         store;
         fingerprint;
+        levels;
+        stochastic;
       }
   | _ ->
     prerr_endline "usage: paql_repl DATA.csv | paql_repl --connect HOST:PORT";

@@ -17,7 +17,7 @@ let die code msg =
 
 let run_inner data host port workers queue result_cache method_ tau attrs
     epsilon max_seconds max_nodes request_seconds log_every faults store_dir
-    no_store wal_dir wal_checkpoint verbose =
+    no_store wal_dir wal_checkpoint wal_sync levels stochastic verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
@@ -34,11 +34,7 @@ let run_inner data host port workers queue result_cache method_ tau attrs
     | Ok spec -> Pkg.Faults.install spec
     | Error msg -> die exit_usage_error ("--faults: " ^ msg)));
   let catalog =
-    if no_store then None
-    else
-      match store_dir with
-      | Some d -> Some (Store.Catalog.open_dir d)
-      | None -> Store.Catalog.from_env ()
+    if no_store then None else Option.map Store.Catalog.open_dir store_dir
   in
   let rel =
     match catalog with
@@ -47,18 +43,14 @@ let run_inner data host port workers queue result_cache method_ tau attrs
       if Filename.check_suffix data ".seg" then Store.Segment.read data
       else Relalg.Csv.read data
   in
-  let defaults = Service.Server.default_config () in
   let cfg =
     {
-      defaults with
-      Service.Server.host;
+      Service.Server.default_config with
+      host;
       port;
-      workers = (match workers with Some w -> max 1 w | None -> defaults.workers);
-      queue = (match queue with Some q -> max 1 q | None -> defaults.queue);
-      result_cache =
-        (match result_cache with
-        | Some c -> max 0 c
-        | None -> defaults.result_cache);
+      workers = max 1 workers;
+      queue = max 1 queue;
+      result_cache;
       method_;
       tau;
       attrs;
@@ -67,10 +59,10 @@ let run_inner data host port workers queue result_cache method_ tau attrs
       request_seconds;
       log_every;
       wal_dir;
-      wal_checkpoint =
-        (match wal_checkpoint with
-        | Some n -> max 0 n
-        | None -> defaults.wal_checkpoint);
+      wal_checkpoint;
+      wal_sync;
+      levels;
+      stochastic;
     }
   in
   let t = Service.Server.start ?catalog cfg rel in
@@ -96,11 +88,11 @@ let run_inner data host port workers queue result_cache method_ tau attrs
 
 let run data host port workers queue result_cache method_ tau attrs epsilon
     max_seconds max_nodes request_seconds log_every faults store_dir no_store
-    wal_dir wal_checkpoint verbose =
+    wal_dir wal_checkpoint wal_sync levels stochastic verbose =
   match
     run_inner data host port workers queue result_cache method_ tau attrs
       epsilon max_seconds max_nodes request_seconds log_every faults store_dir
-      no_store wal_dir wal_checkpoint verbose
+      no_store wal_dir wal_checkpoint wal_sync levels stochastic verbose
   with
   | () -> ()
   | exception Relalg.Csv.Error (line, msg) ->
@@ -130,31 +122,45 @@ let port =
     & info [ "port"; "p" ] ~docv:"PORT"
         ~doc:"Port to bind (default 0: pick an ephemeral port and print it).")
 
+let defaults = Service.Server.default_config
+
+(* A capacity or count where 0 (also spelled [off]) disables. *)
+let capacity =
+  Arg.conv'
+    ( (fun s ->
+        match String.lowercase_ascii (String.trim s) with
+        | "off" | "none" -> Ok 0
+        | t -> (
+          match int_of_string_opt t with
+          | Some n when n >= 0 -> Ok n
+          | _ -> Error (Printf.sprintf "%S is not a count or off" s))),
+      Format.pp_print_int )
+
 let workers =
   Arg.(
     value
-    & opt (some int) None
+    & opt int defaults.workers
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Worker pool size (default: $(b,PKGQ_SERVE_WORKERS) or 4).")
+        ~env:(Cmd.Env.info "PKGQ_SERVE_WORKERS")
+        ~doc:"Worker pool size.")
 
 let queue =
   Arg.(
     value
-    & opt (some int) None
+    & opt int defaults.queue
     & info [ "queue" ] ~docv:"N"
+        ~env:(Cmd.Env.info "PKGQ_SERVE_QUEUE")
         ~doc:
           "Admission queue capacity; requests beyond it are shed with a \
-           typed $(b,rejected) failure (default: $(b,PKGQ_SERVE_QUEUE) or \
-           32).")
+           typed $(b,rejected) failure.")
 
 let result_cache =
   Arg.(
     value
-    & opt (some int) None
+    & opt capacity defaults.result_cache
     & info [ "result-cache" ] ~docv:"N"
-        ~doc:
-          "Result cache capacity; 0 disables (default: \
-           $(b,PKGQ_RESULT_CACHE) or 256).")
+        ~env:(Cmd.Env.info "PKGQ_RESULT_CACHE")
+        ~doc:"Result cache capacity; 0 or $(b,off) disables.")
 
 let method_ =
   Arg.(
@@ -167,7 +173,7 @@ let method_ =
            $(b,progressive) (coarse-to-fine DLV hierarchy shading; \
            $(b,--tau) sets the leaf threshold, $(b,PKGQ_HIER_LEVELS) \
            the level count) or $(b,stochastic) (SummarySearch over \
-           Monte-Carlo scenarios; knobs $(b,PKGQ_SCENARIOS), \
+           Monte-Carlo scenarios; see $(b,PKGQ_SCENARIOS), \
            $(b,PKGQ_VALIDATE), $(b,PKGQ_SUMMARIES)). Queries using \
            WITH PROBABILITY or EXPECTED always take the stochastic \
            path, whatever the configured method.")
@@ -223,23 +229,25 @@ let faults =
     value
     & opt (some string) None
     & info [ "faults" ] ~docv:"SPEC"
+        ~env:(Cmd.Env.info Knobs.faults_var)
         ~doc:
-          "Deterministic fault-injection directives (PKGQ_FAULTS grammar), \
-           e.g. $(b,'queue=full') or $(b,'net=accept:fail').")
+          "Deterministic fault-injection directives, e.g. \
+           $(b,'queue=full') or $(b,'net=accept:fail').")
 
 let store_dir =
   Arg.(
     value
     & opt (some string) None
     & info [ "store" ] ~docv:"DIR"
+        ~env:(Cmd.Env.info Knobs.store_var)
         ~doc:
           "Store directory for the table segment cache and partition \
-           catalog. Defaults to $(b,PKGQ_STORE_DIR) when set.")
+           catalog.")
 
 let no_store =
   Arg.(
     value & flag
-    & info [ "no-store" ] ~doc:"Ignore the store ($(b,PKGQ_STORE_DIR)).")
+    & info [ "no-store" ] ~doc:"Ignore the store ($(b,--store)).")
 
 let wal_dir =
   Arg.(
@@ -257,11 +265,12 @@ let wal_dir =
 let wal_checkpoint =
   Arg.(
     value
-    & opt (some int) None
+    & opt capacity defaults.wal_checkpoint
     & info [ "wal-checkpoint" ] ~docv:"N"
+        ~env:(Cmd.Env.info "PKGQ_WAL_CHECKPOINT")
         ~doc:
-          "Fold the log into a fresh checkpoint every N records; 0 never \
-           checkpoints (default: $(b,PKGQ_WAL_CHECKPOINT) or 64).")
+          "Fold the log into a fresh checkpoint every N records; 0 or \
+           $(b,off) never checkpoints.")
 
 let verbose =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Chatty logging.")
@@ -273,8 +282,10 @@ let cmd =
       const run $ data $ host $ port $ workers $ queue $ result_cache
       $ method_ $ tau $ attrs $ epsilon $ max_seconds $ max_nodes
       $ request_seconds $ log_every $ faults $ store_dir $ no_store $ wal_dir
-      $ wal_checkpoint $ verbose)
+      $ wal_checkpoint $ Knobs.term Knobs.wal_sync $ Knobs.term Knobs.levels
+      $ Knobs.term Knobs.stochastic $ verbose)
   in
-  Cmd.v (Cmd.info "pkgq_server" ~doc) term
+  let envs = Knobs.(wal_sync.envs @ levels.envs @ stochastic.envs) in
+  Cmd.v (Cmd.info "pkgq_server" ~doc ~envs) term
 
 let () = match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 124

@@ -49,18 +49,10 @@ let parse_shard_spec s =
   in
   { Service.Coordinator.primary; replica; wal }
 
-let int_env name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 let run_inner data host port shards spawn replicas fleet_dir server_exe
     method_ attrs tau epsilon max_seconds max_nodes request_seconds
     connect_timeout rpc_seconds retries hedge_ms breaker_trips lease_ms
-    epoch_dir faults verbose =
+    epoch_dir faults levels verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some (if verbose then Logs.Info else Logs.App));
   (match faults with
@@ -75,11 +67,10 @@ let run_inner data host port shards spawn replicas fleet_dir server_exe
     if Filename.check_suffix data ".seg" then Store.Segment.read data
     else Relalg.Csv.read data
   in
-  let defaults = Service.Coordinator.default_config () in
   let cfg =
     {
-      defaults with
-      Service.Coordinator.host;
+      Service.Coordinator.default_config with
+      host;
       port;
       method_;
       attrs;
@@ -90,16 +81,11 @@ let run_inner data host port shards spawn replicas fleet_dir server_exe
       connect_timeout;
       rpc_seconds;
       retries;
-      hedge_ms =
-        (match hedge_ms with Some h -> h | None -> defaults.hedge_ms);
-      breaker_trips =
-        (match breaker_trips with
-        | Some b -> max 1 b
-        | None -> defaults.breaker_trips);
-      lease_ms =
-        (* None falls through to PKGQ_LEASE_MS inside the coordinator *)
-        (match lease_ms with Some m -> Some (max 1 m) | None -> None);
+      hedge_ms;
+      breaker_trips = max 1 breaker_trips;
+      lease_ms = Option.map (max 1) lease_ms;
       epoch_dir;
+      levels;
     }
   in
   (* either front an existing fleet (--shard ...) or spawn a local one
@@ -111,12 +97,7 @@ let run_inner data host port shards spawn replicas fleet_dir server_exe
         die exit_usage_error "--shard and --spawn are mutually exclusive";
       ([], List.map parse_shard_spec shards)
     | [] ->
-      let n =
-        match spawn with Some n -> n | None -> int_env "PKGQ_SHARDS" 2
-      in
-      let r =
-        match replicas with Some r -> r | None -> int_env "PKGQ_REPLICAS" 0
-      in
+      let n = Option.value spawn ~default:2 in
       if n < 1 then die exit_usage_error "--spawn: need at least one shard";
       let exe =
         match server_exe with
@@ -149,11 +130,11 @@ let run_inner data host port shards spawn replicas fleet_dir server_exe
         | None -> []
       in
       let fleet =
-        Service.Chaos.start_fleet ~exe ~dir ~base:rel ~shards:n ~replicas:r
+        Service.Chaos.start_fleet ~exe ~dir ~base:rel ~shards:n ~replicas
           ~extra_args ()
       in
       Printf.printf "pkgq_shard: spawned %d shard(s) (%d replica(s)) in %s\n%!"
-        n (r * n) dir;
+        n (replicas * n) dir;
       (fleet, Service.Chaos.fleet_specs fleet)
   in
   let t =
@@ -180,12 +161,12 @@ let run_inner data host port shards spawn replicas fleet_dir server_exe
 let run data host port shards spawn replicas fleet_dir server_exe method_
     attrs tau epsilon max_seconds max_nodes request_seconds connect_timeout
     rpc_seconds retries hedge_ms breaker_trips lease_ms epoch_dir faults
-    verbose =
+    levels verbose =
   match
     run_inner data host port shards spawn replicas fleet_dir server_exe
       method_ attrs tau epsilon max_seconds max_nodes request_seconds
       connect_timeout rpc_seconds retries hedge_ms breaker_trips lease_ms
-      epoch_dir faults verbose
+      epoch_dir faults levels verbose
   with
   | () -> ()
   | exception Relalg.Csv.Error (line, msg) ->
@@ -232,20 +213,18 @@ let spawn =
   Arg.(
     value
     & opt (some int) None
-    & info [ "spawn" ] ~docv:"N"
+    & info [ "spawn" ] ~docv:"N" ~env:(Cmd.Env.info "PKGQ_SHARDS")
         ~doc:
           "Spawn a local fleet of N $(b,pkgq_server) shards instead of \
-           fronting an existing one (default when no $(b,--shard) is given: \
-           $(b,PKGQ_SHARDS) or 2).")
+           fronting an existing one (2 when no $(b,--shard) is given).")
 
 let replicas =
   Arg.(
-    value
-    & opt (some int) None
-    & info [ "replicas" ] ~docv:"R"
+    value & opt int 0
+    & info [ "replicas" ] ~docv:"R" ~env:(Cmd.Env.info "PKGQ_REPLICAS")
         ~doc:
-          "With a spawned fleet: pair each primary with R replicas (0 or 1; \
-           default $(b,PKGQ_REPLICAS) or 0).")
+          "With a spawned fleet: pair each primary with R replicas (0 or \
+           1).")
 
 let fleet_dir =
   Arg.(
@@ -342,54 +321,54 @@ let retries =
           "Primary attempts per exchange (capped backoff) before failing \
            over to the replica. Timeouts are never retried.")
 
+let defaults = Service.Coordinator.default_config
+
 let hedge_ms =
   Arg.(
     value
-    & opt (some int) None
-    & info [ "hedge-ms" ] ~docv:"MS"
+    & opt int defaults.hedge_ms
+    & info [ "hedge-ms" ] ~docv:"MS" ~env:(Cmd.Env.info "PKGQ_HEDGE_MS")
         ~doc:
           "Hedge refine RPCs against the replica after MS without a primary \
-           answer; first answer wins. 0 disables (default: \
-           $(b,PKGQ_HEDGE_MS) or 50).")
+           answer; first answer wins. 0 disables.")
 
 let breaker_trips =
   Arg.(
     value
-    & opt (some int) None
+    & opt int defaults.breaker_trips
     & info [ "breaker-trips" ] ~docv:"N"
+        ~env:(Cmd.Env.info "PKGQ_BREAKER_TRIPS")
         ~doc:
-          "Consecutive primary failures that trip a shard's circuit breaker \
-           (default: $(b,PKGQ_BREAKER_TRIPS) or 3).")
+          "Consecutive primary failures that trip a shard's circuit breaker.")
 
 let lease_ms =
   Arg.(
     value
     & opt (some int) None
-    & info [ "lease-ms" ] ~docv:"MS"
+    & info [ "lease-ms" ] ~docv:"MS" ~env:(Cmd.Env.info "PKGQ_LEASE_MS")
         ~doc:
           "Write-lease duration for replica-bearing shards. The primary \
            self-demotes read-only at 90% of this after its last renewal; a \
            fencing promotion waits out the full duration before bumping the \
-           epoch (default: $(b,PKGQ_LEASE_MS) or 1500).")
+           epoch (default 1500).")
 
 let epoch_dir =
   Arg.(
     value
     & opt (some string) None
-    & info [ "epoch-dir" ] ~docv:"DIR"
+    & info [ "epoch-dir" ] ~docv:"DIR" ~env:(Cmd.Env.info "PKGQ_EPOCH_DIR")
         ~doc:
           "Persist per-shard fencing epochs under DIR ($(b,epochs.bin)) so \
-           they survive coordinator restarts (default: $(b,PKGQ_EPOCH_DIR), \
-           else coordinator-local).")
+           they survive coordinator restarts (default: coordinator-local).")
 
 let faults =
   Arg.(
     value
     & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
+    & info [ "faults" ] ~docv:"SPEC" ~env:(Cmd.Env.info Knobs.faults_var)
         ~doc:
-          "Deterministic fault-injection directives (PKGQ_FAULTS grammar), \
-           e.g. $(b,'shard=1:crash') or $(b,'repl=lag:2').")
+          "Deterministic fault-injection directives, e.g. \
+           $(b,'shard=1:crash') or $(b,'repl=lag:2').")
 
 let verbose =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Chatty logging.")
@@ -401,8 +380,9 @@ let cmd =
       const run $ data $ host $ port $ shards $ spawn $ replicas $ fleet_dir
       $ server_exe $ method_ $ attrs $ tau $ epsilon $ max_seconds
       $ max_nodes $ request_seconds $ connect_timeout $ rpc_seconds $ retries
-      $ hedge_ms $ breaker_trips $ lease_ms $ epoch_dir $ faults $ verbose)
+      $ hedge_ms $ breaker_trips $ lease_ms $ epoch_dir $ faults
+      $ Knobs.term Knobs.levels $ verbose)
   in
-  Cmd.v (Cmd.info "pkgq_shard" ~doc) term
+  Cmd.v (Cmd.info "pkgq_shard" ~doc ~envs:Knobs.levels.envs) term
 
 let () = match Cmd.eval_value cmd with Ok _ -> () | Error _ -> exit 124

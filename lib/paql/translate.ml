@@ -149,7 +149,7 @@ let compile_exn schema q =
 let base_candidates spec r =
   match spec.where with
   | None -> Array.init (Relalg.Relation.cardinality r) Fun.id
-  | Some pred -> Relalg.Scan.select_indices r pred
+  | Some pred -> Relalg.Relation.select_indices r pred
 
 let objective_sense spec =
   match spec.objective with

@@ -9,15 +9,13 @@
    that actually spreads drives within-group variance down fastest on
    both concentrated and heavy-tailed data.
 
-   Determinism: member statistics are reduced over fixed-size chunks
-   merged in chunk order ([Relalg.Scan.run_chunks], so any
-   [PKGQ_SCAN_WORKERS] setting yields bitwise-identical sums), and the
-   sort key is [(value, row id)] — a total order. *)
+   Determinism: member statistics are one serial pass in member
+   order, and the sort key is [(value, row id)] — a total order. *)
 
 let max_slices = 8
 
 (* ------------------------------------------------------------------ *)
-(* Chunked parallel per-dimension statistics                          *)
+(* Per-dimension statistics                                           *)
 (* ------------------------------------------------------------------ *)
 
 type dim_stats = {
@@ -27,53 +25,23 @@ type dim_stats = {
   mx : float array;
 }
 
-let stats_chunk cols members lo hi =
+let member_stats cols members =
   let k = Array.length cols in
   let sum = Array.make k 0.
   and sumsq = Array.make k 0.
   and mn = Array.make k infinity
   and mx = Array.make k neg_infinity in
-  for i = lo to hi - 1 do
-    let row = Array.unsafe_get members i in
-    for d = 0 to k - 1 do
-      let v = Array.unsafe_get (Array.unsafe_get cols d) row in
-      sum.(d) <- sum.(d) +. v;
-      sumsq.(d) <- sumsq.(d) +. (v *. v);
-      if v < mn.(d) then mn.(d) <- v;
-      if v > mx.(d) then mx.(d) <- v
-    done
-  done;
+  Array.iter
+    (fun row ->
+      for d = 0 to k - 1 do
+        let v = Array.unsafe_get (Array.unsafe_get cols d) row in
+        sum.(d) <- sum.(d) +. v;
+        sumsq.(d) <- sumsq.(d) +. (v *. v);
+        if v < mn.(d) then mn.(d) <- v;
+        if v > mx.(d) then mx.(d) <- v
+      done)
+    members;
   { sum; sumsq; mn; mx }
-
-let merge_stats a b =
-  let k = Array.length a.sum in
-  for d = 0 to k - 1 do
-    a.sum.(d) <- a.sum.(d) +. b.sum.(d);
-    a.sumsq.(d) <- a.sumsq.(d) +. b.sumsq.(d);
-    if b.mn.(d) < a.mn.(d) then a.mn.(d) <- b.mn.(d);
-    if b.mx.(d) > a.mx.(d) then a.mx.(d) <- b.mx.(d)
-  done
-
-(* Per-chunk partials merged in chunk order: bitwise identical for any
-   worker count. *)
-let member_stats cols members =
-  let k = Array.length cols in
-  let partials =
-    Relalg.Scan.run_chunks
-      ~workers:(Relalg.Scan.default_workers ())
-      (Array.length members)
-      (fun _ lo hi -> stats_chunk cols members lo hi)
-  in
-  let acc =
-    {
-      sum = Array.make k 0.;
-      sumsq = Array.make k 0.;
-      mn = Array.make k infinity;
-      mx = Array.make k neg_infinity;
-    }
-  in
-  Array.iter (fun p -> merge_stats acc p) partials;
-  acc
 
 (* Range-normalized variance of each dimension: Var[v] / range^2 with
    [range] taken over the whole relation, so dimensions on different

@@ -9,9 +9,8 @@
     the variance-driven dimension choice shrinks within-group spread
     fastest on both concentrated and heavy-tailed attributes.
 
-    Deterministic by construction: member statistics are reduced over
-    fixed-size chunks merged in chunk order (bitwise identical for any
-    [PKGQ_SCAN_WORKERS]), and slicing sorts on [(value, row id)] — a
+    Deterministic by construction: member statistics are one serial
+    pass in member order, and slicing sorts on [(value, row id)] — a
     total order. *)
 
 (** [create ?radius ~tau ~attrs rel] partitions [rel] with the DLV

@@ -339,18 +339,6 @@ let parse s =
       (Ok []) parts
     |> Result.map List.rev
 
-let env_var = "PKGQ_FAULTS"
-
-let install_from_env () =
-  match Sys.getenv_opt env_var with
-  | None -> ()
-  | Some s -> (
-    match parse s with
-    | Ok spec -> install spec
-    | Error msg -> Printf.eprintf "%s ignored: %s\n%!" env_var msg)
-
-let () = install_from_env ()
-
 let action_for ~call ~stage ~group =
   List.find_map
     (function

@@ -16,8 +16,9 @@
       worker-crash/repair path — deterministically testable on feasible
       inputs.
 
-    Faults are configured from the [PKGQ_FAULTS] environment variable
-    at load time, from the CLI ([--faults]), or programmatically.
+    Faults are installed by a front end's [--faults] flag (or its
+    [PKGQ_FAULTS] fallback, read once at startup), by the REPL's
+    [\faults], or programmatically.
 
     {2 Grammar}
 
@@ -149,12 +150,6 @@ val install : spec -> unit
 val clear : unit -> unit
 
 val active : unit -> bool
-
-(** Re-read [PKGQ_FAULTS] (also done once at module load; a malformed
-    value is reported on stderr and ignored). *)
-val install_from_env : unit -> unit
-
-val env_var : string
 
 (** [solve ?limits ?deadline ?warm ?basis_out ~stage ?group p] is
     [Branch_bound.solve ~limits ~rel_gap:Eval.rel_gap p] — every

@@ -14,22 +14,12 @@ type t = {
   levels : Partition.t array; (* coarsest first; last = leaf *)
 }
 
-let leaf_env = "PKGQ_DLV_LEAF"
-let levels_env = "PKGQ_HIER_LEVELS"
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> ( match int_of_string_opt s with Some v -> v | None -> default)
-
-let default_levels () = max 1 (env_int levels_env 3)
+let default_levels = 3
 
 (* Leaf groups an order of magnitude finer than the flat default
    (card/10): fine enough that tail tuples get their own
    representatives, coarse enough that leaf sketches stay small. *)
-let default_leaf_tau rel =
-  let n = Relalg.Relation.cardinality rel in
-  max 1 (env_int leaf_env (max 1 (n / 100)))
+let default_leaf_tau rel = max 1 (Relalg.Relation.cardinality rel / 100)
 
 (* Geometric tau ladder: the coarsest level aims at ~8 groups, the last
    entry is exactly [leaf_tau]; non-increasing. *)
@@ -55,7 +45,7 @@ let build ?(radius = Partition.No_radius) ?levels ?leaf_tau ~attrs rel =
     raise (Faults.Injected "injected partition build failure");
   if attrs = [] then invalid_arg "Hierarchy.build: no attributes";
   let n = Relalg.Relation.cardinality rel in
-  let levels = match levels with Some l -> max 1 l | None -> default_levels () in
+  let levels = max 1 (Option.value levels ~default:default_levels) in
   let leaf_tau =
     match leaf_tau with Some t -> max 1 t | None -> default_leaf_tau rel
   in

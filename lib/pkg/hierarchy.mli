@@ -16,17 +16,12 @@ type t = {
   levels : Partition.t array;  (** coarsest first; last = leaf *)
 }
 
-(** [PKGQ_DLV_LEAF] — leaf size threshold override. *)
-val leaf_env : string
+(** The level count when [?levels] is not given: 3. The front ends
+    pass [PKGQ_HIER_LEVELS] when it is set. *)
+val default_levels : int
 
-(** [PKGQ_HIER_LEVELS] — level count override. *)
-val levels_env : string
-
-(** Level count: [PKGQ_HIER_LEVELS], default 3. *)
-val default_levels : unit -> int
-
-(** Leaf tau: [PKGQ_DLV_LEAF], default [max 1 (card / 100)] — an order
-    of magnitude finer than the flat SketchRefine default. *)
+(** Leaf tau: [max 1 (card / 100)] — an order of magnitude finer than
+    the flat SketchRefine default. *)
 val default_leaf_tau : Relalg.Relation.t -> int
 
 (** The geometric tau ladder used by {!build} (exposed so the catalog
@@ -35,8 +30,7 @@ val default_leaf_tau : Relalg.Relation.t -> int
 val plan_taus : n:int -> leaf_tau:int -> levels:int -> int array
 
 (** [build ?radius ?levels ?leaf_tau ~attrs rel] builds the hierarchy
-    top-down with the DLV recursion. Deterministic for any
-    [PKGQ_SCAN_WORKERS].
+    top-down with the DLV recursion. Deterministic.
     @raise Faults.Injected under a [partition=build:fail] directive.
     @raise Invalid_argument on an empty or invalid attribute list. *)
 val build :

@@ -1,3 +1,30 @@
+(* [stripe ~workers n f] evaluates [f w i] for every [i] in [\[0, n)]
+   and returns the results in index order. Item [i] runs on worker
+   [w = i mod workers]: one domain per worker, or the calling domain
+   alone when [workers = 1]. Every domain is joined before the first
+   exception a worker raised is re-raised. *)
+let stripe ~workers n f =
+  if workers = 1 then Array.init n (f 0)
+  else begin
+    let results = Array.make n None in
+    let body k () =
+      let i = ref k in
+      while !i < n do
+        results.(!i) <- Some (f k !i);
+        i := !i + workers
+      done
+    in
+    let handles = List.init workers (fun k -> Domain.spawn (body k)) in
+    (* join every domain before re-raising, so none outlives the call
+       still writing [results] *)
+    let error = ref None in
+    List.iter
+      (fun h -> try Domain.join h with e -> if !error = None then error := Some e)
+      handles;
+    Option.iter raise !error;
+    Array.map (function Some r -> r | None -> assert false) results
+  end
+
 (* Phases 1 and 2 from the sketch [rep_counts]: every group holding
    representatives is refined in parallel against the initial sketch,
    then the answers are merged in group order, keeping one only if the
@@ -25,7 +52,7 @@ let merged ~limits ~deadline ?domains (ctx : Sketch.ctx) counters rep_counts =
   let worker_counters = Array.init workers (fun _ -> Eval.fresh_counters ()) in
   let crashed = Array.make workers None in
   let results =
-    Relalg.Scan.stripe ~workers k (fun w i ->
+    stripe ~workers k (fun w i ->
         match crashed.(w) with
         | Some f -> `Failed f
         | None -> (

@@ -7,8 +7,8 @@
     {!Sketch_refine.drive}:
     + the sketch runs as usual;
     + every group holding representatives is refined {e in parallel}
-      (one cold ILP per group, striped over OCaml 5 domains by
-      {!Relalg.Scan.stripe}), each against the {e initial} sketch
+      (one cold ILP per group, striped over OCaml 5 domains: group [i]
+      of [k] goes to worker [i mod k]), each against the {e initial} sketch
       package — i.e. every other group is assumed to contribute its
       representative aggregates;
     + a sequential validation pass merges the parallel answers in

@@ -116,7 +116,7 @@ val seed :
     [Degraded]. Returns the report plus per-level stats (coarsest
     first).
     Deterministic: identical hierarchies and options yield identical
-    packages for any [PKGQ_SCAN_WORKERS]. *)
+    packages. *)
 val run :
   ?options:options ->
   Paql.Translate.spec ->

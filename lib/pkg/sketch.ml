@@ -33,7 +33,7 @@ let make_ctx spec rel (part : Partition.t) =
     | Some pred ->
       (* one vectorized pass over the whole relation, then O(1) member
          lookups while filtering each group *)
-      let mask, _ = Relalg.Scan.mask rel pred in
+      let mask, _ = Relalg.Relation.select_mask rel pred in
       fun row -> Bytes.unsafe_get mask row = '\001'
   in
   let cand =

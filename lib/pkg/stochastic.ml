@@ -22,19 +22,13 @@ type options = {
   noise : Datagen.Scenario.spec list option;
 }
 
-let int_env name default =
-  match Sys.getenv_opt name with
-  | Some s -> (
-    match int_of_string_opt s with Some n when n > 0 -> n | _ -> default)
-  | None -> default
-
-let default_options () =
+let default_options =
   {
     limits = Ilp.Branch_bound.default_limits;
     max_seconds = 60.;
-    scenarios = int_env "PKGQ_SCENARIOS" 48;
-    validation = int_env "PKGQ_VALIDATE" 200;
-    summaries = int_env "PKGQ_SUMMARIES" 2;
+    scenarios = 48;
+    validation = 200;
+    summaries = 2;
     max_summaries = 16;
     seed = 42;
     noise = None;
@@ -118,7 +112,7 @@ let round_robin m covered =
 exception Finished of (Eval.report * stats)
 
 let run ?options (spec : Paql.Translate.spec) rel =
-  let opts = match options with Some o -> o | None -> default_options () in
+  let opts = match options with Some o -> o | None -> default_options in
   let start = Unix.gettimeofday () in
   let deadline = start +. opts.max_seconds in
   let counters = Eval.fresh_counters () in
@@ -458,7 +452,7 @@ let run ?options (spec : Paql.Translate.spec) rel =
    the regime SummarySearch exists to avoid. Requires a finite
    repetition cap (REPEAT) to bound the big-M. *)
 let run_naive ?options (spec : Paql.Translate.spec) rel =
-  let opts = match options with Some o -> o | None -> default_options () in
+  let opts = match options with Some o -> o | None -> default_options in
   let start = Unix.gettimeofday () in
   let deadline = start +. opts.max_seconds in
   let counters = Eval.fresh_counters () in

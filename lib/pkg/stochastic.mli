@@ -29,9 +29,9 @@
 type options = {
   limits : Ilp.Branch_bound.limits;
   max_seconds : float;  (** one global budget for the whole search *)
-  scenarios : int;  (** optimization scenarios, [PKGQ_SCENARIOS] *)
-  validation : int;  (** held-out scenarios, [PKGQ_VALIDATE] *)
-  summaries : int;  (** initial summary count [m], [PKGQ_SUMMARIES] *)
+  scenarios : int;  (** optimization scenarios (the front ends' [PKGQ_SCENARIOS]) *)
+  validation : int;  (** held-out scenarios ([PKGQ_VALIDATE]) *)
+  summaries : int;  (** initial summary count [m] ([PKGQ_SUMMARIES]) *)
   max_summaries : int;  (** doubling cap for [m] *)
   seed : int;  (** scenario PRNG seed *)
   noise : Datagen.Scenario.spec list option;
@@ -39,9 +39,9 @@ type options = {
           over the noisy attributes the query reads *)
 }
 
-(** Defaults, with [scenarios]/[validation]/[summaries] read from the
-    environment knobs at each call. *)
-val default_options : unit -> options
+(** Defaults: 48 scenarios, 200 held out, 2 initial summaries, seed
+    42, a 60 s budget. *)
+val default_options : options
 
 type stats = {
   st_scenarios : int;

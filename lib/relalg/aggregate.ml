@@ -47,29 +47,64 @@ let over_interp ?where r f =
   in
   over_rows (Relation.schema r) rows f
 
-let over ?workers ?where r f =
-  let stats a = Scan.float_stats ?workers ?where r a in
+(* Sum, count, min and max of a numeric column's non-NULL values over
+   the rows [where] keeps, in one serial pass over the cached column;
+   [None] when [name] is not a numeric attribute. *)
+type stats = { sum : float; n : int; mn : float; mx : float }
+
+let float_stats ?where r name =
+  match Relation.column r name with
+  | None -> None
+  | Some col ->
+    let data = Column.data col in
+    let keep =
+      match where with
+      | None -> fun _ -> true
+      | Some pred -> (
+        match Relation.compile_pred r pred with
+        | Some f -> fun i -> f i = 1
+        | None ->
+          let schema = Relation.schema r in
+          fun i -> Expr.eval_bool schema (Relation.row r i) pred)
+    in
+    let sum = ref 0. and n = ref 0 in
+    let mn = ref infinity and mx = ref neg_infinity in
+    for i = 0 to Array.length data - 1 do
+      if keep i then begin
+        let v = Array.unsafe_get data i in
+        if not (Float.is_nan v) then begin
+          sum := !sum +. v;
+          incr n;
+          if v < !mn then mn := v;
+          if v > !mx then mx := v
+        end
+      end
+    done;
+    Some { sum = !sum; n = !n; mn = !mn; mx = !mx }
+
+let over ?where r f =
+  let stats a = float_stats ?where r a in
   match f with
   | Count_star -> (
     match where with
     | None -> Value.Int (Relation.cardinality r)
-    | Some pred -> Value.Int (Scan.count ?workers r pred))
+    | Some pred -> Value.Int (snd (Relation.select_mask r pred)))
   | Count a -> (
     match stats a with
-    | Some s -> Value.Int s.Scan.n
+    | Some s -> Value.Int s.n
     | None -> over_interp ?where r f)
   | Sum a | Avg a | Min a | Max a -> (
     match stats a with
     | None -> over_interp ?where r f
     | Some s ->
-      if s.Scan.n = 0 then Value.Null
+      if s.n = 0 then Value.Null
       else
         Value.Float
           (match f with
-          | Sum _ -> s.Scan.sum
-          | Avg _ -> s.Scan.sum /. float_of_int s.Scan.n
-          | Min _ -> s.Scan.mn
-          | Max _ -> s.Scan.mx
+          | Sum _ -> s.sum
+          | Avg _ -> s.sum /. float_of_int s.n
+          | Min _ -> s.mn
+          | Max _ -> s.mx
           | Count_star | Count _ -> assert false))
 
 let sum_or_zero = function

@@ -9,10 +9,9 @@ type func = Count_star | Count of string | Sum of string | Avg of string
 val over_rows : Schema.t -> Tuple.t Seq.t -> func -> Value.t
 
 (** [over relation ?where f] computes [f] over the (optionally filtered)
-    relation. Numeric attributes take the vectorized {!Scan} path over
-    cached columns ([workers] forwards to it); others fall back to the
-    interpreted row scan. *)
-val over : ?workers:int -> ?where:Expr.t -> Relation.t -> func -> Value.t
+    relation. Numeric attributes take one serial pass over their cached
+    column; others fall back to the interpreted row scan. *)
+val over : ?where:Expr.t -> Relation.t -> func -> Value.t
 
 (** [float_result v] coerces an aggregate result to float, mapping
     [Null] (empty input) to [0.] for COUNT/SUM and raising otherwise. *)

@@ -40,6 +40,11 @@ val to_list : t -> Tuple.t list
 
 (** {1 Operators} *)
 
+(** [select_mask r pred] evaluates [pred] over every row in one serial
+    pass: byte [i] is ['\001'] iff row [i] satisfies it (NULL counts as
+    false). Also returns the number of matches. *)
+val select_mask : t -> Expr.t -> Bytes.t * int
+
 (** [select r pred] keeps rows satisfying the predicate. *)
 val select : t -> Expr.t -> t
 

@@ -515,7 +515,7 @@ let run_zombie ~exe ~dir ~base ~pre ~during ~post ?(lease_ms = 400) ~attrs
   in
   let cfg =
     {
-      (Coordinator.default_config ()) with
+      Coordinator.default_config with
       Coordinator.attrs;
       tau;
       request_seconds = 20.;

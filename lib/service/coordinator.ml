@@ -29,9 +29,10 @@ type config = {
   ship_every : float;
   lease_ms : int option;
   epoch_dir : string option;
+  levels : int;
 }
 
-let default_config () =
+let default_config =
   {
     host = "127.0.0.1";
     port = 0;
@@ -44,13 +45,14 @@ let default_config () =
     connect_timeout = 1.;
     rpc_seconds = 2.;
     retries = 2;
-    hedge_ms = Front.int_env "PKGQ_HEDGE_MS" 50;
-    breaker_trips = max 1 (Front.int_env "PKGQ_BREAKER_TRIPS" 3);
+    hedge_ms = 50;
+    breaker_trips = 3;
     breaker_probe_seconds = 0.25;
     probe_timeout = 0.25;
     ship_every = 0.05;
     lease_ms = None;
     epoch_dir = None;
+    levels = Pkg.Hierarchy.default_levels;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -217,6 +219,11 @@ let replica_lag shard =
     max 0 (Store.Ship.last_seq path - Store.Ship.position c)
   | _ -> 0
 
+let publish_lag t shard =
+  Metrics.set_gauge t.metrics
+    (Printf.sprintf "shard%d_repl_lag" shard.s_idx)
+    (replica_lag shard)
+
 let refresh_shard_gauges t shard =
   let name k = Printf.sprintf "shard%d_%s" shard.s_idx k in
   let breaker, failures =
@@ -229,8 +236,7 @@ let refresh_shard_gauges t shard =
     (Membership.epoch t.membership shard.s_idx);
   Metrics.set_gauge t.metrics (name "active")
     (match shard.s_active with `Primary -> 0 | `Replica -> 1);
-  if shard.s_replica <> None then
-    Metrics.set_gauge t.metrics (name "repl_lag") (replica_lag shard)
+  if shard.s_replica <> None then publish_lag t shard
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker                                                    *)
@@ -466,7 +472,9 @@ let ship_locked t shard =
       let hold = Pkg.Faults.repl_lag () in
       List.iter
         (fun (r : Store.Wal.record) ->
-          if r.Store.Wal.seq > shard.s_shipped then begin
+          let shipped =
+            r.Store.Wal.seq > shard.s_shipped
+            &&
             let c = borrow ~connect_timeout:t.cfg.connect_timeout replica in
             let resp =
               match
@@ -491,15 +499,21 @@ let ship_locked t shard =
             match resp with
             | Protocol.Resp_ok _ ->
               shard.s_shipped <- r.Store.Wal.seq;
-              Metrics.incr t.metrics "shard_shipped";
               (* shipping invalidates the replica's installed layout:
                  its table fingerprint moved *)
-              shard.s_replica_layout <- None
+              shard.s_replica_layout <- None;
+              true
             | Protocol.Resp_err (_, msg) ->
               failwith (Printf.sprintf "ship refused: %s" msg)
-          end;
+          in
           if r.Store.Wal.seq <= tail - hold then
-            Store.Ship.advance cursor r.Store.Wal.seq)
+            Store.Ship.advance cursor r.Store.Wal.seq;
+          if shipped then begin
+            (* the lag first: whoever sees the record counted as shipped
+               sees the lag it left *)
+            publish_lag t shard;
+            Metrics.incr t.metrics "shard_shipped"
+          end)
         records)
   | _ -> ()
 
@@ -883,7 +897,7 @@ let layout_for t rel fp spec =
           if progressive then
             Some
               (Metrics.time t.metrics "partition" (fun () ->
-                   fst (Engine.hierarchy l rel)))
+                   fst (Engine.hierarchy ~levels:t.cfg.levels l rel)))
           else None
         in
         let part =

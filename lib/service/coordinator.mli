@@ -101,12 +101,9 @@ type config = {
       (** cap on scatter-phase (ASSIGN/SKETCH) read timeouts, so a
           stalled shard is detected long before the query budget *)
   retries : int;  (** primary attempts per exchange before failover *)
-  hedge_ms : int;
-      (** refine hedging delay; 0 disables (default
-          [$PKGQ_HEDGE_MS] or 50) *)
+  hedge_ms : int;  (** refine hedging delay; 0 disables *)
   breaker_trips : int;
-      (** consecutive primary failures that trip the breaker (default
-          [$PKGQ_BREAKER_TRIPS] or 3) *)
+      (** consecutive primary failures that trip the breaker *)
   breaker_probe_seconds : float;  (** open time before a PING probe readmits *)
   probe_timeout : float;
       (** the half-open probe's own connect/read deadline (default
@@ -115,15 +112,22 @@ type config = {
           timeouts are typed and counted ([shard_probe_timeouts]) *)
   ship_every : float;  (** WAL shipper cycle, seconds *)
   lease_ms : int option;
-      (** write-lease duration for replica-bearing shards; [None] reads
-          [PKGQ_LEASE_MS] (default 1500) *)
+      (** write-lease duration for replica-bearing shards; [None] is
+          {!Membership.create}'s 1500 ms *)
   epoch_dir : string option;
       (** where per-shard fencing epochs are persisted ([epochs.bin]);
-          [None] reads [PKGQ_EPOCH_DIR], and epochs are
-          coordinator-local when that is unset too *)
+          [None] keeps them coordinator-local *)
+  levels : int;
+      (** progressive hierarchy level count; the shards must use the
+          same one *)
 }
 
-val default_config : unit -> config
+(** Defaults: localhost, ephemeral port, flat SketchRefine, a 60 s
+    query budget, 1 s connect timeout, 2 s scatter reads, 2 retries,
+    a 50 ms hedge, 3 breaker trips, a 1500 ms lease, coordinator-local
+    epochs and {!Pkg.Hierarchy.default_levels}. [pkgq_shard] fills them
+    from its flags and environment. *)
+val default_config : config
 
 type t
 

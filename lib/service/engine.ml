@@ -7,14 +7,12 @@ let methods =
 
 let method_name m = fst (List.find (fun (_, m') -> m' = m) methods)
 
-let stochastic method_ spec =
-  Paql.Translate.is_stochastic spec || method_ = Stochastic
-
 type settings = {
   method_ : method_;
   attrs : string list;
   tau : int option;
   epsilon : float option;
+  stochastic : Pkg.Stochastic.options;
 }
 
 type layout = {
@@ -76,13 +74,14 @@ let partition ?catalog l rel =
       ~rows:(Relalg.Relation.cardinality rel) ~build
   | None -> (build (), `Built)
 
-let hierarchy ?catalog l rel =
+let hierarchy ?catalog ~levels l rel =
   match catalog with
   | Some (cat, fingerprint) ->
     Store.Catalog.lookup_or_build_hierarchy cat ~fingerprint ~radius:l.radius
-      ~leaf_tau:l.tau ~attrs:l.attrs rel
+      ~levels ~leaf_tau:l.tau ~attrs:l.attrs rel
   | None ->
-    ( Pkg.Hierarchy.build ~radius:l.radius ~leaf_tau:l.tau ~attrs:l.attrs rel,
+    ( Pkg.Hierarchy.build ~radius:l.radius ~levels ~leaf_tau:l.tau
+        ~attrs:l.attrs rel,
       `Built )
 
 type source = {
@@ -103,10 +102,8 @@ type outcome = {
 
 let run ?warm ~limits ~seconds (s : settings) source rel (ast, spec) =
   let plain report = { report; levels = []; scenarios = None } in
-  if stochastic s.method_ spec then
-    let options =
-      { (Pkg.Stochastic.default_options ()) with limits; max_seconds = seconds }
-    in
+  if Paql.Translate.is_stochastic spec || s.method_ = Stochastic then
+    let options = { s.stochastic with limits; max_seconds = seconds } in
     let report, stats = Pkg.Stochastic.run ~options spec rel in
     Ok { report; levels = []; scenarios = Some stats }
   else

@@ -18,14 +18,14 @@ val methods : (string * method_) list
 
 val method_name : method_ -> string
 
-(** Whether [spec] runs the stochastic driver under [method_]. *)
-val stochastic : method_ -> Paql.Translate.spec -> bool
-
 type settings = {
   method_ : method_;
   attrs : string list;  (** partitioning attrs; [] = the query's numeric ones *)
   tau : int option;  (** [None] = the table's default (leaf) threshold *)
   epsilon : float option;  (** Theorem 3 approximation parameter *)
+  stochastic : Pkg.Stochastic.options;
+      (** SummarySearch's scenario counts and seed; {!run} sets its
+          [limits] and [max_seconds] *)
 }
 
 (** The parameters of one flat partitioning or hierarchy leaf. *)
@@ -70,10 +70,11 @@ val partition :
   Relalg.Relation.t ->
   Pkg.Partition.t * [ `Hit | `Built ]
 
-(** The same for the hierarchy whose leaf is [layout].
+(** The same for the [levels]-level hierarchy whose leaf is [layout].
     @raise Pkg.Faults.Injected under [partition=build:fail]. *)
 val hierarchy :
   ?catalog:Store.Catalog.t * string ->
+  levels:int ->
   layout ->
   Relalg.Relation.t ->
   Pkg.Hierarchy.t * [ `Hit | `Built ]

@@ -2,14 +2,6 @@ let src = Logs.Src.create "pkgq.front" ~doc:"front-end connection shell"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let int_env name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> default)
-
 (* Numeric columns are materialized lazily into a per-attribute slot;
    forcing them before any worker runs keeps the hot path free of
    same-column races and duplicate extraction work. *)

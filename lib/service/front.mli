@@ -9,10 +9,6 @@
     the [net=accept] / [net=read] fault directives fire here, so they
     apply to whichever front end runs in the process. *)
 
-(** [int_env name default] reads a non-negative integer knob from the
-    environment; unset or malformed values give [default]. *)
-val int_env : string -> int -> int
-
 (** Force every numeric column of [rel] into its per-attribute slot, so
     concurrent requests never race to materialize the same column. *)
 val prewarm : Relalg.Relation.t -> unit

@@ -22,9 +22,6 @@ let magic = "PKGQMBR1"
 let version = 1
 let file_name = "epochs.bin"
 
-let env_lease_ms = "PKGQ_LEASE_MS"
-let env_epoch_dir = "PKGQ_EPOCH_DIR"
-
 type t = {
   dir : string option;
   lease : float;  (* seconds *)
@@ -71,18 +68,7 @@ let persist t =
     mkdir_p dir;
     Store.Wire.write_string_file (path dir) (encode t.epochs)
 
-let create ?dir ?lease_ms ~shards () =
-  let dir =
-    match dir with Some _ -> dir | None -> Sys.getenv_opt env_epoch_dir
-  in
-  let lease_ms =
-    match lease_ms with
-    | Some ms -> ms
-    | None -> (
-      match Option.bind (Sys.getenv_opt env_lease_ms) int_of_string_opt with
-      | Some ms -> ms
-      | None -> 1500)
-  in
+let create ?dir ?(lease_ms = 1500) ~shards () =
   let epochs = Array.make (max 1 shards) 1 in
   Option.iter (fun d -> load d epochs) dir;
   {

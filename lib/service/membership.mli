@@ -26,20 +26,13 @@
 
 type t
 
-(** [PKGQ_LEASE_MS] — default lease duration in milliseconds (1500 when
-    unset). *)
-val env_lease_ms : string
-
-(** [PKGQ_EPOCH_DIR] — default directory for the persisted epoch file
-    ([epochs.bin]); epochs are coordinator-local (not persisted) when
-    neither the env var nor [?dir] is given. *)
-val env_epoch_dir : string
-
 (** [create ?dir ?lease_ms ~shards ()] — epochs start at 1 (epoch 0 is
     reserved for "never fenced" records) and are raised to any higher
-    persisted value found in [dir]. [dir] defaults to [PKGQ_EPOCH_DIR],
-    [lease_ms] to [PKGQ_LEASE_MS]. A persisted file for a different
-    shard count keeps the overlapping shards' epochs. *)
+    persisted value found in [dir] (the persisted epoch file,
+    [epochs.bin]); without [dir] epochs are coordinator-local, not
+    persisted. [lease_ms] is the lease duration (default 1500). A
+    persisted file for a different shard count keeps the overlapping
+    shards' epochs. *)
 val create : ?dir:string -> ?lease_ms:int -> shards:int -> unit -> t
 
 val shards : t -> int

@@ -19,27 +19,20 @@ type config = {
   log_every : float;
   wal_dir : string option;
   wal_checkpoint : int;
+  wal_sync : Store.Wal.sync;
+  levels : int;
+  stochastic : Pkg.Stochastic.options;
 }
 
-(* PKGQ_RESULT_CACHE accepts a capacity, or "off"/"0" to disable. *)
-let cache_env name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "off" | "none" | "0" -> 0
-    | s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> default))
-
-let default_config () =
+let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    workers = max 1 (Front.int_env "PKGQ_SERVE_WORKERS" 4);
-    queue = max 1 (Front.int_env "PKGQ_SERVE_QUEUE" 32);
-    result_cache = cache_env "PKGQ_RESULT_CACHE" 256;
+    workers = 4;
+    queue = 32;
+    result_cache = 256;
     plan_cache = 64;
-    basis_cache = cache_env "PKGQ_BASIS_CACHE" 128;
+    basis_cache = 128;
     method_ = Engine.Direct;
     attrs = [];
     tau = None;
@@ -48,8 +41,10 @@ let default_config () =
     request_seconds = 60.;
     log_every = 0.;
     wal_dir = None;
-    (* PKGQ_WAL_CHECKPOINT: records between checkpoints; off/0 = never *)
-    wal_checkpoint = cache_env "PKGQ_WAL_CHECKPOINT" 64;
+    wal_checkpoint = 64;
+    wal_sync = Store.Wal.Always;
+    levels = Pkg.Hierarchy.default_levels;
+    stochastic = Pkg.Stochastic.default_options;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -149,7 +144,7 @@ let plan t snap qfp query =
 
 let settings t =
   { Engine.method_ = t.cfg.method_; attrs = t.cfg.attrs; tau = t.cfg.tau;
-    epsilon = t.cfg.epsilon }
+    epsilon = t.cfg.epsilon; stochastic = t.cfg.stochastic }
 
 (* Where the server's partitionings live: per snapshot (and in the
    catalog, when one is attached). Built under [parts_mu]: concurrent
@@ -170,7 +165,7 @@ let source t snap =
           v)
   in
   { Engine.flat = shared snap.parts Engine.partition;
-    hier = shared snap.hiers Engine.hierarchy }
+    hier = shared snap.hiers (Engine.hierarchy ~levels:t.cfg.levels) }
 
 (* SummarySearch telemetry for STATS: how many scenarios the last
    stochastic evaluation drew, how finely it summarized, how many
@@ -217,24 +212,16 @@ let add_solver_work metrics (counters : Pkg.Eval.counters) =
 let eval_query t ~deadline query =
   let snap = Mutex.protect t.state_mu (fun () -> t.state) in
   let qfp = Paql.Fingerprint.of_query query in
-  (* Planning happens before the result-cache probe: a stochastic
-     query's answer depends on the scenario knobs (PKGQ_SCENARIOS /
-     PKGQ_VALIDATE / PKGQ_SUMMARIES and the seed), so its cache key
-     must carry them — the same query text under a re-tuned
-     environment is a different result. The plan cache makes the extra
-     parse on a repeat hit free. Keys still end with the table
+  (* Planning happens before the result-cache probe, so a query that
+     does not plan answers its error whatever the cache holds; the plan
+     cache makes the parse on a repeat hit free. Everything else a
+     result depends on (method, scenario counts, limits) is fixed in
+     [cfg] for the server's life, so the key is the query and the table
      fingerprint, which append/delete invalidation matches on. *)
   match plan t snap qfp query with
   | Error resp -> resp
-  | Ok ((_, spec) as planned) -> (
-    let rkey =
-      if Engine.stochastic t.cfg.method_ spec then
-        let o = Pkg.Stochastic.default_options () in
-        Printf.sprintf "%s#stoch:%d:%d:%d:%d@%s" qfp o.Pkg.Stochastic.scenarios
-          o.Pkg.Stochastic.validation o.Pkg.Stochastic.summaries
-          o.Pkg.Stochastic.seed snap.fp
-      else qfp ^ "@" ^ snap.fp
-    in
+  | Ok planned -> (
+    let rkey = qfp ^ "@" ^ snap.fp in
     match Cache.find_opt t.result_cache rkey with
     | Some resp ->
       Metrics.incr t.metrics "result_hits";
@@ -840,7 +827,8 @@ let start ?catalog cfg rel =
     | Some dir ->
       let rel', wal, stats =
         Metrics.time metrics "recovery" (fun () ->
-            Store.Recovery.recover ~dir ~base:(fun () -> rel) ())
+            Store.Recovery.recover ~sync:cfg.wal_sync ~dir
+              ~base:(fun () -> rel) ())
       in
       Metrics.incr ~by:stats.records_replayed metrics "recovery_replayed";
       Metrics.incr ~by:stats.records_skipped metrics "recovery_skipped";

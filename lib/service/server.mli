@@ -33,9 +33,8 @@
       parameter-tweaked variant of the same query
       ({!Paql.Fingerprint.structure_of_query} abstracts numeric
       literals, so [... <= 150] and [... <= 160] share a key).
-      Capacity comes from [PKGQ_BASIS_CACHE] (default 128; [off]
-      disables); entries for a superseded table fingerprint are
-      invalidated alongside results.
+      Capacity is [config.basis_cache] (128); entries for a superseded
+      table fingerprint are invalidated alongside results.
 
     [APPEND] and [DELETE] build the table the write leaves behind once,
     with {!Store.Recovery.apply} (the builder WAL replay uses, carrying
@@ -57,9 +56,7 @@ type config = {
   basis_cache : int;   (** solver basis cache capacity; 0 disables *)
   method_ : Engine.method_;
       (** STATS carries progressive runs' [progressive_level<l>*] and
-          stochastic runs' [stoch_*] gauges. A stochastic query's
-          result-cache key embeds the scenario knobs (PKGQ_SCENARIOS /
-          PKGQ_VALIDATE / PKGQ_SUMMARIES and the seed). *)
+          stochastic runs' [stoch_*] gauges. *)
   attrs : string list; (** partitioning attrs; [] = query's numeric attrs *)
   tau : int option;    (** [None] = 10% of the table *)
   epsilon : float option;
@@ -70,16 +67,20 @@ type config = {
       (** durability directory (WAL + checkpoint); [None] = volatile *)
   wal_checkpoint : int;
       (** records between checkpoints; 0 = never checkpoint *)
+  wal_sync : Store.Wal.sync;  (** fsync policy of the WAL *)
+  levels : int;  (** progressive hierarchy level count *)
+  stochastic : Pkg.Stochastic.options;
+      (** SummarySearch scenario counts and seed; [limits] and the
+          request budget replace its own *)
 }
 
-(** Defaults: localhost, ephemeral port, DIRECT, 60s request budget —
-    with [workers], [queue] and [result_cache] read from
-    [PKGQ_SERVE_WORKERS] (default 4), [PKGQ_SERVE_QUEUE] (default 32),
-    [PKGQ_RESULT_CACHE] (capacity, or [off]; default 256) and
-    [PKGQ_BASIS_CACHE] (capacity, or [off]; default 128), no WAL,
-    and the checkpoint threshold from [PKGQ_WAL_CHECKPOINT] (records
-    between checkpoints, or [off]; default 64). *)
-val default_config : unit -> config
+(** Defaults: localhost, ephemeral port, DIRECT, 60s request budget, 4
+    workers, a 32-request queue, result/plan/basis caches of 256/64/128
+    entries, no WAL (a checkpoint every 64 records, fsync on every
+    record when one is attached), {!Pkg.Hierarchy.default_levels} and
+    {!Pkg.Stochastic.default_options}. [pkgq_server] fills them from
+    its flags and environment. *)
+val default_config : config
 
 type t
 
@@ -89,7 +90,7 @@ type t
     {!Store.Recovery.recover} rebuilds — checkpoint + replayed WAL —
     and [rel] only seeds a directory that has never checkpointed; every
     write is then logged durably before it is applied or acknowledged
-    ([PKGQ_WAL_SYNC] controls the fsync), and the log is folded into a
+    ([config.wal_sync] controls the fsync), and the log is folded into a
     fresh checkpoint every [wal_checkpoint] records.
     @raise Unix.Unix_error when the address cannot be bound.
     @raise Store.Wire.Error when the durability directory is corrupt. *)

@@ -2,7 +2,6 @@ module P = Pkg.Partition
 
 type t = { root : string }
 
-let env_var = "PKGQ_STORE_DIR"
 let default_dir = ".pkgq-store"
 
 let rec mkdir_p d =
@@ -42,8 +41,6 @@ let open_dir root =
   sweep_stale_tmp (tables_dir t);
   sweep_stale_tmp (partitions_dir t);
   t
-
-let from_env () = Option.map open_dir (Sys.getenv_opt env_var)
 
 let dir t = t.root
 
@@ -318,7 +315,7 @@ let lookup_or_build_hierarchy t ~fingerprint ?(radius = Pkg.Partition.No_radius)
     ?levels ?leaf_tau ~attrs rel =
   let n = Relalg.Relation.cardinality rel in
   let levels =
-    match levels with Some l -> max 1 l | None -> Pkg.Hierarchy.default_levels ()
+    match levels with Some l -> max 1 l | None -> Pkg.Hierarchy.default_levels
   in
   let leaf_tau =
     match leaf_tau with

@@ -9,8 +9,8 @@
     {!lookup_or_build} returns the stored one when the key matches,
     performing zero partitioning work on the warm path.
 
-    Layout under the store root (from [--store] or [$PKGQ_STORE_DIR];
-    default [.pkgq-store]):
+    Layout under the store root (the front ends' [--store]; default
+    [.pkgq-store]):
 
     {v
     <root>/tables/<fingerprint>.seg   binary segments of imported tables
@@ -27,16 +27,11 @@
 
 type t
 
-val env_var : string
-
 (** [".pkgq-store"] *)
 val default_dir : string
 
 (** [open_dir dir] creates [dir] (and its subdirectories) as needed. *)
 val open_dir : string -> t
-
-(** [Some (open_dir $PKGQ_STORE_DIR)] when the variable is set. *)
-val from_env : unit -> t option
 
 val dir : t -> string
 

@@ -33,15 +33,11 @@ exception Sync_failed of string
 
 type sync = Always | Never
 
-let sync_env_var = "PKGQ_WAL_SYNC"
-
-let sync_from_env () =
-  match Sys.getenv_opt sync_env_var with
-  | None -> Always
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "off" | "never" | "0" | "no" -> Never
-    | _ -> Always)
+let sync_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "off" | "never" | "0" | "no" -> Some Never
+  | "always" | "on" | "1" | "yes" -> Some Always
+  | _ -> None
 
 type t = {
   fd : Unix.file_descr;
@@ -172,8 +168,7 @@ let replay ?(truncate = false) path =
 (* Appending                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let open_log ?sync path =
-  let sync = match sync with Some s -> s | None -> sync_from_env () in
+let open_log ?(sync = Always) path =
   let rep = replay ~truncate:true path in
   let fd =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644

@@ -49,11 +49,10 @@ exception Sync_failed of string
     not power loss; for benchmarking the sync overhead. *)
 type sync = Always | Never
 
-(** [PKGQ_WAL_SYNC]: ["off"|"never"|"0"|"no"] selects {!Never};
-    anything else (or unset) selects {!Always}. *)
-val sync_env_var : string
-
-val sync_from_env : unit -> sync
+(** The spellings [pkgq_server] accepts for [PKGQ_WAL_SYNC]:
+    ["off"|"never"|"0"|"no"] is {!Never}, ["always"|"on"|"1"|"yes"]
+    {!Always} (case and surrounding blanks ignored); [None] otherwise. *)
+val sync_of_string : string -> sync option
 
 type t
 
@@ -80,7 +79,7 @@ val replay : ?truncate:bool -> string -> replay
 
 (** [open_log ?sync path] replays (truncating any torn tail), then
     opens the log for appending positioned at the end of the valid
-    prefix. [sync] defaults to {!sync_from_env}. *)
+    prefix. [sync] defaults to {!Always}. *)
 val open_log : ?sync:sync -> string -> t * replay
 
 (** [append ?epoch t op] encodes, writes and (under {!Always}) fsyncs

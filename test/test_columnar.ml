@@ -1,10 +1,9 @@
-(* Equivalence and determinism tests for the columnar scan layer.
+(* Equivalence tests for the columnar scan layer.
 
-   The vectorized path (Expr.compile / Scan / Aggregate.over) must
-   agree with the interpreted reference (Expr.eval / Aggregate.over_rows)
-   on every input, including NULLs under SQL three-valued logic; and
-   parallel scans must return bitwise-identical results for any worker
-   count. Generators keep numeric magnitudes small and division
+   The vectorized path (Expr.compile / Relation.select / Aggregate.over)
+   must agree with the interpreted reference (Expr.eval /
+   Aggregate.over_rows) on every input, including NULLs under SQL
+   three-valued logic. Generators keep numeric magnitudes small and division
    denominators at nonzero constants so int and float arithmetic stay
    exact and no NaN arises from the arithmetic itself (NaN-as-NULL is
    the columnar encoding, not a value the interpreted path produces). *)
@@ -16,7 +15,6 @@ module E = Relalg.Expr
 module R = Relalg.Relation
 module A = Relalg.Aggregate
 module C = Relalg.Column
-module Scan = Relalg.Scan
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -177,8 +175,9 @@ let compile_matches_eval_prop =
           rows;
         true)
 
-(* Vectorized selection (Relation.select / Scan) returns exactly the
-   rows the interpreted predicate accepts, in order. *)
+(* Vectorized selection (Relation.select / select_indices /
+   select_mask) returns exactly the rows the interpreted predicate
+   accepts, in order. *)
 let select_matches_eval_prop =
   QCheck.Test.make ~count:300 ~name:"vectorized select matches eval filter"
     (QCheck.make ~print:print_case gen_case)
@@ -187,14 +186,19 @@ let select_matches_eval_prop =
       let expected =
         List.filteri (fun _ t -> E.eval_bool schema t pred) rows
       in
+      let expected_idx =
+        List.concat
+          (List.mapi (fun i t -> if E.eval_bool schema t pred then [ i ] else []) rows)
+      in
       let via_select = R.to_list (R.select r pred) in
-      let via_scan = R.to_list (Scan.select ~workers:1 r pred) in
       let idx = R.select_indices r pred in
-      let idx_scan = Scan.select_indices ~workers:1 r pred in
-      via_select = expected && via_scan = expected && idx = idx_scan
-      && Array.length idx = List.length expected)
+      let mask, kept = R.select_mask r pred in
+      via_select = expected
+      && Array.to_list idx = expected_idx
+      && kept = List.length expected
+      && List.for_all (fun i -> Bytes.get mask i = '\001') expected_idx)
 
-(* Aggregate.over (Scan.float_stats path) agrees with the interpreted
+(* Aggregate.over (the column-statistics pass) agrees with the interpreted
    Aggregate.over_rows reference, with and without a WHERE filter. *)
 let aggregate_matches_interp_prop =
   QCheck.Test.make ~count:300 ~name:"vectorized aggregates match over_rows"
@@ -223,29 +227,6 @@ let aggregate_matches_interp_prop =
           A.Min "c";
           A.Max "c";
         ])
-
-(* Scans are deterministic in the worker count: same mask, indices and
-   statistics for 1..4 workers, even with a tiny chunk size forcing
-   many chunks. *)
-let scan_determinism_prop =
-  QCheck.Test.make ~count:100 ~name:"parallel scan is worker-count invariant"
-    (QCheck.make ~print:print_case gen_case)
-    (fun (rows, pred) ->
-      Unix.putenv "PKGQ_SCAN_CHUNK" "7";
-      Fun.protect
-        ~finally:(fun () -> Unix.putenv "PKGQ_SCAN_CHUNK" "")
-        (fun () ->
-          let r = relation rows in
-          let reference_mask = Scan.mask ~workers:1 r pred in
-          let reference_idx = Scan.select_indices ~workers:1 r pred in
-          let reference_stats = Scan.float_stats ~workers:1 ~where:pred r "b" in
-          List.for_all
-            (fun w ->
-              Scan.mask ~workers:w r pred = reference_mask
-              && Scan.select_indices ~workers:w r pred = reference_idx
-              && Scan.float_stats ~workers:w ~where:pred r "b"
-                 = reference_stats)
-            [ 2; 3; 4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests: 3VL corners, fallback paths, Column internals          *)
@@ -295,11 +276,11 @@ let test_string_predicate_falls_back () =
   let r = null_rel () in
   let pred = E.Cmp (E.Eq, E.Attr "s", E.Const (V.Str "x")) in
   checkb "string pred does not compile" true (R.compile_pred r pred = None);
-  (* interpreted fallback still drives select and Scan *)
+  (* interpreted fallback still drives select and the aggregates *)
   checki "select falls back" 1 (R.cardinality (R.select r pred));
-  checki "scan falls back" 1 (Scan.count r pred);
+  checkb "count falls back" true (A.over ~where:pred r A.Count_star = V.Int 1);
   let mixed = E.And (pred, E.Cmp (E.Gt, E.Attr "b", E.Const (V.Float 1.))) in
-  checki "mixed pred" 1 (Scan.count r mixed)
+  checki "mixed pred" 1 (snd (R.select_mask r mixed))
 
 let test_column_internals () =
   let r = null_rel () in
@@ -317,14 +298,16 @@ let test_column_internals () =
 
 let test_scan_stats () =
   let r = null_rel () in
-  match Scan.float_stats r "b" with
-  | None -> Alcotest.fail "expected stats for b"
-  | Some s ->
-    checki "non-null count" 2 s.Scan.n;
-    checki "rows scanned" 3 s.Scan.rows;
-    Alcotest.check (Alcotest.float 1e-9) "sum" 2.5 s.Scan.sum;
-    Alcotest.check (Alcotest.float 1e-9) "min" 0.5 s.Scan.mn;
-    Alcotest.check (Alcotest.float 1e-9) "max" 2. s.Scan.mx
+  let checkv label expected f =
+    checkb label true (A.over r f = expected)
+  in
+  checkv "non-null count" (V.Int 2) (A.Count "b");
+  checkv "rows scanned" (V.Int 3) A.Count_star;
+  checkv "sum" (V.Float 2.5) (A.Sum "b");
+  checkv "min" (V.Float 0.5) (A.Min "b");
+  checkv "max" (V.Float 2.) (A.Max "b");
+  let where = E.Cmp (E.Gt, E.Attr "b", E.Const (V.Float 1.)) in
+  checkb "filtered sum" true (A.over ~where r (A.Sum "b") = V.Float 2.)
 
 let () =
   Alcotest.run "columnar"
@@ -335,8 +318,6 @@ let () =
           QCheck_alcotest.to_alcotest select_matches_eval_prop;
           QCheck_alcotest.to_alcotest aggregate_matches_interp_prop;
         ] );
-      ( "determinism",
-        [ QCheck_alcotest.to_alcotest scan_determinism_prop ] );
       ( "corners",
         [
           Alcotest.test_case "three-valued logic" `Quick

@@ -138,12 +138,13 @@ let test_wal_fault_grammar () =
   checkb "bogus selector rejected" false (ok "wal=bogus:1");
   checkb "fsync needs fail" false (ok "wal=fsync:3")
 
+(* The parser [pkgq_server] reads PKGQ_WAL_SYNC with. *)
 let test_wal_sync_env () =
-  Unix.putenv Wal.sync_env_var "off";
-  checkb "off selects Never" true (Wal.sync_from_env () = Wal.Never);
-  Unix.putenv Wal.sync_env_var "always";
-  checkb "always selects Always" true (Wal.sync_from_env () = Wal.Always);
-  Unix.putenv Wal.sync_env_var ""
+  checkb "off selects Never" true (Wal.sync_of_string "off" = Some Wal.Never);
+  checkb "NO selects Never" true (Wal.sync_of_string " NO " = Some Wal.Never);
+  checkb "always selects Always" true
+    (Wal.sync_of_string "always" = Some Wal.Always);
+  checkb "garbage is refused" true (Wal.sync_of_string "sometimes" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Epoch stamps (fencing)                                              *)
@@ -481,7 +482,7 @@ let free_port () =
 
 let base_cfg () =
   {
-    (Srv.default_config ()) with
+    Srv.default_config with
     Srv.workers = 2;
     queue = 8;
     log_every = 0.;

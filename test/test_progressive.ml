@@ -278,43 +278,22 @@ let test_progressive_solves_feasible () =
     [ (`Loose, 1.2); (`Tight, tight) ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism across worker counts                                   *)
+(* Determinism across runs                                            *)
 (* ------------------------------------------------------------------ *)
 
-let with_workers ~chunk ~scan f =
-  Unix.putenv "PKGQ_SCAN_CHUNK" chunk;
-  Unix.putenv "PKGQ_SCAN_WORKERS" (string_of_int scan);
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "PKGQ_SCAN_CHUNK" "";
-      Unix.putenv "PKGQ_SCAN_WORKERS" "")
-    f
-
-(* [chunk] "" is the default 16,384-row chunk (one chunk for 700 rows);
-   "7" cuts the rows into many chunks so DLV's member statistics take
-   the parallel path. *)
-let test_determinism_across_workers () =
-  let run ~chunk ~scan =
-    with_workers ~chunk ~scan (fun () ->
-        let rel = skewed ~seed:9 700 in
-        let spec = galaxy_query rel 1.2 in
-        let hier = H.build ~levels:3 ~leaf_tau:10 ~attrs:hier_attrs rel in
-        let r, _ = Pkg.Progressive.run spec rel hier in
-        match (r.E.package, r.E.objective) with
-        | Some p, Some obj -> (package_rows p, Int64.bits_of_float obj)
-        | _ -> Alcotest.fail "progressive produced no package")
+(* Building the hierarchy and running the descent twice gives the same
+   package and objective bits. *)
+let test_determinism_across_runs () =
+  let run () =
+    let rel = skewed ~seed:9 700 in
+    let spec = galaxy_query rel 1.2 in
+    let hier = H.build ~levels:3 ~leaf_tau:10 ~attrs:hier_attrs rel in
+    let r, _ = Pkg.Progressive.run spec rel hier in
+    match (r.E.package, r.E.objective) with
+    | Some p, Some obj -> (package_rows p, Int64.bits_of_float obj)
+    | _ -> Alcotest.fail "progressive produced no package"
   in
-  List.iter
-    (fun chunk ->
-      let base = run ~chunk ~scan:1 in
-      List.iter
-        (fun scan ->
-          checkb
-            (Printf.sprintf "chunk=%S scan=%d bitwise identical" chunk scan)
-            true
-            (run ~chunk ~scan = base))
-        [ 3; 8; 4 ])
-    [ ""; "7" ]
+  checkb "second run bitwise identical" true (run () = run ())
 
 (* ------------------------------------------------------------------ *)
 (* Catalog: canonical attrs order + pre-v2 format compatibility       *)
@@ -455,8 +434,8 @@ let () =
             test_one_level_equals_sketchrefine;
           Alcotest.test_case "solves feasible multi-level" `Quick
             test_progressive_solves_feasible;
-          Alcotest.test_case "deterministic across workers" `Quick
-            test_determinism_across_workers;
+          Alcotest.test_case "deterministic across runs" `Quick
+            test_determinism_across_runs;
           Alcotest.test_case "catalog canonical attrs order" `Quick
             test_catalog_attrs_order;
           Alcotest.test_case "catalog v1 format compat" `Quick

@@ -720,7 +720,7 @@ let stoch_spec () =
 
 let stoch_options () =
   {
-    (Pkg.Stochastic.default_options ()) with
+    Pkg.Stochastic.default_options with
     Pkg.Stochastic.scenarios = 12;
     validation = 50;
     max_seconds = 20.;

@@ -35,7 +35,7 @@ let distinct_queries =
 let base_cfg () =
   (* explicit capacities so the suite ignores PKGQ_SERVE_* env *)
   {
-    (Srv.default_config ()) with
+    Srv.default_config with
     Srv.workers = 4;
     queue = 32;
     result_cache = 256;
@@ -74,7 +74,7 @@ let start_front = function
       { Co.primary = { Co.ep_host = "127.0.0.1"; ep_port = Srv.port shard };
         replica = None; wal = None }
     in
-    let co = Co.start { (Co.default_config ()) with Co.attrs } [ spec ] galaxy in
+    let co = Co.start { Co.default_config with Co.attrs } [ spec ] galaxy in
     { port = Co.port co; metrics = Co.metrics co;
       stop = (fun () -> Co.stop co; Srv.stop shard) }
 

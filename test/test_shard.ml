@@ -73,7 +73,7 @@ let reference_essences =
   lazy
     (let cfg =
        {
-         (Srv.default_config ()) with
+         Srv.default_config with
          Srv.method_ = Service.Engine.Sketch_refine;
          attrs;
          tau = Some tau;
@@ -111,7 +111,7 @@ let fleet_args =
 
 let coord_cfg () =
   {
-    (Co.default_config ()) with
+    Co.default_config with
     Co.attrs;
     tau = Some tau;
     request_seconds = 20.;
@@ -207,7 +207,7 @@ let test_progressive_equivalence () =
   let attrs = [ "redshift"; "petro_rad" ] and tau = 10 in
   let server_cfg =
     {
-      (Srv.default_config ()) with
+      Srv.default_config with
       Srv.method_ = Service.Engine.Progressive;
       attrs;
       tau = Some tau;
@@ -271,11 +271,15 @@ let test_fleet_ladder () =
      SUM(P.a) BETWEEN 100.55 AND 100.65 MAXIMIZE SUM(P.b)"
   in
   let attrs = [ "a" ] and tau = 4 in
-  let levels = Sys.getenv_opt Pkg.Hierarchy.levels_env in
-  Unix.putenv Pkg.Hierarchy.levels_env "1";
+  (* one-level hierarchies: passed to the in-process server and
+     coordinator, and to the spawned shards through the environment
+     knob their binary reads *)
+  let levels = 1 in
+  let var = "PKGQ_HIER_LEVELS" in
+  let saved = Sys.getenv_opt var in
+  Unix.putenv var (string_of_int levels);
   Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv Pkg.Hierarchy.levels_env (Option.value levels ~default:""))
+    ~finally:(fun () -> Unix.putenv var (Option.value saved ~default:""))
   @@ fun () ->
   List.iter
     (fun (name, server_method, method_) ->
@@ -283,10 +287,11 @@ let test_fleet_ladder () =
         let t =
           Srv.start
             {
-              (Srv.default_config ()) with
+              Srv.default_config with
               Srv.method_ = server_method;
               attrs;
               tau = Some tau;
+              levels;
               workers = 1;
               queue = 4;
               result_cache = 0;
@@ -307,7 +312,9 @@ let test_fleet_ladder () =
         (match single with
         | `Ok (status, _) -> contains status "optimal, obj=4"
         | _ -> false);
-      let cfg = { (coord_cfg ()) with Co.method_; attrs; tau = Some tau } in
+      let cfg =
+        { (coord_cfg ()) with Co.method_; attrs; tau = Some tau; levels }
+      in
       with_fleet ("ladder-" ^ name) ~shards:2 ~replicas:0 ~cfg ~base
         ~extra_args:
           [ "--attrs"; "a"; "--tau"; string_of_int tau; "--method"; name ]
@@ -350,7 +357,7 @@ let test_breaker_trip_probe_close () =
          window: the next eval probes, closes, and answers *)
       let scfg =
         {
-          (Srv.default_config ()) with
+          Srv.default_config with
           Srv.port;
           attrs;
           tau = Some tau;
@@ -577,7 +584,7 @@ let test_kill_stall_matrix () =
 let with_server f =
   let cfg =
     {
-      (Srv.default_config ()) with
+      Srv.default_config with
       Srv.attrs;
       tau = Some tau;
       workers = 2;

@@ -1,10 +1,10 @@
 (* Stochastic package queries: the WITH PROBABILITY / EXPECTED grammar
    layer, the Monte-Carlo scenario generator (round-trips, per-index
    determinism), the SummarySearch driver (validated probability,
-   typed unsatisfiable-p outcome, worker-count determinism, agreement
+   typed unsatisfiable-p outcome, run-to-run determinism, agreement
    with DIRECT on deterministic queries, the naive scenario-expanded
    baseline), and the server surface (auto-routing, STATS gauges, the
-   knob-aware result-cache key).
+   result cache).
 
    The "smoke" group is the bounded (<10s) proof and runs under the
    @stoch-smoke alias; the "stoch" group adds the slower scenarios. *)
@@ -32,12 +32,12 @@ let compile rel q =
 
 let package_rows p = List.sort compare (Pkg.Package.entries p)
 
-(* fast, deterministic solver options: no env reads, small scenario
-   sets, a bounded wall budget *)
+(* fast, deterministic solver options: small scenario sets, a bounded
+   wall budget *)
 let opts ?(scenarios = 24) ?(validation = 100) ?(summaries = 2) ?(seed = 42)
     ?noise () =
   {
-    (St.default_options ()) with
+    St.default_options with
     St.scenarios;
     validation;
     summaries;
@@ -307,39 +307,29 @@ let test_naive_needs_finite_repeat () =
     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism across worker counts                                   *)
+(* Determinism across runs                                            *)
 (* ------------------------------------------------------------------ *)
 
-let with_workers ~scan f =
-  Unix.putenv "PKGQ_SCAN_WORKERS" (string_of_int scan);
-  Fun.protect ~finally:(fun () -> Unix.putenv "PKGQ_SCAN_WORKERS" "") f
-
-let test_determinism_across_workers () =
+(* Scenario generation and the SummarySearch loop run twice give the
+   same scenario matrix, package and bits. *)
+let test_determinism_across_runs () =
   let spec = compile galaxy q_feasible in
   let specs =
     match Sc.parse_specs "u:0.4" with Ok s -> s | Error e -> Alcotest.fail e
   in
-  let run ~scan =
-    with_workers ~scan (fun () ->
-        let matrix =
-          Option.get
-            (Sc.deltas (Sc.generate_exn ~seed:42 ~scenarios:8 specs galaxy) "u")
-        in
-        let report, stats = St.run ~options:(opts ()) spec galaxy in
-        match (report.E.package, report.E.objective) with
-        | Some p, Some obj ->
-          (matrix, package_rows p, Int64.bits_of_float obj,
-           Int64.bits_of_float stats.St.st_validated)
-        | _ -> Alcotest.fail "no package")
+  let run () =
+    let matrix =
+      Option.get
+        (Sc.deltas (Sc.generate_exn ~seed:42 ~scenarios:8 specs galaxy) "u")
+    in
+    let report, stats = St.run ~options:(opts ()) spec galaxy in
+    match (report.E.package, report.E.objective) with
+    | Some p, Some obj ->
+      (matrix, package_rows p, Int64.bits_of_float obj,
+       Int64.bits_of_float stats.St.st_validated)
+    | _ -> Alcotest.fail "no package"
   in
-  let base = run ~scan:1 in
-  List.iter
-    (fun scan ->
-      checkb
-        (Printf.sprintf "scan=%d bitwise identical" scan)
-        true
-        (run ~scan = base))
-    [ 4; 8 ]
+  checkb "second run bitwise identical" true (run () = run ())
 
 (* ------------------------------------------------------------------ *)
 (* Workload round-trip                                                *)
@@ -402,12 +392,12 @@ let workload_stochastic_prop =
            parsed)
 
 (* ------------------------------------------------------------------ *)
-(* Server surface: auto-routing, gauges, knob-aware result cache      *)
+(* Server surface: auto-routing, gauges, result cache                  *)
 (* ------------------------------------------------------------------ *)
 
 let base_cfg () =
   {
-    (Srv.default_config ()) with
+    Srv.default_config with
     Srv.workers = 2;
     queue = 16;
     result_cache = 64;
@@ -424,51 +414,38 @@ let with_client t f =
   let c = Cl.connect ~host:"127.0.0.1" ~port:(Srv.port t) () in
   Fun.protect ~finally:(fun () -> Cl.close c) (fun () -> f c)
 
-let with_env name value f =
-  let old = Sys.getenv_opt name in
-  Unix.putenv name value;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv name (match old with Some v -> v | None -> ""))
-    f
-
 let test_server_routes_and_caches () =
-  (* default method is DIRECT: the stochastic query must auto-route *)
-  with_env "PKGQ_SCENARIOS" "16" (fun () ->
-      with_env "PKGQ_VALIDATE" "80" (fun () ->
-          with_server (base_cfg ()) galaxy (fun t ->
-              with_client t (fun c ->
-                  (match Cl.query c q_feasible with
-                  | Pr.Resp_ok _ -> ()
-                  | Pr.Resp_err (code, msg) ->
-                    Alcotest.failf "stochastic query failed: %s %s"
-                      (Pr.code_name code) msg);
-                  checki "one solve" 1 (Srv.solve_count t);
-                  let m = Srv.metrics t in
-                  checki "scenario gauge" 16
-                    (Service.Metrics.get_gauge m "stoch_scenarios");
-                  checki "validation gauge" 80
-                    (Service.Metrics.get_gauge m "stoch_validation");
-                  checkb "rounds gauge set" true
-                    (Service.Metrics.get_gauge m "stoch_rounds" >= 1);
-                  checkb "validated gauge sane" true
-                    (let pm =
-                       Service.Metrics.get_gauge m "stoch_validated_pm"
-                     in
-                     pm >= 900 && pm <= 1000);
-                  (* identical knobs: served from the result cache *)
-                  ignore (Cl.query c q_feasible);
-                  checki "cache hit (no second solve)" 1 (Srv.solve_count t);
-                  (* re-tuned scenario knob: different key, fresh solve —
-                     the regression the knob-aware key exists for *)
-                  with_env "PKGQ_SCENARIOS" "24" (fun () ->
-                      ignore (Cl.query c q_feasible);
-                      checki "knob change misses the cache" 2
-                        (Srv.solve_count t));
-                  (* deterministic queries keep their historical key *)
-                  ignore (Cl.query c q_deterministic);
-                  ignore (Cl.query c q_deterministic);
-                  checki "deterministic query cached" 3 (Srv.solve_count t)))))
+  (* default method is DIRECT: the stochastic query must auto-route,
+     with the scenario counts of the server's config *)
+  let cfg =
+    { (base_cfg ()) with
+      Srv.stochastic =
+        { St.default_options with St.scenarios = 16; validation = 80 } }
+  in
+  with_server cfg galaxy (fun t ->
+      with_client t (fun c ->
+          (match Cl.query c q_feasible with
+          | Pr.Resp_ok _ -> ()
+          | Pr.Resp_err (code, msg) ->
+            Alcotest.failf "stochastic query failed: %s %s"
+              (Pr.code_name code) msg);
+          checki "one solve" 1 (Srv.solve_count t);
+          let m = Srv.metrics t in
+          checki "scenario gauge" 16
+            (Service.Metrics.get_gauge m "stoch_scenarios");
+          checki "validation gauge" 80
+            (Service.Metrics.get_gauge m "stoch_validation");
+          checkb "rounds gauge set" true
+            (Service.Metrics.get_gauge m "stoch_rounds" >= 1);
+          checkb "validated gauge sane" true
+            (let pm = Service.Metrics.get_gauge m "stoch_validated_pm" in
+             pm >= 900 && pm <= 1000);
+          (* a repeat is served from the result cache *)
+          ignore (Cl.query c q_feasible);
+          checki "cache hit (no second solve)" 1 (Srv.solve_count t);
+          ignore (Cl.query c q_deterministic);
+          ignore (Cl.query c q_deterministic);
+          checki "deterministic query cached" 2 (Srv.solve_count t)))
 
 let test_server_stochastic_method () =
   (* --method stochastic also accepts deterministic queries *)
@@ -513,11 +490,11 @@ let () =
             test_naive_baseline_agrees;
           Alcotest.test_case "naive needs finite REPEAT" `Quick
             test_naive_needs_finite_repeat;
-          Alcotest.test_case "deterministic across workers" `Quick
-            test_determinism_across_workers;
+          Alcotest.test_case "deterministic across runs" `Quick
+            test_determinism_across_runs;
           Alcotest.test_case "workload stochastic round-trip" `Quick
             test_workload_stochastic_roundtrip;
-          Alcotest.test_case "server routes, gauges, knob-aware cache" `Quick
+          Alcotest.test_case "server routes, gauges, cache" `Quick
             test_server_routes_and_caches;
           Alcotest.test_case "server stochastic method" `Quick
             test_server_stochastic_method;
