@@ -140,7 +140,11 @@ let run_inner connect retries connect_timeout data query_text query_file
   | Some path ->
     let candidates = Paql.Translate.base_candidates spec rel in
     let problem = Paql.Translate.to_problem spec rel ~candidates in
-    Lp.Mps.write path problem;
+    let names = Array.of_list spec.Paql.Translate.constraints in
+    Lp.Mps.write
+      ~col_name:(fun k -> Printf.sprintf "x%d" candidates.(k))
+      ~row_name:(fun i -> names.(i).Paql.Translate.cname)
+      path problem;
     Format.printf "ILP written to %s (%d vars, %d rows)@." path
       (Lp.Problem.nvars problem) (Lp.Problem.nrows problem)
   | None -> ());

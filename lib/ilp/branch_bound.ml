@@ -178,8 +178,7 @@ type frame = {
 }
 
 let make_frame ~cols ~offset (fp : Problem.t) =
-  let base_lo = Array.map (fun v -> v.Problem.lo) fp.Problem.vars in
-  let base_hi = Array.map (fun v -> v.Problem.hi) fp.Problem.vars in
+  let base_lo = Array.copy fp.Problem.lo and base_hi = Array.copy fp.Problem.hi in
   {
     fp;
     cols;
@@ -198,37 +197,26 @@ let make_frame ~cols ~offset (fp : Problem.t) =
    sense). It is built from [p] itself, so successive compactions do
    not compound the rounding of the folds. *)
 let fold_fixed (p : Problem.t) ~fixed ~cols =
-  let index = Array.make (Problem.nvars p) (-1) in
-  Array.iteri (fun k j -> index.(j) <- k) cols;
-  let offset = ref 0. in
+  let held = Array.make (Problem.nvars p) true in
+  Array.iter (fun j -> held.(j) <- false) cols;
+  let offset = ref 0. and act = Array.make (Problem.nrows p) 0. in
   Array.iteri
-    (fun j (v : Problem.var) ->
-      if index.(j) < 0 then offset := !offset +. (v.Problem.obj *. fixed.(j)))
-    p.Problem.vars;
-  let rows =
-    Array.map
-      (fun (r : Problem.row) ->
-        let act = ref 0. in
-        let coeffs =
-          List.filter_map
-            (fun (j, a) ->
-              if index.(j) >= 0 then Some (index.(j), a)
-              else begin
-                act := !act +. (a *. fixed.(j));
-                None
-              end)
-            r.Problem.coeffs
-        in
-        {
-          r with
-          Problem.coeffs;
-          rlo = r.Problem.rlo -. !act;
-          rhi = r.Problem.rhi -. !act;
-        })
-      p.Problem.rows
-  in
-  let vars = Array.map (fun j -> p.Problem.vars.(j)) cols in
-  ({ p with Problem.vars; rows }, !offset)
+    (fun j c ->
+      if held.(j) then begin
+        offset := !offset +. (c *. fixed.(j));
+        for k = p.Problem.cstart.(j) to p.Problem.cstart.(j + 1) - 1 do
+          let i = p.Problem.crow.(k) in
+          act.(i) <- act.(i) +. (p.Problem.cval.(k) *. fixed.(j))
+        done
+      end)
+    p.Problem.obj;
+  let q = Problem.sub p ~cols ~rows:(Array.init (Problem.nrows p) Fun.id) in
+  ( {
+      q with
+      Problem.rlo = Array.mapi (fun i r -> r -. act.(i)) q.Problem.rlo;
+      rhi = Array.mapi (fun i r -> r -. act.(i)) q.Problem.rhi;
+    },
+    !offset )
 
 (* What a reduced cost [d] on a column resting on [side] with bound
    span [span] can hide from the root bound: nothing when its sign is
@@ -247,24 +235,18 @@ let slop_of side d span =
 let root_slop (p : Problem.t) b d y =
   let n = Problem.nvars p in
   let slop = ref 0. in
-  Array.iteri
-    (fun j (v : Problem.var) ->
-      slop :=
-        !slop
-        +. slop_of
-             (Simplex.Basis.resting b j)
-             d.(j)
-             (v.Problem.hi -. v.Problem.lo))
-    p.Problem.vars;
-  Array.iteri
-    (fun i (r : Problem.row) ->
-      slop :=
-        !slop
-        +. slop_of
-             (Simplex.Basis.resting b (n + i))
-             y.(i)
-             (r.Problem.rhi -. r.Problem.rlo))
-    p.Problem.rows;
+  for j = 0 to n - 1 do
+    slop :=
+      !slop
+      +. slop_of (Simplex.Basis.resting b j) d.(j)
+           (p.Problem.hi.(j) -. p.Problem.lo.(j))
+  done;
+  for i = 0 to Problem.nrows p - 1 do
+    slop :=
+      !slop
+      +. slop_of (Simplex.Basis.resting b (n + i)) y.(i)
+           (p.Problem.rhi.(i) -. p.Problem.rlo.(i))
+  done;
   !slop
 
 (* The root restricted ILP (see DESIGN.md, "Root restricted ILP", for
@@ -400,11 +382,11 @@ let rec search ~root_ilp ~limits ~rel_gap ?warm_start ?basis_out
      feasible (the nearest-rounding heuristic). *)
   let branching_var x =
     let fr = !fr in
-    let vars = fr.fp.Problem.vars and rounded = fr.rounded in
+    let integer = fr.fp.Problem.integer and rounded = fr.rounded in
     let best = ref (-1) and best_frac = ref 0. in
-    for j = 0 to Array.length vars - 1 do
+    for j = 0 to Array.length integer - 1 do
       let xj = x.(j) in
-      if vars.(j).Problem.integer then begin
+      if integer.(j) then begin
         let r = round xj in
         let f = Float.abs (xj -. r) in
         if f > int_tol && f > !best_frac then begin
@@ -513,12 +495,11 @@ let rec search ~root_ilp ~limits ~rel_gap ?warm_start ?basis_out
       let fr = !fr in
       Array.iteri
         (fun k j ->
-          let v = p.Problem.vars.(j) in
-          if v.Problem.integer && Float.is_nan !fixed.(j) then begin
+          if p.Problem.integer.(j) && Float.is_nan !fixed.(j) then begin
             let at =
               match Simplex.Basis.resting b j with
-              | `Lower when d.(j) > 0. && proves d.(j) -> v.Problem.lo
-              | `Upper when d.(j) < 0. && proves (-.d.(j)) -> v.Problem.hi
+              | `Lower when d.(j) > 0. && proves d.(j) -> p.Problem.lo.(j)
+              | `Upper when d.(j) < 0. && proves (-.d.(j)) -> p.Problem.hi.(j)
               | _ -> Float.nan
             in
             if Float.is_integer at then begin
@@ -545,14 +526,12 @@ let rec search ~root_ilp ~limits ~rel_gap ?warm_start ?basis_out
     match !root with
     | None -> ()
     | Some (y, b, _) ->
-      let vars = p.Problem.vars in
+      let lo = p.Problem.lo and hi = p.Problem.hi in
       let keep =
-        Array.mapi
-          (fun j (v : Problem.var) ->
+        Array.init n (fun j ->
             Simplex.Basis.resting b j = `Basic
-            || x.(j) <> v.Problem.lo
-            || (v.Problem.lo = v.Problem.hi && v.Problem.lo <> 0.))
-          vars
+            || x.(j) <> lo.(j)
+            || (lo.(j) = hi.(j) && lo.(j) <> 0.))
       in
       (* the other columns that could leave the bound they rest on;
          with no more of them than [restricted_extra], the restricted
@@ -561,7 +540,7 @@ let rec search ~root_ilp ~limits ~rel_gap ?warm_start ?basis_out
         Array.of_seq
           (Seq.filter
              (fun j ->
-               (not keep.(j)) && vars.(j).Problem.lo < vars.(j).Problem.hi)
+               (not keep.(j)) && lo.(j) < hi.(j))
              (Seq.init n Fun.id))
       in
       if Array.length movable > restricted_extra then begin
@@ -573,7 +552,7 @@ let rec search ~root_ilp ~limits ~rel_gap ?warm_start ?basis_out
         let cols =
           Array.of_seq (Seq.filter (fun j -> keep.(j)) (Seq.init n Fun.id))
         in
-        let held = Array.map (fun (v : Problem.var) -> v.Problem.lo) vars in
+        let held = Array.copy lo in
         let sub_limits =
           {
             max_nodes = min restricted_nodes (limits.max_nodes - !nodes);

@@ -8,19 +8,14 @@ let rows ?work (p : Problem.t) =
   else begin
     let m = Problem.nrows p in
     let kept = Array.make m true in
+    let cols = Array.init (Problem.nvars p) Fun.id in
     let restricted () =
-      let rows =
-        List.filteri (fun i _ -> kept.(i)) (Array.to_list p.Problem.rows)
-      in
-      { p with Problem.rows = Array.of_list rows }
+      let rows = List.filter (fun i -> kept.(i)) (List.init m Fun.id) in
+      Problem.sub p ~cols ~rows:(Array.of_list rows)
     in
     for i = 0 to m - 1 do
       kept.(i) <- false;
       if not (is_infeasible ?work (restricted ())) then kept.(i) <- true
     done;
-    let out = ref [] in
-    for i = m - 1 downto 0 do
-      if kept.(i) then out := i :: !out
-    done;
-    Some !out
+    Some (List.filter (fun i -> kept.(i)) (List.init m Fun.id))
   end

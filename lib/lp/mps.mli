@@ -10,11 +10,21 @@
 
     Bounds are always written explicitly for every variable, so the
     classic "integer columns default to an upper bound of 1" ambiguity
-    never arises. Numbers print as [%.17g], so they read back exactly. *)
+    never arises. Numbers print as [%.17g], so they read back exactly.
+    The [COLUMNS] section walks {!Problem.t}'s compressed columns as
+    they are stored. *)
 
-(** [to_string p] renders the problem as MPS. Variables are named
-    after [vname] when set (sanitized, uniquified), else [x<i>];
-    rows likewise ([c<i>]). *)
-val to_string : Problem.t -> string
+(** [to_string ?col_name ?row_name p] renders the problem as MPS.
+    A problem carries no names, so they are asked for on demand:
+    column [j] is named [col_name j] (default [x<j>]) and row [i]
+    [row_name i] (default [c<i>]); each name is sanitized to
+    [[A-Za-z0-9_]] and uniquified. *)
+val to_string :
+  ?col_name:(int -> string) -> ?row_name:(int -> string) -> Problem.t -> string
 
-val write : string -> Problem.t -> unit
+val write :
+  ?col_name:(int -> string) ->
+  ?row_name:(int -> string) ->
+  string ->
+  Problem.t ->
+  unit

@@ -129,7 +129,7 @@ let iterations w = w.pivots + w.dual_pivots
    under, so one state serves every re-solve of the same rows and
    objective (see [Workspace]). *)
 type state = {
-  prob : Problem.t; (* rows and objective; its variable bounds are unused *)
+  prob : Problem.t; (* its columns and objective; its bounds are unused *)
   n : int;
   m : int;
   mutable ncols : int; (* active columns: n + m warm, n + m + nart cold *)
@@ -594,61 +594,30 @@ let current_cost st =
 let default_max_iters (p : Problem.t) =
   20_000 + (4 * (Problem.nvars p + Problem.nrows p))
 
-(* The one state builder: validate [p], transpose its rows into
-   compressed structural columns (entries of a column in row order,
-   zeros dropped), append the slack columns and reserve one entry for
-   each artificial. Bounds start out as [p]'s own. *)
-let build ~who (p : Problem.t) =
-  (match Problem.validate p with
-  | Ok () -> ()
-  | Error msg -> invalid_arg (who ^ ": " ^ msg));
+(* The one state builder: copy [p]'s compressed structural columns,
+   append the slack columns and reserve one entry for each artificial.
+   Bounds start out as [p]'s own. *)
+let build (p : Problem.t) =
   let n = Problem.nvars p and m = Problem.nrows p in
   let maxcols = n + m + m in
-  (* entry counts per column, then exclusive prefix sums *)
+  let nnz = p.Problem.cstart.(n) in
   let cstart = Array.make (maxcols + 1) 0 in
-  Array.iter
-    (fun (r : Problem.row) ->
-      List.iter
-        (fun (j, a) -> if a <> 0. then cstart.(j) <- cstart.(j) + 1)
-        r.Problem.coeffs)
-    p.Problem.rows;
-  for j = n to maxcols - 1 do
-    cstart.(j) <- 1
+  Array.blit p.Problem.cstart 0 cstart 0 (n + 1);
+  for j = n + 1 to maxcols do
+    cstart.(j) <- nnz + j - n
   done;
-  let nnz = ref 0 in
-  for j = 0 to maxcols do
-    let c = cstart.(j) in
-    cstart.(j) <- !nnz;
-    nnz := !nnz + c
-  done;
-  let crow = Array.make !nnz 0 and cval = Array.make !nnz 0. in
-  let fill = Array.sub cstart 0 n in
-  Array.iteri
-    (fun i (r : Problem.row) ->
-      List.iter
-        (fun (j, a) ->
-          if a <> 0. then begin
-            let k = fill.(j) in
-            crow.(k) <- i;
-            cval.(k) <- a;
-            fill.(j) <- k + 1
-          end)
-        r.Problem.coeffs)
-    p.Problem.rows;
+  let crow = Array.make (nnz + m + m) 0 and cval = Array.make (nnz + m + m) 0. in
+  Array.blit p.Problem.crow 0 crow 0 nnz;
+  Array.blit p.Problem.cval 0 cval 0 nnz;
   let lo = Array.make maxcols 0. and hi = Array.make maxcols 0. in
-  Array.iteri
-    (fun j (v : Problem.var) ->
-      lo.(j) <- v.Problem.lo;
-      hi.(j) <- v.Problem.hi)
-    p.Problem.vars;
-  Array.iteri
-    (fun i (r : Problem.row) ->
-      let k = cstart.(n + i) in
-      crow.(k) <- i;
-      cval.(k) <- -1.;
-      lo.(n + i) <- r.Problem.rlo;
-      hi.(n + i) <- r.Problem.rhi)
-    p.Problem.rows;
+  Array.blit p.Problem.lo 0 lo 0 n;
+  Array.blit p.Problem.hi 0 hi 0 n;
+  for i = 0 to m - 1 do
+    crow.(nnz + i) <- i;
+    cval.(nnz + i) <- -1.;
+    lo.(n + i) <- p.Problem.rlo.(i);
+    hi.(n + i) <- p.Problem.rhi.(i)
+  done;
   let sense_sign =
     match p.Problem.sense with Problem.Minimize -> 1. | Problem.Maximize -> -1.
   in
@@ -663,10 +632,7 @@ let build ~who (p : Problem.t) =
     cval;
     lo;
     hi;
-    obj =
-      Array.map
-        (fun (v : Problem.var) -> sense_sign *. v.Problem.obj)
-        p.Problem.vars;
+    obj = Array.map (fun c -> sense_sign *. c) p.Problem.obj;
     cost = Array.make maxcols 0.;
     status = Array.make maxcols At_lower;
     xval = Array.make maxcols 0.;
@@ -741,13 +707,7 @@ let cold_run st ~max_iters ?deadline iters =
     end
   done;
   (* initial row activities under the nonbasic point *)
-  let activity = Array.make m 0. in
-  Array.iteri
-    (fun i (r : Problem.row) ->
-      activity.(i) <-
-        List.fold_left (fun acc (j, a) -> acc +. (a *. xval.(j))) 0.
-          r.Problem.coeffs)
-    st.prob.Problem.rows;
+  let activity = Problem.activities st.prob xval in
   let nart = ref 0 in
   for i = 0 to m - 1 do
     let sj = n + i in
@@ -966,17 +926,17 @@ let run st ?basis ?max_iters ?(tol = 1e-7) ?deadline ?(work = new_work ())
   result
 
 let solve ?max_iters ?tol ?deadline ?work p =
-  run (build ~who:"Simplex.solve" p) ?max_iters ?tol ?deadline ?work ()
+  run (build p) ?max_iters ?tol ?deadline ?work ()
 
 let resolve ?basis ?max_iters ?tol ?deadline ?work p =
   run
-    (build ~who:"Simplex.resolve" p)
+    (build p)
     ?basis ?max_iters ?tol ?deadline ?work ()
 
 module Workspace = struct
   type t = state
 
-  let create p = build ~who:"Simplex.Workspace.create" p
+  let create = build
 
   let resolve ?basis ?max_iters ?tol ?deadline ?work ~lo ~hi st =
     let n = st.n in

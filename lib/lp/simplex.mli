@@ -123,8 +123,9 @@ val resolve :
 
 (** {2 Workspaces}
 
-    A workspace holds the solver state of one problem: its rows
-    transposed once into compressed columns, plus the status, value,
+    A workspace holds the solver state of one problem: its compressed
+    columns copied once, with a slack column per row appended, plus the
+    status, value,
     basis and basis-inverse arrays. {!Workspace.resolve} re-solves in
     place under new structural bounds, so a search that solves the same
     rows many times (branch-and-bound nodes) pays the build once.
@@ -135,8 +136,8 @@ val resolve :
 module Workspace : sig
   type t
 
-  (** [create p] validates [p] and builds its state.
-      @raise Invalid_argument when [p] is malformed. *)
+  (** [create p] builds [p]'s state ([p] was validated when it was
+      built). *)
   val create : Problem.t -> t
 
   (** [resolve ?basis ... ~lo ~hi ws] is {!resolve} of [ws]'s problem

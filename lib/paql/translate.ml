@@ -156,48 +156,25 @@ let objective_sense spec =
   | Some (sense, _, _) -> sense
   | None -> Lp.Problem.Minimize
 
-let to_problem ?var_hi ?offsets spec r ~candidates =
-  let nconstraints = List.length spec.constraints in
+let constraint_rows ?offsets spec r ~candidates =
   (match offsets with
-  | Some o when Array.length o <> nconstraints ->
+  | Some o when Array.length o <> List.length spec.constraints ->
     invalid_arg "Translate.to_problem: offsets arity mismatch"
   | _ -> ());
-  let obj_row = spec.objective_rows r in
-  let cap k =
-    match var_hi with Some f -> f k | None -> spec.max_count
-  in
-  let vars =
-    Array.to_list
-      (Array.mapi
-         (fun k row_id ->
-           Lp.Problem.var
-             ~name:(Printf.sprintf "x%d" row_id)
-             ~integer:true ~lo:0. ~hi:(cap k) (obj_row row_id))
-         candidates)
-  in
-  let rows =
-    List.mapi
-      (fun ci c ->
-        let crow = c.coeff_rows r in
-        let coeffs = ref [] in
-        Array.iteri
-          (fun k row_id ->
-            let a = crow row_id in
-            if a <> 0. then coeffs := (k, a) :: !coeffs)
-          candidates;
-        let off =
-          match offsets with Some o -> o.(ci) | None -> 0.
-        in
-        Lp.Problem.row ~name:c.cname (List.rev !coeffs) ~lo:(c.clo -. off)
-          ~hi:(c.chi -. off))
-      spec.constraints
-  in
-  Lp.Problem.make ~sense:(objective_sense spec) ~vars ~rows
+  List.mapi
+    (fun ci c ->
+      let crow = c.coeff_rows r in
+      let off = match offsets with Some o -> o.(ci) | None -> 0. in
+      ((fun k -> crow candidates.(k)), c.clo -. off, c.chi -. off))
+    spec.constraints
 
-let pp_bound ppf v =
-  if v = infinity then Format.pp_print_string ppf "+inf"
-  else if v = neg_infinity then Format.pp_print_string ppf "-inf"
-  else Format.fprintf ppf "%g" v
+let to_problem ?var_hi ?offsets spec r ~candidates =
+  let rows = constraint_rows ?offsets spec r ~candidates in
+  let obj_row = spec.objective_rows r in
+  Lp.Problem.columns ~sense:(objective_sense spec)
+    ~obj:(fun k -> obj_row candidates.(k))
+    ~hi:(match var_hi with Some f -> f | None -> fun _ -> spec.max_count)
+    ~rows (Array.length candidates)
 
 let describe spec rel =
   let n = Relalg.Relation.cardinality rel in
@@ -212,12 +189,12 @@ let describe spec rel =
     kept (n - kept);
   Format.fprintf ppf "ILP: %d integer variable(s), bounds [0, %a] \
                       (repetition rule 1), %d constraint row(s)@,"
-    kept pp_bound spec.max_count
+    kept Lp.Problem.pp_bound spec.max_count
     (List.length spec.constraints);
   List.iter
     (fun c ->
       Format.fprintf ppf "  %s: %a <= sum <= %a  (attrs: %s)@," c.cname
-        pp_bound c.clo pp_bound c.chi
+        Lp.Problem.pp_bound c.clo Lp.Problem.pp_bound c.chi
         (match c.cattrs with
         | [] -> "cardinality only"
         | attrs -> String.concat ", " attrs))
@@ -229,7 +206,7 @@ let describe spec rel =
       (fun s ->
         Format.fprintf ppf
           "  %s: %a <= sum <= %a WITH PROBABILITY %g  (attrs: %s)@," s.sname
-          pp_bound s.slo pp_bound s.shi s.sprob
+          Lp.Problem.pp_bound s.slo Lp.Problem.pp_bound s.shi s.sprob
           (match s.sattrs with
           | [] -> "cardinality only"
           | attrs -> String.concat ", " attrs))

@@ -82,7 +82,8 @@ val compile_exn : Relalg.Schema.t -> Ast.query -> spec
 val base_candidates : spec -> Relalg.Relation.t -> int array
 
 (** [to_problem spec r ~candidates] builds the ILP with one integer
-    variable per candidate row id.
+    column per candidate row id, in candidate order, and one row per
+    global constraint, through {!Lp.Problem.columns}.
 
     @param var_hi per-candidate repetition cap override (the sketch
     query's [|Gj| * (1+K)] bounds); defaults to [spec.max_count].
@@ -96,6 +97,18 @@ val to_problem :
   Relalg.Relation.t ->
   candidates:int array ->
   Lp.Problem.t
+
+(** [constraint_rows ?offsets spec r ~candidates] is one
+    {!Lp.Problem.columns} row per global constraint, over the candidate
+    row ids: [(coef, lo, hi)] with [coef k] the constraint's coefficient
+    on [candidates.(k)] and the bounds shifted by [offsets] as in
+    {!to_problem}. *)
+val constraint_rows :
+  ?offsets:float array ->
+  spec ->
+  Relalg.Relation.t ->
+  candidates:int array ->
+  ((int -> float) * float * float) list
 
 (** [objective_sense spec] defaults to [Minimize] (vacuous objective)
     when the query has no objective clause. *)

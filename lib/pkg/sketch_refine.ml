@@ -32,44 +32,31 @@ let hybrid_sketch ?limits ?deadline (ctx : Sketch.ctx) counters j =
       (List.filter (fun g -> g <> j && ctx.Sketch.caps.(g) > 0.)
          (List.init m Fun.id))
   in
-  (* Build a combined ILP by hand: the tuple sources differ per block,
-     so we cannot reuse Translate.to_problem directly. Variables [0,
-     n_own) read group j's rows of [rel]; the rest read one rep row
-     each — both through the cached row-coefficient accessors. *)
-  let cap k =
-    if k < n_own then spec.Paql.Translate.max_count
-    else ctx.Sketch.caps.(other_groups.(k - n_own))
+  (* One ILP over two tuple sources, so not Translate.to_problem:
+     columns [0, n_own) read group j's rows of [rel]; the rest read one
+     rep row each — both through the cached row-coefficient accessors. *)
+  let block f_rel f_reps k =
+    if k < n_own then f_rel own.(k) else f_reps other_groups.(k - n_own)
   in
-  let total = n_own + Array.length other_groups in
-  let obj_rel = spec.Paql.Translate.objective_rows rel in
-  let obj_reps = spec.Paql.Translate.objective_rows reps in
-  let obj k =
-    if k < n_own then obj_rel own.(k)
-    else obj_reps other_groups.(k - n_own)
+  let problem =
+    Lp.Problem.columns
+      ~sense:(Paql.Translate.objective_sense spec)
+      ~obj:
+        (block
+           (spec.Paql.Translate.objective_rows rel)
+           (spec.Paql.Translate.objective_rows reps))
+      ~hi:
+        (block (fun _ -> spec.Paql.Translate.max_count) (fun g ->
+             ctx.Sketch.caps.(g)))
+      ~rows:
+        (List.mapi
+           (fun ci (c : Paql.Translate.compiled_constraint) ->
+             ( block ctx.Sketch.coeff_rel.(ci) ctx.Sketch.coeff_reps.(ci),
+               c.Paql.Translate.clo,
+               c.Paql.Translate.chi ))
+           spec.Paql.Translate.constraints)
+      (n_own + Array.length other_groups)
   in
-  let vars =
-    List.init total (fun k ->
-        Lp.Problem.var ~integer:true ~lo:0. ~hi:(cap k) (obj k))
-  in
-  let rows =
-    List.mapi
-      (fun ci (c : Paql.Translate.compiled_constraint) ->
-        let crel = ctx.Sketch.coeff_rel.(ci) in
-        let creps = ctx.Sketch.coeff_reps.(ci) in
-        let coeffs = ref [] in
-        for k = total - 1 downto 0 do
-          let a =
-            if k < n_own then crel own.(k)
-            else creps other_groups.(k - n_own)
-          in
-          if a <> 0. then coeffs := (k, a) :: !coeffs
-        done;
-        Lp.Problem.row !coeffs ~lo:c.Paql.Translate.clo
-          ~hi:c.Paql.Translate.chi)
-      spec.Paql.Translate.constraints
-  in
-  let sense = Paql.Translate.objective_sense spec in
-  let problem = Lp.Problem.make ~sense ~vars ~rows in
   let result = Faults.solve ?limits ?deadline ~stage:Eval.Hybrid ~group:j problem in
   Eval.bump counters result;
   match result with

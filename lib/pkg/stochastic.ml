@@ -111,6 +111,164 @@ let round_robin m covered =
 
 exception Finished of (Eval.report * stats)
 
+(* What a driver reads of the scenarios: the candidates, each
+   stochastic constraint with its base coefficients and noise weights,
+   and the objective column, which under an EXPECTED objective (when
+   [expected]) is shifted by the mean perturbation over the
+   optimization scenarios. [observe] wraps the scenario generation. *)
+type setup = {
+  candidates : int array;
+  compiled :
+    (Paql.Translate.stochastic_constraint
+    * (int -> float)
+    * (float array array * (int -> float)) list)
+    list;
+  obj_row : int -> float;
+}
+
+let setup ~expected ~observe opts (spec : Paql.Translate.spec) rel =
+  let schema = spec.Paql.Translate.schema in
+  let candidates = Paql.Translate.base_candidates spec rel in
+  let expected = expected && spec.Paql.Translate.expected_objective in
+  let noisy_attrs =
+    (* attrs read by stochastic constraints and (for an EXPECTED
+       objective) the objective, restricted to float columns *)
+    List.concat_map
+      (fun (c : Paql.Translate.stochastic_constraint) ->
+        sum_attrs c.Paql.Translate.sterms)
+      spec.Paql.Translate.stochastic
+    @ (if expected then sum_attrs (objective_terms spec) else [])
+    |> List.sort_uniq compare
+    |> List.filter (fun a ->
+           match Relalg.Schema.index_of_opt schema a with
+           | Some i -> (
+             match (Relalg.Schema.attr_at schema i).Relalg.Schema.ty with
+             | Relalg.Value.TFloat -> true
+             | _ -> false)
+           | None -> false)
+  in
+  let scen =
+    observe (fun () ->
+        if noisy_attrs = [] then Ok None
+        else
+          let specs =
+            match opts.noise with
+            | Some specs -> specs
+            | None -> Datagen.Scenario.default_specs rel noisy_attrs
+          in
+          Result.map Option.some
+            (Datagen.Scenario.generate ~seed:opts.seed
+               ~scenarios:(opts.scenarios + opts.validation)
+               specs rel))
+  in
+  Result.map
+    (fun scen ->
+      let deltas =
+        match scen with
+        | None -> []
+        | Some t ->
+          List.filter_map
+            (fun a -> Option.map (fun m -> a, m) (Datagen.Scenario.deltas t a))
+            noisy_attrs
+      in
+      let compiled =
+        List.map
+          (fun (c : Paql.Translate.stochastic_constraint) ->
+            ( c,
+              c.Paql.Translate.scoeff_rows rel,
+              noise_weights schema rel deltas c.Paql.Translate.sterms ))
+          spec.Paql.Translate.stochastic
+      in
+      let obj_base = spec.Paql.Translate.objective_rows rel in
+      let obj_row =
+        if (not expected) || deltas = [] then obj_base
+        else begin
+          let weights = noise_weights schema rel deltas (objective_terms spec) in
+          let s_count = float_of_int opts.scenarios in
+          fun row ->
+            List.fold_left
+              (fun acc ((m : float array array), w) ->
+                let sum = ref 0. in
+                for s = 0 to opts.scenarios - 1 do
+                  sum := !sum +. m.(s).(row)
+                done;
+                acc +. (w row *. !sum /. s_count))
+              (obj_base row) weights
+        end
+      in
+      { candidates; compiled; obj_row })
+    scen
+
+(* One SummarySearch ILP: a column per candidate, the deterministic
+   rows, then per stochastic constraint its covered scenarios (the
+   first [ceil (p * S)] for its [p] in [p_hat]) split round-robin into
+   [m] groups, each collapsed into one conservative row: per candidate
+   the min (>=) or max (<=) of the group's scenario coefficients. *)
+let summary_problem opts spec rel su ~m ~p_hat =
+  let summary_row ((c : Paql.Translate.stochastic_constraint), base, weights)
+      group =
+    let pick = match direction c with `Ge -> Float.min | `Le -> Float.max in
+    ( (fun k ->
+        let row_id = su.candidates.(k) in
+        List.fold_left
+          (fun acc s -> pick acc (scenario_coeff base weights s row_id))
+          (scenario_coeff base weights (List.hd group) row_id)
+          (List.tl group)),
+      c.Paql.Translate.slo,
+      c.Paql.Translate.shi )
+  in
+  let srows =
+    List.concat_map
+      (fun (((c : Paql.Translate.stochastic_constraint), _, _) as cc) ->
+        let p = List.assoc c.Paql.Translate.sname p_hat in
+        let covered_n =
+          min opts.scenarios
+            (max 1 (int_of_float (Float.ceil (p *. float_of_int opts.scenarios))))
+        in
+        List.map (summary_row cc) (round_robin m (List.init covered_n Fun.id)))
+      su.compiled
+  in
+  Lp.Problem.columns
+    ~sense:(Paql.Translate.objective_sense spec)
+    ~obj:(fun k -> su.obj_row su.candidates.(k))
+    ~hi:(fun _ -> spec.Paql.Translate.max_count)
+    ~rows:
+      (Paql.Translate.constraint_rows spec rel ~candidates:su.candidates
+      @ srows)
+    (Array.length su.candidates)
+
+let initial_p_hat su =
+  List.map
+    (fun ((c : Paql.Translate.stochastic_constraint), _, _) ->
+      c.Paql.Translate.sname, c.Paql.Translate.sprob)
+    su.compiled
+
+let summary_ilp ?(options = default_options) spec rel =
+  Result.map
+    (fun su ->
+      summary_problem options spec rel su ~m:(max 1 options.summaries)
+        ~p_hat:(initial_p_hat su))
+    (setup ~expected:true ~observe:(fun f -> f ()) options spec rel)
+
+(* Out-of-sample validation: per stochastic constraint, the fraction of
+   held-out scenarios in which the package [entries] satisfy it. *)
+let held_out opts su entries =
+  List.map
+    (fun ((c : Paql.Translate.stochastic_constraint), base, weights) ->
+      let ok = ref 0 in
+      for s = opts.scenarios to opts.scenarios + opts.validation - 1 do
+        let v =
+          List.fold_left
+            (fun acc (row, mult) ->
+              acc +. (float_of_int mult *. scenario_coeff base weights s row))
+            0. entries
+        in
+        if v >= c.Paql.Translate.slo -. 1e-9 && v <= c.Paql.Translate.shi +. 1e-9
+        then incr ok
+      done;
+      c, float_of_int !ok /. float_of_int opts.validation)
+    su.compiled
+
 let run ?options (spec : Paql.Translate.spec) rel =
   let opts = match options with Some o -> o | None -> default_options in
   let start = Unix.gettimeofday () in
@@ -131,179 +289,33 @@ let run ?options (spec : Paql.Translate.spec) rel =
   end
   else begin
     let evaluate () =
-      let schema = spec.Paql.Translate.schema in
-      let candidates = Paql.Translate.base_candidates spec rel in
       (* --- Scenario stage ------------------------------------------- *)
       current_stage := Eval.Scenario;
-      let total = opts.scenarios + opts.validation in
-      let noisy_attrs =
-        (* attrs read by stochastic constraints and (for an EXPECTED
-           objective) the objective, restricted to float columns *)
-        let from_constraints =
-          List.concat_map
-            (fun (c : Paql.Translate.stochastic_constraint) ->
-              sum_attrs c.Paql.Translate.sterms)
-            spec.Paql.Translate.stochastic
-        in
-        let from_objective =
-          if spec.Paql.Translate.expected_objective then
-            sum_attrs (objective_terms spec)
-          else []
-        in
-        List.sort_uniq compare (from_constraints @ from_objective)
-        |> List.filter (fun a ->
-               match Relalg.Schema.index_of_opt schema a with
-               | Some i -> (
-                 match (Relalg.Schema.attr_at schema i).Relalg.Schema.ty with
-                 | Relalg.Value.TFloat -> true
-                 | _ -> false)
-               | None -> false)
-      in
-      let scen =
-        Eval.observe_stage Eval.Scenario (fun () ->
-            if Faults.stoch_scenario_fails () then
-              raise
-                (Faults.Injected "injected fault: scenario generation failed");
-            if noisy_attrs = [] then Ok None
-            else
-              let specs =
-                match opts.noise with
-                | Some specs -> specs
-                | None -> Datagen.Scenario.default_specs rel noisy_attrs
-              in
-              Result.map Option.some
-                (Datagen.Scenario.generate ~seed:opts.seed ~scenarios:total
-                   specs rel))
-      in
-      let scen =
-        match scen with
-        | Ok s -> s
+      let su =
+        match
+          setup ~expected:true opts spec rel ~observe:(fun f ->
+              Eval.observe_stage Eval.Scenario (fun () ->
+                  if Faults.stoch_scenario_fails () then
+                    raise
+                      (Faults.Injected
+                         "injected fault: scenario generation failed");
+                  f ()))
+        with
+        | Ok su -> su
         | Error msg ->
           raise_notrace
             (Finished
                (finish (Eval.failed ~stage:Eval.Scenario (Eval.Data_error msg))
                   None None))
       in
-      let deltas =
-        match scen with
-        | None -> []
-        | Some t ->
-          List.filter_map
-            (fun a ->
-              Option.map (fun m -> a, m) (Datagen.Scenario.deltas t a))
-            noisy_attrs
-      in
-      (* Per stochastic constraint: base coefficients + noise weights. *)
-      let compiled =
-        List.map
-          (fun (c : Paql.Translate.stochastic_constraint) ->
-            let base = c.Paql.Translate.scoeff_rows rel in
-            let weights = noise_weights schema rel deltas c.Paql.Translate.sterms in
-            c, base, weights)
-          spec.Paql.Translate.stochastic
-      in
-      (* Objective column: base coefficients; under EXPECTED, shifted by
-         the mean perturbation over the optimization scenarios. *)
-      let obj_base = spec.Paql.Translate.objective_rows rel in
-      let obj_row =
-        if not spec.Paql.Translate.expected_objective || deltas = [] then
-          obj_base
-        else begin
-          let weights = noise_weights schema rel deltas (objective_terms spec) in
-          let s_count = float_of_int opts.scenarios in
-          fun row ->
-            List.fold_left
-              (fun acc ((m : float array array), w) ->
-                let sum = ref 0. in
-                for s = 0 to opts.scenarios - 1 do
-                  sum := !sum +. m.(s).(row)
-                done;
-                acc +. (w row *. !sum /. s_count))
-              (obj_base row) weights
-        end
-      in
-      let cap = spec.Paql.Translate.max_count in
-      let vars () =
-        Array.to_list
-          (Array.map
-             (fun row_id ->
-               Lp.Problem.var
-                 ~name:(Printf.sprintf "x%d" row_id)
-                 ~integer:true ~lo:0. ~hi:cap (obj_row row_id))
-             candidates)
-      in
-      let det_rows () =
-        List.map
-          (fun (c : Paql.Translate.compiled_constraint) ->
-            let crow = c.Paql.Translate.coeff_rows rel in
-            let coeffs = ref [] in
-            Array.iteri
-              (fun k row_id ->
-                let a = crow row_id in
-                if a <> 0. then coeffs := (k, a) :: !coeffs)
-              candidates;
-            Lp.Problem.row ~name:c.Paql.Translate.cname (List.rev !coeffs)
-              ~lo:c.Paql.Translate.clo ~hi:c.Paql.Translate.chi)
-          spec.Paql.Translate.constraints
-      in
-      (* One conservative summary row for a group of covered scenarios:
-         min (>=) or max (<=) of the scenario coefficients per row. *)
-      let summary_row (c : Paql.Translate.stochastic_constraint) base weights
-          gi group =
-        let pick =
-          match direction c with `Ge -> Float.min | `Le -> Float.max
-        in
-        let coeffs = ref [] in
-        Array.iteri
-          (fun k row_id ->
-            let a =
-              List.fold_left
-                (fun acc s ->
-                  pick acc (scenario_coeff base weights s row_id))
-                (scenario_coeff base weights (List.hd group) row_id)
-                (List.tl group)
-            in
-            if a <> 0. then coeffs := (k, a) :: !coeffs)
-          candidates;
-        Lp.Problem.row
-          ~name:(Printf.sprintf "%s_g%d" c.Paql.Translate.sname gi)
-          (List.rev !coeffs) ~lo:c.Paql.Translate.slo ~hi:c.Paql.Translate.shi
-      in
-      (* Out-of-sample validation: fraction of held-out scenarios in
-         which the package satisfies each constraint. *)
       let validate pkg =
         Eval.observe_stage Eval.Validate (fun () ->
             if Faults.stoch_validate_fails () then
               raise (Faults.Injected "injected fault: validation failed");
-            let entries = Package.entries pkg in
-            List.map
-              (fun ((c : Paql.Translate.stochastic_constraint), base, weights) ->
-                let ok = ref 0 in
-                for s = opts.scenarios to total - 1 do
-                  let v =
-                    List.fold_left
-                      (fun acc (row, mult) ->
-                        acc
-                        +. (float_of_int mult
-                           *. scenario_coeff base weights s row))
-                      0. entries
-                  in
-                  if
-                    v >= c.Paql.Translate.slo -. 1e-9
-                    && v <= c.Paql.Translate.shi +. 1e-9
-                  then incr ok
-                done;
-                c, float_of_int !ok /. float_of_int opts.validation)
-              compiled)
+            held_out opts su (Package.entries pkg))
       in
       (* --- SummarySearch loop --------------------------------------- *)
-      let p_hat =
-        ref
-          (List.map
-             (fun ((c : Paql.Translate.stochastic_constraint), _, _) ->
-               c.Paql.Translate.sname, c.Paql.Translate.sprob)
-             compiled)
-      in
+      let p_hat = ref (initial_p_hat su) in
       let m = ref (max 1 opts.summaries) in
       let rounds = ref 0 in
       let max_rounds = 24 in
@@ -331,27 +343,7 @@ let run ?options (spec : Paql.Translate.spec) rel =
         if Unix.gettimeofday () > deadline then
           give_up (Eval.failed ~stage:Eval.Summary Eval.Deadline_exceeded);
         current_stage := Eval.Summary;
-        let srows =
-          List.concat_map
-            (fun ((c : Paql.Translate.stochastic_constraint), base, weights) ->
-              let p = List.assoc c.Paql.Translate.sname !p_hat in
-              let covered_n =
-                min opts.scenarios
-                  (max 1
-                     (int_of_float
-                        (Float.ceil (p *. float_of_int opts.scenarios))))
-              in
-              let covered = List.init covered_n Fun.id in
-              List.mapi
-                (fun gi g -> summary_row c base weights gi g)
-                (round_robin !m covered))
-            compiled
-        in
-        let problem =
-          Lp.Problem.make
-            ~sense:(Paql.Translate.objective_sense spec)
-            ~vars:(vars ()) ~rows:(det_rows () @ srows)
-        in
+        let problem = summary_problem opts spec rel su ~m:!m ~p_hat:!p_hat in
         let solve_result =
           Eval.observe_stage Eval.Summary (fun () ->
               Faults.solve ~limits:opts.limits ~deadline ~stage:Eval.Summary
@@ -381,7 +373,8 @@ let run ?options (spec : Paql.Translate.spec) rel =
             | _ -> assert false
           in
           let pkg =
-            Package.of_solution rel ~candidates sol.Ilp.Branch_bound.x
+            Package.of_solution rel ~candidates:su.candidates
+              sol.Ilp.Branch_bound.x
           in
           current_stage := Eval.Validate;
           if Unix.gettimeofday () > deadline then
@@ -472,150 +465,63 @@ let run_naive ?options (spec : Paql.Translate.spec) rel =
       None None
   else begin
     let evaluate () =
-      let schema = spec.Paql.Translate.schema in
-      let candidates = Paql.Translate.base_candidates spec rel in
-      let total = opts.scenarios + opts.validation in
-      let noisy_attrs =
-        List.concat_map
-          (fun (c : Paql.Translate.stochastic_constraint) ->
-            sum_attrs c.Paql.Translate.sterms)
-          spec.Paql.Translate.stochastic
-        |> List.sort_uniq compare
-        |> List.filter (fun a ->
-               match Relalg.Schema.index_of_opt schema a with
-               | Some i -> (
-                 match (Relalg.Schema.attr_at schema i).Relalg.Schema.ty with
-                 | Relalg.Value.TFloat -> true
-                 | _ -> false)
-               | None -> false)
-      in
-      let scen =
-        if noisy_attrs = [] then Ok None
-        else
-          let specs =
-            match opts.noise with
-            | Some specs -> specs
-            | None -> Datagen.Scenario.default_specs rel noisy_attrs
-          in
-          Result.map Option.some
-            (Datagen.Scenario.generate ~seed:opts.seed ~scenarios:total specs
-               rel)
-      in
-      match scen with
+      match setup ~expected:false ~observe:(fun f -> f ()) opts spec rel with
       | Error msg ->
         finish (Eval.failed ~stage:Eval.Scenario (Eval.Data_error msg)) None
           None
-      | Ok scen ->
-        let deltas =
-          match scen with
-          | None -> []
-          | Some t ->
-            List.filter_map
-              (fun a ->
-                Option.map (fun m -> a, m) (Datagen.Scenario.deltas t a))
-              noisy_attrs
-        in
-        let compiled =
-          List.map
-            (fun (c : Paql.Translate.stochastic_constraint) ->
-              let base = c.Paql.Translate.scoeff_rows rel in
-              let weights =
-                noise_weights schema rel deltas c.Paql.Translate.sterms
-              in
-              c, base, weights)
-            spec.Paql.Translate.stochastic
-        in
-        let obj_row = spec.Paql.Translate.objective_rows rel in
+      | Ok su ->
+        let candidates = su.candidates and sc = opts.scenarios in
         let cap = spec.Paql.Translate.max_count in
         let nx = Array.length candidates in
-        let xvars =
-          Array.to_list
-            (Array.map
-               (fun row_id ->
-                 Lp.Problem.var
-                   ~name:(Printf.sprintf "x%d" row_id)
-                   ~integer:true ~lo:0. ~hi:cap (obj_row row_id))
-               candidates)
-        in
-        (* indicator variables: z[(c, s)] = 1 when scenario s of
-           constraint c is allowed to be violated *)
-        let zvars =
-          List.concat_map
-            (fun ((c : Paql.Translate.stochastic_constraint), _, _) ->
-              List.init opts.scenarios (fun s ->
-                  Lp.Problem.var
-                    ~name:
-                      (Printf.sprintf "z_%s_%d" c.Paql.Translate.sname s)
-                    ~integer:true ~lo:0. ~hi:1. 0.))
-            compiled
-        in
-        let rows = ref [] in
-        List.iter
-          (fun (c : Paql.Translate.compiled_constraint) ->
-            let crow = c.Paql.Translate.coeff_rows rel in
-            let coeffs = ref [] in
-            Array.iteri
-              (fun k row_id ->
-                let a = crow row_id in
-                if a <> 0. then coeffs := (k, a) :: !coeffs)
-              candidates;
-            rows :=
-              Lp.Problem.row ~name:c.Paql.Translate.cname (List.rev !coeffs)
-                ~lo:c.Paql.Translate.clo ~hi:c.Paql.Translate.chi
-              :: !rows)
-          spec.Paql.Translate.constraints;
-        List.iteri
-          (fun ci ((c : Paql.Translate.stochastic_constraint), base, weights) ->
-            let zbase = nx + (ci * opts.scenarios) in
-            let bound =
-              match direction c with
-              | `Ge -> c.Paql.Translate.slo
-              | `Le -> c.Paql.Translate.shi
-            in
-            for s = 0 to opts.scenarios - 1 do
+        let x_only f k = if k < nx then f k else 0. in
+        (* after the candidates, one indicator column per (constraint,
+           scenario): z = 1 when the scenario may be violated *)
+        let scenario_rows ci
+            ((c : Paql.Translate.stochastic_constraint), base, weights) =
+          let zbase = nx + (ci * sc) in
+          let bound =
+            match direction c with
+            | `Ge -> c.Paql.Translate.slo
+            | `Le -> c.Paql.Translate.shi
+          in
+          List.init sc (fun s ->
+              let coef k = scenario_coeff base weights s candidates.(k) in
               (* big-M: the constraint is released when z = 1 *)
-              let coeffs = ref [] in
               let reach = ref 0. in
-              Array.iteri
-                (fun k row_id ->
-                  let a = scenario_coeff base weights s row_id in
-                  if a <> 0. then begin
-                    coeffs := (k, a) :: !coeffs;
-                    reach := !reach +. (cap *. Float.abs a)
-                  end)
-                candidates;
+              for k = 0 to nx - 1 do
+                let a = coef k in
+                if a <> 0. then reach := !reach +. (cap *. Float.abs a)
+              done;
               let big_m = !reach +. Float.abs bound +. 1. in
-              let row =
+              let z, lo, hi =
                 match direction c with
-                | `Ge ->
-                  Lp.Problem.row
-                    ~name:(Printf.sprintf "%s_s%d" c.Paql.Translate.sname s)
-                    (List.rev ((zbase + s, big_m) :: !coeffs))
-                    ~lo:c.Paql.Translate.slo ~hi:infinity
-                | `Le ->
-                  Lp.Problem.row
-                    ~name:(Printf.sprintf "%s_s%d" c.Paql.Translate.sname s)
-                    (List.rev ((zbase + s, -.big_m) :: !coeffs))
-                    ~lo:neg_infinity ~hi:c.Paql.Translate.shi
+                | `Ge -> big_m, c.Paql.Translate.slo, infinity
+                | `Le -> -.big_m, neg_infinity, c.Paql.Translate.shi
               in
-              rows := row :: !rows
-            done;
-            (* violation budget: at most floor((1-p) * S) scenarios *)
-            let budget =
-              Float.of_int opts.scenarios
-              *. (1. -. c.Paql.Translate.sprob)
-            in
-            rows :=
-              Lp.Problem.row
-                ~name:(Printf.sprintf "%s_budget" c.Paql.Translate.sname)
-                (List.init opts.scenarios (fun s -> zbase + s, 1.))
-                ~lo:neg_infinity ~hi:(Float.of_int (int_of_float budget))
-              :: !rows)
-          compiled;
+              ( (fun k ->
+                  if k < nx then coef k else if k = zbase + s then z else 0.),
+                lo,
+                hi ))
+          @ [
+              (* violation budget: at most floor((1-p) * S) scenarios *)
+              ( (fun k -> if k >= zbase && k < zbase + sc then 1. else 0.),
+                neg_infinity,
+                Float.of_int
+                  (int_of_float
+                     (Float.of_int sc *. (1. -. c.Paql.Translate.sprob))) );
+            ]
+        in
         let problem =
-          Lp.Problem.make
+          Lp.Problem.columns
             ~sense:(Paql.Translate.objective_sense spec)
-            ~vars:(xvars @ zvars) ~rows:(List.rev !rows)
+            ~obj:(x_only (fun k -> su.obj_row candidates.(k)))
+            ~hi:(fun k -> if k < nx then cap else 1.)
+            ~rows:
+              (List.map
+                 (fun (f, lo, hi) -> (x_only f, lo, hi))
+                 (Paql.Translate.constraint_rows spec rel ~candidates)
+              @ List.concat (List.mapi scenario_rows su.compiled))
+            (nx + (sc * List.length su.compiled))
         in
         let result =
           Faults.solve ~limits:opts.limits ~deadline ~stage:Eval.Summary
@@ -642,29 +548,11 @@ let run_naive ?options (spec : Paql.Translate.spec) rel =
           in
           let x = Array.sub sol.Ilp.Branch_bound.x 0 nx in
           let pkg = Package.of_solution rel ~candidates x in
-          let entries = Package.entries pkg in
           let validated =
             List.fold_left
-              (fun acc
-                   ((c : Paql.Translate.stochastic_constraint), base, weights)
-                 ->
-                let ok = ref 0 in
-                for s = opts.scenarios to total - 1 do
-                  let v =
-                    List.fold_left
-                      (fun acc (row, mult) ->
-                        acc
-                        +. (float_of_int mult
-                           *. scenario_coeff base weights s row))
-                      0. entries
-                  in
-                  if
-                    v >= c.Paql.Translate.slo -. 1e-9
-                    && v <= c.Paql.Translate.shi +. 1e-9
-                  then incr ok
-                done;
-                Float.min acc (float_of_int !ok /. float_of_int opts.validation))
-              1. compiled
+              (fun acc (_, e) -> Float.min acc e)
+              1.
+              (held_out opts su (Package.entries pkg))
           in
           let stats =
             {

@@ -63,6 +63,17 @@ val run :
   Relalg.Relation.t ->
   Eval.report * stats
 
+(** [summary_ilp ?options spec rel] is the first summary ILP {!run}
+    hands the solver: one integral column per candidate, the
+    deterministic rows, then [options.summaries] summary rows per
+    probabilistic constraint over its [ceil (p * S)] covered scenarios.
+    [Error] carries a scenario-generation failure. *)
+val summary_ilp :
+  ?options:options ->
+  Paql.Translate.spec ->
+  Relalg.Relation.t ->
+  (Lp.Problem.t, string) result
+
 (** [run_naive ?options spec rel] solves the full scenario-expanded
     ILP: one big-M indicator per (constraint, scenario), a violation
     budget of [floor((1-p) * S)] per constraint. Exact on the

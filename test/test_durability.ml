@@ -21,14 +21,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
-let tmp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pkgq-test-durability-%d" (Unix.getpid ()))
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  d
+let tmp_dir = Tmp_root.make "durability"
 
 let tmp_path name =
   let d = Filename.concat tmp_dir name in

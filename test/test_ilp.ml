@@ -158,10 +158,8 @@ let test_iis_minimal () =
     Alcotest.(check (list int)) "conflicting rows" [ 0; 1 ] rows;
     List.iter
       (fun drop ->
-        let remaining =
-          List.filteri (fun i _ -> i <> drop) (Array.to_list p.P.rows)
-        in
-        let p' = { p with P.rows = Array.of_list remaining } in
+        let remaining = List.filter (( <> ) drop) [ 0; 1; 2 ] in
+        let p' = P.sub p ~cols:[| 0 |] ~rows:(Array.of_list remaining) in
         checkb "subset feasible" true (Ilp.Iis.rows p' = None))
       rows
   | None -> Alcotest.fail "expected infeasible"
@@ -367,18 +365,19 @@ let fixing_ilp (maximize, cols, ranged) =
    no completion can match the best point found so far. *)
 let enumerate p =
   let n = P.nvars p in
-  let coeff = Array.map (fun _ -> Array.make n 0.) p.P.rows in
-  Array.iteri
-    (fun i r -> List.iter (fun (j, a) -> coeff.(i).(j) <- a) r.P.coeffs)
-    p.P.rows;
+  let coeff = Array.map (fun _ -> Array.make n 0.) p.P.rlo in
+  for j = 0 to n - 1 do
+    for k = p.P.cstart.(j) to p.P.cstart.(j + 1) - 1 do
+      coeff.(p.P.crow.(k)).(j) <- p.P.cval.(k)
+    done
+  done;
   (* least and greatest activity of each row over the columns [j, n) *)
   let reach f =
     Array.map
       (fun a ->
         let s = Array.make (n + 1) 0. in
         for j = n - 1 downto 0 do
-          let v = p.P.vars.(j) in
-          s.(j) <- s.(j + 1) +. f (a.(j) *. v.P.lo) (a.(j) *. v.P.hi)
+          s.(j) <- s.(j + 1) +. f (a.(j) *. p.P.lo.(j)) (a.(j) *. p.P.hi.(j))
         done;
         s)
       coeff
@@ -388,10 +387,8 @@ let enumerate p =
   (* the most each suffix of columns can add to [sign * objective] *)
   let gain = Array.make (n + 1) 0. in
   for j = n - 1 downto 0 do
-    let v = p.P.vars.(j) in
-    gain.(j) <-
-      gain.(j + 1)
-      +. Float.max (sign *. v.P.obj *. v.P.lo) (sign *. v.P.obj *. v.P.hi)
+    let c = sign *. p.P.obj.(j) in
+    gain.(j) <- gain.(j + 1) +. Float.max (c *. p.P.lo.(j)) (c *. p.P.hi.(j))
   done;
   let x = Array.make n 0. and act = Array.make (P.nrows p) 0. in
   let best = ref None and partial = ref 0. in
@@ -402,13 +399,12 @@ let enumerate p =
         | Some b -> !partial +. gain.(j) >= (sign *. b) -. 1e-6
         | None -> true)
     in
-    Array.iteri
-      (fun i r ->
-        if
-          act.(i) +. least.(i).(j) > r.P.rhi +. 1e-9
-          || act.(i) +. most.(i).(j) < r.P.rlo -. 1e-9
-        then alive := false)
-      p.P.rows;
+    for i = 0 to P.nrows p - 1 do
+      if
+        act.(i) +. least.(i).(j) > p.P.rhi.(i) +. 1e-9
+        || act.(i) +. most.(i).(j) < p.P.rlo.(i) -. 1e-9
+      then alive := false
+    done;
     if !alive then
       if j = n then begin
         let obj = P.objective p x in
@@ -417,13 +413,13 @@ let enumerate p =
         | _ -> best := Some obj
       end
       else begin
-        let v = p.P.vars.(j) in
-        for k = int_of_float v.P.lo to int_of_float v.P.hi do
+        let c = sign *. p.P.obj.(j) in
+        for k = int_of_float p.P.lo.(j) to int_of_float p.P.hi.(j) do
           x.(j) <- float_of_int k;
           Array.iteri (fun i a -> act.(i) <- act.(i) +. (a.(j) *. x.(j))) coeff;
-          partial := !partial +. (sign *. v.P.obj *. x.(j));
+          partial := !partial +. (c *. x.(j));
           go (j + 1);
-          partial := !partial -. (sign *. v.P.obj *. x.(j));
+          partial := !partial -. (c *. x.(j));
           Array.iteri (fun i a -> act.(i) <- act.(i) -. (a.(j) *. x.(j))) coeff
         done;
         x.(j) <- 0.
@@ -442,9 +438,7 @@ let root_shape p =
   | Lp.Simplex.Optimal s ->
     let x = s.Lp.Simplex.x in
     ( Array.exists (fun v -> Float.abs (v -. Float.round v) > 1e-6) x,
-      Array.exists2
-        (fun v (var : P.var) -> var.P.hi >= 2. && v = var.P.hi)
-        x p.P.vars )
+      Array.exists2 (fun v hi -> hi >= 2. && v = hi) x p.P.hi )
   | _ -> (false, false)
 
 (* One case is a batch of 100 ILPs: every one must match enumeration,
@@ -551,22 +545,20 @@ let restricted_runs p =
     in
     let rounded =
       Array.mapi
-        (fun j v ->
-          let var = p.P.vars.(j) in
-          Float.min var.P.hi (Float.max var.P.lo (Float.round v)))
+        (fun j v -> Float.min p.P.hi.(j) (Float.max p.P.lo.(j) (Float.round v)))
         x
     in
     match s.Lp.Simplex.basis with
     | Some b when fractional && not (P.feasible ~tol:1e-6 p rounded) ->
       let movable = ref 0 in
       Array.iteri
-        (fun j (var : P.var) ->
+        (fun j lo ->
           if
             Lp.Simplex.Basis.resting b j <> `Basic
-            && x.(j) = var.P.lo
-            && var.P.lo < var.P.hi
+            && x.(j) = lo
+            && lo < p.P.hi.(j)
           then incr movable)
-        p.P.vars;
+        p.P.lo;
       (true, !movable > 50)
     | _ -> (fractional, false))
   | _ -> (false, false)

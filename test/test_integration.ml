@@ -212,6 +212,79 @@ let test_error_paths () =
     | Ok ast -> Result.is_error (Paql.Analyze.check (R.schema rel) ast)
     | Error _ -> false)
 
+(* [paql_cli --mps-out] end to end on a five-row CSV whose WHERE drops
+   row 1: the columns are named after the candidate row ids (x0, x2,
+   x3, x4) and the rows after the constraints (g0, g1). The bytes were
+   recorded from the writer that read names stored in the problem. *)
+let mps_cli_golden =
+  String.concat "\n"
+    [
+      "NAME          PKGQ";
+      "OBJSENSE";
+      "    MIN";
+      "ROWS";
+      " N  OBJ";
+      " E  g0";
+      " L  g1";
+      "COLUMNS";
+      "    MARKER                 'MARKER'                 'INTORG'";
+      "    x0  OBJ  2";
+      "    x0  g0  1";
+      "    x0  g1  0.5";
+      "    x2  OBJ  3.5";
+      "    x2  g0  1";
+      "    x2  g1  0.80000000000000004";
+      "    x3  OBJ  0.5";
+      "    x3  g0  1";
+      "    x3  g1  0.20000000000000001";
+      "    x4  OBJ  1.25";
+      "    x4  g0  1";
+      "    x4  g1  0.59999999999999998";
+      "    MARKER                 'MARKER'                 'INTEND'";
+      "RHS";
+      "    RHS  g0  2";
+      "    RHS  g1  1.6000000000000001";
+      "RANGES";
+      "    RNG  g1  0.60000000000000009";
+      "BOUNDS";
+      " LO BND  x0  0";
+      " UP BND  x0  2";
+      " LO BND  x2  0";
+      " UP BND  x2  2";
+      " LO BND  x3  0";
+      " UP BND  x3  2";
+      " LO BND  x4  0";
+      " UP BND  x4  2";
+      "ENDATA";
+      "";
+    ]
+
+let test_cli_mps_out () =
+  let dir = Tmp_root.make "integration" in
+  let data = Filename.concat dir "r.csv" and mps = Filename.concat dir "r.mps" in
+  Out_channel.with_open_bin data (fun oc ->
+      output_string oc
+        "name:str,kcal:float,fat:float\na,0.5,2.0\nb,0.05,1.0\nc,0.8,3.5\n\
+         d,0.2,0.5\ne,0.6,1.25\n");
+  let cli = Filename.concat (Sys.getcwd ()) "../bin/paql_cli.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        Unix.create_process cli
+          [| cli; "--no-store"; "--data"; data; "--method"; "direct";
+             "--mps-out"; mps; "--query";
+             "SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 1 WHERE R.kcal > \
+              0.1 SUCH THAT COUNT(P.*) = 2 AND SUM(P.kcal) BETWEEN 1.0 AND \
+              1.6 MINIMIZE SUM(P.fat)" |]
+          Unix.stdin null null)
+  in
+  checkb "exit 0" true (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+  Alcotest.(check string)
+    "mps bytes" mps_cli_golden
+    (In_channel.with_open_bin mps In_channel.input_all)
+
 let () =
   Alcotest.run "integration"
     [
@@ -224,6 +297,8 @@ let () =
           Alcotest.test_case "csv round-trip query" `Quick
             test_csv_query_roundtrip;
           Alcotest.test_case "error paths" `Quick test_error_paths;
+          Alcotest.test_case "paql_cli --mps-out golden bytes" `Quick
+            test_cli_mps_out;
         ] );
       ( "pipeline",
         [

@@ -157,17 +157,30 @@ let test_no_rows () =
   let s = solve_optimal p in
   checkf "objective" 9. s.Sx.obj
 
+(* A problem is validated once, by the constructor that builds it, so
+   no malformed problem reaches a solver. *)
 let test_validate () =
-  let bad_var = P.make ~sense:P.Minimize ~vars:[ P.var ~lo:2. ~hi:1. 0. ] ~rows:[] in
-  checkb "lo>hi var" true (Result.is_error (P.validate bad_var));
-  let bad_row =
-    P.make ~sense:P.Minimize ~vars:[ P.var 0. ]
-      ~rows:[ P.row [ (5, 1.) ] ~lo:0. ~hi:1. ]
+  let rejects name msg build =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (build ()))
   in
-  checkb "bad index" true (Result.is_error (P.validate bad_row));
-  Alcotest.check_raises "solve rejects invalid"
-    (Invalid_argument "Simplex.solve: row 0 references variable 5") (fun () ->
-      ignore (Sx.solve bad_row))
+  rejects "lo>hi var" "Problem.make: variable 0 has lo > hi" (fun () ->
+      P.make ~sense:P.Minimize ~vars:[ P.var ~lo:2. ~hi:1. 0. ] ~rows:[]);
+  rejects "lo>hi row" "Problem.make: row 0 has lo > hi" (fun () ->
+      P.make ~sense:P.Minimize ~vars:[ P.var 0. ]
+        ~rows:[ P.row [ (0, 1.) ] ~lo:1. ~hi:0. ]);
+  rejects "bad index" "Problem.make: row 0 references variable 5" (fun () ->
+      P.make ~sense:P.Minimize ~vars:[ P.var 0. ]
+        ~rows:[ P.row [ (5, 1.) ] ~lo:0. ~hi:1. ]);
+  rejects "columns lo>hi var" "Problem.columns: variable 1 has lo > hi"
+    (fun () ->
+      P.columns ~sense:P.Minimize ~obj:(fun _ -> 0.)
+        ~hi:(fun k -> if k = 1 then -1. else 1.)
+        ~rows:[] 2);
+  rejects "columns lo>hi row" "Problem.columns: row 0 has lo > hi" (fun () ->
+      P.columns ~sense:P.Minimize ~obj:(fun _ -> 0.) ~hi:(fun _ -> 1.)
+        ~rows:[ ((fun _ -> 1.), 2., 1.) ]
+        2)
 
 let test_feasible_predicate () =
   let p =
@@ -249,13 +262,7 @@ let prop_objective_scaling =
     (QCheck.make random_lp_gen)
     (fun input ->
       let p = lp_of input in
-      let scaled =
-        {
-          p with
-          P.vars =
-            Array.map (fun v -> { v with P.obj = 3. *. v.P.obj }) p.P.vars;
-        }
-      in
+      let scaled = { p with P.obj = Array.map (fun c -> 3. *. c) p.P.obj } in
       match Sx.solve p, Sx.solve scaled with
       | Sx.Optimal a, Sx.Optimal b -> Float.abs ((3. *. a.Sx.obj) -. b.Sx.obj) < 1e-5
       | _ -> false)
@@ -280,11 +287,7 @@ let prop_sense_symmetry =
     (fun input ->
       let p = lp_of input in
       let negated =
-        {
-          p with
-          P.sense = P.Minimize;
-          vars = Array.map (fun v -> { v with P.obj = -.v.P.obj }) p.P.vars;
-        }
+        { p with P.sense = P.Minimize; obj = Array.map Float.neg p.P.obj }
       in
       match Sx.solve p, Sx.solve negated with
       | Sx.Optimal a, Sx.Optimal b -> Float.abs (a.Sx.obj +. b.Sx.obj) < 1e-6
@@ -300,18 +303,23 @@ let mps_problem =
   P.make ~sense:P.Maximize
     ~vars:
       [
-        P.var ~name:"buy" ~integer:true ~hi:3. 5.;
-        P.var ~name:"hold" ~lo:(-2.) ~hi:2. (-1.);
+        P.var ~integer:true ~hi:3. 5.;
+        P.var ~lo:(-2.) ~hi:2. (-1.);
         P.var ~lo:neg_infinity ~hi:infinity 0.5;
         P.var ~lo:1. ~hi:1. 2.;
       ]
     ~rows:
       [
-        P.row ~name:"cap" [ (0, 2.); (1, 1.) ] ~lo:neg_infinity ~hi:7.;
-        P.row ~name:"floor" [ (1, 1.); (2, 1.) ] ~lo:(-4.) ~hi:infinity;
-        P.row ~name:"win" [ (0, 1.); (2, 2.) ] ~lo:1. ~hi:5.;
-        P.row ~name:"exact" [ (3, 1.); (0, 1.) ] ~lo:2. ~hi:2.;
+        P.row [ (0, 2.); (1, 1.) ] ~lo:neg_infinity ~hi:7.;
+        P.row [ (1, 1.); (2, 1.) ] ~lo:(-4.) ~hi:infinity;
+        P.row [ (0, 1.); (2, 2.) ] ~lo:1. ~hi:5.;
+        P.row [ (3, 1.); (0, 1.) ] ~lo:2. ~hi:2.;
       ]
+
+(* The problem carries no names: the writer is handed them, and an
+   empty one falls back to [x<j>]. *)
+let mps_col_name = Array.get [| "buy"; "hold"; ""; "" |]
+let mps_row_name = Array.get [| "cap"; "floor"; "win"; "exact" |]
 
 let mps_golden =
   String.concat "\n"
@@ -359,44 +367,53 @@ let mps_golden =
     ]
 
 let test_mps_golden_bytes () =
-  Alcotest.(check string) "to_string" mps_golden (Lp.Mps.to_string mps_problem)
+  Alcotest.(check string) "to_string" mps_golden (Lp.Mps.to_string ~col_name:mps_col_name ~row_name:mps_row_name mps_problem)
 
 let test_mps_file_io () =
   let path = Filename.temp_file "pkgq" ".mps" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Lp.Mps.write path mps_problem;
+      Lp.Mps.write ~col_name:mps_col_name ~row_name:mps_row_name path
+        mps_problem;
       Alcotest.(check string)
         "write puts to_string's bytes" mps_golden
         (In_channel.with_open_bin path In_channel.input_all))
 
 (* Problem's arithmetic against the left folds it is defined as, bit for
-   bit: objective over [vars] in order, each row over its [coeffs] in
-   list order, and feasibility as the conjunction of the bound,
-   integrality and row checks. Values come from a pool rich in signed
-   zeros, halves, tiny and huge magnitudes; bounds may be infinite and
-   rows may repeat a variable. *)
-let ref_objective p x =
+   bit: objective over the columns in order, each row activity over its
+   coefficients in column order (a stable sort of the row's list, so a
+   repeated column keeps its list order; the zero coefficients the
+   column layout drops add a signed zero, which leaves a fold that
+   starts at [0.] unchanged), and feasibility as the conjunction of the
+   bound, integrality and row checks. Values come from a pool rich in
+   signed zeros, halves, tiny and huge magnitudes; bounds may be
+   infinite and rows may repeat a variable. Each bound pair is put in
+   order first: a crossed pair is rejected when the problem is built
+   (see "validate"). *)
+let ref_objective vars x =
   let acc = ref 0. in
-  Array.iteri (fun j v -> acc := !acc +. (v.P.obj *. x.(j))) p.P.vars;
+  List.iteri (fun j (o, _, _, _) -> acc := !acc +. (o *. x.(j))) vars;
   !acc
 
-let ref_row_value r x =
-  List.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.P.coeffs
+let ref_row_value coeffs x =
+  List.fold_left
+    (fun acc (j, a) -> acc +. (a *. x.(j)))
+    0.
+    (List.stable_sort (fun (i, _) (j, _) -> compare i j) coeffs)
 
-let ref_feasible ~tol p x =
-  Array.length x = P.nvars p
-  && Array.for_all2
-       (fun v xj ->
-         xj >= v.P.lo -. tol && xj <= v.P.hi +. tol
-         && ((not v.P.integer) || Float.abs (xj -. Float.round xj) <= tol))
-       p.P.vars x
-  && Array.for_all
-       (fun r ->
-         let v = ref_row_value r x in
-         v >= r.P.rlo -. tol && v <= r.P.rhi +. tol)
-       p.P.rows
+let ref_feasible ~tol vars rows x =
+  Array.length x = List.length vars
+  && List.for_all2
+       (fun (_, lo, hi, integer) xj ->
+         xj >= lo -. tol && xj <= hi +. tol
+         && ((not integer) || Float.abs (xj -. Float.round xj) <= tol))
+       vars (Array.to_list x)
+  && List.for_all
+       (fun (c, lo, hi) ->
+         let v = ref_row_value c x in
+         v >= lo -. tol && v <= hi +. tol)
+       rows
 
 let arith_gen =
   QCheck.Gen.(
@@ -411,13 +428,17 @@ let arith_gen =
         ]
     in
     let bound = oneof [ value; oneofl [ infinity; neg_infinity ] ] in
+    let bounds =
+      map (fun (a, b) -> (Float.min a b, Float.max a b)) (pair bound bound)
+    in
     int_range 1 6 >>= fun n ->
-    list_repeat n (quad value bound bound bool) >>= fun vars ->
+    list_repeat n
+      (map (fun (o, (lo, hi), i) -> (o, lo, hi, i)) (triple value bounds bool))
+    >>= fun vars ->
     list_size (int_range 0 4)
-      (triple
-         (list_size (int_range 0 8) (pair (int_range 0 (n - 1)) value))
-         bound bound)
+      (pair (list_size (int_range 0 8) (pair (int_range 0 (n - 1)) value)) bounds)
     >>= fun rows ->
+    let rows = List.map (fun (c, (lo, hi)) -> (c, lo, hi)) rows in
     list_repeat n value >>= fun x ->
     return (vars, rows, Array.of_list x))
 
@@ -439,7 +460,7 @@ let arith_print (vars, rows, x) =
 
 let prop_problem_arithmetic =
   QCheck.Test.make ~count:1000
-    ~name:"objective/row_value/feasible match left folds bit for bit"
+    ~name:"objective/activities/feasible match left folds bit for bit"
     (QCheck.make ~print:arith_print arith_gen)
     (fun (vars, rows, x) ->
       let p =
@@ -452,16 +473,17 @@ let prop_problem_arithmetic =
       in
       let bits = Int64.bits_of_float in
       let short = Array.sub x 0 (Array.length x - 1) in
-      bits (P.objective p x) = bits (ref_objective p x)
-      && Array.for_all
-           (fun r -> bits (P.row_value r x) = bits (ref_row_value r x))
-           p.P.rows
+      bits (P.objective p x) = bits (ref_objective vars x)
+      && List.equal
+           (fun a b -> bits a = bits b)
+           (Array.to_list (P.activities p x))
+           (List.map (fun (c, _, _) -> ref_row_value c x) rows)
       && List.for_all
            (fun tol ->
-             P.feasible ~tol p x = ref_feasible ~tol p x
-             && P.feasible ~tol p short = ref_feasible ~tol p short)
+             P.feasible ~tol p x = ref_feasible ~tol vars rows x
+             && P.feasible ~tol p short = ref_feasible ~tol vars rows short)
            [ 0.; 1e-6; 0.5 ]
-      && P.feasible p x = ref_feasible ~tol:1e-6 p x)
+      && P.feasible p x = ref_feasible ~tol:1e-6 vars rows x)
 
 let () =
   Alcotest.run "lp"

@@ -343,6 +343,16 @@ let test_translate_base_predicate () =
   Alcotest.(check (array int)) "candidates" [| 0; 2; 3 |]
     (Paql.Translate.base_candidates spec recipes)
 
+(* Row [i] of [p] as (column, coefficient) pairs in column order, read
+   off the compressed columns. *)
+let row_coeffs (p : Lp.Problem.t) i =
+  List.concat
+    (List.init (Lp.Problem.nvars p) (fun j ->
+         List.filter_map
+           (fun k ->
+             if p.crow.(k) = i then Some (j, p.cval.(k)) else None)
+           (List.init (p.cstart.(j + 1) - p.cstart.(j)) (fun d -> p.cstart.(j) + d))))
+
 let test_translate_repetition () =
   let spec = compile "SELECT PACKAGE(R) AS P FROM Recipes R REPEAT 2" in
   checkf "REPEAT 2 -> cap 3" 3. spec.Paql.Translate.max_count;
@@ -353,9 +363,8 @@ let test_translate_repetition () =
     Paql.Translate.to_problem spec recipes ~candidates:[| 0; 1 |]
   in
   checkb "vars integer with hi=3" true
-    (Array.for_all
-       (fun v -> v.Lp.Problem.integer && v.Lp.Problem.hi = 3.)
-       p.Lp.Problem.vars)
+    (Array.for_all Fun.id p.Lp.Problem.integer
+    && Array.for_all (fun hi -> hi = 3.) p.Lp.Problem.hi)
 
 let test_translate_rows () =
   let spec = compile paper_query in
@@ -364,19 +373,16 @@ let test_translate_rows () =
   checki "vars" 3 (Lp.Problem.nvars p);
   checki "rows" 2 (Lp.Problem.nrows p);
   (* cardinality row: all-ones coefficients, [3,3] *)
-  let r0 = p.Lp.Problem.rows.(0) in
-  checkf "count lo" 3. r0.Lp.Problem.rlo;
+  checkf "count lo" 3. p.Lp.Problem.rlo.(0);
   checkb "count coeffs" true
-    (List.for_all (fun (_, c) -> c = 1.) r0.Lp.Problem.coeffs);
+    (row_coeffs p 0 = [ (0, 1.); (1, 1.); (2, 1.) ]);
   (* sum row: kcal coefficients of the surviving candidates *)
-  let r1 = p.Lp.Problem.rows.(1) in
-  checkb "sum coeffs" true
-    (r1.Lp.Problem.coeffs = [ (0, 0.5); (1, 0.8); (2, 0.2) ]);
-  checkf "sum lo" 2.0 r1.Lp.Problem.rlo;
-  checkf "sum hi" 2.5 r1.Lp.Problem.rhi;
+  checkb "sum coeffs" true (row_coeffs p 1 = [ (0, 0.5); (1, 0.8); (2, 0.2) ]);
+  checkf "sum lo" 2.0 p.Lp.Problem.rlo.(1);
+  checkf "sum hi" 2.5 p.Lp.Problem.rhi.(1);
   (* minimize objective: saturated fat coefficients *)
   checkb "sense" true (p.Lp.Problem.sense = Lp.Problem.Minimize);
-  checkf "obj coeff" 2.0 p.Lp.Problem.vars.(0).Lp.Problem.obj
+  checkf "obj coeff" 2.0 p.Lp.Problem.obj.(0)
 
 let test_translate_conditional_count () =
   let spec =
@@ -388,10 +394,9 @@ let test_translate_conditional_count () =
     Paql.Translate.to_problem spec recipes ~candidates:[| 0; 1; 2; 3 |]
   in
   (* indicator difference: +1 for kcal > 0.6, -1 otherwise *)
-  let r = p.Lp.Problem.rows.(0) in
   checkb "indicator coeffs" true
-    (r.Lp.Problem.coeffs = [ (0, -1.); (1, 1.); (2, 1.); (3, -1.) ]);
-  checkf "lo" 0. r.Lp.Problem.rlo
+    (row_coeffs p 0 = [ (0, -1.); (1, 1.); (2, 1.); (3, -1.) ]);
+  checkf "lo" 0. p.Lp.Problem.rlo.(0)
 
 let test_translate_offsets_and_caps () =
   let spec = compile paper_query in
@@ -401,10 +406,10 @@ let test_translate_offsets_and_caps () =
       spec recipes ~candidates:[| 0; 2 |]
   in
   (* offsets shift the refine-query bounds by the partial package *)
-  checkf "count lo shifted" 2. p.Lp.Problem.rows.(0).Lp.Problem.rlo;
-  checkf "sum lo shifted" 1.3 p.Lp.Problem.rows.(1).Lp.Problem.rlo;
-  checkf "sum hi shifted" 1.8 p.Lp.Problem.rows.(1).Lp.Problem.rhi;
-  checkf "per-var cap" 2. p.Lp.Problem.vars.(1).Lp.Problem.hi
+  checkf "count lo shifted" 2. p.Lp.Problem.rlo.(0);
+  checkf "sum lo shifted" 1.3 p.Lp.Problem.rlo.(1);
+  checkf "sum hi shifted" 1.8 p.Lp.Problem.rhi.(1);
+  checkf "per-var cap" 2. p.Lp.Problem.hi.(1)
 
 let test_translate_vacuous_objective () =
   let spec = compile "SELECT PACKAGE(R) AS P FROM Recipes R SUCH THAT COUNT(P.*) = 1" in
@@ -412,7 +417,7 @@ let test_translate_vacuous_objective () =
   checkb "defaults to minimize" true
     (Paql.Translate.objective_sense spec = Lp.Problem.Minimize);
   let p = Paql.Translate.to_problem spec recipes ~candidates:[| 0 |] in
-  checkf "zero cost" 0. p.Lp.Problem.vars.(0).Lp.Problem.obj
+  checkf "zero cost" 0. p.Lp.Problem.obj.(0)
 
 let test_translate_objective_constant () =
   let spec =

@@ -17,14 +17,7 @@ module E = Pkg.Eval
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let tmp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pkgq-test-progressive-%d" (Unix.getpid ()))
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  d
+let tmp_dir = Tmp_root.make "progressive"
 
 (* Concentrated data: the regime the DLV splits are built for. *)
 let skewed ?(skew = 1.5) ~seed n = Datagen.Galaxy.generate ~seed ~skew n

@@ -386,10 +386,8 @@ let test_append_bad_schema () =
 (* The write path: acks, no-op writes, maintained partitionings       *)
 (* ------------------------------------------------------------------ *)
 
-let tmp_dir name =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "pkgq-test-service-%d-%s" (Unix.getpid ()) name)
+let tmp_root = lazy (Tmp_root.make "service")
+let tmp_dir name = Filename.concat (Lazy.force tmp_root) name
 
 let ok_body what = function
   | Pr.Resp_ok body -> body

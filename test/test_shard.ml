@@ -22,14 +22,7 @@ module Co = Service.Coordinator
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
-let tmp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pkgq-test-shard-%d" (Unix.getpid ()))
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  d
+let tmp_dir = Tmp_root.make "shard"
 
 let server_exe =
   let p =

@@ -46,27 +46,21 @@ let gen_perturb =
   QCheck.Gen.(
     pair (int_range 0 1000) (oneofl [ `Pin; `Relax; `Tighten_row ]))
 
+(* [a] with entry [i] replaced by [f a.(i)]. *)
+let update a i f =
+  let a = Array.copy a in
+  a.(i) <- f a.(i);
+  a
+
 let perturb p (jseed, kind) =
-  let n = Array.length p.P.vars in
-  let j = jseed mod n in
+  let j = jseed mod P.nvars p in
   match kind with
-  | `Pin ->
-    let vars' = Array.copy p.P.vars in
-    vars'.(j) <- { vars'.(j) with P.hi = 0. };
-    { p with P.vars = vars' }
-  | `Relax ->
-    let vars' = Array.copy p.P.vars in
-    vars'.(j) <- { vars'.(j) with P.hi = vars'.(j).P.hi *. 2. };
-    { p with P.vars = vars' }
+  | `Pin -> { p with P.hi = update p.P.hi j (fun _ -> 0.) }
+  | `Relax -> { p with P.hi = update p.P.hi j (fun h -> h *. 2.) }
   | `Tighten_row ->
-    let m = Array.length p.P.rows in
+    let m = P.nrows p in
     if m = 0 then p
-    else begin
-      let rows' = Array.copy p.P.rows in
-      let r = jseed mod m in
-      rows'.(r) <- { rows'.(r) with P.rhi = rows'.(r).P.rhi *. 0.5 };
-      { p with P.rows = rows' }
-    end
+    else { p with P.rhi = update p.P.rhi (jseed mod m) (fun h -> h *. 0.5) }
 
 let agree name cold warm =
   match (cold, warm) with
@@ -106,10 +100,8 @@ let bb_warm_agreement_prop =
       let integerize p =
         {
           p with
-          P.vars =
-            Array.map
-              (fun v -> { v with P.integer = true; P.hi = Float.round v.P.hi })
-              p.P.vars;
+          P.integer = Array.map (fun _ -> true) p.P.integer;
+          hi = Array.map Float.round p.P.hi;
         }
       in
       let p = integerize p in
@@ -219,9 +211,7 @@ let test_warm_disabled_is_cold () =
 let pin_most_selected p x =
   let j = ref 0 in
   Array.iteri (fun i v -> if v > x.(!j) then j := i) x;
-  let vars = Array.copy p.P.vars in
-  vars.(!j) <- { vars.(!j) with P.hi = 0. };
-  { p with P.vars }
+  { p with P.hi = update p.P.hi !j (fun _ -> 0.) }
 
 (* A chained re-solve ladder, the shape of B&B children and refine
    rungs: each rung pins the variable the previous optimum selects most
@@ -319,12 +309,11 @@ let workspace_reuse_prop =
        QCheck.Gen.(
          triple gen_lp (list_size (int_range 2 10) gen_step) gen_step))
     (fun (p, steps, forced) ->
-      let n = Array.length p.P.vars in
-      let lo0 = Array.map (fun v -> v.P.lo) p.P.vars in
-      let hi0 = Array.map (fun v -> v.P.hi) p.P.vars in
+      let n = P.nvars p in
+      let lo0 = p.P.lo and hi0 = p.P.hi in
       let lo = Array.copy lo0 and hi = Array.copy hi0 in
       let foreign =
-        match S.solve { p with P.rows = [||] } with
+        match S.solve (P.sub p ~cols:(Array.init n Fun.id) ~rows:[||]) with
         | S.Optimal s -> s.S.basis
         | _ -> None
       in
@@ -352,10 +341,10 @@ let workspace_reuse_prop =
           in
           let iw = S.new_work () and ifr = S.new_work () in
           let w = S.Workspace.resolve ?basis ~work:iw ~lo ~hi ws in
-          let vars =
-            Array.mapi (fun j v -> { v with P.lo = lo.(j); hi = hi.(j) }) p.P.vars
+          let f =
+            S.resolve ?basis ~work:ifr
+              { p with P.lo = Array.copy lo; hi = Array.copy hi }
           in
-          let f = S.resolve ?basis ~work:ifr { p with P.vars } in
           (match w with
           | S.Optimal s ->
             prev := s.S.basis;
@@ -507,6 +496,310 @@ let test_node_allocation_budget () =
   if per > 3. then
     Alcotest.failf "%.2f words per column per node (budget 3)" per
 
+(* ------------------------------------------------------------------ *)
+(* Numerics stress: near-degenerate ties                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A small ILP given by its data: integral columns in [0, u_j], rows
+   [rlo_i <= a_i . x <= rhi_i], maximized. The checks below read this
+   data, never the problem built from it. *)
+type stress = {
+  c : float array;
+  u : float array;
+  a : float array array;
+  rlo : float array;
+  rhi : float array;
+}
+
+let stress_problem t =
+  P.make ~sense:P.Maximize
+    ~vars:(Array.to_list (Array.mapi (fun j c -> P.var ~integer:true ~hi:t.u.(j) c) t.c))
+    ~rows:
+      (Array.to_list
+         (Array.mapi
+            (fun i row ->
+              P.row
+                (List.filter (fun (_, v) -> v <> 0.)
+                   (Array.to_list (Array.mapi (fun j v -> (j, v)) row)))
+                ~lo:t.rlo.(i) ~hi:t.rhi.(i))
+            t.a))
+
+let activity row x =
+  let acc = ref 0. in
+  Array.iteri (fun j v -> acc := !acc +. (v *. x.(j))) row;
+  !acc
+
+(* The LP optimum by vertex enumeration: with slacks [s = A x] bounded
+   by the row ranges, a vertex has [m] basic columns among the [n + m]
+   and every other column at a finite bound; solve for the basic ones
+   (Gaussian elimination, partial pivoting) and keep the best vertex
+   within a 1e-9 relative tolerance. *)
+let lp_by_vertices t =
+  let n = Array.length t.c and m = Array.length t.a in
+  let total = n + m in
+  let lo k = if k < n then 0. else t.rlo.(k - n) in
+  let hi k = if k < n then t.u.(k) else t.rhi.(k - n) in
+  (* column k of [A | -I] *)
+  let col k i = if k < n then t.a.(i).(k) else if k - n = i then -1. else 0. in
+  let best = ref None in
+  let z = Array.make total 0. in
+  let rec choose start basis =
+    if List.length basis = m then place 0 (Array.of_list (List.rev basis))
+    else
+      for k = start to total - 1 do
+        choose (k + 1) (k :: basis)
+      done
+  and place k basis =
+    if k = total then solve basis
+    else if Array.mem k basis then place (k + 1) basis
+    else
+      List.iter
+        (fun b ->
+          if Float.is_finite b then begin
+            z.(k) <- b;
+            place (k + 1) basis
+          end)
+        [ lo k; hi k ]
+  and solve basis =
+    (* M zb = -(N zn) *)
+    let mat =
+      Array.init m (fun i ->
+          let rhs = ref 0. in
+          for k = 0 to total - 1 do
+            if not (Array.mem k basis) then rhs := !rhs -. (col k i *. z.(k))
+          done;
+          Array.append (Array.map (fun k -> col k i) basis) [| !rhs |])
+    in
+    let singular = ref false in
+    for p = 0 to m - 1 do
+      let piv = ref p in
+      for r = p + 1 to m - 1 do
+        if Float.abs mat.(r).(p) > Float.abs mat.(!piv).(p) then piv := r
+      done;
+      if Float.abs mat.(!piv).(p) < 1e-300 then singular := true
+      else begin
+        let tmp = mat.(p) in
+        mat.(p) <- mat.(!piv);
+        mat.(!piv) <- tmp;
+        for r = 0 to m - 1 do
+          if r <> p then begin
+            let f = mat.(r).(p) /. mat.(p).(p) in
+            for q = p to m do
+              mat.(r).(q) <- mat.(r).(q) -. (f *. mat.(p).(q))
+            done
+          end
+        done
+      end
+    done;
+    if not !singular then begin
+      Array.iteri (fun i k -> z.(k) <- mat.(i).(m) /. mat.(i).(i)) basis;
+      let within k =
+        let mag b = if Float.is_finite b then Float.abs b else 0. in
+        let slack = 1e-9 *. (1. +. mag (lo k) +. mag (hi k)) in
+        z.(k) >= lo k -. slack && z.(k) <= hi k +. slack
+      in
+      let rows_hold =
+        (* the basic slacks must equal the activity they stand for *)
+        Array.for_all
+          (fun i ->
+            let act = activity t.a.(i) (Array.sub z 0 n) in
+            Float.abs (act -. z.(n + i))
+            <= 1e-9 *. (1. +. Array.fold_left (fun s v -> s +. Float.abs v) 0. t.a.(i)))
+          (Array.init m Fun.id)
+      in
+      if Array.for_all within basis && rows_hold then begin
+        let obj = activity t.c (Array.sub z 0 n) in
+        match !best with
+        | Some b when b >= obj -> ()
+        | _ -> best := Some obj
+      end
+    end
+  in
+  choose 0 [];
+  !best
+
+(* The ILP optimum over every integer point of the box, twice: rows
+   held exactly, and rows held within 1e-6 of their magnitude. An exact
+   search answer must lie between the two. *)
+let ilp_by_enumeration t =
+  let n = Array.length t.c in
+  let x = Array.make n 0. in
+  let strict = ref None and loose = ref None in
+  let better r obj =
+    match !r with Some b when b >= obj -> () | _ -> r := Some obj
+  in
+  let rec go j =
+    if j = n then begin
+      let obj = activity t.c x in
+      let holds tol =
+        Array.for_all
+          (fun i ->
+            let act = activity t.a.(i) x in
+            let slack =
+              tol *. (1. +. activity (Array.map Float.abs t.a.(i)) x)
+            in
+            act >= t.rlo.(i) -. slack && act <= t.rhi.(i) +. slack)
+          (Array.init (Array.length t.a) Fun.id)
+      in
+      if holds 0. then better strict obj;
+      if holds 1e-6 then better loose obj
+    end
+    else
+      for k = 0 to int_of_float t.u.(j) do
+        x.(j) <- float_of_int k;
+        go (j + 1)
+      done
+  in
+  go 0;
+  (!strict, !loose)
+
+let check_stress name t =
+  let p = stress_problem t in
+  let close a b = Float.abs (a -. b) <= 1e-6 *. Float.max 1. (Float.abs b) in
+  (match (S.solve p, lp_by_vertices t) with
+  | S.Optimal s, Some opt when close s.S.obj opt -> ()
+  | r, opt ->
+    Alcotest.failf "%s: simplex %a, vertex enumeration %s" name S.pp_result r
+      (match opt with Some o -> Printf.sprintf "%.17g" o | None -> "none"));
+  match (B.solve p, ilp_by_enumeration t) with
+  | B.Optimal (s, _), (Some strict, Some loose)
+    when s.B.obj >= strict -. (1e-6 *. Float.max 1. (Float.abs strict))
+         && s.B.obj <= loose +. (1e-6 *. Float.max 1. (Float.abs loose)) ->
+    ()
+  | r, (strict, loose) ->
+    let pp_opt = function
+      | Some o -> Printf.sprintf "%.17g" o
+      | None -> "none"
+    in
+    Alcotest.failf "%s: search %a, enumeration %s (rows within 1e-6: %s)" name
+      B.pp_result r (pp_opt strict) (pp_opt loose)
+
+(* Eight 0/1 columns whose objective-to-weight ratios are equal or nearly
+   so (the Galaxy Q2 regime): weights from {2, 3, 5}, objective 1.7 *
+   weight * (1 + d) with d = 0 for most columns and otherwise one of
+   +-1e-15, +-1e-12, +-1e-9; exactly k of them (2 to 4) under a weight
+   budget half a unit above a random k-subset's weight. *)
+let near_ties seed =
+  let rng = Random.State.make [| seed; 0x71e5 |] in
+  let n = 8 in
+  let w = Array.init n (fun _ -> [| 2.; 3.; 5. |].(Random.State.int rng 3)) in
+  let d () =
+    if Random.State.int rng 10 < 6 then 0.
+    else
+      (if Random.State.bool rng then 1. else -1.)
+      *. [| 1e-15; 1e-12; 1e-9 |].(Random.State.int rng 3)
+  in
+  let k = 2 + Random.State.int rng 3 in
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let tmp = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- tmp
+  done;
+  let budget = ref 0.5 in
+  for i = 0 to k - 1 do
+    budget := !budget +. w.(order.(i))
+  done;
+  {
+    c = Array.map (fun wj -> 1.7 *. wj *. (1. +. d ())) w;
+    u = Array.make n 1.;
+    a = [| Array.make n 1.; w |];
+    rlo = [| float_of_int k; neg_infinity |];
+    rhi = [| float_of_int k; !budget |];
+  }
+
+let test_near_ties () =
+  for seed = 1 to 60 do
+    check_stress (Printf.sprintf "near ties seed %d" seed) (near_ties seed)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* The package ILPs handed to the solver, pinned                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every field of a problem, floats by their bits, in the compressed
+   column layout the solver reads. *)
+let ilp_bytes (p : P.t) =
+  let b = Buffer.create 4096 in
+  let f x = Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)) in
+  let i x = Buffer.add_string b (Printf.sprintf "%d," x) in
+  let sep () = Buffer.add_char b ';' in
+  Buffer.add_string b (match p.P.sense with P.Minimize -> "min" | P.Maximize -> "max");
+  List.iter
+    (fun a -> sep (); Array.iter f a)
+    [ p.P.obj; p.P.lo; p.P.hi ];
+  sep ();
+  Array.iter (fun v -> i (if v then 1 else 0)) p.P.integer;
+  List.iter (fun a -> sep (); Array.iter f a) [ p.P.rlo; p.P.rhi ];
+  List.iter (fun a -> sep (); Array.iter i a) [ p.P.cstart; p.P.crow ];
+  sep ();
+  Array.iter f p.P.cval;
+  Buffer.contents b
+
+(* Q1-Q7 of Galaxy (600 rows, seed 1) and TPC-H (600 rows, seed 2): the
+   Direct ILP ([Translate.to_problem]), the sketch ILP over a tau = 10%
+   partitioning, a refine-shaped ILP (group 0's candidates, bounds
+   shifted by offsets), and the first SummarySearch ILP of seven
+   stochastic workload queries per dataset. The digest was recorded
+   from the row-list representation these ILPs had before the column
+   layout, transposed as its simplex transposed them, so it pins that
+   the solver is handed the same columns, coefficients and bounds; the
+   failure message lists one digest per ILP for the diff. *)
+let package_ilps_golden = "ed5a5e32d3ef2e21ffb457edafb0bb94"
+
+let test_package_ilps_pinned () =
+  let lines = Buffer.create 4096 in
+  let record cell p =
+    Buffer.add_string lines
+      (Printf.sprintf "%s %dx%d %s\n" cell (P.nvars p) (P.nrows p)
+         (Digest.to_hex (Digest.string (ilp_bytes p))))
+  in
+  List.iter
+    (fun (dataset, kind, rel, queries) ->
+      let defs = queries rel in
+      let wattrs = Datagen.Workload.workload_attrs defs in
+      List.iter
+        (fun (def : Datagen.Workload.def) ->
+          let cell = dataset ^ "/" ^ def.Datagen.Workload.name in
+          let qrel = Datagen.Workload.query_relation ~dataset:kind rel def in
+          let spec = Datagen.Workload.compile qrel def in
+          let candidates = Paql.Translate.base_candidates spec qrel in
+          record (cell ^ "/direct")
+            (Paql.Translate.to_problem spec qrel ~candidates);
+          let tau = max 1 (Relalg.Relation.cardinality qrel / 10) in
+          let part = Pkg.Partition.create ~tau ~attrs:wattrs qrel in
+          let ctx = Pkg.Sketch.make_ctx spec qrel part in
+          record (cell ^ "/sketch") (snd (Pkg.Sketch.problem ctx));
+          let offsets =
+            Array.of_list
+              (List.mapi
+                 (fun ci _ -> 0.5 *. float_of_int (ci + 1))
+                 spec.Paql.Translate.constraints)
+          in
+          record (cell ^ "/refine")
+            (Paql.Translate.to_problem ~offsets
+               { spec with Paql.Translate.where = None }
+               qrel ~candidates:ctx.Pkg.Sketch.cand.(0)))
+        defs;
+      List.iter
+        (fun (def : Datagen.Workload.def) ->
+          match
+            Pkg.Stochastic.summary_ilp (Datagen.Workload.compile rel def) rel
+          with
+          | Ok p -> record (dataset ^ "/" ^ def.Datagen.Workload.name ^ "/summary") p
+          | Error msg -> Alcotest.failf "%s: %s" def.Datagen.Workload.name msg)
+        (Datagen.Workload.mixed ~repeat_rate:0. ~stochastic_rate:1.
+           ~dataset:kind ~n:7 rel))
+    [ ("galaxy", `Galaxy, Datagen.Galaxy.generate ~seed:1 600,
+       Datagen.Workload.galaxy_queries);
+      ("tpch", `Tpch, Datagen.Tpch.generate ~seed:2 600,
+       Datagen.Workload.tpch_queries) ];
+  let digest = Digest.to_hex (Digest.string (Buffer.contents lines)) in
+  if digest <> package_ilps_golden then
+    Alcotest.failf "package ILPs digest %s, expected %s; per ILP:\n%s" digest
+      package_ilps_golden (Buffer.contents lines)
+
 let () =
   Alcotest.run "solver"
     [
@@ -534,5 +827,15 @@ let () =
             test_node_allocation_budget;
           Alcotest.test_case "paper-suite Direct objectives pinned" `Quick
             test_suite_direct_pinned;
+        ] );
+      ( "numerics",
+        [
+          Alcotest.test_case "near-degenerate ties match enumeration" `Quick
+            test_near_ties;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "package ILPs pinned" `Quick
+            test_package_ilps_pinned;
         ] );
     ]

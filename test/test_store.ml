@@ -13,14 +13,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
-let tmp_dir =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pkgq-test-store-%d" (Unix.getpid ()))
-  in
-  (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-  d
+let tmp_dir = Tmp_root.make "store"
 
 let tmp_path name = Filename.concat tmp_dir name
 
